@@ -112,7 +112,7 @@ def chi_cb_prior_dim(eps, dim):
     """Prior dimension-constrained Holevo continuity bound: eps ln d + 2g(eps)."""
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
-        raise ValidationError(f"eps must lie in (0, 1], got {eps}")
+        raise ValidationError(f"eps must lie in [0, 1], got {eps}")
     if dim < 2:
         raise ValidationError(f"dim must be >= 2, got {dim}")
     return eps * math.log(dim) + 2.0 * g_func(eps)

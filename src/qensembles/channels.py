@@ -7,11 +7,12 @@ bounds (with the achieving witness); catalog families carry closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.special import gammaln
 
 from .errors import DimensionMismatch, TruncationError, ValidationError
 from .ensembles import Ensemble, average_state
@@ -419,7 +420,7 @@ def coherent_state(zeta, n_max):
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    log_mag = -0.5 * nbar + 0.5 * (n * math.log(nbar) - _lgamma_vec(n))
+    log_mag = -0.5 * nbar + 0.5 * (n * math.log(nbar) - gammaln(n + 1.0))
     phase = np.exp(1j * n * np.angle(zeta))
     amps = np.exp(log_mag) * phase
     nrm = np.linalg.norm(amps)
@@ -428,24 +429,34 @@ def coherent_state(zeta, n_max):
     return amps / nrm
 
 
-def _lgamma_vec(n):
-    return np.array([math.lgamma(k + 1.0) for k in n])
-
-
 def coherent_overlap(z1, z2):
     """<z1|z2> = exp(-(|z1|^2 + |z2|^2)/2 + conj(z1) z2)."""
     z1, z2 = complex(z1), complex(z2)
     return np.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2) + np.conj(z1) * z2)
 
 
+@functools.lru_cache(maxsize=8)
+def _displacement_eigh(n_max):
+    # eigh of the Hermitian i(a^dag - a); read-only because every caller shares it
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    lam, vec = np.linalg.eigh(1j * (a.T - a))
+    lam.setflags(write=False)
+    vec.setflags(write=False)
+    return lam, vec
+
+
 def displacement_operator(zeta, n_max):
-    """expm(zeta a^dag - conj(zeta) a) on the truncated Fock space."""
-    dim = n_max + 1
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    gen = zeta * a.conj().T - np.conj(zeta) * a
-    return expm(gen)
+    """expm(zeta a^dag - conj(zeta) a) on the truncated Fock space.
+
+    With zeta = r e^(i phi) the generator is e^(i phi N) r (a^dag - a) e^(-i phi N),
+    so D = e^(i phi N) V e^(-i r Lambda) V^dag e^(-i phi N) from one cached
+    eigendecomposition V Lambda V^dag of i(a^dag - a) per truncation.
+    """
+    zeta = complex(zeta)
+    lam, vec = _displacement_eigh(n_max)
+    core = (vec * np.exp(-1j * abs(zeta) * lam)) @ vec.conj().T
+    phase = np.exp(1j * np.angle(zeta) * np.arange(n_max + 1))
+    return phase[:, None] * core * phase.conj()
 
 
 def poisson_entropy(lam, n_cap=FOCK_CAP):
@@ -457,6 +468,7 @@ def poisson_entropy(lam, n_cap=FOCK_CAP):
         return 0.0
     top = min(int(lam + 12.0 * math.sqrt(lam) + 40.0), n_cap)
     n = np.arange(top + 1)
-    log_pmf = -lam + n * math.log(lam) - _lgamma_vec(n)
-    series = float(np.sum(np.exp(log_pmf) * _lgamma_vec(n)))
+    log_fact = gammaln(n + 1.0)
+    log_pmf = -lam + n * math.log(lam) - log_fact
+    series = float(np.sum(np.exp(log_pmf) * log_fact))
     return lam * (1.0 - math.log(lam)) + series

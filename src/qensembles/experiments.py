@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm as normal_dist
+from scipy.special import ndtr
 
 from . import bounds as B
 from .channels import (
@@ -611,15 +611,11 @@ def gaussian_grid_measure(n_mean, delta, half_cells):
     ks = np.arange(-half_cells, half_cells)
     edges_lo = delta * ks
     edges_hi = delta * (ks + 1)
-    mass_1d = normal_dist.cdf(edges_hi / sigma) - normal_dist.cdf(edges_lo / sigma)
+    mass_1d = ndtr(edges_hi / sigma) - ndtr(edges_lo / sigma)
     centers = delta * (ks + 0.5)
-    pts, wts = [], []
-    for i, ck in enumerate(centers):
-        for j, cj in enumerate(centers):
-            pts.append((ck, cj))
-            wts.append(mass_1d[i] * mass_1d[j])
-    pts = np.array(pts)
-    wts = np.array(wts)
+    cx, cy = np.meshgrid(centers, centers, indexing="ij")
+    pts = np.column_stack([cx.ravel(), cy.ravel()])
+    wts = np.outer(mass_1d, mass_1d).ravel()
     return pts, wts / np.sum(wts)
 
 

@@ -4,7 +4,8 @@ Four ensemble metrics: the memberwise metric d0 on ordered ensembles, the
 Kantorovich distance (transportation LP over half trace distances), the
 easy upper bound on it, and the coupling-program distance d_ehs solved by a
 certified cutting-plane method. Classical point measures get the
-Kantorovich-Rubinshtein dual LP and its modified (Wasserstein-1) form.
+Kantorovich-Rubinshtein distance and its modified (Wasserstein-1) form, both
+solved as transportation LPs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import csc_matrix
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import Ensemble
@@ -99,11 +100,14 @@ def solve_transport(cost, p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     n, m = cost.shape
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
+    # cell k = i*m + j is in marginal rows i and n + j; sparse since the dense
+    # matrix is (n + m) x nm, CSC since linprog hands that layout to HiGHS
+    k = np.arange(n * m)
+    a_eq = csc_matrix(
+        (np.ones(2 * n * m), np.column_stack([k // m, n + k % m]).ravel(),
+         np.arange(0, 2 * n * m + 1, 2)),
+        shape=(n + m, n * m),
+    )
     b_eq = np.concatenate([p, q])
     res = linprog(
         cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
@@ -241,45 +245,27 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     )
 
 
-def _pairwise_dist(points_a, points_b):
-    diff = points_a[:, None, :] - points_b[None, :, :]
+def _ground_distance(p1, p2):
+    if p1.points.shape[1] != p2.points.shape[1]:
+        raise DimensionMismatch("point measures live in different ambient spaces")
+    diff = p1.points[:, None, :] - p2.points[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def kr_distance(p1: PointMeasure, p2: PointMeasure):
-    """Kantorovich-Rubinshtein distance: bounded-Lipschitz dual LP on the joint support.
+    """Kantorovich-Rubinshtein (bounded-Lipschitz) distance.
 
-    maximize sum f (w1 - w2) over |f| <= 1 and |f(x) - f(y)| <= d(x, y).
+    The dual max sum f (w1 - w2) over |f| <= 1 and |f(x) - f(y)| <= d(x, y)
+    equals Wasserstein-1 under the truncated metric min(d, 2) (KR duality: for
+    a zero-mass signed measure |f| <= 1 is the same as oscillation <= 2).
     """
-    if p1.points.shape[1] != p2.points.shape[1]:
-        raise DimensionMismatch("point measures live in different ambient spaces")
-    pts = np.vstack([p1.points, p2.points])
-    w = np.concatenate([p1.weights, -p2.weights])
-    n = pts.shape[0]
-    dist = _pairwise_dist(pts, pts)
-    iu, ju = np.triu_indices(n, k=1)
-    npairs = iu.size
-    # two sparse rows per pair: +/-(f_i - f_j) <= d_ij
-    row_idx = np.repeat(np.arange(2 * npairs), 2)
-    col_idx = np.empty(4 * npairs, dtype=int)
-    col_idx[0::4], col_idx[1::4] = iu, ju
-    col_idx[2::4], col_idx[3::4] = iu, ju
-    vals = np.empty(4 * npairs)
-    vals[0::4], vals[1::4] = 1.0, -1.0
-    vals[2::4], vals[3::4] = -1.0, 1.0
-    a_ub = coo_matrix((vals, (row_idx, col_idx)), shape=(2 * npairs, n)).tocsr()
-    b_ub = np.repeat(dist[iu, ju], 2)
-    res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs",
-                  options=LP_OPTIONS)
-    if not res.success:
-        raise ConvergenceError(f"KR dual LP failed: {res.message}")
-    return float(-res.fun)
+    cost = np.minimum(_ground_distance(p1, p2), 2.0)
+    value, _ = solve_transport(cost, p1.weights, p2.weights)
+    return value
 
 
 def kr_modified(p1: PointMeasure, p2: PointMeasure):
     """Modified KR distance: Wasserstein-1 transportation LP over Euclidean cost."""
-    if p1.points.shape[1] != p2.points.shape[1]:
-        raise DimensionMismatch("point measures live in different ambient spaces")
-    cost = _pairwise_dist(p1.points, p2.points)
+    cost = _ground_distance(p1, p2)
     value, _ = solve_transport(cost, p1.weights, p2.weights)
     return value

@@ -4,8 +4,10 @@ These deliberately avoid the production code paths: characteristic-polynomial
 roots via the trace recursion plus a companion-matrix root finder, the
 transportation LP via exhaustive basis (vertex) enumeration, the coupling
 distance via a dense fixed angular grid of dual cuts, the Holevo-bound
-crossover via the two bound formulas written out with `math` only, and the
-EoF witness via an explicit Schmidt-coefficient matrix and its singular values.
+crossover via the two bound formulas written out with `math` only, the
+EoF witness via an explicit Schmidt-coefficient matrix and its singular values,
+the Kantorovich-Rubinshtein distance via its bounded-Lipschitz dual LP, and the
+Poisson entropy via its defining series with `math.lgamma`.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 
 def charpoly_coeffs(a):
@@ -163,3 +166,41 @@ def tilted_witness(rank, delta):
     rho, sigma = coeffs(0.5 - delta), coeffs(0.5)
     fid = abs(np.vdot(rho, sigma)) ** 2
     return entanglement(rho) - entanglement(sigma), float(fid)
+
+
+def kr_dual_lp(points_a, w_a, points_b, w_b):
+    """Kantorovich-Rubinshtein distance as the bounded-Lipschitz dual LP on the
+    joint support: maximize sum f (w_a - w_b) over |f| <= 1 and
+    |f(x) - f(y)| <= |x - y|, with two sparse rows per pair of support points.
+    """
+    pts = np.vstack([np.asarray(points_a, float), np.asarray(points_b, float)])
+    w = np.concatenate([np.asarray(w_a, float), -np.asarray(w_b, float)])
+    n = pts.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    dist = np.sqrt(np.sum((pts[iu] - pts[ju]) ** 2, axis=1))
+    npairs = iu.size
+    row_idx = np.repeat(np.arange(2 * npairs), 2)
+    col_idx = np.empty(4 * npairs, dtype=int)
+    col_idx[0::4], col_idx[1::4] = iu, ju
+    col_idx[2::4], col_idx[3::4] = iu, ju
+    vals = np.empty(4 * npairs)
+    vals[0::4], vals[1::4] = 1.0, -1.0
+    vals[2::4], vals[3::4] = -1.0, 1.0
+    a_ub = coo_matrix((vals, (row_idx, col_idx)), shape=(2 * npairs, n)).tocsr()
+    res = linprog(-w, A_ub=a_ub, b_ub=np.repeat(dist, 2), bounds=(-1.0, 1.0),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(-res.fun)
+
+
+def poisson_entropy_series(lam):
+    """-sum_n p_n ln p_n for Poisson(lam), with ln p_n = -lam + n ln lam - ln n!
+    from math.lgamma, summed term by term far past the bulk of the mass."""
+    if lam == 0.0:
+        return 0.0
+    total = 0.0
+    for n in range(int(lam + 20.0 * math.sqrt(lam) + 60.0)):
+        log_p = -lam + n * math.log(lam) - math.lgamma(n + 1.0)
+        total -= math.exp(log_p) * log_p
+    return total

@@ -133,6 +133,11 @@ class TestPriorChiBounds:
             0.2 * math.log(4) + 2 * g_func(0.2), abs=1e-14
         )
 
+    def test_dim_form_eps_domain(self):
+        assert chi_cb_prior_dim(0.0, 3) == 0.0
+        with pytest.raises(ValidationError, match=r"eps must lie in \[0, 1\]"):
+            chi_cb_prior_dim(-0.1, 3)
+
     def test_sign_matches_crossover(self):
         for d in (3, 4, 5):
             eps_d = crossover_eps(d)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qensembles import (
     HamiltonianSpec,
@@ -44,6 +45,7 @@ from qensembles.randomgen import (
 )
 
 from conftest import basis_ket, ketbra
+from oracles import poisson_entropy_series
 
 
 class TestApply:
@@ -277,6 +279,28 @@ class TestCoherent:
     def test_displacement_unitarity(self):
         d_op = displacement_operator(0.8 + 0.3j, 50)
         assert np.allclose(d_op @ d_op.conj().T, np.eye(51), atol=1e-9)
+
+
+class TestClosedFormKernels:
+    @pytest.mark.parametrize("n_max", [10, 48])
+    def test_displacement_matches_expm(self, n_max):
+        a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+        for zeta in (0.0, 0.5, -1.2, 1.3j, 2.0 * np.exp(0.7j)):
+            gen = zeta * a.T - np.conj(zeta) * a
+            diff = displacement_operator(zeta, n_max) - expm(gen)
+            assert np.max(np.abs(diff)) < 1e-12
+
+    def test_displacement_result_is_a_fresh_array(self):
+        first = displacement_operator(0.7 - 0.4j, 12)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(displacement_operator(0.7 - 0.4j, 12), expected)
+
+    def test_poisson_entropy_matches_lgamma_series(self):
+        for lam in np.concatenate([[1e-6, 1e-3], np.linspace(0.0, 60.0, 241)]):
+            assert poisson_entropy(lam) == pytest.approx(
+                poisson_entropy_series(lam), abs=1e-11
+            )
 
 
 def test_compose_dimension_guard(rng):

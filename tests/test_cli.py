@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qensembles
 from qensembles import Ensemble, PointMeasure
 from qensembles import serialize as ser
 from qensembles.cli import main
@@ -102,3 +107,12 @@ def test_config_file_merging(tmp_path):
     code = main(["verify", "scb-rank", "--config", str(cfg), "--seed", "9"])
     assert code == 0
     assert out.exists() and json.loads(out.read_text())
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(qensembles.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, qensembles.cli; sys.exit(int('scipy.stats' in sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert res.returncode == 0

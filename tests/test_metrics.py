@@ -18,10 +18,11 @@ from qensembles import (
     trace_norm,
 )
 from qensembles.ensembles import singleton
+from qensembles.experiments import gaussian_grid_measure
 from qensembles.randomgen import random_channel, random_ensemble, random_state
 
 from conftest import basis_ket, ketbra
-from oracles import ehs_angular_grid_lp, transport_bruteforce
+from oracles import ehs_angular_grid_lp, kr_dual_lp, transport_bruteforce
 
 
 def example1_pair():
@@ -238,6 +239,39 @@ class TestKRDistances:
         a = PointMeasure(points=pts1, weights=rng.dirichlet(np.ones(3)))
         b = PointMeasure(points=pts2, weights=rng.dirichlet(np.ones(4)))
         assert kr_distance(a, b) == pytest.approx(kr_modified(a, b), abs=1e-8)
+
+
+    def test_matches_dual_lp_oracle(self):
+        rng = np.random.default_rng(11)
+        capped = 0
+        for _ in range(200):
+            n, m = rng.integers(1, 7, size=2)
+            spread = rng.uniform(0.1, 3.0)
+            a = PointMeasure(points=rng.normal(scale=spread, size=(n, 2)),
+                             weights=rng.dirichlet(np.ones(n)))
+            b = PointMeasure(points=rng.normal(scale=spread, size=(m, 2)),
+                             weights=rng.dirichlet(np.ones(m)))
+            oracle = kr_dual_lp(a.points, a.weights, b.points, b.weights)
+            assert kr_distance(a, b) == pytest.approx(oracle, abs=1e-9)
+            gaps = a.points[:, None, :] - b.points[None, :, :]
+            capped += bool(np.any(np.hypot(gaps[..., 0], gaps[..., 1]) > 2.0))
+        assert capped > 50  # the min(d, 2) cap is exercised, not just W1
+
+    def test_matches_dual_lp_oracle_on_coherent_grids(self):
+        # the two subsampled grids of `repro coherent` at its defaults
+        n_mean, delta = 1.0, 0.5
+        half = int(math.ceil(6.0 * math.sqrt(n_mean / 2.0) / delta))
+        radius_sq = n_mean * math.log(1000.0)
+        measures = []
+        for step, cells in ((delta, half), (delta / 2.0, 2 * half)):
+            pts, wts = gaussian_grid_measure(n_mean, step, cells)
+            keep = np.sum(pts**2, axis=1) <= radius_sq
+            measures.append(PointMeasure(points=pts[keep],
+                                         weights=wts[keep] / wts[keep].sum()))
+        a, b = measures
+        assert (a.size, b.size) == (88, 348)
+        oracle = kr_dual_lp(a.points, a.weights, b.points, b.weights)
+        assert kr_distance(a, b) == pytest.approx(oracle, abs=1e-9)
 
 
 class TestContinuousD0Shadow:
