@@ -40,7 +40,6 @@ from .ensembles import (
     Ensemble,
     average_entropy,
     average_state,
-    qc_conditional_entropy,
     qc_state,
     singleton,
     steer_to_average,

@@ -309,78 +309,58 @@ def s_ineq_check(eps, n_mean, slack=1e-9):
 # Tag registry for the CLI
 # ---------------------------------------------------------------------------
 
-def _ham_from_params(params, prefix=""):
-    tag = params.get(prefix + "closed_form")
-    levels = params.get(prefix + "levels")
-    eigenvalues = params.get(prefix + "eigenvalues")
-    if eigenvalues is not None:
-        return HamiltonianSpec(eigenvalues, closed_form=tag)
-    return HamiltonianSpec.oscillator(int(levels if levels else 200))
+# Every energy tag uses the oscillator E_k = k, whose F_H is the closed form
+# g(E): the truncation length never changes a value.
+_OSC = HamiltonianSpec.oscillator(200)
+
+
+def _case(params, rank_key, energy_key):
+    if rank_key in params:
+        return RankConstraint(int(params[rank_key]))
+    return EnergyConstraint(params[energy_key], _OSC)
+
+
+def _discretization(params):
+    loss, gain = discretization_bounds(params["delta"], params["n_mean"])
+    return {"loss": loss, "gain": gain}
+
+
+BOUNDS = {
+    "prop2": lambda p: scb_rank(p["eps"], int(p["rank"])),
+    "prop3": lambda p: scb_energy(p["eps"], p["energy"], _OSC),
+    "prop4": lambda p: scb_holevo(
+        p["eps"], _case(p, "rank_mu", "energy_mu"), _case(p, "rank_nu", "energy_nu")
+    ),
+    "cor2a": lambda p: cb_holevo_rank(p["eps"], int(p["rank_mu"]), int(p["rank_nu"])),
+    "cor2b": lambda p: cb_holevo_energy(
+        p["eps"], p["energy_mu"], _OSC, p["energy_nu"], _OSC
+    ),
+    "chi-cb-1": lambda p: chi_cb_prior_dim(p["eps"], int(p["dim"])),
+    "chi-cb-2": lambda p: chi_cb_prior_energy(p["eps"], p["energy"], _OSC)[0],
+    "crossover": lambda p: crossover_eps(int(p["dim"])),
+    "prop6": lambda p: ae_upper(p["delta"], _case(p, "rank", "energy")),
+    "prop7": lambda p: aoe_upper(int(p["rank"]), p["delta"], p["energy"], _OSC),
+    "prop8": lambda p: eof_scb(p["eps"], int(p["rank"])),
+    "remark3": lambda p: eof_scb_fid(p["fidelity"], int(p["rank"])),
+    "cor3": lambda p: eof_upper_sep(p["delta"], int(p["rank"])),
+    "discretization": _discretization,
+    "s-ineq": lambda p: s_ineq_check(p["eps"], p["n_mean"]),
+}
+BOUNDS.update({
+    alias: BOUNDS[tag] for alias, tag in (
+        ("lemma3", "prop2"), ("scb-rank", "prop2"),
+        ("lemma4", "prop3"), ("scb-energy", "prop3"),
+        ("scb-holevo", "prop4"),
+    )
+})
 
 
 def evaluate_tag(tag, params):
     """Evaluate a bound by its tag with a flat parameter record (CLI surface)."""
     tag = tag.lower()
-    if tag in ("prop2", "lemma3", "scb-rank"):
-        return scb_rank(params["eps"], int(params["rank"]))
-    if tag in ("prop3", "lemma4", "scb-energy"):
-        return scb_energy(params["eps"], params["energy"], _ham_from_params(params))
-    if tag in ("prop4", "scb-holevo"):
-        case_a = (
-            RankConstraint(int(params["rank_mu"]))
-            if "rank_mu" in params
-            else EnergyConstraint(params["energy_mu"], _ham_from_params(params, "mu_"))
-        )
-        case_b = (
-            RankConstraint(int(params["rank_nu"]))
-            if "rank_nu" in params
-            else EnergyConstraint(params["energy_nu"], _ham_from_params(params, "nu_"))
-        )
-        return scb_holevo(params["eps"], case_a, case_b)
-    if tag == "cor2a":
-        return cb_holevo_rank(params["eps"], int(params["rank_mu"]), int(params["rank_nu"]))
-    if tag == "cor2b":
-        ham = _ham_from_params(params)
-        return cb_holevo_energy(
-            params["eps"], params["energy_mu"], ham, params["energy_nu"], ham
-        )
-    if tag == "chi-cb-1":
-        return chi_cb_prior_dim(params["eps"], int(params["dim"]))
-    if tag == "chi-cb-2":
-        return chi_cb_prior_energy(
-            params["eps"], params["energy"], _ham_from_params(params)
-        )[0]
-    if tag == "crossover":
-        return crossover_eps(int(params["dim"]))
-    if tag == "prop6":
-        if "rank" in params:
-            return ae_upper(params["delta"], RankConstraint(int(params["rank"])))
-        return ae_upper(
-            params["delta"],
-            EnergyConstraint(params["energy"], _ham_from_params(params)),
-        )
-    if tag == "prop7":
-        return aoe_upper(
-            int(params["rank"]), params["delta"], params["energy"],
-            _ham_from_params(params),
-        )
-    if tag == "prop8":
-        return eof_scb(params["eps"], int(params["rank"]))
-    if tag == "remark3":
-        return eof_scb_fid(params["fidelity"], int(params["rank"]))
-    if tag == "cor3":
-        return eof_upper_sep(params["delta"], int(params["rank"]))
-    if tag == "discretization":
-        loss, gain = discretization_bounds(params["delta"], params["n_mean"])
-        return {"loss": loss, "gain": gain}
-    if tag == "s-ineq":
-        return s_ineq_check(params["eps"], params["n_mean"])
-    raise ValidationError(f"unknown bound tag {tag!r}")
-
-
-BOUND_TAGS = (
-    "prop2", "prop3", "prop4", "lemma3", "lemma4", "cor2a", "cor2b",
-    "chi-cb-1", "chi-cb-2", "crossover", "prop6", "prop7", "prop8",
-    "remark3", "cor3", "discretization", "s-ineq", "scb-rank",
-    "scb-energy", "scb-holevo",
-)
+    if tag not in BOUNDS:
+        raise ValidationError(f"unknown bound tag {tag!r}")
+    try:
+        return BOUNDS[tag](params)
+    except KeyError as exc:
+        raise ValidationError(f"bound {tag!r} needs parameter {exc.args[0]!r}") from None

@@ -162,24 +162,49 @@ class NormEstimate:
     extras: dict = field(default_factory=dict)
 
 
-def _delta_apply(phi, psi_chan, rho):
-    return phi.apply(rho) - psi_chan.apply(rho)
+def _difference_maps(phi, psi_chan, ancilla):
+    # (Phi - Psi) (x) id_ancilla and its adjoint; ancilla 1 gives Phi - Psi itself
+    if (phi.dim_in, phi.dim_out) != (psi_chan.dim_in, psi_chan.dim_out):
+        raise DimensionMismatch("channels must share input and output dimensions")
+    eye = np.eye(ancilla)
+    plus = [np.kron(k, eye) for k in phi.kraus]
+    minus = [np.kron(k, eye) for k in psi_chan.kraus]
+    dim_in, dim_out = phi.dim_in * ancilla, phi.dim_out * ancilla
+
+    def apply_fn(rho):
+        out = np.zeros((dim_out, dim_out), dtype=complex)
+        for k in plus:
+            out += k @ rho @ k.conj().T
+        for k in minus:
+            out -= k @ rho @ k.conj().T
+        return hermitian_part(out)
+
+    def adjoint_fn(x):
+        out = np.zeros((dim_in, dim_in), dtype=complex)
+        for k in plus:
+            out += k.conj().T @ x @ k
+        for k in minus:
+            out -= k.conj().T @ x @ k
+        return hermitian_part(out)
+
+    return apply_fn, adjoint_fn
 
 
-def _delta_adjoint(phi, psi_chan, x):
-    return phi.apply_adjoint(x) - psi_chan.apply_adjoint(x)
-
-
-def _ascend_pure(apply_fn, adjoint_fn, start, tol, max_iter):
+def _ascend(apply_fn, adjoint_fn, start, tol, max_iter, project=None):
     # Alternating maximization of ||Delta(|v><v|)||_1: dual sign operator,
-    # then the top eigenvector of the lifted Heisenberg operator. Monotone.
+    # then the top eigenvector of the lifted Heisenberg operator. Monotone
+    # unless project (onto a feasible set) is given; stops at the first
+    # step that does not improve.
     vec = start / np.linalg.norm(start)
+    if project is not None:
+        vec = project(vec)
     value = trace_norm(apply_fn(outer(vec)))
     for _ in range(max_iter):
         x_op = sign_operator(apply_fn(outer(vec)))
-        heis = adjoint_fn(x_op)
-        w, v = np.linalg.eigh(heis)
+        w, v = np.linalg.eigh(adjoint_fn(x_op))
         cand = v[:, -1]
+        if project is not None:
+            cand = project(cand)
         cand_val = trace_norm(apply_fn(outer(cand)))
         if cand_val <= value + tol:
             if cand_val > value:
@@ -204,43 +229,14 @@ def norm_1to1_lower(
     Pure inputs suffice: the objective is convex on states. Deterministic for a
     fixed seed; the result is the max over restarts.
     """
-    if (phi.dim_in, phi.dim_out) != (psi_chan.dim_in, psi_chan.dim_out):
-        raise DimensionMismatch("channels must share input and output dimensions")
-    apply_fn = lambda rho: _delta_apply(phi, psi_chan, rho)
-    adjoint_fn = lambda x: _delta_adjoint(phi, psi_chan, x)
-    best_val, best_vec = -1.0, None
+    apply_fn, adjoint_fn = _difference_maps(phi, psi_chan, 1)
     starts = list(np.eye(phi.dim_in, dtype=complex))
     starts += list(_haar_vectors(phi.dim_in, restarts, seed))
-    for s in starts:
-        val, vec = _ascend_pure(apply_fn, adjoint_fn, s, tol, max_iter)
-        if val > best_val:
-            best_val, best_vec = val, vec
+    best_val, best_vec = max(
+        (_ascend(apply_fn, adjoint_fn, s, tol, max_iter) for s in starts),
+        key=lambda result: result[0],
+    )
     return NormEstimate(value=best_val, kind="one_to_one_lower", witness=best_vec)
-
-
-def _bipartite_maps(phi, psi_chan):
-    d = phi.dim_in
-    eye = np.eye(d)
-    kraus_a = [np.kron(k, eye) for k in phi.kraus]
-    kraus_b = [np.kron(k, eye) for k in psi_chan.kraus]
-
-    def apply_fn(rho):
-        out = np.zeros((phi.dim_out * d, phi.dim_out * d), dtype=complex)
-        for k in kraus_a:
-            out += k @ rho @ k.conj().T
-        for k in kraus_b:
-            out -= k @ rho @ k.conj().T
-        return hermitian_part(out)
-
-    def adjoint_fn(x):
-        out = np.zeros((d * d, d * d), dtype=complex)
-        for k in kraus_a:
-            out += k.conj().T @ x @ k
-        for k in kraus_b:
-            out -= k.conj().T @ x @ k
-        return hermitian_part(out)
-
-    return apply_fn, adjoint_fn
 
 
 def _marginal_energy(vec, energies):
@@ -281,44 +277,21 @@ def diamond_lower(
     marginal-energy ball, giving a lower bound on the energy-constrained
     diamond norm instead.
     """
-    if (phi.dim_in, phi.dim_out) != (psi_chan.dim_in, psi_chan.dim_out):
-        raise DimensionMismatch("channels must share input and output dimensions")
     d = phi.dim_in
-    apply_fn, adjoint_fn = _bipartite_maps(phi, psi_chan)
-    energies = None
+    apply_fn, adjoint_fn = _difference_maps(phi, psi_chan, d)
+    project = None
     if energy_cap is not None:
         ham, cap = energy_cap
-        energies = ham.eigenvalues
-
-    def ascend(start):
-        vec = start / np.linalg.norm(start)
-        if energies is not None:
-            vec = _project_energy(vec, energies, cap)
-        value = trace_norm(apply_fn(outer(vec)))
-        for _ in range(max_iter):
-            x_op = sign_operator(apply_fn(outer(vec)))
-            w, v = np.linalg.eigh(adjoint_fn(x_op))
-            cand = v[:, -1]
-            if energies is not None:
-                cand = _project_energy(cand, energies, cap)
-            cand_val = trace_norm(apply_fn(outer(cand)))
-            if cand_val <= value + tol:
-                if cand_val > value:
-                    vec, value = cand, cand_val
-                break
-            vec, value = cand, cand_val
-        return value, vec
-
+        project = lambda vec: _project_energy(vec, ham.eigenvalues, cap)
     one = norm_1to1_lower(phi, psi_chan, restarts=restarts, seed=seed, tol=tol)
     seed_vec = np.kron(one.witness, np.eye(d, dtype=complex)[0])
     gamma = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
     starts = [seed_vec, gamma]
     starts += list(_haar_vectors(d * d, restarts, seed))
-    best_val, best_vec = -1.0, None
-    for s in starts:
-        val, vec = ascend(s)
-        if val > best_val:
-            best_val, best_vec = val, vec
+    best_val, best_vec = max(
+        (_ascend(apply_fn, adjoint_fn, s, tol, max_iter, project) for s in starts),
+        key=lambda result: result[0],
+    )
     extras = {}
     if energy_cap is not None:
         extras = {"energy_constrained": True, "energy_cap": float(cap)}
@@ -330,13 +303,14 @@ def diamond_lower(
 
 
 def evaluate_witness(phi, psi_chan, estimate):
-    """Re-evaluate a NormEstimate's witness; reproduces value to 1e-8."""
+    """Re-evaluate a NormEstimate's witness; reproduces value to 1e-8.
+
+    The witness length fixes the ancilla: dim_in for a 1->1 witness gives 1.
+    """
     if estimate.witness is None:
         return estimate.value
     vec = np.asarray(estimate.witness, dtype=complex).reshape(-1)
-    if vec.size == phi.dim_in:
-        return trace_norm(_delta_apply(phi, psi_chan, outer(vec)))
-    apply_fn, _ = _bipartite_maps(phi, psi_chan)
+    apply_fn, _ = _difference_maps(phi, psi_chan, vec.size // phi.dim_in)
     return trace_norm(apply_fn(outer(vec)))
 
 

@@ -6,7 +6,7 @@ Subcommands:
   verify  <experiment>          run a randomized verification experiment
   repro   <name>                reproduce a worked table or example
 
-Exit code is 0 iff no bound record was violated.
+Exit code is 0 iff no bound record was violated, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 
 from . import bounds as B
 from . import serialize as ser
+from .errors import EnergyRangeError, ValidationError
 from .experiments import EXPERIMENTS, REPROS, ExperimentConfig
 from .metrics import d0, d_ehs, d_kantorovich, dk_upper, kr_distance, kr_modified
 
@@ -65,7 +66,11 @@ def _cmd_metric(args):
 
 def _cmd_bound(args):
     params = dict(args.param or [])
-    value = B.evaluate_tag(args.tag, params)
+    try:
+        value = B.evaluate_tag(args.tag, params)
+    except (ValidationError, EnergyRangeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({"tag": args.tag, "value": value, "params": params},
                      sort_keys=True))
     return 0
@@ -149,7 +154,7 @@ def build_parser():
     p_metric.set_defaults(fn=_cmd_metric)
 
     p_bound = sub.add_parser("bound", help="evaluate a tagged bound")
-    p_bound.add_argument("tag", choices=sorted(B.BOUND_TAGS))
+    p_bound.add_argument("tag", choices=sorted(B.BOUNDS))
     p_bound.add_argument("--param", action="append", type=_parse_param,
                          metavar="KEY=VALUE")
     p_bound.set_defaults(fn=_cmd_bound)

@@ -99,11 +99,6 @@ def qc_state(mu):
     return out
 
 
-def qc_conditional_entropy(mu):
-    """Average member entropy: the conditional entropy of the q-c embedding."""
-    return average_entropy(mu)
-
-
 def _support_inv_sqrt(rho):
     # pseudo-inverse square root on the support, with a conditioning guard
     w, v = np.linalg.eigh(rho)

@@ -16,7 +16,6 @@ from .errors import DimensionMismatch, ValidationError
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
-PURE_NORM_TOL = 1e-12
 LOG_CLAMP = 1e-14
 SUPPORT_TOL = 1e-10
 
@@ -52,17 +51,6 @@ def check_density(rho, dim=None, name="state"):
     return rho
 
 
-def check_pure(psi, dim=None, name="vector"):
-    """Validate a unit vector within 1e-12 and return it as a complex 1-D array."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if dim is not None and psi.shape[0] != dim:
-        raise DimensionMismatch(f"{name} has dim {psi.shape[0]}, expected {dim}")
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > PURE_NORM_TOL:
-        raise ValidationError(f"{name} norm {nrm} deviates from 1 beyond {PURE_NORM_TOL}")
-    return psi
-
-
 def outer(psi):
     """Rank-1 projector |psi><psi|."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -73,13 +61,6 @@ def eigvals_desc(a):
     """Full real spectrum of a Hermitian matrix, non-increasing, multiplicities kept."""
     a = check_hermitian(a)
     return np.linalg.eigvalsh(a)[::-1].copy()
-
-
-def eigh_desc(a):
-    """(eigenvalues, eigenvectors) of a Hermitian matrix with eigenvalues non-increasing."""
-    a = check_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def trace_norm(a):

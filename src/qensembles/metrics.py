@@ -10,7 +10,7 @@ solved as transportation LPs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -63,7 +63,6 @@ class CouplingSolution:
     plan_q: np.ndarray | None = None
     iterations: int = 1
     gap: float = 0.0
-    extras: dict = field(default_factory=dict)
 
 
 def _padded_members(mu, nu):

@@ -28,9 +28,47 @@ from qensembles import (
     u_func,
     v_func,
 )
-from qensembles.bounds import BoundReport, evaluate_tag
+from qensembles.bounds import BOUNDS, BoundReport, evaluate_tag
 
 OSC = HamiltonianSpec.oscillator(200)
+
+# (params, direct evaluator call) for every registry key, aliases included.
+_SCB_RANK = [({"eps": 0.1, "rank": 4}, lambda: scb_rank(0.1, 4))]
+_SCB_ENERGY = [({"eps": 0.1, "energy": 1.0}, lambda: scb_energy(0.1, 1.0, OSC))]
+_SCB_HOLEVO = [
+    ({"eps": 0.2, "rank_mu": 3, "rank_nu": 5},
+     lambda: scb_holevo(0.2, RankConstraint(3), RankConstraint(5))),
+    ({"eps": 0.2, "energy_mu": 1.0, "energy_nu": 2.0},
+     lambda: scb_holevo(0.2, EnergyConstraint(1.0, OSC), EnergyConstraint(2.0, OSC))),
+    ({"eps": 0.2, "rank_mu": 3, "energy_nu": 2.0},
+     lambda: scb_holevo(0.2, RankConstraint(3), EnergyConstraint(2.0, OSC))),
+]
+TAG_CASES = {
+    "prop2": _SCB_RANK, "lemma3": _SCB_RANK, "scb-rank": _SCB_RANK,
+    "prop3": _SCB_ENERGY, "lemma4": _SCB_ENERGY, "scb-energy": _SCB_ENERGY,
+    "prop4": _SCB_HOLEVO, "scb-holevo": _SCB_HOLEVO,
+    "cor2a": [({"eps": 0.2, "rank_mu": 3, "rank_nu": 5},
+               lambda: cb_holevo_rank(0.2, 3, 5))],
+    "cor2b": [({"eps": 0.2, "energy_mu": 1.0, "energy_nu": 2.0},
+               lambda: cb_holevo_energy(0.2, 1.0, OSC, 2.0, OSC))],
+    "chi-cb-1": [({"eps": 0.2, "dim": 3}, lambda: chi_cb_prior_dim(0.2, 3))],
+    "chi-cb-2": [({"eps": 0.2, "energy": 1.0},
+                  lambda: chi_cb_prior_energy(0.2, 1.0, OSC)[0])],
+    "crossover": [({"dim": 4}, lambda: crossover_eps(4)),
+                  ({"dim": 18}, lambda: crossover_eps(18))],
+    "prop6": [({"delta": 0.2, "rank": 4}, lambda: ae_upper(0.2, RankConstraint(4))),
+              ({"delta": 0.2, "energy": 1.0},
+               lambda: ae_upper(0.2, EnergyConstraint(1.0, OSC)))],
+    "prop7": [({"rank": 3, "delta": 0.2, "energy": 1.0},
+               lambda: aoe_upper(3, 0.2, 1.0, OSC))],
+    "prop8": [({"eps": 0.1, "rank": 4}, lambda: eof_scb(0.1, 4))],
+    "remark3": [({"fidelity": 0.95, "rank": 4}, lambda: eof_scb_fid(0.95, 4))],
+    "cor3": [({"delta": 0.3, "rank": 4}, lambda: eof_upper_sep(0.3, 4))],
+    "discretization": [({"delta": 0.5, "n_mean": 1.0},
+                        lambda: dict(zip(("loss", "gain"),
+                                         discretization_bounds(0.5, 1.0))))],
+    "s-ineq": [({"eps": 0.3, "n_mean": 1.0}, lambda: s_ineq_check(0.3, 1.0))],
+}
 
 
 class TestScbRank:
@@ -336,3 +374,12 @@ class TestTagRegistry:
     def test_unknown_tag(self):
         with pytest.raises(ValidationError):
             evaluate_tag("nope", {})
+
+    @pytest.mark.parametrize("tag", sorted(BOUNDS))
+    def test_every_tag_matches_its_evaluator(self, tag):
+        for params, direct in TAG_CASES[tag]:
+            assert evaluate_tag(tag, params) == direct()
+
+    def test_missing_parameter_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="bound 'prop2' needs parameter 'rank'"):
+            evaluate_tag("prop2", {"eps": 0.1})

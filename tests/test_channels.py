@@ -29,6 +29,7 @@ from qensembles import (
     von_neumann_entropy,
 )
 from qensembles.channels import (
+    _difference_maps,
     displacement_operator,
     evaluate_witness,
     poisson_entropy,
@@ -194,6 +195,39 @@ class TestNormSearch:
         assert capped.value <= free.value + 1e-9
         assert capped.extras.get("energy_constrained") is True
         assert evaluate_witness(a, b, capped) == pytest.approx(capped.value, abs=1e-8)
+
+
+class TestDifferenceMaps:
+    """The maps of (Phi - Psi) (x) id that both norm searches ascend on."""
+
+    @staticmethod
+    def _pair(seed, dim_in, dim_out):
+        rng = np.random.default_rng(seed)
+        a = random_channel(dim_in, dim_out, 2, rng)
+        b = random_channel(dim_in, dim_out, 3, rng)
+        return rng, a, b
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+    def test_adjoint_duality(self, seed, dims):
+        dim_in, dim_out = dims
+        rng, a, b = self._pair(seed, dim_in, dim_out)
+        for ancilla in (1, dim_in):
+            apply_fn, adjoint_fn = _difference_maps(a, b, ancilla)
+            rho = random_state(dim_in * ancilla, dim_in * ancilla, rng)
+            g = rng.standard_normal((2, dim_out * ancilla, dim_out * ancilla))
+            x = (g[0] + 1j * g[1]) + (g[0] + 1j * g[1]).conj().T
+            lhs = np.trace(x @ apply_fn(rho))
+            rhs = np.trace(adjoint_fn(x) @ rho)
+            assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+    def test_ancilla_one_is_channel_difference(self, seed, dims):
+        rng, a, b = self._pair(seed, *dims)
+        apply_fn, _ = _difference_maps(a, b, 1)
+        rho = random_state(dims[0], dims[0], rng)
+        assert np.max(np.abs(apply_fn(rho) - (a.apply(rho) - b.apply(rho)))) < 1e-13
 
 
 class TestTraceNormMonotonicity:

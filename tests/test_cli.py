@@ -66,6 +66,20 @@ def test_bound_subcommand(capsys):
     assert out["value"] == pytest.approx(0.1 * np.log(3) + 0.3250829733914482)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "prop2", "--param", "eps=0.1"], "bound 'prop2' needs parameter 'rank'"),
+    (["bound", "prop2", "--param", "eps=-0.1", "--param", "rank=4"],
+     "eps must be nonnegative"),
+    (["bound", "prop3", "--param", "eps=0.1", "--param", "energy=-1"],
+     "outside achievable interval"),
+])
+def test_bound_usage_error_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_verify_exits_clean(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main([

@@ -6,11 +6,11 @@ import pytest
 from qensembles import (
     Ensemble,
     ValidationError,
+    average_entropy,
     average_state,
     conditional_entropy,
     d0,
     fidelity,
-    qc_conditional_entropy,
     qc_state,
     steer_to_average,
     trace_norm,
@@ -84,18 +84,18 @@ class TestQcState:
 class TestQcConditionalEntropy:
     def test_pure_ensemble(self, rng):
         mu = random_pure_ensemble(3, 3, rng)
-        assert qc_conditional_entropy(mu) == pytest.approx(0.0, abs=1e-9)
+        assert average_entropy(mu) == pytest.approx(0.0, abs=1e-9)
 
     def test_singleton(self, rng):
         rho = random_state(3, 3, rng)
-        assert qc_conditional_entropy(singleton(rho)) == pytest.approx(
+        assert average_entropy(singleton(rho)) == pytest.approx(
             von_neumann_entropy(rho)
         )
 
     def test_matches_bipartite_conditional_entropy(self, rng):
         mu = random_ensemble(2, 3, rng)
         direct = conditional_entropy(qc_state(mu), 2, 3)
-        assert qc_conditional_entropy(mu) == pytest.approx(direct, abs=1e-9)
+        assert average_entropy(mu) == pytest.approx(direct, abs=1e-9)
 
 
 class TestSteering:
