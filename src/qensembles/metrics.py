@@ -18,10 +18,12 @@ from scipy.sparse import csc_matrix
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import Ensemble
-from .linalg import sign_operator, trace_norm
+from .linalg import HERM_TOL, trace_norm
 
 EHS_SEED_ANGLES = 8
 EHS_MAX_ROUNDS = 200
+# eigenvalues within this of zero get sign 0, as in linalg.sign_operator
+SIGN_TOL = 1e-12
 
 # HiGHS defaults sit near 1e-7; certified gaps below that need tighter solves
 LP_OPTIONS = {
@@ -131,29 +133,31 @@ def d_kantorovich(mu, nu):
     return CouplingSolution(value=value, plan=plan)
 
 
-def _ehs_cut(x_op, rho, sigma):
-    # subgradient cut of f(p, q) = ||p rho - q sigma||_1 from a dual operator X
-    a = float(np.trace(x_op @ rho).real)
-    b = -float(np.trace(x_op @ sigma).real)
-    return a, b
+def _hermitian_stack(mats):
+    # check_hermitian over a stack of operators: raise past HERM_TOL, else
+    # return the Hermitian parts
+    adj = mats.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(mats - adj))) if mats.size else 0.0
+    if dev > HERM_TOL:
+        raise ValidationError(f"operator is not Hermitian (deviation {dev:.3e} > {HERM_TOL})")
+    return (mats + adj) / 2
 
 
-def _ehs_seed_cuts(rho, sigma):
-    cuts = [(1.0, -1.0), (-1.0, 1.0)]
-    for theta in np.linspace(0.0, 2.0 * np.pi, EHS_SEED_ANGLES, endpoint=False):
-        x_op = sign_operator(np.cos(theta) * rho - np.sin(theta) * sigma)
-        cuts.append(_ehs_cut(x_op, rho, sigma))
-    return cuts
+def _ehs_tangents(cp, cq, rs, ss):
+    """Tangent cuts of f_k(p, q) = ||p rho_k - q sigma_k||_1 at (cp_k, cq_k).
 
-
-def _ehs_eval(plan_p, plan_q, rhos, sigmas):
-    total = 0.0
-    for i, rho in enumerate(rhos):
-        for j, sigma in enumerate(sigmas):
-            p, q = plan_p[i, j], plan_q[i, j]
-            if p > 0.0 or q > 0.0:
-                total += trace_norm(p * rho - q * sigma)
-    return 0.5 * total
+    One eigendecomposition of the stack cp_k rho_k - cq_k sigma_k gives its
+    sign operators X_k, hence the cuts (Tr X_k rho_k, -Tr X_k sigma_k), and
+    its absolute eigenvalue sums, hence f_k(cp_k, cq_k) itself.
+    """
+    w, v = np.linalg.eigh(
+        _hermitian_stack(cp[:, None, None] * rs - cq[:, None, None] * ss)
+    )
+    s = np.where(w > SIGN_TOL, 1.0, np.where(w < -SIGN_TOL, -1.0, 0.0))
+    x_ops = (v * s[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    a = np.einsum("kij,kji->k", x_ops, rs).real
+    b = -np.einsum("kij,kji->k", x_ops, ss).real
+    return a, b, np.sum(np.abs(w), axis=1)
 
 
 def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
@@ -169,16 +173,24 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
-    rhos = [s for _, s in mu.members]
-    sigmas = [s for _, s in nu.members]
-    n, m = len(rhos), len(sigmas)
-    cuts = [[_ehs_seed_cuts(rhos[i], sigmas[j]) for j in range(m)] for i in range(n)]
-    seen = [
-        [{(round(a, 12), round(b, 12)) for a, b in cuts[i][j]} for j in range(m)]
-        for i in range(n)
-    ]
-
+    n, m = len(mu), len(nu)
     nm = n * m
+    # pair k = i*m + j couples rho_i with sigma_j
+    rs = np.repeat(np.stack(mu.states), m, axis=0)
+    ss = np.tile(np.stack(nu.states), (n, 1, 1))
+    pairs = np.arange(nm)
+
+    thetas = np.tile(np.linspace(0.0, 2.0 * np.pi, EHS_SEED_ANGLES, endpoint=False), nm)
+    seed_pair = np.repeat(pairs, EHS_SEED_ANGLES)
+    seed_a, seed_b, _ = _ehs_tangents(
+        np.cos(thetas), np.sin(thetas), rs[seed_pair], ss[seed_pair]
+    )
+    cut_pair = np.concatenate([np.repeat(pairs, 2), seed_pair])
+    cut_a = np.concatenate([np.tile([1.0, -1.0], nm), seed_a])
+    cut_b = np.concatenate([np.tile([-1.0, 1.0], nm), seed_b])
+    seen = {(k, round(a, 12), round(b, 12))
+            for k, a, b in zip(cut_pair.tolist(), cut_a.tolist(), cut_b.tolist())}
+
     a_eq = np.zeros((n + m, 3 * nm))
     for i in range(n):
         a_eq[i, i * m : (i + 1) * m] = 1.0
@@ -191,35 +203,30 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     best_plans = None
     lower = 0.0
     for rounds in range(1, max_rounds + 1):
-        rows = []
-        for i in range(n):
-            for j in range(m):
-                k = i * m + j
-                for a, b in cuts[i][j]:
-                    row = np.zeros(3 * nm)
-                    row[k] = a
-                    row[nm + k] = b
-                    row[2 * nm + k] = -1.0
-                    rows.append(row)
+        rows = np.arange(cut_pair.size)
+        a_ub = np.zeros((cut_pair.size, 3 * nm))
+        a_ub[rows, cut_pair] = cut_a
+        a_ub[rows, nm + cut_pair] = cut_b
+        a_ub[rows, 2 * nm + cut_pair] = -1.0
         res = linprog(
             objective,
-            A_ub=np.array(rows),
-            b_ub=np.zeros(len(rows)),
+            A_ub=a_ub,
+            b_ub=np.zeros(cut_pair.size),
             A_eq=a_eq,
             b_eq=b_eq,
-            bounds=[(0, None)] * (2 * nm) + [(0, None)] * nm,
+            bounds=(0, None),
             method="highs",
             options=LP_OPTIONS,
         )
         if not res.success:
             raise ConvergenceError(f"cutting-plane LP failed: {res.message}")
         lower = float(res.fun)
-        plan_p = res.x[:nm].reshape(n, m)
-        plan_q = res.x[nm : 2 * nm].reshape(n, m)
-        upper = _ehs_eval(plan_p, plan_q, rhos, sigmas)
+        plan_p, plan_q = res.x[:nm], res.x[nm : 2 * nm]
+        new_a, new_b, norms = _ehs_tangents(plan_p, plan_q, rs, ss)
+        upper = 0.5 * float(np.sum(norms))
         if upper < best_value:
             best_value = upper
-            best_plans = (plan_p.copy(), plan_q.copy())
+            best_plans = (plan_p.reshape(n, m), plan_q.reshape(n, m))
         gap = max(best_value - lower, 0.0)
         if gap <= tol:
             return CouplingSolution(
@@ -229,15 +236,15 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
                 iterations=rounds,
                 gap=gap,
             )
-        for i in range(n):
-            for j in range(m):
-                diff = plan_p[i, j] * rhos[i] - plan_q[i, j] * sigmas[j]
-                x_op = sign_operator(diff)
-                cut = _ehs_cut(x_op, rhos[i], sigmas[j])
-                key = (round(cut[0], 12), round(cut[1], 12))
-                if key not in seen[i][j]:
-                    seen[i][j].add(key)
-                    cuts[i][j].append(cut)
+        fresh = []
+        for k, a, b in zip(pairs.tolist(), new_a.tolist(), new_b.tolist()):
+            key = (k, round(a, 12), round(b, 12))
+            if key not in seen:
+                seen.add(key)
+                fresh.append(k)
+        cut_pair = np.concatenate([cut_pair, fresh]).astype(int)
+        cut_a = np.concatenate([cut_a, new_a[fresh]])
+        cut_b = np.concatenate([cut_b, new_b[fresh]])
     raise ConvergenceError(
         f"cutting plane did not reach tol={tol} in {max_rounds} rounds",
         gap=max(best_value - lower, 0.0),
