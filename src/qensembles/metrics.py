@@ -22,8 +22,15 @@ from .linalg import HERM_TOL, trace_norm
 
 EHS_SEED_ANGLES = 8
 EHS_MAX_ROUNDS = 200
+# fractions of the way from a round's tangent angle to its neighbours at which
+# d_ehs adds further tangents
+EHS_BRACKET_FRACTIONS = (0.1, 0.5)
 # eigenvalues within this of zero get sign 0, as in linalg.sign_operator
 SIGN_TOL = 1e-12
+
+# transport LPs with at most this many cells get a dense A_eq: scipy's sparse
+# path costs more below it (dense won at 12 x 12 cells, CSC at 16 x 16)
+TRANSPORT_DENSE_CELLS = 200
 
 # HiGHS defaults sit near 1e-7; certified gaps below that need tighter solves
 LP_OPTIONS = {
@@ -101,14 +108,20 @@ def solve_transport(cost, p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     n, m = cost.shape
-    # cell k = i*m + j is in marginal rows i and n + j; sparse since the dense
-    # matrix is (n + m) x nm, CSC since linprog hands that layout to HiGHS
+    # cell k = i*m + j is in marginal rows i and n + j
     k = np.arange(n * m)
-    a_eq = csc_matrix(
-        (np.ones(2 * n * m), np.column_stack([k // m, n + k % m]).ravel(),
-         np.arange(0, 2 * n * m + 1, 2)),
-        shape=(n + m, n * m),
-    )
+    if n * m <= TRANSPORT_DENSE_CELLS:
+        a_eq = np.zeros((n + m, n * m))
+        a_eq[k // m, k] = 1.0
+        a_eq[n + k % m, k] = 1.0
+    else:
+        # sparse since the dense matrix is (n + m) x nm, CSC since linprog
+        # hands that layout to HiGHS
+        a_eq = csc_matrix(
+            (np.ones(2 * n * m), np.column_stack([k // m, n + k % m]).ravel(),
+             np.arange(0, 2 * n * m + 1, 2)),
+            shape=(n + m, n * m),
+        )
     b_eq = np.concatenate([p, q])
     res = linprog(
         cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
@@ -119,20 +132,6 @@ def solve_transport(cost, p, q):
     return float(res.fun), res.x.reshape(n, m)
 
 
-def d_kantorovich(mu, nu):
-    """Kantorovich distance: transportation LP with cost half the trace distance."""
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
-    cost = np.array(
-        [
-            [0.5 * trace_norm(r - s) for _, s in nu.members]
-            for _, r in mu.members
-        ]
-    )
-    value, plan = solve_transport(cost, mu.weights, nu.weights)
-    return CouplingSolution(value=value, plan=plan)
-
-
 def _hermitian_stack(mats):
     # check_hermitian over a stack of operators: raise past HERM_TOL, else
     # return the Hermitian parts
@@ -141,6 +140,16 @@ def _hermitian_stack(mats):
     if dev > HERM_TOL:
         raise ValidationError(f"operator is not Hermitian (deviation {dev:.3e} > {HERM_TOL})")
     return (mats + adj) / 2
+
+
+def d_kantorovich(mu, nu):
+    """Kantorovich distance: transportation LP with cost half the trace distance."""
+    if mu.dim != nu.dim:
+        raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
+    diffs = np.stack(mu.states)[:, None] - np.stack(nu.states)[None, :]
+    cost = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_stack(diffs))), axis=-1)
+    value, plan = solve_transport(cost, mu.weights, nu.weights)
+    return CouplingSolution(value=value, plan=plan)
 
 
 def _ehs_tangents(cp, cq, rs, ss):
@@ -160,6 +169,30 @@ def _ehs_tangents(cp, cq, rs, ss):
     return a, b, np.sum(np.abs(w), axis=1)
 
 
+def _unseen(seen, owner, a, b):
+    # indices of the cuts whose (pair, a, b) to 12 digits is not yet in seen
+    fresh = []
+    for r, (k, x, y) in enumerate(zip(owner.tolist(), a.tolist(), b.tolist())):
+        key = (k, round(x, 12), round(y, 12))
+        if key not in seen:
+            seen.add(key)
+            fresh.append(r)
+    return fresh
+
+
+def _ehs_brackets(use, phi, ang_pair, ang):
+    # for each pair in use, the angles a fraction f of the way from phi to the
+    # nearest earlier tangent angle of that pair on each side, if there is one
+    same = ang_pair[None, :] == use[:, None]
+    lo = np.max(np.where(same & (ang < phi[:, None]), ang, -np.inf), axis=1)
+    hi = np.min(np.where(same & (ang > phi[:, None]), ang, np.inf), axis=1)
+    f = np.array(EHS_BRACKET_FRACTIONS)[:, None]
+    angles = np.concatenate([phi - f * (phi - lo), phi + f * (hi - phi)]).ravel()
+    owners = np.tile(use, 2 * f.size)
+    keep = np.isfinite(angles)
+    return owners[keep], angles[keep]
+
+
 def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     """Coupling-program ensemble distance by cutting planes with a certified gap.
 
@@ -169,11 +202,25 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     ||X|| <= 1 yields the linear underestimate Tr(X rho_i) p - Tr(X sigma_j) q.
     The epigraph LP over accumulated cuts gives a lower bound; evaluating the
     exact objective at its solution gives an upper bound; cuts regenerate from
-    the sign operator of the incumbent until upper - lower <= tol.
+    the sign operator of the incumbent until upper - lower <= tol. Each round
+    also adds, per pair in use, the tangents at the angles given by
+    EHS_BRACKET_FRACTIONS between the incumbent's angle atan2(Q_ij, P_ij) and
+    the nearest earlier tangent angle on each side, which needs fewer rounds
+    than the incumbent's tangent alone (Kelley's method). Two singletons have
+    the one plan P = Q = 1 and need no LP.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
     n, m = len(mu), len(nu)
+    if n == m == 1:
+        (p, rho), (q, sigma) = mu.members[0], nu.members[0]
+        return CouplingSolution(
+            value=0.5 * trace_norm(p * rho - q * sigma),
+            plan=np.array([[p]]),
+            plan_q=np.array([[q]]),
+            iterations=0,
+            gap=0.0,
+        )
     nm = n * m
     # pair k = i*m + j couples rho_i with sigma_j
     rs = np.repeat(np.stack(mu.states), m, axis=0)
@@ -188,14 +235,16 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     cut_pair = np.concatenate([np.repeat(pairs, 2), seed_pair])
     cut_a = np.concatenate([np.tile([1.0, -1.0], nm), seed_a])
     cut_b = np.concatenate([np.tile([-1.0, 1.0], nm), seed_b])
-    seen = {(k, round(a, 12), round(b, 12))
-            for k, a, b in zip(cut_pair.tolist(), cut_a.tolist(), cut_b.tolist())}
+    seen = set()
+    fresh = _unseen(seen, cut_pair, cut_a, cut_b)
+    cut_pair, cut_a, cut_b = cut_pair[fresh], cut_a[fresh], cut_b[fresh]
+    # tangent angles made so far in [0, pi/2], where every (P_ij, Q_ij) lies
+    quadrant = thetas <= np.pi / 2.0
+    ang_pair, ang = seed_pair[quadrant], thetas[quadrant]
 
     a_eq = np.zeros((n + m, 3 * nm))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, nm + j : 2 * nm : m] = 1.0
+    a_eq[pairs // m, pairs] = 1.0
+    a_eq[n + pairs % m, nm + pairs] = 1.0
     b_eq = np.concatenate([mu.weights, nu.weights])
     objective = np.concatenate([np.zeros(2 * nm), 0.5 * np.ones(nm)])
 
@@ -222,8 +271,18 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
             raise ConvergenceError(f"cutting-plane LP failed: {res.message}")
         lower = float(res.fun)
         plan_p, plan_q = res.x[:nm], res.x[nm : 2 * nm]
-        new_a, new_b, norms = _ehs_tangents(plan_p, plan_q, rs, ss)
-        upper = 0.5 * float(np.sum(norms))
+        # pairs with P_ij = Q_ij = 0 add nothing to the objective
+        use = pairs[(plan_p > 0.0) | (plan_q > 0.0)]
+        phi = np.arctan2(plan_q[use], plan_p[use])
+        new_pair, new_ang = _ehs_brackets(use, phi, ang_pair, ang)
+        owner = np.concatenate([use, new_pair])
+        new_a, new_b, norms = _ehs_tangents(
+            np.concatenate([plan_p[use], np.cos(new_ang)]),
+            np.concatenate([plan_q[use], np.sin(new_ang)]),
+            rs[owner],
+            ss[owner],
+        )
+        upper = 0.5 * float(np.sum(norms[: use.size]))
         if upper < best_value:
             best_value = upper
             best_plans = (plan_p.reshape(n, m), plan_q.reshape(n, m))
@@ -236,13 +295,10 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
                 iterations=rounds,
                 gap=gap,
             )
-        fresh = []
-        for k, a, b in zip(pairs.tolist(), new_a.tolist(), new_b.tolist()):
-            key = (k, round(a, 12), round(b, 12))
-            if key not in seen:
-                seen.add(key)
-                fresh.append(k)
-        cut_pair = np.concatenate([cut_pair, fresh]).astype(int)
+        ang_pair = np.concatenate([ang_pair, owner])
+        ang = np.concatenate([ang, phi, new_ang])
+        fresh = _unseen(seen, owner, new_a, new_b)
+        cut_pair = np.concatenate([cut_pair, owner[fresh]])
         cut_a = np.concatenate([cut_a, new_a[fresh]])
         cut_b = np.concatenate([cut_b, new_b[fresh]])
     raise ConvergenceError(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from qensembles import (
     ConvergenceError,
@@ -17,12 +18,20 @@ from qensembles import (
     kr_modified,
     trace_norm,
 )
+from qensembles import metrics
 from qensembles.ensembles import singleton
+from qensembles.errors import ValidationError
 from qensembles.experiments import gaussian_grid_measure
+from qensembles.metrics import _ehs_tangents, solve_transport
 from qensembles.randomgen import random_channel, random_ensemble, random_state
 
 from conftest import basis_ket, ketbra
-from oracles import ehs_angular_grid_lp, kr_dual_lp, transport_bruteforce
+from oracles import (
+    ehs_angular_grid_lp,
+    ehs_kelley_reference,
+    kr_dual_lp,
+    transport_bruteforce,
+)
 
 
 def example1_pair():
@@ -33,6 +42,17 @@ def example1_pair():
     mu = Ensemble.from_members([(0.5, np.kron(z0, z0)), (0.5, np.kron(rho2, z1))])
     nu = singleton(np.kron(sigma, z0))
     return mu, nu
+
+
+def mixed_rank_ensemble(dim, members, rng, zero_weight):
+    """Random ensemble whose states are rank 1 or full rank at random; with
+    zero_weight and at least two members, the first member has weight 0."""
+    weights = rng.dirichlet(np.ones(members))
+    if zero_weight and members > 1:
+        weights[0] = 0.0
+        weights /= weights.sum()
+    states = [random_state(dim, int(rng.choice([1, dim])), rng) for _ in range(members)]
+    return Ensemble.from_members(zip(weights, states))
 
 
 class TestD0:
@@ -81,6 +101,19 @@ class TestKantorovich:
                 transport_bruteforce(cost, mu.weights, nu.weights), abs=1e-8
             )
 
+    def test_batched_cost_matches_trace_norm_loop(self, rng):
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            mu = random_ensemble(d, int(rng.integers(1, 5)), rng)
+            nu = random_ensemble(d, int(rng.integers(1, 5)), rng)
+            cost = np.array(
+                [[0.5 * trace_norm(r - s) for _, s in nu.members] for _, r in mu.members]
+            )
+            value, plan = solve_transport(cost, mu.weights, nu.weights)
+            sol = d_kantorovich(mu, nu)
+            assert sol.value == value
+            assert np.array_equal(sol.plan, plan)
+
     def test_plan_marginals(self, rng):
         mu = random_ensemble(2, 3, rng)
         nu = random_ensemble(2, 2, rng)
@@ -95,6 +128,31 @@ class TestKantorovich:
         before = d_kantorovich(mu, nu).value
         after = d_kantorovich(chan.apply_ensemble(mu), chan.apply_ensemble(nu)).value
         assert after <= before + 1e-9
+
+
+class TestSolveTransport:
+    def test_dense_and_sparse_paths_match_vertex_enumeration(self, rng, monkeypatch):
+        sparse_calls = []
+        real_linprog = metrics.linprog
+
+        def spy(*args, **kwargs):
+            sparse_calls.append(issparse(kwargs["A_eq"]))
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "linprog", spy)
+        for _ in range(10):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            cost = rng.uniform(0.0, 1.0, size=(n, m))
+            p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            expected = transport_bruteforce(cost, p, q)
+            dense, _ = solve_transport(cost, p, q)
+            # a threshold of 0 cells sends the same LP down the CSC path
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "TRANSPORT_DENSE_CELLS", 0)
+                sparse, _ = solve_transport(cost, p, q)
+            assert dense == pytest.approx(expected, abs=1e-9)
+            assert sparse == pytest.approx(expected, abs=1e-9)
+        assert sparse_calls == [False, True] * 10
 
 
 class TestDkUpper:
@@ -185,6 +243,38 @@ class TestEhs:
         sol = d_ehs(mu, nu, tol=1e-7)
         assert np.allclose(sol.plan.sum(axis=1), mu.weights, atol=1e-9)
         assert np.allclose(sol.plan_q.sum(axis=0), nu.weights, atol=1e-9)
+
+    def test_matches_kelley_reference(self):
+        # n, m in {1, 2, 3} (n != m included), d in 2..5, rank-1 and full-rank
+        # states, and a zero-weight member in every third case
+        rng = np.random.default_rng(5150)
+        sizes = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+        tol = 1e-7
+        for case in range(200):
+            n, m = sizes[case % len(sizes)]
+            d = 2 + (case // len(sizes)) % 4
+            mu = mixed_rank_ensemble(d, n, rng, zero_weight=case % 3 == 0)
+            nu = mixed_rank_ensemble(d, m, rng, zero_weight=case % 3 == 1)
+            sol = d_ehs(mu, nu, tol=tol)
+            assert abs(sol.value - ehs_kelley_reference(mu, nu, tol)) <= tol
+            assert sol.gap <= tol
+            assert np.allclose(sol.plan.sum(axis=1), mu.weights, rtol=0.0, atol=1e-9)
+            assert np.allclose(sol.plan_q.sum(axis=0), nu.weights, rtol=0.0, atol=1e-9)
+
+    def test_two_singletons_need_no_lp(self, rng):
+        for d in (2, 3, 5):
+            rho, sigma = random_state(d, d, rng), random_state(d, 1, rng)
+            sol = d_ehs(singleton(rho), singleton(sigma))
+            assert sol.value == 0.5 * trace_norm(rho - sigma)
+            assert sol.gap == 0.0
+            assert sol.iterations == 0
+
+    def test_non_hermitian_stack_raises(self, rng):
+        sigma = random_state(2, 2, rng)
+        skewed = sigma + np.array([[0.0, 1e-3], [0.0, 0.0]])
+        stack = np.stack([sigma, skewed])
+        with pytest.raises(ValidationError):
+            _ehs_tangents(np.ones(2), np.full(2, 0.5), stack, stack[::-1])
 
 
 class TestMetricAxioms:
