@@ -20,7 +20,9 @@ from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import Ensemble
 from .linalg import HERM_TOL, trace_norm
 
-EHS_SEED_ANGLES = 8
+# d_ehs seeds each pair with tangents at this many angles spread evenly over
+# [0, pi/2], the quadrant where every (P_ij, Q_ij) lies
+EHS_SEED_ANGLES = 9
 EHS_MAX_ROUNDS = 200
 # fractions of the way from a round's tangent angle to its neighbours at which
 # d_ehs adds further tangents
@@ -202,12 +204,13 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     ||X|| <= 1 yields the linear underestimate Tr(X rho_i) p - Tr(X sigma_j) q.
     The epigraph LP over accumulated cuts gives a lower bound; evaluating the
     exact objective at its solution gives an upper bound; cuts regenerate from
-    the sign operator of the incumbent until upper - lower <= tol. Each round
-    also adds, per pair in use, the tangents at the angles given by
-    EHS_BRACKET_FRACTIONS between the incumbent's angle atan2(Q_ij, P_ij) and
-    the nearest earlier tangent angle on each side, which needs fewer rounds
-    than the incumbent's tangent alone (Kelley's method). Two singletons have
-    the one plan P = Q = 1 and need no LP.
+    the sign operator of the incumbent until upper - lower <= tol. The cuts
+    start from the identity cuts and the tangents at EHS_SEED_ANGLES angles
+    across [0, pi/2]. Each round also adds, per pair in use, the tangents at
+    the angles given by EHS_BRACKET_FRACTIONS between the incumbent's angle
+    atan2(Q_ij, P_ij) and the nearest earlier tangent angle on each side,
+    which needs fewer rounds than the incumbent's tangent alone (Kelley's
+    method). Two singletons have the one plan P = Q = 1 and need no LP.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
@@ -227,7 +230,7 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     ss = np.tile(np.stack(nu.states), (n, 1, 1))
     pairs = np.arange(nm)
 
-    thetas = np.tile(np.linspace(0.0, 2.0 * np.pi, EHS_SEED_ANGLES, endpoint=False), nm)
+    thetas = np.tile(np.linspace(0.0, np.pi / 2.0, EHS_SEED_ANGLES), nm)
     seed_pair = np.repeat(pairs, EHS_SEED_ANGLES)
     seed_a, seed_b, _ = _ehs_tangents(
         np.cos(thetas), np.sin(thetas), rs[seed_pair], ss[seed_pair]
@@ -238,9 +241,8 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     seen = set()
     fresh = _unseen(seen, cut_pair, cut_a, cut_b)
     cut_pair, cut_a, cut_b = cut_pair[fresh], cut_a[fresh], cut_b[fresh]
-    # tangent angles made so far in [0, pi/2], where every (P_ij, Q_ij) lies
-    quadrant = thetas <= np.pi / 2.0
-    ang_pair, ang = seed_pair[quadrant], thetas[quadrant]
+    # the angles in [0, pi/2] of the tangents made so far
+    ang_pair, ang = seed_pair, thetas
 
     a_eq = np.zeros((n + m, 3 * nm))
     a_eq[pairs // m, pairs] = 1.0
