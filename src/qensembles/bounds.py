@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import EnergyRangeError, ValidationError
+from .errors import ConvergenceError, EnergyRangeError, ValidationError
 from .linalg import binary_entropy, g_func
 from .energy import HamiltonianSpec, f_h
 
 HOLDS_SLACK = 1e-8
+CROSSOVER_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,12 @@ def v_func(dim):
 def crossover_eps(dim):
     """Crossover closeness where the paired rank bound overtakes the prior
     dimension bound: 0 for d=2, the root of u(eps) = v(d) for 3 <= d <= 17,
-    None for d >= 18 (u tops out at 16 < v(18))."""
+    None for d >= 18 (u tops out at 16 < v(18)).
+
+    The root is bisected until its bracket is at most 1e-10 * max(1, hi)
+    wide; ConvergenceError, carrying the width, if CROSSOVER_BISECTIONS
+    steps do not get there.
+    """
     if dim < 2:
         raise ValidationError(f"dim must be >= 2, got {dim}")
     if dim == 2:
@@ -199,15 +205,18 @@ def crossover_eps(dim):
         return None
     target = v_func(dim)
     lo, hi = 1e-12, 1.0
-    for _ in range(200):
+    for _ in range(CROSSOVER_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if u_func(mid) > target:
             hi = mid
         else:
             lo = mid
         if hi - lo <= 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"crossover bisection for d={dim} did not close in {CROSSOVER_BISECTIONS} steps",
+        gap=hi - lo,
+    )
 
 
 def ae_upper(delta, constraint):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qensembles import (
+    ConvergenceError,
     EnergyConstraint,
     HamiltonianSpec,
     RankConstraint,
@@ -28,6 +29,7 @@ from qensembles import (
     u_func,
     v_func,
 )
+from qensembles import bounds
 from qensembles.bounds import BOUNDS, BoundReport, evaluate_tag
 
 OSC = HamiltonianSpec.oscillator(200)
@@ -225,6 +227,38 @@ class TestCrossover:
     def test_monotone_in_d(self):
         roots = [crossover_eps(d) for d in range(3, 18)]
         assert all(b > a for a, b in zip(roots, roots[1:]))
+
+    def test_bracket_closes(self, monkeypatch):
+        # the roots for d = 3..17 as computed before an unclosed bracket raised
+        recorded = (
+            0.14334604176196253, 0.3945336207695307, 0.5498470047900765,
+            0.6558676478165384, 0.7328686243566096, 0.79117733761107,
+            0.8366494162184424, 0.8728703279922592, 0.9021648181661543,
+            0.9261067474436289, 0.9457959086576553, 0.962015953118718,
+            0.9753254000970877, 0.9861027324514138, 0.9945332713832666,
+        )
+        probes = []
+
+        def spy(eps):
+            value = u_func(eps)
+            probes.append((eps, value))
+            return value
+
+        monkeypatch.setattr(bounds, "u_func", spy)
+        for d, expected in zip(range(3, 18), recorded):
+            probes.clear()
+            assert crossover_eps(d) == expected
+            # the bracket the bisection ended on, rebuilt from its probes
+            lo = max([e for e, u in probes if u <= v_func(d)], default=1e-12)
+            hi = min([e for e, u in probes if u > v_func(d)], default=1.0)
+            assert 0.0 < hi - lo <= 1e-10 * max(1.0, hi)
+            assert expected == 0.5 * (lo + hi)
+
+    def test_unclosed_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "CROSSOVER_BISECTIONS", 5)
+        with pytest.raises(ConvergenceError) as err:
+            crossover_eps(4)
+        assert err.value.gap == pytest.approx((1.0 - 1e-12) / 32, rel=1e-12)
 
 
 class TestAeUpper:
