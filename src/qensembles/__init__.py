@@ -49,7 +49,9 @@ from .metrics import (
     PointMeasure,
     d0,
     d_ehs,
+    d_ehs_many,
     d_kantorovich,
+    d_kantorovich_many,
     dk_upper,
     kr_distance,
     kr_modified,

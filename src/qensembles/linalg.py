@@ -18,20 +18,22 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 LOG_CLAMP = 1e-14
 SUPPORT_TOL = 1e-10
+# eigenvalues within this of zero get sign 0 (sign_operator, the d_ehs tangents)
+SIGN_TOL = 1e-12
 
 
 def hermitian_part(a):
-    """Return (A + A^dagger)/2, absorbing round-off."""
+    """Return (A + A^dagger)/2, absorbing round-off; A may be a (..., d, d) stack."""
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def check_hermitian(a, tol=HERM_TOL, name="operator"):
-    """Validate hermiticity and return the symmetrized matrix."""
+    """Validate hermiticity of a matrix or (..., d, d) stack and return it symmetrized."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2))) if a.size else 0.0
     if dev > tol:
         raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {tol})")
     return hermitian_part(a)
@@ -40,6 +42,8 @@ def check_hermitian(a, tol=HERM_TOL, name="operator"):
 def check_density(rho, dim=None, name="state"):
     """Validate a density matrix (Hermitian, PSD, unit trace) and return it symmetrized."""
     rho = check_hermitian(rho, name=name)
+    if rho.ndim != 2:
+        raise ValidationError(f"{name} must be one matrix, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise DimensionMismatch(f"{name} has dim {rho.shape[0]}, expected {dim}")
     tr = float(np.trace(rho).real)
@@ -214,7 +218,7 @@ def positive_part(a):
     return (v * w) @ v.conj().T
 
 
-def sign_operator(a, tol=1e-12):
+def sign_operator(a, tol=SIGN_TOL):
     """sign(A) = sum_i sign(lambda_i) |v_i><v_i| (zero eigenvalues map to 0)."""
     a = check_hermitian(a)
     w, v = np.linalg.eigh(a)

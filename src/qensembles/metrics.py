@@ -18,7 +18,7 @@ from scipy.sparse import csc_matrix
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import Ensemble
-from .linalg import HERM_TOL, trace_norm
+from .linalg import SIGN_TOL, check_hermitian, trace_norm
 
 # d_ehs seeds each pair with tangents at this many angles spread evenly over
 # [0, pi/2], the quadrant where every (P_ij, Q_ij) lies
@@ -27,11 +27,10 @@ EHS_MAX_ROUNDS = 200
 # fractions of the way from a round's tangent angle to its neighbours at which
 # d_ehs adds further tangents
 EHS_BRACKET_FRACTIONS = (0.1, 0.5)
-# eigenvalues within this of zero get sign 0, as in linalg.sign_operator
-SIGN_TOL = 1e-12
 
-# transport LPs with at most this many cells get a dense A_eq: scipy's sparse
-# path costs more below it (dense won at 12 x 12 cells, CSC at 16 x 16)
+# transport LPs with at most this many cells, over all their blocks, get a
+# dense A_eq: scipy's sparse path costs more below it (dense won at 12 x 12
+# cells, CSC at 16 x 16)
 TRANSPORT_DENSE_CELLS = 200
 
 # HiGHS defaults sit near 1e-7; certified gaps below that need tighter solves
@@ -104,54 +103,79 @@ def dk_upper(mu, nu):
     return 0.5 * total
 
 
+def _marginal_rows(n, m):
+    """Marginal rows of the cells of a block-diagonal LP of n_b x m_b blocks.
+
+    Block b owns n_b + m_b consecutive rows; its cell k = i*m_b + j (global
+    cells run over the blocks in turn) lies in the block's i-th row and in its
+    (n_b + j)-th row. Returns the block, the i-row and the j-row of each cell.
+    """
+    cells = n * m
+    block = np.repeat(np.arange(n.size), cells)
+    start = np.cumsum(n + m) - (n + m)
+    k = np.arange(int(cells.sum())) - (np.cumsum(cells) - cells)[block]
+    return block, start[block] + k // m[block], start[block] + n[block] + k % m[block]
+
+
 def solve_transport(cost, p, q):
     """Exact transportation LP: min <cost, plan> with marginals p (rows), q (cols)."""
-    cost = np.asarray(cost, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n, m = cost.shape
-    # cell k = i*m + j is in marginal rows i and n + j
-    k = np.arange(n * m)
-    if n * m <= TRANSPORT_DENSE_CELLS:
-        a_eq = np.zeros((n + m, n * m))
-        a_eq[k // m, k] = 1.0
-        a_eq[n + k % m, k] = 1.0
+    return _solve_transports([(cost, p, q)])[0]
+
+
+def _solve_transports(problems):
+    # transportation LPs (cost, p, q), solved as one block-diagonal LP; one
+    # (value, plan) per problem
+    if not problems:
+        return []
+    costs = [np.asarray(c, dtype=float) for c, _, _ in problems]
+    n = np.array([c.shape[0] for c in costs])
+    m = np.array([c.shape[1] for c in costs])
+    block, rows_p, rows_q = _marginal_rows(n, m)
+    total, n_rows = block.size, int(np.sum(n + m))
+    if total <= TRANSPORT_DENSE_CELLS:
+        a_eq = np.zeros((n_rows, total))
+        a_eq[rows_p, np.arange(total)] = 1.0
+        a_eq[rows_q, np.arange(total)] = 1.0
     else:
-        # sparse since the dense matrix is (n + m) x nm, CSC since linprog
+        # sparse since the dense matrix is rows x cells, CSC since linprog
         # hands that layout to HiGHS
         a_eq = csc_matrix(
-            (np.ones(2 * n * m), np.column_stack([k // m, n + k % m]).ravel(),
-             np.arange(0, 2 * n * m + 1, 2)),
-            shape=(n + m, n * m),
+            (np.ones(2 * total), np.column_stack([rows_p, rows_q]).ravel(),
+             np.arange(0, 2 * total + 1, 2)),
+            shape=(n_rows, total),
         )
-    b_eq = np.concatenate([p, q])
+    b_eq = np.concatenate(
+        [np.asarray(w, dtype=float) for _, p, q in problems for w in (p, q)]
+    )
+    c = np.concatenate([cost.reshape(-1) for cost in costs])
     res = linprog(
-        cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
         options=LP_OPTIONS,
     )
     if not res.success:
         raise ConvergenceError(f"transportation LP failed: {res.message}")
-    return float(res.fun), res.x.reshape(n, m)
-
-
-def _hermitian_stack(mats):
-    # check_hermitian over a stack of operators: raise past HERM_TOL, else
-    # return the Hermitian parts
-    adj = mats.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(mats - adj))) if mats.size else 0.0
-    if dev > HERM_TOL:
-        raise ValidationError(f"operator is not Hermitian (deviation {dev:.3e} > {HERM_TOL})")
-    return (mats + adj) / 2
+    # a single block keeps HiGHS's own objective value
+    values = [res.fun] if n.size == 1 else np.bincount(block, weights=c * res.x)
+    plans = np.split(res.x, np.cumsum(n * m)[:-1])
+    return [(float(v), x.reshape(cost.shape)) for v, x, cost in zip(values, plans, costs)]
 
 
 def d_kantorovich(mu, nu):
     """Kantorovich distance: transportation LP with cost half the trace distance."""
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
-    diffs = np.stack(mu.states)[:, None] - np.stack(nu.states)[None, :]
-    cost = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_stack(diffs))), axis=-1)
-    value, plan = solve_transport(cost, mu.weights, nu.weights)
-    return CouplingSolution(value=value, plan=plan)
+    return d_kantorovich_many([(mu, nu)])[0]
+
+
+def d_kantorovich_many(pairs):
+    """d_kantorovich of every (mu, nu) in pairs, as one block-diagonal transport LP."""
+    problems = []
+    for mu, nu in pairs:
+        if mu.dim != nu.dim:
+            raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
+        diffs = np.stack(mu.states)[:, None] - np.stack(nu.states)[None, :]
+        cost = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(check_hermitian(diffs))), axis=-1)
+        problems.append((cost, mu.weights, nu.weights))
+    return [CouplingSolution(value=value, plan=plan)
+            for value, plan in _solve_transports(problems)]
 
 
 def _ehs_tangents(cp, cq, rs, ss):
@@ -162,7 +186,7 @@ def _ehs_tangents(cp, cq, rs, ss):
     its absolute eigenvalue sums, hence f_k(cp_k, cq_k) itself.
     """
     w, v = np.linalg.eigh(
-        _hermitian_stack(cp[:, None, None] * rs - cq[:, None, None] * ss)
+        check_hermitian(cp[:, None, None] * rs - cq[:, None, None] * ss)
     )
     s = np.where(w > SIGN_TOL, 1.0, np.where(w < -SIGN_TOL, -1.0, 0.0))
     x_ops = (v * s[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -184,10 +208,19 @@ def _unseen(seen, owner, a, b):
 
 def _ehs_brackets(use, phi, ang_pair, ang):
     # for each pair in use, the angles a fraction f of the way from phi to the
-    # nearest earlier tangent angle of that pair on each side, if there is one
-    same = ang_pair[None, :] == use[:, None]
-    lo = np.max(np.where(same & (ang < phi[:, None]), ang, -np.inf), axis=1)
-    hi = np.min(np.where(same & (ang > phi[:, None]), ang, np.inf), axis=1)
+    # nearest earlier tangent angle of that pair on each side, if there is one.
+    # Keys pair * R + (rank of the angle among all R distinct angles) order
+    # (pair, angle) exactly, so two binary searches find both neighbours.
+    values, ranks = np.unique(np.concatenate([ang, phi]), return_inverse=True)
+    keys = ang_pair * values.size + ranks[: ang.size]
+    order = np.argsort(keys)
+    keys, sorted_ang = keys[order], ang[order]
+    query = use * values.size + ranks[ang.size :]
+    below = np.searchsorted(keys, query, side="left") - 1
+    above = np.searchsorted(keys, query, side="right")
+    pad = np.concatenate([[-1], keys // values.size, [-1]])
+    lo = np.where(pad[below + 1] == use, np.append(sorted_ang, 0.0)[below], -np.inf)
+    hi = np.where(pad[above + 1] == use, np.append(sorted_ang, 0.0)[above], np.inf)
     f = np.array(EHS_BRACKET_FRACTIONS)[:, None]
     angles = np.concatenate([phi - f * (phi - lo), phi + f * (hi - phi)]).ravel()
     owners = np.tile(use, 2 * f.size)
@@ -212,100 +245,174 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     which needs fewer rounds than the incumbent's tangent alone (Kelley's
     method). Two singletons have the one plan P = Q = 1 and need no LP.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
-    n, m = len(mu), len(nu)
-    if n == m == 1:
-        (p, rho), (q, sigma) = mu.members[0], nu.members[0]
-        return CouplingSolution(
-            value=0.5 * trace_norm(p * rho - q * sigma),
-            plan=np.array([[p]]),
-            plan_q=np.array([[q]]),
-            iterations=0,
-            gap=0.0,
-        )
-    nm = n * m
-    # pair k = i*m + j couples rho_i with sigma_j
-    rs = np.repeat(np.stack(mu.states), m, axis=0)
-    ss = np.tile(np.stack(nu.states), (n, 1, 1))
-    pairs = np.arange(nm)
+    return d_ehs_many([(mu, nu)], tol=tol, max_rounds=max_rounds)[0]
 
-    thetas = np.tile(np.linspace(0.0, np.pi / 2.0, EHS_SEED_ANGLES), nm)
-    seed_pair = np.repeat(pairs, EHS_SEED_ANGLES)
-    seed_a, seed_b, _ = _ehs_tangents(
-        np.cos(thetas), np.sin(thetas), rs[seed_pair], ss[seed_pair]
+
+def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
+    """d_ehs of every (mu, nu) in pairs, by one cutting plane run in lockstep.
+
+    The instances are independent, so the LP of a round is separable: every
+    instance still open shares one block-diagonal LP (one linprog call per
+    round, one eigh per dimension), and its own lower bound is half the sum
+    of its own epigraph variables. An instance leaves the LP once its own gap
+    is within tol; two singletons never enter it. Returns one
+    CouplingSolution per pair. Raises ConvergenceError if an LP fails or,
+    carrying the largest open gap, if an instance is still open after
+    max_rounds.
+    """
+    pairs = list(pairs)
+    out = [None] * len(pairs)
+    todo = []
+    for t, (mu, nu) in enumerate(pairs):
+        if mu.dim != nu.dim:
+            raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
+        if len(mu) == len(nu) == 1:
+            (p, rho), (q, sigma) = mu.members[0], nu.members[0]
+            out[t] = CouplingSolution(
+                value=0.5 * trace_norm(p * rho - q * sigma),
+                plan=np.array([[p]]),
+                plan_q=np.array([[q]]),
+                iterations=0,
+                gap=0.0,
+            )
+        else:
+            todo.append(t)
+    if not todo:
+        return out
+
+    # global pair g runs over the instances in turn; pair k = i*m + j of an
+    # instance couples its rho_i with its sigma_j and lies in its marginal
+    # rows i (through P) and n + j (through Q)
+    n = np.array([len(pairs[t][0]) for t in todo])
+    m = np.array([len(pairs[t][1]) for t in todo])
+    inst, row_p, row_q = _marginal_rows(n, m)
+    first = np.concatenate([[0], np.cumsum(n * m)])
+    n_pairs = inst.size
+    row_inst = np.repeat(np.arange(len(todo)), n + m)
+    b_all = np.concatenate(
+        [w for t in todo for w in (pairs[t][0].weights, pairs[t][1].weights)]
     )
-    cut_pair = np.concatenate([np.repeat(pairs, 2), seed_pair])
-    cut_a = np.concatenate([np.tile([1.0, -1.0], nm), seed_a])
-    cut_b = np.concatenate([np.tile([-1.0, 1.0], nm), seed_b])
+
+    # the states of each pair, stacked per dimension: pair g is row slot[g]
+    # of the stacks of its dimension
+    dims = np.repeat([pairs[t][0].dim for t in todo], n * m)
+    slot = np.zeros(n_pairs, dtype=int)
+    stacks = {}
+    for d in np.unique(dims).tolist():
+        at = np.flatnonzero(dims == d)
+        slot[at] = np.arange(at.size)
+        group = [pairs[t] for t in todo if pairs[t][0].dim == d]
+        stacks[d] = (
+            np.concatenate([np.repeat(np.stack(mu.states), len(nu), axis=0)
+                            for mu, nu in group]),
+            np.concatenate([np.tile(np.stack(nu.states), (len(mu), 1, 1))
+                            for mu, nu in group]),
+        )
+
+    def tangents(owner, cp, cq):
+        # _ehs_tangents once per dimension among the owners
+        a, b, norms = np.empty(owner.size), np.empty(owner.size), np.empty(owner.size)
+        for d, (rs, ss) in stacks.items():
+            sel = np.flatnonzero(dims[owner] == d)
+            if sel.size:
+                rows = slot[owner[sel]]
+                a[sel], b[sel], norms[sel] = _ehs_tangents(cp[sel], cq[sel], rs[rows], ss[rows])
+        return a, b, norms
+
+    all_pairs = np.arange(n_pairs)
+    thetas = np.tile(np.linspace(0.0, np.pi / 2.0, EHS_SEED_ANGLES), n_pairs)
+    seed_pair = np.repeat(all_pairs, EHS_SEED_ANGLES)
+    seed_a, seed_b, _ = tangents(seed_pair, np.cos(thetas), np.sin(thetas))
+    cut_pair = np.concatenate([np.repeat(all_pairs, 2), seed_pair])
+    cut_a = np.concatenate([np.tile([1.0, -1.0], n_pairs), seed_a])
+    cut_b = np.concatenate([np.tile([-1.0, 1.0], n_pairs), seed_b])
     seen = set()
     fresh = _unseen(seen, cut_pair, cut_a, cut_b)
     cut_pair, cut_a, cut_b = cut_pair[fresh], cut_a[fresh], cut_b[fresh]
     # the angles in [0, pi/2] of the tangents made so far
     ang_pair, ang = seed_pair, thetas
 
-    a_eq = np.zeros((n + m, 3 * nm))
-    a_eq[pairs // m, pairs] = 1.0
-    a_eq[n + pairs % m, nm + pairs] = 1.0
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    objective = np.concatenate([np.zeros(2 * nm), 0.5 * np.ones(nm)])
-
-    best_value = np.inf
-    best_plans = None
-    lower = 0.0
+    is_open = np.ones(len(todo), dtype=bool)
+    best_value = np.full(len(todo), np.inf)
+    best_p, best_q = np.zeros(n_pairs), np.zeros(n_pairs)
+    gap = np.full(len(todo), np.inf)
     for rounds in range(1, max_rounds + 1):
-        rows = np.arange(cut_pair.size)
-        a_ub = np.zeros((cut_pair.size, 3 * nm))
-        a_ub[rows, cut_pair] = cut_a
-        a_ub[rows, nm + cut_pair] = cut_b
-        a_ub[rows, 2 * nm + cut_pair] = -1.0
+        # only open instances are in this round's LP: an open pair's P, Q and
+        # T are its columns col, cols + col and 2 cols + col
+        live, live_rows = np.flatnonzero(is_open[inst]), is_open[row_inst]
+        cols = live.size
+        col, row = np.cumsum(is_open[inst]) - 1, np.cumsum(live_rows) - 1
+        a_eq = csc_matrix(
+            (np.ones(2 * cols),
+             (np.concatenate([row[row_p[live]], row[row_q[live]]]),
+              np.arange(2 * cols))),
+            shape=(row[-1] + 1, 3 * cols),
+        )
+        # each cut row: a P + b Q - T <= 0 on its own pair
+        cuts = np.arange(cut_pair.size)
+        a_ub = csc_matrix(
+            (np.concatenate([cut_a, cut_b, -np.ones(cut_pair.size)]),
+             (np.tile(cuts, 3),
+              np.concatenate([col[cut_pair], cols + col[cut_pair], 2 * cols + col[cut_pair]]))),
+            shape=(cut_pair.size, 3 * cols),
+        )
         res = linprog(
-            objective,
+            np.concatenate([np.zeros(2 * cols), 0.5 * np.ones(cols)]),
             A_ub=a_ub,
             b_ub=np.zeros(cut_pair.size),
             A_eq=a_eq,
-            b_eq=b_eq,
+            b_eq=b_all[live_rows],
             bounds=(0, None),
             method="highs",
             options=LP_OPTIONS,
         )
         if not res.success:
             raise ConvergenceError(f"cutting-plane LP failed: {res.message}")
-        lower = float(res.fun)
-        plan_p, plan_q = res.x[:nm], res.x[nm : 2 * nm]
+        plan_p, plan_q = np.zeros(n_pairs), np.zeros(n_pairs)
+        plan_p[live], plan_q[live] = res.x[:cols], res.x[cols : 2 * cols]
+        lower = 0.5 * np.bincount(inst[live], weights=res.x[2 * cols :], minlength=len(todo))
         # pairs with P_ij = Q_ij = 0 add nothing to the objective
-        use = pairs[(plan_p > 0.0) | (plan_q > 0.0)]
+        use = live[(plan_p[live] > 0.0) | (plan_q[live] > 0.0)]
         phi = np.arctan2(plan_q[use], plan_p[use])
         new_pair, new_ang = _ehs_brackets(use, phi, ang_pair, ang)
         owner = np.concatenate([use, new_pair])
-        new_a, new_b, norms = _ehs_tangents(
+        new_a, new_b, norms = tangents(
+            owner,
             np.concatenate([plan_p[use], np.cos(new_ang)]),
             np.concatenate([plan_q[use], np.sin(new_ang)]),
-            rs[owner],
-            ss[owner],
         )
-        upper = 0.5 * float(np.sum(norms[: use.size]))
-        if upper < best_value:
-            best_value = upper
-            best_plans = (plan_p.reshape(n, m), plan_q.reshape(n, m))
-        gap = max(best_value - lower, 0.0)
-        if gap <= tol:
-            return CouplingSolution(
-                value=best_value,
-                plan=best_plans[0],
-                plan_q=best_plans[1],
+        upper = 0.5 * np.bincount(inst[use], weights=norms[: use.size], minlength=len(todo))
+        better = is_open & (upper < best_value)
+        best_value[better] = upper[better]
+        take = better[inst]
+        best_p[take], best_q[take] = plan_p[take], plan_q[take]
+        gap[is_open] = np.maximum(best_value - lower, 0.0)[is_open]
+        for u in np.flatnonzero(is_open & (gap <= tol)).tolist():
+            shape = (n[u], m[u])
+            out[todo[u]] = CouplingSolution(
+                value=float(best_value[u]),
+                plan=best_p[first[u] : first[u + 1]].reshape(shape),
+                plan_q=best_q[first[u] : first[u + 1]].reshape(shape),
                 iterations=rounds,
-                gap=gap,
+                gap=float(gap[u]),
             )
+            is_open[u] = False
+        if not is_open.any():
+            return out
         ang_pair = np.concatenate([ang_pair, owner])
         ang = np.concatenate([ang, phi, new_ang])
         fresh = _unseen(seen, owner, new_a, new_b)
         cut_pair = np.concatenate([cut_pair, owner[fresh]])
         cut_a = np.concatenate([cut_a, new_a[fresh]])
         cut_b = np.concatenate([cut_b, new_b[fresh]])
+        # cuts and angles of closed instances leave the next LP
+        keep = is_open[inst[cut_pair]]
+        cut_pair, cut_a, cut_b = cut_pair[keep], cut_a[keep], cut_b[keep]
+        keep = is_open[inst[ang_pair]]
+        ang_pair, ang = ang_pair[keep], ang[keep]
     raise ConvergenceError(
         f"cutting plane did not reach tol={tol} in {max_rounds} rounds",
-        gap=max(best_value - lower, 0.0),
+        gap=float(np.max(gap[is_open])),
     )
 
 

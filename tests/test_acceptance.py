@@ -27,8 +27,9 @@ from qensembles import (
     cb_holevo_rank,
     crossover_eps,
     d0,
-    d_ehs,
+    d_ehs_many,
     d_kantorovich,
+    d_kantorovich_many,
     discretization_bounds,
     dk_upper,
     g_func,
@@ -108,30 +109,38 @@ def test_criterion_02_worked_example_metrics():
 
 def test_criterion_03_lp_oracle_equivalence():
     with criterion(3, "LP oracle equivalence", 120.0):
+        pairs = []
         for i in range(200):
             rng = derive_rng(301, i)
             dim = 2 + (i % 2)
             mu = random_ensemble(dim, int(rng.integers(1, 4)), rng)
             nu = random_ensemble(dim, int(rng.integers(1, 4)), rng)
+            pairs.append((mu, nu))
+        dks = d_kantorovich_many(pairs)
+        ehs = d_ehs_many(pairs, tol=1e-7)
+        for (mu, nu), dk, sol in zip(pairs, dks, ehs):
             cost = np.array(
                 [[0.5 * trace_norm(r - s) for _, s in nu.members]
                  for _, r in mu.members]
             )
             exact = transport_bruteforce(cost, mu.weights, nu.weights)
-            assert abs(d_kantorovich(mu, nu).value - exact) <= 1e-8
-            value = d_ehs(mu, nu, tol=1e-7).value
-            assert abs(value - ehs_angular_grid_lp(mu, nu)) <= 1e-5
+            assert abs(dk.value - exact) <= 1e-8
+            assert abs(sol.value - ehs_angular_grid_lp(mu, nu)) <= 1e-5
 
 
 def test_criterion_04_metric_chain():
     with criterion(4, "metric chain", 180.0):
+        pairs = []
         for i in range(1000):
             rng = derive_rng(401, i)
             dim = 2 + (i % 2)
             mu = random_ensemble(dim, int(rng.integers(1, 4)), rng)
             nu = random_ensemble(dim, int(rng.integers(1, 4)), rng)
-            ehs = d_ehs(mu, nu, tol=1e-8).value
-            dk = d_kantorovich(mu, nu).value
+            pairs.append((mu, nu))
+        dks = d_kantorovich_many(pairs)
+        sols = d_ehs_many(pairs, tol=1e-8)
+        for (mu, nu), dk_sol, ehs_sol in zip(pairs, dks, sols):
+            ehs, dk = ehs_sol.value, dk_sol.value
             assert ehs <= dk + 1e-8
             assert dk <= dk_upper(mu, nu) + 1e-8
             assert ehs <= d0(mu, nu) + 1e-8

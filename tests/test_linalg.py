@@ -267,6 +267,25 @@ class TestValidation:
         out = check_hermitian(noisy)
         assert np.allclose(out, out.conj().T)
 
+    def test_check_hermitian_stack_matches_per_matrix(self, rng):
+        noise = 1e-12 * (rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3)))
+        stack = np.stack([hermitian(3, rng) for _ in range(4)]).reshape(2, 2, 3, 3) + noise
+        out = check_hermitian(stack)
+        sym = hermitian_part(stack)
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(out[idx], check_hermitian(stack[idx]))
+            assert np.array_equal(sym[idx], hermitian_part(stack[idx]))
+
+    def test_check_hermitian_stack_names_the_deviation(self, rng):
+        stack = np.stack([hermitian(2, rng), hermitian(2, rng)])
+        stack[1, 0, 1] += 1e-3
+        with pytest.raises(ValidationError, match=r"deviation 1\.000e-03"):
+            check_hermitian(stack)
+
+    def test_check_density_rejects_a_stack(self):
+        with pytest.raises(ValidationError, match="one matrix"):
+            check_density(np.stack([np.eye(2) / 2, np.eye(2) / 2]))
+
     def test_outer_builds_projector(self, rng):
         v = random_pure(3, rng)
         p = outer(v)

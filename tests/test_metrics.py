@@ -12,7 +12,9 @@ from qensembles import (
     average_state,
     d0,
     d_ehs,
+    d_ehs_many,
     d_kantorovich,
+    d_kantorovich_many,
     dk_upper,
     kr_distance,
     kr_modified,
@@ -22,7 +24,7 @@ from qensembles import metrics
 from qensembles.ensembles import singleton
 from qensembles.errors import ValidationError
 from qensembles.experiments import gaussian_grid_measure
-from qensembles.metrics import _ehs_tangents, solve_transport
+from qensembles.metrics import _ehs_brackets, _ehs_tangents, solve_transport
 from qensembles.randomgen import random_channel, random_ensemble, random_state
 
 from conftest import basis_ket, ketbra
@@ -113,6 +115,22 @@ class TestKantorovich:
             sol = d_kantorovich(mu, nu)
             assert sol.value == value
             assert np.array_equal(sol.plan, plan)
+
+    def test_many_matches_vertex_enumeration(self, rng):
+        pairs = []
+        for case in range(30):
+            d = 2 + case % 3
+            pairs.append((random_ensemble(d, int(rng.integers(1, 4)), rng),
+                          random_ensemble(d, int(rng.integers(1, 4)), rng)))
+        for (mu, nu), sol in zip(pairs, d_kantorovich_many(pairs)):
+            cost = np.array(
+                [[0.5 * trace_norm(r - s) for _, s in nu.members] for _, r in mu.members]
+            )
+            assert sol.value == pytest.approx(
+                transport_bruteforce(cost, mu.weights, nu.weights), abs=1e-9
+            )
+            assert np.allclose(sol.plan.sum(axis=1), mu.weights, rtol=0.0, atol=1e-9)
+            assert np.allclose(sol.plan.sum(axis=0), nu.weights, rtol=0.0, atol=1e-9)
 
     def test_plan_marginals(self, rng):
         mu = random_ensemble(2, 3, rng)
@@ -250,16 +268,53 @@ class TestEhs:
         rng = np.random.default_rng(5150)
         sizes = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
         tol = 1e-7
+        pairs = []
         for case in range(200):
             n, m = sizes[case % len(sizes)]
             d = 2 + (case // len(sizes)) % 4
             mu = mixed_rank_ensemble(d, n, rng, zero_weight=case % 3 == 0)
             nu = mixed_rank_ensemble(d, m, rng, zero_weight=case % 3 == 1)
-            sol = d_ehs(mu, nu, tol=tol)
+            pairs.append((mu, nu))
+        for (mu, nu), sol in zip(pairs, d_ehs_many(pairs, tol=tol)):
             assert abs(sol.value - ehs_kelley_reference(mu, nu, tol)) <= tol
             assert sol.gap <= tol
             assert np.allclose(sol.plan.sum(axis=1), mu.weights, rtol=0.0, atol=1e-9)
             assert np.allclose(sol.plan_q.sum(axis=0), nu.weights, rtol=0.0, atol=1e-9)
+
+    def test_many_matches_single_calls_and_reference(self):
+        # one batch with d = 2..5, n != m, two-singleton instances, zero-weight
+        # members and one instance given twice
+        rng = np.random.default_rng(6150)
+        sizes = [(1, 1), (1, 3), (2, 2), (3, 2), (2, 1), (3, 3)]
+        tol = 1e-7
+        pairs = []
+        for case in range(24):
+            n, m = sizes[case % len(sizes)]
+            d = 2 + case % 4
+            mu = mixed_rank_ensemble(d, n, rng, zero_weight=case % 3 == 0)
+            nu = mixed_rank_ensemble(d, m, rng, zero_weight=case % 3 == 1)
+            pairs.append((mu, nu))
+        pairs.append(pairs[3])
+        sols = d_ehs_many(pairs, tol=tol)
+        assert len(sols) == len(pairs)
+        for (mu, nu), sol in zip(pairs, sols):
+            assert abs(sol.value - d_ehs(mu, nu, tol=tol).value) <= tol
+            assert abs(sol.value - ehs_kelley_reference(mu, nu, tol)) <= tol
+            assert sol.gap <= tol
+            assert np.allclose(sol.plan.sum(axis=1), mu.weights, rtol=0.0, atol=1e-9)
+            assert np.allclose(sol.plan_q.sum(axis=0), nu.weights, rtol=0.0, atol=1e-9)
+            assert (sol.iterations == 0) == (len(mu) == len(nu) == 1)
+
+    def test_many_of_nothing_is_empty(self):
+        assert d_ehs_many([]) == []
+        assert d_kantorovich_many([]) == []
+
+    def test_many_round_limit_carries_largest_open_gap(self, rng):
+        pairs = [(random_ensemble(d, 3, rng), random_ensemble(d, 2, rng)) for d in (2, 3, 4)]
+        tol = 1e-9
+        with pytest.raises(ConvergenceError) as err:
+            d_ehs_many(pairs, tol=tol, max_rounds=1)
+        assert err.value.gap > tol
 
     def test_two_singletons_need_no_lp(self, rng):
         for d in (2, 3, 5):
@@ -268,6 +323,25 @@ class TestEhs:
             assert sol.value == 0.5 * trace_norm(rho - sigma)
             assert sol.gap == 0.0
             assert sol.iterations == 0
+
+    def test_brackets_match_nearest_angles_by_loop(self, rng):
+        # repeated angles, query angles equal to earlier ones, and a pair
+        # (7) with no earlier angle
+        ang_pair = rng.integers(0, 6, size=80)
+        ang = rng.choice(np.linspace(0.0, np.pi / 2.0, 9), size=80)
+        use = np.array([0, 2, 3, 5, 7])
+        phi = np.concatenate([rng.choice(ang, size=3), rng.uniform(0.0, np.pi / 2.0, 2)])
+        owners, angles = _ehs_brackets(use, phi, ang_pair, ang)
+        expected = []
+        for side in ("lo", "hi"):
+            for f in metrics.EHS_BRACKET_FRACTIONS:
+                for k, p in zip(use.tolist(), phi.tolist()):
+                    mine = ang[ang_pair == k]
+                    if side == "lo" and np.any(mine < p):
+                        expected.append((k, p - f * (p - mine[mine < p].max())))
+                    if side == "hi" and np.any(mine > p):
+                        expected.append((k, p + f * (mine[mine > p].min() - p)))
+        assert list(zip(owners.tolist(), angles.tolist())) == expected
 
     def test_non_hermitian_stack_raises(self, rng):
         sigma = random_state(2, 2, rng)
