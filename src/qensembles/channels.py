@@ -134,7 +134,7 @@ def holevo_chi(chan, mu, cross_check=False, tol=1e-8):
     With cross_check the relative-entropy form sum_i p_i D(Phi(rho_i)||Phi(avg))
     is evaluated as well and disagreement beyond tol raises.
     """
-    out_avg = check_density(chan.apply(average_state(mu)))
+    out_avg = chan.apply(average_state(mu))
     chi = von_neumann_entropy(out_avg) - aoe(chan, mu)
     if cross_check:
         alt = 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EnergyRangeError, ValidationError
+from .errors import ConvergenceError, DimensionMismatch, EnergyRangeError, ValidationError
 from .linalg import (
     check_hermitian,
     eigvals_desc,
@@ -26,6 +26,7 @@ GIBBS_BETA_LO = 1e-12
 GIBBS_BETA_HI = 1e4
 TAIL_TOL = 1e-12
 EXTEND_CAP = 2000
+GIBBS_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,9 @@ def solve_gibbs(ham, energy, auto_extend=True):
 
     The achievable interval is (E_0, mean(E_k)]; beta = 0 (the uniform truncated
     state) is admitted at the upper endpoint. Out-of-range energies raise
-    EnergyRangeError carrying the interval. A relative tail mass above 1e-12
-    sets the tail_warning flag; closed-form spectra are extended (up to 2000
-    levels) before warning.
+    EnergyRangeError carrying the interval, and a bisection that does not close
+    raises ConvergenceError. A relative tail mass above 1e-12 sets tail_warning;
+    closed-form spectra are extended (up to 2000 levels) before warning.
     """
     energy = float(energy)
     if auto_extend and ham.closed_form == "oscillator":
@@ -201,7 +202,7 @@ def _solve_gibbs_fixed(ham, energy):
     else:
         lo, hi = GIBBS_BETA_LO, GIBBS_BETA_HI
         beta = 0.5 * (lo + hi)
-        for _ in range(200):
+        for _ in range(GIBBS_BISECTIONS):
             beta = 0.5 * (lo + hi)
             m = mean_at(beta)
             if abs(m - energy) <= tol:
@@ -210,6 +211,9 @@ def _solve_gibbs_fixed(ham, energy):
                 lo = beta
             else:
                 hi = beta
+        else:
+            raise ConvergenceError(f"Gibbs bisection for E={energy} did not close in "
+                                   f"{GIBBS_BISECTIONS} steps", gap=abs(m - energy))
         w = _gibbs_weights(shifted, beta)
     tail = float(w[-1])
     return GibbsSolution(

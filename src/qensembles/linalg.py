@@ -34,13 +34,28 @@ def check_hermitian(a, tol=HERM_TOL, name="operator"):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2))) if a.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # also rejects NaN and inf entries
         raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {tol})")
     return hermitian_part(a)
 
 
+def _eigvalsh(h):
+    """Ascending spectrum of a symmetrized Hermitian matrix or (..., d, d) stack;
+    a matrix with every off-diagonal entry exactly zero gives its sorted diagonal,
+    which is LAPACK's output bit for bit (identity reflectors, 1x1 blocks)."""
+    n = h.shape[-1]
+    if h.ndim == 2 and not h.reshape(-1)[:-1].reshape(n - 1, n + 1)[:, 1:].any():
+        return np.sort(h.diagonal().real)
+    return np.linalg.eigvalsh(h)
+
+
 def check_density(rho, dim=None, name="state"):
     """Validate a density matrix (Hermitian, PSD, unit trace) and return it symmetrized."""
+    return _density_spectrum(rho, dim, name)[0]
+
+
+def _density_spectrum(rho, dim=None, name="state"):
+    """check_density that also returns the ascending spectrum it decomposed."""
     rho = check_hermitian(rho, name=name)
     if rho.ndim != 2:
         raise ValidationError(f"{name} must be one matrix, got shape {rho.shape}")
@@ -49,10 +64,10 @@ def check_density(rho, dim=None, name="state"):
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"{name} trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -PSD_TOL:
-        raise ValidationError(f"{name} has negative eigenvalue {lo}")
-    return rho
+    w = _eigvalsh(rho)
+    if w[0] < -PSD_TOL:
+        raise ValidationError(f"{name} has negative eigenvalue {float(w[0])}")
+    return rho, w
 
 
 def outer(psi):
@@ -64,13 +79,13 @@ def outer(psi):
 def eigvals_desc(a):
     """Full real spectrum of a Hermitian matrix, non-increasing, multiplicities kept."""
     a = check_hermitian(a)
-    return np.linalg.eigvalsh(a)[::-1].copy()
+    return _eigvalsh(a)[::-1].copy()
 
 
 def trace_norm(a):
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
     a = check_hermitian(a)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
+    return float(np.sum(np.abs(_eigvalsh(a))))
 
 
 def trace_distance(rho, sigma):
@@ -101,8 +116,7 @@ def _eta(x):
 
 def von_neumann_entropy(rho):
     """S(rho) = -Tr rho ln rho in nats; eigenvalues below 1e-14 are clamped to 0."""
-    rho = check_density(rho)
-    w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    w = np.clip(_density_spectrum(rho)[1], 0.0, None)
     return float(np.sum(_eta(w)))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qensembles import (
+    ConvergenceError,
     EnergyRangeError,
     HamiltonianSpec,
     ValidationError,
@@ -19,6 +20,7 @@ from qensembles import (
     von_neumann_entropy,
     wl_check,
 )
+from qensembles import energy as energy_mod
 from qensembles.channels import displacement_operator
 from qensembles.ensembles import Ensemble, singleton
 from qensembles.linalg import hermitian_part
@@ -148,6 +150,19 @@ class TestSolveGibbs:
         assert err.value.lo == 0.0 and err.value.hi == pytest.approx(0.5)
         with pytest.raises(EnergyRangeError):
             solve_gibbs(QUBIT, 0.0)
+
+    def test_unclosed_bisection_raises(self, monkeypatch):
+        monkeypatch.setattr(energy_mod, "GIBBS_BISECTIONS", 1)
+        with pytest.raises(ConvergenceError) as err:
+            solve_gibbs(HamiltonianSpec.oscillator(64), 10.0, auto_extend=False)
+        assert err.value.gap > 1e-10 * 10.0
+
+    def test_witness_energies_keep_their_beta(self):
+        # the scb-energy witness states; betas as the bisection has always given them
+        ham = HamiltonianSpec.oscillator(64)
+        for energy, beta in ((10.0, 0.09531017980279965), (2.0, 0.40546510810302105),
+                             (4.0, 0.2231435513176957)):
+            assert solve_gibbs(ham, energy).beta == beta
 
     def test_maximal_entropy_among_sampled_states(self, rng):
         ham = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 4.0]))

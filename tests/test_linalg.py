@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qensembles import (
     ValidationError,
@@ -18,7 +19,14 @@ from qensembles import (
     trace_norm,
     von_neumann_entropy,
 )
-from qensembles.linalg import check_density, check_hermitian, hermitian_part, outer
+from qensembles.linalg import (
+    HERM_TOL,
+    _eigvalsh,
+    check_density,
+    check_hermitian,
+    hermitian_part,
+    outer,
+)
 from qensembles.randomgen import random_pure, random_state, random_unitary
 
 from conftest import basis_ket, ketbra
@@ -290,3 +298,103 @@ class TestValidation:
         v = random_pure(3, rng)
         p = outer(v)
         assert np.allclose(p @ p, p, atol=1e-12)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the LAPACK eigvalsh calls made while a test runs."""
+    calls = []
+    lapack = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return lapack(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+class TestSpectrumPath:
+    def test_diagonal_matches_lapack_bit_for_bit(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            d = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 3, n)
+            d[rng.random(n) < 0.3] = 0.0
+            d[rng.integers(0, n, n // 3)] = d[0]
+            h = np.diag(d).astype(complex)
+            assert np.array_equal(_eigvalsh(h), np.linalg.eigvalsh(h))
+
+    def test_any_off_diagonal_entry_takes_lapack(self, eigvalsh_calls):
+        # one entry of 1e-300 at each off-diagonal position in turn
+        n = 4
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    h = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+                    h[i, j] = 1e-300
+                    _eigvalsh(h)
+        assert len(eigvalsh_calls) == n * (n - 1)
+        _eigvalsh(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+        assert len(eigvalsh_calls) == n * (n - 1)
+
+    def test_stack_goes_to_lapack(self, eigvalsh_calls):
+        stack = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
+        assert np.array_equal(_eigvalsh(stack), np.linalg.eigvalsh(stack))
+        assert eigvalsh_calls == [(2, 2, 2), (2, 2, 2)]
+
+    def test_entropy_decomposes_once(self, rng, eigvalsh_calls):
+        von_neumann_entropy(random_state(3, 3, rng))
+        assert eigvalsh_calls == [(3, 3)]
+        von_neumann_entropy(np.diag([0.5, 0.3, 0.2]))
+        assert eigvalsh_calls == [(3, 3)]
+
+    def test_diagonal_states_still_validated(self):
+        off = np.diag([0.5, 0.5]).astype(complex)
+        off[0, 1] = 1e-9
+        assert 1e-9 > HERM_TOL
+        for bad in (np.diag([1.2, -0.2]), np.diag([0.6, 0.6]), off):
+            with pytest.raises(ValidationError):
+                check_density(bad)
+            with pytest.raises(ValidationError):
+                von_neumann_entropy(bad)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_entries_rejected(self):
+        # LAPACK returns finite garbage for a NaN diagonal; neither path may see one
+        dense = np.full((2, 2), 0.25, dtype=complex)
+        dense[0, 1] = dense[1, 0] = np.nan
+        for bad in (np.diag([np.nan, 0.5, 0.5]), np.diag([np.inf, 0.0, 0.0]), dense):
+            with pytest.raises(ValidationError):
+                von_neumann_entropy(bad)
+            with pytest.raises(ValidationError):
+                trace_norm(bad)
+
+
+@st.composite
+def _spectrum_and_unitary(draw, density):
+    d = draw(st.integers(2, 6))
+    lo = 0.0 if density else -1.0
+    spec = np.array(draw(st.lists(st.floats(lo, 1.0), min_size=d, max_size=d)))
+    if density:
+        assume(spec.sum() > 0.0)
+        spec = spec / spec.sum()
+    u = random_unitary(d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return np.diag(spec).astype(complex), u
+
+
+class TestSpectrumProperty:
+    """The diagonal shortcut agrees with LAPACK on the rotated matrix."""
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_spectrum_and_unitary(density=True))
+    def test_entropy_is_unitarily_invariant(self, case):
+        diag, u = case
+        rotated = u @ diag @ u.conj().T
+        assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(diag)) <= 1e-12
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_spectrum_and_unitary(density=False))
+    def test_trace_norm_is_unitarily_invariant(self, case):
+        diag, u = case
+        rotated = u @ diag @ u.conj().T
+        assert abs(trace_norm(rotated) - trace_norm(diag)) <= 1e-12
