@@ -19,7 +19,6 @@ from .linalg import (
     partial_trace,
     positive_part,
     relative_entropy,
-    trace_distance,
     trace_norm,
     von_neumann_entropy,
 )

@@ -17,6 +17,7 @@ from scipy.special import gammaln
 from .errors import DimensionMismatch, TruncationError, ValidationError
 from .ensembles import Ensemble, average_state
 from .linalg import (
+    _running_sum,
     check_density,
     hermitian_part,
     outer,
@@ -34,47 +35,49 @@ SEARCH_TOL = 1e-10
 SEARCH_MAX_ITER = 200
 
 
+def _sandwich(ops, rho):
+    # K rho K^dagger for every operator of an (r, a, b) stack, on a (b, b)
+    # matrix or a (..., b, b) stack: shape (..., r, a, a)
+    return ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators.
+
+    kraus may be given as any sequence of matrices or as a stack; it is
+    stored as a read-only (r, dim_out, dim_in) array.
+    """
 
     dim_in: int
     dim_out: int
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
+        shape = (self.dim_out, self.dim_in)
+        try:
+            ops = np.array(self.kraus, dtype=complex)
+        except ValueError:  # ragged operators
+            raise ValidationError(f"Kraus operators must all have shape {shape}") from None
+        if ops.size == 0:
             raise ValidationError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValidationError(
-                    f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
-                )
-        acc = sum(k.conj().T @ k for k in ops)
+        if ops.shape[1:] != shape:
+            raise ValidationError(f"Kraus operator shape {ops.shape[1:]} != {shape}")
+        acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
         dev = float(np.max(np.abs(acc - np.eye(self.dim_in))))
         if dev > KRAUS_TP_TOL:
             raise ValidationError(f"Kraus set is not trace preserving (dev {dev:.3e})")
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
     def apply(self, rho):
+        """Phi(rho) of a matrix, or of each matrix of a (..., dim_in, dim_in) stack."""
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim_in, self.dim_in):
+        if rho.shape[-2:] != (self.dim_in, self.dim_in):
             raise DimensionMismatch(
                 f"input shape {rho.shape} != ({self.dim_in}, {self.dim_in})"
             )
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return hermitian_part(out)
-
-    def apply_adjoint(self, x):
-        """Heisenberg-picture action on observables."""
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for k in self.kraus:
-            out += k.conj().T @ x @ k
-        return hermitian_part(out)
+        return hermitian_part(_running_sum(_sandwich(self.kraus, rho), axis=-3))
 
     def compose(self, inner):
         """self after inner: Kraus products K_i L_j."""
@@ -82,35 +85,29 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"cannot compose: inner output {inner.dim_out} != {self.dim_in}"
             )
-        ops = tuple(k @ l for k in self.kraus for l in inner.kraus)
-        return KrausChannel(inner.dim_in, self.dim_out, ops)
+        ops = self.kraus[:, None] @ inner.kraus
+        return KrausChannel(inner.dim_in, self.dim_out, ops.reshape(-1, *ops.shape[2:]))
 
     def apply_ensemble(self, mu):
         if mu.dim != self.dim_in:
             raise DimensionMismatch(f"ensemble dim {mu.dim} != {self.dim_in}")
-        return mu.map_states(self.apply, dim_out=self.dim_out)
+        return Ensemble(self.dim_out, mu.weights.copy(), self.apply(mu.states))
 
 
 def mix_channels(t, chan_a, chan_b):
     """(1-t) chan_a + t chan_b as a single Kraus channel."""
     if (chan_a.dim_in, chan_a.dim_out) != (chan_b.dim_in, chan_b.dim_out):
         raise DimensionMismatch("mixed channels must share dimensions")
-    ops = tuple(math.sqrt(1.0 - t) * k for k in chan_a.kraus) + tuple(
-        math.sqrt(t) * k for k in chan_b.kraus
-    )
+    ops = np.concatenate([math.sqrt(1.0 - t) * chan_a.kraus, math.sqrt(t) * chan_b.kraus])
     return KrausChannel(chan_a.dim_in, chan_a.dim_out, ops)
 
 
 def choi_matrix(chan):
     """(Phi (x) id)(|Gamma><Gamma|) with the normalized maximally entangled input."""
     d = chan.dim_in
-    out = np.zeros((chan.dim_out * d, chan.dim_out * d), dtype=complex)
-    for k in chan.kraus:
-        kv = np.kron(k, np.eye(d))
-        gamma = np.eye(d).reshape(-1) / math.sqrt(d)
-        v = kv @ gamma
-        out += np.outer(v, v.conj())
-    return hermitian_part(out)
+    gamma = np.eye(d).reshape(-1) / math.sqrt(d)
+    v = np.kron(chan.kraus, np.eye(d)) @ gamma
+    return hermitian_part(_running_sum(v[:, :, None] * v.conj()[:, None, :]))
 
 
 def choi_rank(chan):
@@ -121,11 +118,7 @@ def choi_rank(chan):
 
 def aoe(chan, mu):
     """Average output entropy sum_i p_i S(Phi(rho_i))."""
-    total = 0.0
-    for w, rho in mu.members:
-        if w > 0.0:
-            total += w * von_neumann_entropy(chan.apply(rho))
-    return total
+    return _running_sum(mu.weights * von_neumann_entropy(chan.apply(mu.states)))
 
 
 def holevo_chi(chan, mu, cross_check=False, tol=1e-8):
@@ -138,9 +131,9 @@ def holevo_chi(chan, mu, cross_check=False, tol=1e-8):
     chi = von_neumann_entropy(out_avg) - aoe(chan, mu)
     if cross_check:
         alt = 0.0
-        for w, rho in mu.members:
+        for w, out in zip(mu.weights, chan.apply(mu.states)):
             if w > 0.0:
-                alt += w * relative_entropy(chan.apply(rho), out_avg)
+                alt += w * relative_entropy(out, out_avg)
         if not math.isfinite(alt) or abs(alt - chi) > tol:
             raise ValidationError(
                 f"Holevo paths disagree: entropy form {chi}, relative-entropy form {alt}"
@@ -166,26 +159,16 @@ def _difference_maps(phi, psi_chan, ancilla):
     # (Phi - Psi) (x) id_ancilla and its adjoint; ancilla 1 gives Phi - Psi itself
     if (phi.dim_in, phi.dim_out) != (psi_chan.dim_in, psi_chan.dim_out):
         raise DimensionMismatch("channels must share input and output dimensions")
-    eye = np.eye(ancilla)
-    plus = [np.kron(k, eye) for k in phi.kraus]
-    minus = [np.kron(k, eye) for k in psi_chan.kraus]
-    dim_in, dim_out = phi.dim_in * ancilla, phi.dim_out * ancilla
+    ops = np.kron(np.concatenate([phi.kraus, psi_chan.kraus]), np.eye(ancilla))
+    ops_h = ops.conj().swapaxes(-1, -2)
+    # +1 for Phi's operators, -1 for Psi's, added in that order
+    sign = np.repeat([1.0, -1.0], [len(phi.kraus), len(psi_chan.kraus)])[:, None, None]
 
     def apply_fn(rho):
-        out = np.zeros((dim_out, dim_out), dtype=complex)
-        for k in plus:
-            out += k @ rho @ k.conj().T
-        for k in minus:
-            out -= k @ rho @ k.conj().T
-        return hermitian_part(out)
+        return hermitian_part(_running_sum(sign * _sandwich(ops, rho)))
 
     def adjoint_fn(x):
-        out = np.zeros((dim_in, dim_in), dtype=complex)
-        for k in plus:
-            out += k.conj().T @ x @ k
-        for k in minus:
-            out -= k.conj().T @ x @ k
-        return hermitian_part(out)
+        return hermitian_part(_running_sum(sign * _sandwich(ops_h, x)))
 
     return apply_fn, adjoint_fn
 

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, EnergyRangeError, ValidationError
 from .linalg import (
+    _running_sum,
+    _value,
     check_hermitian,
     eigvals_desc,
     g_func,
@@ -104,18 +106,18 @@ def mean_energy(rho, ham):
 def passive_energy(rho, ham):
     """Sum_i E_i lambda_i^v(rho): spectrum sorted descending against the rising spectrum.
 
-    Accepts any PSD Hermitian operator (not only unit trace); the spectrum is
-    zero-padded up to the truncation length.
+    Accepts any PSD Hermitian operator (not only unit trace), or a (..., d, d)
+    stack of them; the spectrum is zero-padded up to the truncation length.
     """
     lam = eigvals_desc(rho)
-    if lam.size > ham.levels:
-        raise DimensionMismatch(
-            f"operator dim {lam.size} exceeds truncation {ham.levels}"
-        )
-    if lam[-1] < -1e-9:
-        raise ValidationError(f"operator has negative eigenvalue {lam[-1]}")
+    d = lam.shape[-1]
+    if d > ham.levels:
+        raise DimensionMismatch(f"operator dim {d} exceeds truncation {ham.levels}")
+    low = np.min(lam[..., -1])
+    if low < -1e-9:
+        raise ValidationError(f"operator has negative eigenvalue {low}")
     lam = np.clip(lam, 0.0, None)
-    return float(np.sum(ham.eigenvalues[: lam.size] * lam))
+    return _value(np.sum(ham.eigenvalues[:d] * lam, axis=-1))
 
 
 def passive_rearrangement(rho, ham):
@@ -137,20 +139,15 @@ def ergotropy(rho, ham):
 
 def avg_passive_energy(ensemble, ham):
     """Weighted average of member passive energies."""
-    return float(
-        sum(w * passive_energy(rho, ham) for w, rho in ensemble.members if w > 0.0)
-    )
+    return _running_sum(ensemble.weights * passive_energy(ensemble.states, ham))
 
 
 def truncated_passive_energy(ensemble, ham, eps):
     """Sum_k E_H^psv([p_k rho_k - eps I]_+), the epsilon-truncated passive energy."""
     if eps <= 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
-    total = 0.0
-    for w, rho in ensemble.members:
-        op = positive_part(w * rho - eps * np.eye(rho.shape[0]))
-        total += passive_energy(op, ham)
-    return total
+    cut = ensemble.weights[:, None, None] * ensemble.states - eps * np.eye(ensemble.dim)
+    return _running_sum(passive_energy(positive_part(cut), ham))
 
 
 def _gibbs_weights(shifted, beta):

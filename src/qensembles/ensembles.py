@@ -1,7 +1,9 @@
 """Discrete ensembles of quantum states, their q-c embedding, and steering.
 
-An ensemble is an ordered finite list of (weight, state) pairs sharing one
-dimension; weights sum to 1 and zero-weight members are permitted.
+An ensemble is a weight vector of length n and a read-only (n, d, d) stack of
+states, validated once as a whole; member i is (weights[i], states[i]). Weights
+sum to 1 and zero-weight members are permitted. Functions of an ensemble act on
+the whole stack at once.
 """
 
 from __future__ import annotations
@@ -12,33 +14,52 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from . import linalg
-from .linalg import check_density, outer, von_neumann_entropy
+from .linalg import _running_sum, check_density, outer, von_neumann_entropy
 
 WEIGHT_TOL = 1e-10
 SUPPORT_CUT = 1e-12
 COND_LIMIT = 1e12
 
 
+def _check_weights(weights, name):
+    """Validate a probability vector (nonnegative within WEIGHT_TOL, unit sum
+    within WEIGHT_TOL) and return it as floats clipped at 0."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < -WEIGHT_TOL):
+        raise ValidationError(f"{name} must be nonnegative")
+    if abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
+        raise ValidationError(f"{name} sum to {np.sum(w)}, expected 1")
+    return np.clip(w, 0.0, None)
+
+
 @dataclass(frozen=True)
 class Ensemble:
-    """Ordered ensemble: weights and states of a common dimension."""
+    """Ordered ensemble: weights and a read-only (n, dim, dim) stack of states.
+
+    states may be given as any sequence of matrices or as a stack; it is
+    validated once and stored symmetrized.
+    """
 
     dim: int
     weights: np.ndarray
-    states: tuple
+    states: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("ensemble needs at least one member")
-        if np.any(w < -WEIGHT_TOL):
-            raise ValidationError("ensemble weights must be nonnegative")
-        if abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
-            raise ValidationError(f"ensemble weights sum to {np.sum(w)}, expected 1")
-        if len(self.states) != w.size:
+        w = _check_weights(w, "ensemble weights")
+        try:
+            states = np.asarray(self.states, dtype=complex)
+        except ValueError as exc:  # ragged members
+            raise DimensionMismatch(f"ensemble members differ in shape: {exc}") from None
+        if states.shape[:1] != w.shape:
             raise ValidationError("weights and states have different lengths")
-        states = tuple(check_density(s, dim=self.dim) for s in self.states)
-        object.__setattr__(self, "weights", np.clip(w, 0.0, None))
+        if states.ndim != 3:
+            raise ValidationError(f"state must be one matrix, got shape {states.shape[1:]}")
+        states = check_density(states, dim=self.dim)
+        states.setflags(write=False)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
 
     @classmethod
@@ -46,12 +67,9 @@ class Ensemble:
         members = list(members)
         if not members:
             raise ValidationError("ensemble needs at least one member")
-        dim = np.asarray(members[0][1]).shape[0]
-        return cls(
-            dim=dim,
-            weights=np.array([w for w, _ in members], dtype=float),
-            states=tuple(s for _, s in members),
-        )
+        weights, states = zip(*members)
+        return cls(dim=np.shape(states[0])[0], weights=np.array(weights, dtype=float),
+                   states=states)
 
     @property
     def members(self):
@@ -60,43 +78,34 @@ class Ensemble:
     def __len__(self):
         return self.weights.size
 
-    def map_states(self, fn, dim_out=None):
-        """New ensemble with fn applied to every member state."""
-        return Ensemble(
-            dim=dim_out if dim_out is not None else self.dim,
-            weights=self.weights.copy(),
-            states=tuple(fn(s) for s in self.states),
-        )
-
 
 def singleton(rho):
     """Ensemble with a single unit-weight member."""
     return Ensemble.from_members([(1.0, rho)])
 
 
+def _weighted(mu):
+    # the stack p_i rho_i
+    return mu.weights[:, None, None] * mu.states
+
+
 def average_state(mu):
     """Barycenter sum_i p_i rho_i."""
-    acc = np.zeros((mu.dim, mu.dim), dtype=complex)
-    for w, rho in mu.members:
-        acc += w * rho
-    return linalg.hermitian_part(acc)
+    return linalg.hermitian_part(_running_sum(_weighted(mu)))
 
 
 def average_entropy(mu):
     """Sum_i p_i S(rho_i)."""
-    return float(sum(w * von_neumann_entropy(rho) for w, rho in mu.members if w > 0.0))
+    return _running_sum(mu.weights * von_neumann_entropy(mu.states))
 
 
 def qc_state(mu):
     """Block-diagonal q-c embedding sum_k p_k rho_k (x) |k><k| on dim*n space."""
-    n = len(mu)
-    d = mu.dim
-    out = np.zeros((d * n, d * n), dtype=complex)
-    for k, (w, rho) in enumerate(mu.members):
-        ek = np.zeros((n, n))
-        ek[k, k] = 1.0
-        out += w * np.kron(rho, ek)
-    return out
+    n, d = len(mu), mu.dim
+    out = np.zeros((d, n, d, n), dtype=complex)
+    k = np.arange(n)
+    out[:, k, :, k] = _weighted(mu)
+    return out.reshape(d * n, d * n)
 
 
 def _support_inv_sqrt(rho):
@@ -138,36 +147,32 @@ def steer_to_average(mu, sigma):
     u_opt = vh.conj().T @ w_svd.conj().T
     a_mat = sqrt_sigma @ u_opt  # |psi> = vec(a_mat) purifies sigma
 
-    members = []
-    for w, rho in mu.members:
-        x_i = inv_sqrt @ (w * rho) @ inv_sqrt
-        tau = a_mat @ x_i @ a_mat.conj().T
-        q = float(np.trace(tau).real)
-        if q > 1e-15:
-            members.append((q, linalg.hermitian_part(tau / q)))
-        else:
-            members.append((0.0, rho))
+    # member i steers to tau_i / q_i at weight q_i = Tr tau_i; a member with
+    # q_i <= 1e-15 keeps its own state at weight 0
+    tau = a_mat @ (inv_sqrt @ _weighted(mu) @ inv_sqrt) @ a_mat.conj().T
+    q = np.trace(tau, axis1=-2, axis2=-1).real
+    live = q > 1e-15
+    q = np.where(live, q, 0.0)
+    states = np.where(live[:, None, None], tau / np.where(live, q, 1.0)[:, None, None],
+                      mu.states)
+    states = linalg.hermitian_part(states)
 
-    mu_members = list(mu.members)
+    mu_weights, mu_states = mu.weights, mu.states
     remainder = a_mat @ (np.eye(mu.dim) - support) @ a_mat.conj().T
     q_rest = float(np.trace(remainder).real)
     if q_rest > 1e-14:
-        members.append((q_rest, linalg.hermitian_part(remainder / q_rest)))
-        mu_members.append((0.0, members[-1][1]))
-
-    total = sum(q for q, _ in members)
-    members = [(q / total, s) for q, s in members]
-    return Ensemble.from_members(members), Ensemble.from_members(mu_members)
+        rest = linalg.hermitian_part(remainder / q_rest)[None]
+        q, states = np.append(q, q_rest), np.concatenate([states, rest])
+        mu_weights, mu_states = np.append(mu_weights, 0.0), np.concatenate([mu_states, rest])
+    return (Ensemble(mu.dim, q / _running_sum(q), states),
+            Ensemble(mu.dim, mu_weights, mu_states))
 
 
 def mix_members_toward(mu, targets, t):
     """Perturb every member toward a target state: rho -> (1-t) rho + t target."""
     if len(targets) != len(mu):
         raise DimensionMismatch("need one target per member")
-    states = tuple(
-        linalg.hermitian_part((1.0 - t) * rho + t * tgt)
-        for (_, rho), tgt in zip(mu.members, targets)
-    )
+    states = linalg.hermitian_part((1.0 - t) * mu.states + t * np.asarray(targets))
     return Ensemble(dim=mu.dim, weights=mu.weights.copy(), states=states)
 
 

@@ -40,6 +40,7 @@ from .energy import (
 )
 from .ensembles import (
     Ensemble,
+    average_entropy,
     average_state,
     mix_members_toward,
     perturb_weights,
@@ -49,10 +50,13 @@ from .ensembles import (
 )
 from .errors import ValidationError
 from .linalg import (
+    _density_spectrum,
+    _eigvalsh,
     binary_entropy,
     fidelity,
     g_func,
     outer,
+    shannon_entropy,
     trace_norm,
     von_neumann_entropy,
 )
@@ -308,14 +312,18 @@ def _scb_energy_witnesses(rec, cfg):
     for eps, energy in ((0.1, 1.0), (0.25, 0.5), (0.5, 2.0)):
         rho, tau0, k = _gibbs_witness_state(energy / eps, eps)
         ham_k = HamiltonianSpec.oscillator(k)
-        lhs = von_neumann_entropy(rho)
+        # rho is validated once here; it is diagonal, so Tr H rho and the
+        # trace norm of rho - tau0 come straight from it
+        rho, spectrum = _density_spectrum(rho)
+        lhs = shannon_entropy(spectrum)
         floor = eps * f_h(ham_osc, energy / eps)
         cap = B.scb_energy(eps, energy, ham_osc)
         # 3C-1: strict exceedance of the first term, within the full bound
         rec.add("prop3/C1-exceeds", floor + 1e-12, lhs, eps, energy=energy,
                 check="strict-exceedance")
         rec.add("prop3/C1-within", lhs, cap + cfg.tolerance, eps, energy=energy)
-        rec.add_equality("prop3/C1-energy", mean_energy(rho, ham_k), energy,
+        rec.add_equality("prop3/C1-energy",
+                         np.real(np.sum(ham_k.eigenvalues * rho.diagonal())), energy,
                          eps, tol=1e-8)
         # 3C-2: the same output reached by the mixing channel (1-eps) id + eps
         # (gamma Tr); its half-diamond distance to the identity is <= eps, so
@@ -323,7 +331,7 @@ def _scb_energy_witnesses(rec, cfg):
         # instead of the ensemble. Evaluated in closed form (the mixed output
         # equals rho above); a small-dimension Kraus instance of the same
         # channel family is exercised in verify_scb_rank's C-2 witness.
-        dist = 0.5 * trace_norm(rho - tau0)
+        dist = 0.5 * float(np.sum(np.abs(_eigvalsh(rho - tau0))))
         rec.add("prop3/C2-halfdist", dist, eps + 1e-12, eps, energy=energy)
         rec.add("prop3/C2-exceeds", floor + 1e-12, lhs, eps, energy=energy,
                 check="strict-exceedance")
@@ -428,9 +436,7 @@ def verify_steering(cfg):
         rec.add("prop1a/d0", d0(mu_prime, nu), delta + 1e-8, delta, dim=d,
                 pure=pure_case)
         if pure_case:
-            worst = min(
-                max(np.linalg.eigvalsh(s)) for w, s in nu.members if w > 1e-12
-            )
+            worst = np.min(np.linalg.eigvalsh(nu.states[nu.weights > 1e-12])[:, -1])
             rec.add("prop1a/purity", 1.0 - worst, 1e-8, delta, dim=d)
     return rec.result()
 
@@ -449,9 +455,7 @@ def verify_lemmas(cfg):
         n = int(rng.integers(1, 4))
         mu = random_ensemble(d, n, rng, rank=r)
         nu = random_ensemble(d, n, rng)
-        lhs = sum(w * von_neumann_entropy(s) for w, s in mu.members) - sum(
-            w * von_neumann_entropy(s) for w, s in nu.members
-        )
+        lhs = average_entropy(mu) - average_entropy(nu)
         eps = d0(mu, nu)
         rec.add("lemma3/rank", lhs, B.scb_rank(eps, r) + cfg.tolerance, eps,
                 dim=d, rank=r)

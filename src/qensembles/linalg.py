@@ -50,23 +50,29 @@ def _eigvalsh(h):
 
 
 def check_density(rho, dim=None, name="state"):
-    """Validate a density matrix (Hermitian, PSD, unit trace) and return it symmetrized."""
+    """Validate a density matrix or (..., d, d) stack of them (Hermitian, PSD,
+    unit trace) and return it symmetrized."""
     return _density_spectrum(rho, dim, name)[0]
 
 
 def _density_spectrum(rho, dim=None, name="state"):
-    """check_density that also returns the ascending spectrum it decomposed."""
+    """check_density that also returns the ascending spectra it decomposed; a
+    stack's error names the first matrix that fails."""
     rho = check_hermitian(rho, name=name)
-    if rho.ndim != 2:
-        raise ValidationError(f"{name} must be one matrix, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise DimensionMismatch(f"{name} has dim {rho.shape[0]}, expected {dim}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"{name} trace {tr} deviates from 1 beyond {TRACE_TOL}")
+    if dim is not None and rho.shape[-1] != dim:
+        raise DimensionMismatch(f"{name} has dim {rho.shape[-1]}, expected {dim}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValidationError(
+            f"{name} trace {float(tr[off][0])} deviates from 1 beyond {TRACE_TOL}"
+        )
     w = _eigvalsh(rho)
-    if w[0] < -PSD_TOL:
-        raise ValidationError(f"{name} has negative eigenvalue {float(w[0])}")
+    low = w[..., 0].reshape(-1)
+    if (low < -PSD_TOL).any():
+        raise ValidationError(
+            f"{name} has negative eigenvalue {float(low[low < -PSD_TOL][0])}"
+        )
     return rho, w
 
 
@@ -76,25 +82,30 @@ def outer(psi):
     return np.outer(psi, psi.conj())
 
 
+def _value(x):
+    # one matrix's value as a Python float, a stack's as an array
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _running_sum(x, axis=0):
+    """Sum along an axis left to right, as a loop over its entries adds it.
+    np.sum adds a contiguous axis pairwise once it has more than a few terms,
+    which can move the last bit."""
+    return _value(np.take(np.add.accumulate(x, axis=axis), -1, axis=axis))
+
+
 def eigvals_desc(a):
-    """Full real spectrum of a Hermitian matrix, non-increasing, multiplicities kept."""
+    """Full real spectrum of a Hermitian matrix, non-increasing, multiplicities
+    kept; a (..., d, d) stack gives one spectrum per matrix."""
     a = check_hermitian(a)
-    return _eigvalsh(a)[::-1].copy()
+    return _eigvalsh(a)[..., ::-1].copy()
 
 
 def trace_norm(a):
-    """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
+    """Trace norm of a Hermitian matrix (sum of absolute eigenvalues), or of
+    each matrix of a (..., d, d) stack."""
     a = check_hermitian(a)
-    return float(np.sum(np.abs(_eigvalsh(a))))
-
-
-def trace_distance(rho, sigma):
-    """Half the trace norm of rho - sigma."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    return 0.5 * trace_norm(rho - sigma)
+    return _value(np.sum(np.abs(_eigvalsh(a)), axis=-1))
 
 
 def mirsky_gap(rho, sigma):
@@ -115,15 +126,16 @@ def _eta(x):
 
 
 def von_neumann_entropy(rho):
-    """S(rho) = -Tr rho ln rho in nats; eigenvalues below 1e-14 are clamped to 0."""
-    w = np.clip(_density_spectrum(rho)[1], 0.0, None)
-    return float(np.sum(_eta(w)))
+    """S(rho) = -Tr rho ln rho in nats, of a state or of each state of a
+    (..., d, d) stack; eigenvalues below 1e-14 are clamped to 0."""
+    return shannon_entropy(_density_spectrum(rho)[1])
 
 
 def shannon_entropy(p):
-    """Shannon entropy of a probability vector in nats (entries below 1e-14 ignored)."""
+    """Shannon entropy of a probability vector in nats (entries below 1e-14
+    ignored), or of each row of a (..., n) array."""
     p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    return float(np.sum(_eta(p)))
+    return _value(np.sum(_eta(p), axis=-1))
 
 
 def binary_entropy(p):
@@ -219,17 +231,18 @@ def partial_trace(rho_ab, dim_a, dim_b, keep="A"):
 
 def conditional_entropy(rho_ab, dim_a, dim_b):
     """S(A|B) = S(rho_AB) - S(rho_B); may be negative."""
-    rho_ab = check_density(rho_ab)
+    rho_ab, spectrum = _density_spectrum(rho_ab)
     rho_b = partial_trace(rho_ab, dim_a, dim_b, keep="B")
-    return von_neumann_entropy(rho_ab) - von_neumann_entropy(hermitian_part(rho_b))
+    return shannon_entropy(spectrum) - von_neumann_entropy(hermitian_part(rho_b))
 
 
 def positive_part(a):
-    """[A]_+ = sum of positive-eigenvalue spectral components of a Hermitian A."""
+    """[A]_+ = sum of positive-eigenvalue spectral components of a Hermitian A,
+    or of each matrix of a (..., d, d) stack."""
     a = check_hermitian(a)
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def sign_operator(a, tol=SIGN_TOL):

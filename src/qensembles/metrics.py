@@ -17,8 +17,8 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_matrix
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
-from .ensembles import Ensemble
-from .linalg import SIGN_TOL, check_hermitian, trace_norm
+from .ensembles import _check_weights
+from .linalg import SIGN_TOL, _running_sum, check_hermitian, trace_norm
 
 # d_ehs seeds each pair with tangents at this many angles spread evenly over
 # [0, pi/2], the quadrant where every (P_ij, Q_ij) lies
@@ -52,12 +52,8 @@ class PointMeasure:
         w = np.asarray(self.weights, dtype=float)
         if pts.ndim != 2 or pts.shape[0] != w.size:
             raise ValidationError("points and weights have mismatched shapes")
-        if np.any(w < -1e-10):
-            raise ValidationError("weights must be nonnegative")
-        if abs(float(np.sum(w)) - 1.0) > 1e-10:
-            raise ValidationError(f"weights sum to {np.sum(w)}, expected 1")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", np.clip(w, 0.0, None))
+        object.__setattr__(self, "weights", _check_weights(w, "weights"))
 
     @property
     def size(self):
@@ -76,31 +72,31 @@ class CouplingSolution:
 
 
 def _padded_members(mu, nu):
-    # pad the shorter ordered ensemble with zero-weight copies of a fixed state
+    # weights (n,) and states (n, d, d) of both ordered ensembles, the shorter
+    # padded with zero-weight copies of the maximally mixed state
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
-    a, b = list(mu.members), list(nu.members)
+    n = max(len(mu), len(nu))
     filler = np.eye(mu.dim, dtype=complex) / mu.dim
-    while len(a) < len(b):
-        a.append((0.0, filler))
-    while len(b) < len(a):
-        b.append((0.0, filler))
-    return a, b
+
+    def pad(e):
+        extra = n - len(e)
+        return (np.concatenate([e.weights, np.zeros(extra)]),
+                np.concatenate([e.states, np.broadcast_to(filler, (extra,) + filler.shape)]))
+
+    return pad(mu) + pad(nu)
 
 
 def d0(mu, nu):
     """Ordered-ensemble metric: half the summed trace norms of p_i rho_i - q_i sigma_i."""
-    a, b = _padded_members(mu, nu)
-    return 0.5 * sum(trace_norm(p * r - q * s) for (p, r), (q, s) in zip(a, b))
+    p, r, q, s = _padded_members(mu, nu)
+    return 0.5 * _running_sum(trace_norm(p[:, None, None] * r - q[:, None, None] * s))
 
 
 def dk_upper(mu, nu):
     """Easy upper bound on the Kantorovich distance between ordered ensembles."""
-    a, b = _padded_members(mu, nu)
-    total = 0.0
-    for (p, r), (q, s) in zip(a, b):
-        total += min(p, q) * trace_norm(r - s) + abs(p - q)
-    return 0.5 * total
+    p, r, q, s = _padded_members(mu, nu)
+    return 0.5 * _running_sum(np.minimum(p, q) * trace_norm(r - s) + np.abs(p - q))
 
 
 def _marginal_rows(n, m):
@@ -171,7 +167,7 @@ def d_kantorovich_many(pairs):
     for mu, nu in pairs:
         if mu.dim != nu.dim:
             raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
-        diffs = np.stack(mu.states)[:, None] - np.stack(nu.states)[None, :]
+        diffs = mu.states[:, None] - nu.states[None, :]
         cost = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(check_hermitian(diffs))), axis=-1)
         problems.append((cost, mu.weights, nu.weights))
     return [CouplingSolution(value=value, plan=plan)
@@ -267,11 +263,10 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
         if mu.dim != nu.dim:
             raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
         if len(mu) == len(nu) == 1:
-            (p, rho), (q, sigma) = mu.members[0], nu.members[0]
             out[t] = CouplingSolution(
-                value=0.5 * trace_norm(p * rho - q * sigma),
-                plan=np.array([[p]]),
-                plan_q=np.array([[q]]),
+                value=d0(mu, nu),
+                plan=np.array([mu.weights]),
+                plan_q=np.array([nu.weights]),
                 iterations=0,
                 gap=0.0,
             )
@@ -303,10 +298,8 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
         slot[at] = np.arange(at.size)
         group = [pairs[t] for t in todo if pairs[t][0].dim == d]
         stacks[d] = (
-            np.concatenate([np.repeat(np.stack(mu.states), len(nu), axis=0)
-                            for mu, nu in group]),
-            np.concatenate([np.tile(np.stack(nu.states), (len(mu), 1, 1))
-                            for mu, nu in group]),
+            np.concatenate([np.repeat(mu.states, len(nu), axis=0) for mu, nu in group]),
+            np.concatenate([np.tile(nu.states, (len(mu), 1, 1)) for mu, nu in group]),
         )
 
     def tangents(owner, cp, cq):

@@ -61,8 +61,7 @@ def random_channel(dim_in, dim_out, env_dim, rng):
     if dim_out * env_dim < dim_in:
         raise ValidationError("need dim_out * env_dim >= dim_in for an isometry")
     v = random_isometry(dim_in, dim_out * env_dim, rng)
-    blocks = v.reshape(dim_out, env_dim, dim_in)
-    kraus = tuple(blocks[:, e, :] for e in range(env_dim))
+    kraus = v.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1)
     return KrausChannel(dim_in, dim_out, kraus)
 
 

@@ -48,13 +48,10 @@ def ensemble_to_json(mu):
 
 
 def ensemble_from_json(data):
-    members = [
-        (float(m["weight"]), matrix_from_json(m["matrix"])) for m in data["members"]
-    ]
     return Ensemble(
         dim=int(data["dim"]),
-        weights=np.array([w for w, _ in members]),
-        states=tuple(s for _, s in members),
+        weights=np.array([float(m["weight"]) for m in data["members"]]),
+        states=[matrix_from_json(m["matrix"]) for m in data["members"]],
     )
 
 

@@ -290,9 +290,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"deviation 1\.000e-03"):
             check_hermitian(stack)
 
-    def test_check_density_rejects_a_stack(self):
-        with pytest.raises(ValidationError, match="one matrix"):
-            check_density(np.stack([np.eye(2) / 2, np.eye(2) / 2]))
+    def test_check_density_validates_a_stack(self):
+        good = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+        assert np.array_equal(check_density(good), good)
+        with pytest.raises(ValidationError, match="trace 1.5"):
+            check_density(np.stack([np.eye(2) / 2, np.diag([1.0, 0.5])]))
+        with pytest.raises(ValidationError, match="negative eigenvalue -0.5"):
+            check_density(np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])]))
 
     def test_outer_builds_projector(self, rng):
         v = random_pure(3, rng)
@@ -347,6 +351,10 @@ class TestSpectrumPath:
         assert eigvalsh_calls == [(3, 3)]
         von_neumann_entropy(np.diag([0.5, 0.3, 0.2]))
         assert eigvalsh_calls == [(3, 3)]
+
+    def test_conditional_entropy_decomposes_once(self, rng, eigvalsh_calls):
+        conditional_entropy(random_state(6, 6, rng), 2, 3)
+        assert eigvalsh_calls.count((6, 6)) == 1
 
     def test_diagonal_states_still_validated(self):
         off = np.diag([0.5, 0.5]).astype(complex)

@@ -1,0 +1,269 @@
+"""Ensembles and Kraus sets stored as stacks.
+
+Every stacked kernel must equal, bit for bit, the per-matrix calls of the same
+public functions, with scalar totals added left to right as a loop over the
+members adds them. Degenerate inputs (zero weights, rank-1 states, single
+members, ensembles of different lengths, and 8 or more members, where
+np.sum would stop adding left to right) are drawn on purpose.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qensembles import (
+    DimensionMismatch,
+    Ensemble,
+    HamiltonianSpec,
+    KrausChannel,
+    NormEstimate,
+    PointMeasure,
+    ValidationError,
+    aoe,
+    average_entropy,
+    average_state,
+    avg_passive_energy,
+    choi_matrix,
+    d0,
+    dk_upper,
+    eigvals_desc,
+    mix_channels,
+    passive_energy,
+    positive_part,
+    trace_norm,
+    truncated_passive_energy,
+    von_neumann_entropy,
+)
+from qensembles.channels import evaluate_witness
+from qensembles.ensembles import mix_members_toward
+from qensembles.linalg import check_density, hermitian_part, outer
+from qensembles.randomgen import random_channel, random_state
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def running(terms):
+    """Left-to-right total, the reference every stacked sum must equal."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def per_matrix(fn, stack):
+    return np.stack([fn(a) for a in stack])
+
+
+@st.composite
+def ensembles(draw, dim=None):
+    d = dim if dim is not None else draw(st.integers(2, 5))
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = [random_state(d, draw(st.integers(1, d)), rng) for _ in range(n)]
+    w = rng.dirichlet(np.ones(n))
+    w[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    w[0] += 1.0 - w.sum()
+    return Ensemble(d, w, states)
+
+
+@st.composite
+def ensemble_pairs(draw):
+    mu = draw(ensembles())
+    return mu, draw(ensembles(dim=mu.dim))
+
+
+@st.composite
+def channels_on(draw, dim):
+    env = draw(st.integers(1, 6))
+    dim_out = draw(st.integers(-(-dim // env), dim + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_channel(dim, dim_out, env, rng)
+
+
+@st.composite
+def ensemble_and_channel(draw):
+    mu = draw(ensembles())
+    return mu, draw(channels_on(mu.dim))
+
+
+class TestStackedKernels:
+    @SETTINGS
+    @given(ensembles())
+    def test_matrix_functions(self, mu):
+        herm = mu.states - average_state(mu)
+        assert np.array_equal(check_density(mu.states), per_matrix(check_density, mu.states))
+        assert np.array_equal(von_neumann_entropy(mu.states),
+                              per_matrix(von_neumann_entropy, mu.states))
+        for fn in (trace_norm, eigvals_desc, positive_part):
+            assert np.array_equal(fn(herm), per_matrix(fn, herm))
+
+    @SETTINGS
+    @given(ensembles())
+    def test_a_matrix_gives_a_float(self, mu):
+        rho = mu.states[0]
+        for value in (von_neumann_entropy(rho), trace_norm(rho),
+                      passive_energy(rho, HamiltonianSpec.oscillator(mu.dim))):
+            assert type(value) is float
+
+    @SETTINGS
+    @given(ensemble_and_channel())
+    def test_channel_apply(self, case):
+        mu, chan = case
+        out = per_matrix(chan.apply, mu.states)
+        assert np.array_equal(chan.apply(mu.states), out)
+        assert np.array_equal(chan.apply_ensemble(mu).states, out)
+        assert np.array_equal(chan.apply(mu.states[None]), out[None])
+        # a traceless input makes the operator terms cancel, where the order
+        # of the additions shows in the last bits
+        herm = mu.states - average_state(mu)
+        acc = np.zeros((chan.dim_out, chan.dim_out), dtype=complex)
+        for k in chan.kraus:
+            acc += k @ herm[-1] @ k.conj().T
+        assert np.array_equal(chan.apply(herm)[-1], hermitian_part(acc))
+
+    @SETTINGS
+    @given(ensemble_and_channel())
+    def test_ensemble_functionals(self, case):
+        mu, chan = case
+        ham = HamiltonianSpec.oscillator(mu.dim)
+        acc = np.zeros((mu.dim, mu.dim), dtype=complex)
+        for w, rho in mu.members:
+            acc += w * rho
+        assert np.array_equal(average_state(mu), hermitian_part(acc))
+        assert average_entropy(mu) == running(
+            w * von_neumann_entropy(rho) for w, rho in mu.members)
+        assert aoe(chan, mu) == running(
+            w * von_neumann_entropy(chan.apply(rho)) for w, rho in mu.members)
+        assert avg_passive_energy(mu, ham) == running(
+            w * passive_energy(rho, ham) for w, rho in mu.members)
+        eps = 0.05
+        assert truncated_passive_energy(mu, ham, eps) == running(
+            passive_energy(positive_part(w * rho - eps * np.eye(mu.dim)), ham)
+            for w, rho in mu.members)
+
+    @SETTINGS
+    @given(ensemble_pairs())
+    def test_padded_metrics(self, pair):
+        mu, nu = pair
+        filler = (0.0, np.eye(mu.dim) / mu.dim)
+        n = max(len(mu), len(nu))
+        a = mu.members + [filler] * (n - len(mu))
+        b = nu.members + [filler] * (n - len(nu))
+        assert d0(mu, nu) == 0.5 * running(
+            trace_norm(p * r - q * s) for (p, r), (q, s) in zip(a, b))
+        assert dk_upper(mu, nu) == 0.5 * running(
+            min(p, q) * trace_norm(r - s) + abs(p - q) for (p, r), (q, s) in zip(a, b))
+
+    @SETTINGS
+    @given(ensembles(), st.floats(0.0, 1.0))
+    def test_mix_members_toward(self, mu, t):
+        targets = mu.states[::-1]
+        mixed = mix_members_toward(mu, targets, t)
+        assert np.array_equal(mixed.states, np.stack([
+            hermitian_part((1.0 - t) * rho + t * tgt)
+            for rho, tgt in zip(mu.states, targets)]))
+
+    @SETTINGS
+    @given(ensemble_and_channel(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_channel_constructions(self, case, t, seed):
+        mu, chan = case
+        other = random_channel(chan.dim_in, chan.dim_out, 6, np.random.default_rng(seed))
+        mixed = mix_channels(t, chan, other)
+        assert np.array_equal(mixed.kraus, np.stack(
+            [np.sqrt(1.0 - t) * k for k in chan.kraus]
+            + [np.sqrt(t) * k for k in other.kraus]))
+        outer_chan = random_channel(chan.dim_out, mu.dim, 2, np.random.default_rng(seed))
+        both = outer_chan.compose(chan)
+        assert np.array_equal(both.kraus, np.stack(
+            [k @ l for k in outer_chan.kraus for l in chan.kraus]))
+        assert np.array_equal(both.apply(mu.states), per_matrix(both.apply, mu.states))
+        for ancilla in (1, chan.dim_in):
+            vec = np.random.default_rng(seed).standard_normal(chan.dim_in * ancilla) + 0j
+            vec /= np.linalg.norm(vec)
+            rho = outer(vec)
+            diff = np.zeros((chan.dim_out * ancilla,) * 2, dtype=complex)
+            for k in chan.kraus:
+                k = np.kron(k, np.eye(ancilla))
+                diff += k @ rho @ k.conj().T
+            for k in other.kraus:
+                k = np.kron(k, np.eye(ancilla))
+                diff -= k @ rho @ k.conj().T
+            estimate = NormEstimate(value=0.0, kind="diamond_lower", witness=vec)
+            assert evaluate_witness(chan, other, estimate) == trace_norm(hermitian_part(diff))
+        gamma = np.eye(chan.dim_in).reshape(-1) / np.sqrt(chan.dim_in)
+        acc = np.zeros((chan.dim_out * chan.dim_in,) * 2, dtype=complex)
+        for k in chan.kraus:
+            v = np.kron(k, np.eye(chan.dim_in)) @ gamma
+            acc += np.outer(v, v.conj())
+        assert np.array_equal(choi_matrix(chan), hermitian_part(acc))
+
+
+class TestEnsembleValidation:
+    """A stack is rejected with the exception types a per-member check raised."""
+
+    def test_rejects_non_hermitian(self):
+        bad = np.array([[0.5, 0.1], [0.0, 0.5]])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            Ensemble(2, [0.5, 0.5], [np.eye(2) / 2, bad])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            Ensemble(2, [0.5, 0.5], [np.eye(2) / 2, np.diag([np.nan, 0.5])])
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValidationError, match="negative eigenvalue -0.5"):
+            Ensemble(2, [0.5, 0.5], [np.eye(2) / 2, np.diag([1.5, -0.5])])
+
+    def test_rejects_bad_trace(self):
+        with pytest.raises(ValidationError, match="trace 1.2"):
+            Ensemble(2, [0.5, 0.5], [np.diag([0.6, 0.6]), np.eye(2) / 2])
+
+    def test_rejects_wrong_dim(self):
+        with pytest.raises(DimensionMismatch, match="dim 2, expected 3"):
+            Ensemble(3, [1.0], [np.eye(2) / 2])
+
+    def test_rejects_ragged_members(self):
+        with pytest.raises(DimensionMismatch):
+            Ensemble(2, [0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3])
+        with pytest.raises(DimensionMismatch):
+            Ensemble.from_members([(0.5, np.eye(2) / 2), (0.5, np.eye(3) / 3)])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValidationError, match="different lengths"):
+            Ensemble(2, [0.5, 0.5], [np.eye(2) / 2])
+
+    def test_point_measure_shares_the_weight_checks(self):
+        pts = np.zeros((2, 2))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            PointMeasure(pts, [1.5, -0.5])
+        with pytest.raises(ValidationError, match="sum to"):
+            PointMeasure(pts, [0.5, 0.6])
+        # within the shared 1e-10 tolerance, clipped at 0
+        assert PointMeasure(pts, [1.0 + 5e-11, -5e-11]).weights[1] == 0.0
+
+
+class TestReadOnly:
+    def test_states_are_read_only(self):
+        states = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
+        mu = Ensemble(2, [0.5, 0.5], states)
+        with pytest.raises(ValueError):
+            mu.states[0, 0, 0] = 1.0
+        states[0, 0, 0] = 0.25  # the caller's array is left writable and unshared
+        assert mu.states[0, 0, 0] == 0.5
+
+    def test_kraus_is_read_only(self):
+        ops = np.eye(2, dtype=complex)[None]
+        chan = KrausChannel(2, 2, ops)
+        with pytest.raises(ValueError):
+            chan.kraus[0, 0, 0] = 2.0
+        ops[0, 0, 0] = 0.0
+        assert chan.kraus[0, 0, 0] == 1.0
+
+    def test_kraus_shape_errors(self):
+        with pytest.raises(ValidationError, match="at least one"):
+            KrausChannel(2, 2, ())
+        with pytest.raises(ValidationError, match=r"shape \(2, 3\) != \(2, 2\)"):
+            KrausChannel(2, 2, [np.zeros((2, 3))])
+        with pytest.raises(ValidationError):
+            KrausChannel(2, 2, [np.eye(2), np.zeros((2, 3))])
