@@ -17,6 +17,9 @@ from .energy import HamiltonianSpec, f_h
 
 HOLDS_SLACK = 1e-8
 CROSSOVER_BISECTIONS = 200
+# golden-section steps in chi_cb_prior_energy; each shrinks the bracket by
+# 0.618, so 80 take the grid bracket far below 1e-10 of its upper end
+GOLDEN_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,9 @@ def chi_cb_prior_energy(eps, energy, ham, grid=1000):
     """Prior energy-constrained Holevo continuity bound, minimized over its
 
     free parameter t in (0, 1/(2 eps)] by a log-spaced grid plus golden-section
-    refinement. Returns (value, minimizer).
+    refinement. Returns (value, minimizer). ConvergenceError, carrying the
+    width, if GOLDEN_STEPS steps leave the bracket wider than
+    1e-10 * max(1, its upper end).
     """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
@@ -159,7 +164,7 @@ def chi_cb_prior_energy(eps, energy, ham, grid=1000):
     c = b - phi_ratio * (b - a)
     d = a + phi_ratio * (b - a)
     fc, fd = objective(c), objective(d)
-    for _ in range(80):
+    for _ in range(GOLDEN_STEPS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi_ratio * (b - a)
@@ -168,6 +173,11 @@ def chi_cb_prior_energy(eps, energy, ham, grid=1000):
             a, c, fc = c, d, fd
             d = a + phi_ratio * (b - a)
             fd = objective(d)
+    if b - a > 1e-10 * max(1.0, b):
+        raise ConvergenceError(
+            f"golden section for eps={eps} did not close in {GOLDEN_STEPS} steps",
+            gap=b - a,
+        )
     t_star = 0.5 * (a + b)
     return min(objective(t_star), vals[k_best]), t_star
 

@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, TruncationError, ValidationError
 from .ensembles import Ensemble, average_state
 from .linalg import (
     _running_sum,
+    _value,
     check_density,
     hermitian_part,
     outer,
@@ -417,15 +418,27 @@ def displacement_operator(zeta, n_max):
 
 
 def poisson_entropy(lam, n_cap=FOCK_CAP):
-    """Shannon entropy of Poisson(lam): lam(1 - ln lam) + e^-lam sum lam^n ln(n!)/n!."""
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValidationError(f"Poisson parameter {lam} must be nonnegative")
-    if lam == 0.0:
-        return 0.0
-    top = min(int(lam + 12.0 * math.sqrt(lam) + 40.0), n_cap)
-    n = np.arange(top + 1)
-    log_fact = gammaln(n + 1.0)
-    log_pmf = -lam + n * math.log(lam) - log_fact
-    series = float(np.sum(np.exp(log_pmf) * log_fact))
-    return lam * (1.0 - math.log(lam)) + series
+    """Shannon entropy of Poisson(lam): lam(1 - ln lam) + e^-lam sum lam^n ln(n!)/n!.
+
+    lam may be a scalar, giving a Python float, or an array, giving one
+    entropy per entry. The series of each lam runs to n = top, capped at
+    n_cap; the lam sharing a top are summed as the rows of one 2-D array,
+    each row pairwise as np.sum adds a 1-D series, so an array gives the
+    scalar values bit for bit.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam >= 0.0):  # also rejects NaN
+        raise ValidationError(f"Poisson parameter {np.min(lam)} must be nonnegative")
+    flat = lam.reshape(-1)
+    out = np.zeros(flat.size)
+    pos = np.flatnonzero(flat > 0.0)
+    log_lam = np.array([math.log(x) for x in flat[pos].tolist()])
+    tops = np.minimum((flat[pos] + 12.0 * np.sqrt(flat[pos]) + 40.0).astype(int), n_cap)
+    for top in np.unique(tops).tolist():
+        at = np.flatnonzero(tops == top)
+        n = np.arange(top + 1)
+        log_fact = gammaln(n + 1.0)
+        log_pmf = -flat[pos[at], None] + n * log_lam[at, None] - log_fact
+        series = np.sum(np.exp(log_pmf) * log_fact, axis=1)
+        out[pos[at]] = flat[pos[at]] * (1.0 - log_lam[at]) + series
+    return _value(out.reshape(lam.shape))

@@ -2,9 +2,9 @@
 
 These deliberately avoid the production code paths: characteristic-polynomial
 roots via the trace recursion plus a companion-matrix root finder, the
-transportation LP via exhaustive basis (vertex) enumeration, the coupling
-distance via a dense fixed angular grid of dual cuts and via plain Kelley
-cutting planes, the Holevo-bound crossover via the two bound formulas written
+transportation LP via exhaustive basis (vertex) enumeration and as one LP
+over every cell, the coupling distance via a dense fixed angular grid of dual
+cuts and via plain Kelley cutting planes, the Holevo-bound crossover via the two bound formulas written
 out with `math` only, the EoF witness via an explicit Schmidt-coefficient matrix and its singular values,
 the Kantorovich-Rubinshtein distance via its bounded-Lipschitz dual LP, and the
 Poisson entropy via its defining series with `math.lgamma`.
@@ -68,6 +68,25 @@ def transport_bruteforce(cost, p, q, tol=1e-12):
         value = sum(cost[i, j] * max(x[col], 0.0) for col, (i, j) in enumerate(subset))
         best = min(best, value)
     return best
+
+
+def transport_full_lp(cost, p, q):
+    """Transportation optimum as one HiGHS LP over every cell (the one-shot
+    LP that the priced solver replaced), at the package's LP tolerances."""
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    cells = np.arange(n * m)
+    a_eq = coo_matrix(
+        (np.ones(2 * n * m), (np.concatenate([cells // m, n + cells % m]),
+                              np.concatenate([cells, cells]))),
+        shape=(n + m, n * m),
+    ).tocsc()
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def _angular_cuts(rho, sigma, thetas, tol=1e-12):

@@ -199,6 +199,12 @@ class TestPriorChiBounds:
         assert math.isfinite(value) and value > 0.0
         assert 0.0 < t_star <= 1.0 / (2 * 0.1) + 1e-12
 
+    def test_energy_form_unclosed_golden_section_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "GOLDEN_STEPS", 3)
+        with pytest.raises(ConvergenceError) as err:
+            chi_cb_prior_energy(0.1, 10.0, OSC)
+        assert err.value.gap > 1e-10 * (1.0 / (2 * 0.1))
+
     def test_energy_form_grid_oracle(self):
         # doubling the grid resolution must not find a meaningfully lower value
         coarse, _ = chi_cb_prior_energy(0.2, 3.0, OSC, grid=1000)

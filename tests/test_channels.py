@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from qensembles import (
     HamiltonianSpec,
@@ -29,6 +30,7 @@ from qensembles import (
     von_neumann_entropy,
 )
 from qensembles.channels import (
+    FOCK_CAP,
     _difference_maps,
     displacement_operator,
     evaluate_witness,
@@ -335,6 +337,39 @@ class TestClosedFormKernels:
             assert poisson_entropy(lam) == pytest.approx(
                 poisson_entropy_series(lam), abs=1e-11
             )
+
+    def test_poisson_entropy_array_equals_scalar_calls(self):
+        def one_series(lam):
+            # one lam's truncated series summed on its own, as a 1-D array
+            if lam == 0.0:
+                return 0.0
+            top = min(int(lam + 12.0 * math.sqrt(lam) + 40.0), FOCK_CAP)
+            n = np.arange(top + 1)
+            log_fact = gammaln(n + 1.0)
+            log_pmf = -lam + n * math.log(lam) - log_fact
+            return lam * (1.0 - math.log(lam)) + float(np.sum(np.exp(log_pmf) * log_fact))
+
+        # past FOCK_CAP the series is cut at n_cap, so those values are not
+        # the entropy; the array and scalar paths must still agree on them
+        rng = np.random.default_rng(5)
+        lams = np.concatenate([
+            [0.0, 1e-12, 1e-300, 0.5, FOCK_CAP - 0.5, FOCK_CAP + 1.0, 3.0e3],
+            rng.uniform(0.0, 45.0, 600), rng.uniform(0.0, 1e-3, 20),
+            rng.uniform(400.0, 900.0, 30),
+        ])
+        rng.shuffle(lams)
+        batched = poisson_entropy(lams.reshape(-1, 3))
+        assert batched.shape == (lams.size // 3, 3)
+        for lam, value in zip(lams.tolist(), batched.reshape(-1).tolist()):
+            scalar = poisson_entropy(lam)
+            assert type(scalar) is float
+            assert value == scalar == one_series(lam)
+        assert poisson_entropy(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("lam", [-1e-9, [0.5, -2.0], [float("nan")]])
+    def test_poisson_entropy_rejects_negative(self, lam):
+        with pytest.raises(ValidationError):
+            poisson_entropy(lam)
 
 
 def test_compose_dimension_guard(rng):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qensembles import serialize as ser
+from qensembles.energy import HamiltonianSpec, solve_gibbs
+from qensembles.linalg import trace_norm, von_neumann_entropy
 from qensembles.experiments import (
     EXPERIMENTS,
     REPROS,
@@ -92,6 +94,23 @@ def test_example7_gap_inside_cap():
     for eps in (0.1, 0.25):
         gap, cap = example7_fock_check(eps, n_mean=1.0, n_max=60, nodes=64)
         assert 0.0 <= gap <= cap
+
+
+def test_energy_witnesses_match_the_dense_states():
+    # the scb-energy witnesses, read off their populations, give the fields
+    # that the dense states eps gamma + (1 - eps)|0><0| give, bit for bit
+    records = EXPERIMENTS["scb-energy"](small_cfg(trials=1)).records
+    fields = {(r.report.tag, r.report.epsilon): r.report.lhs for r in records}
+    for eps, energy in ((0.1, 1.0), (0.25, 0.5), (0.5, 2.0)):
+        gibbs = solve_gibbs(HamiltonianSpec.oscillator(64), energy / eps).state
+        tau0 = np.zeros_like(gibbs)
+        tau0[0, 0] = 1.0
+        rho = eps * gibbs + (1.0 - eps) * tau0
+        levels = HamiltonianSpec.oscillator(rho.shape[0]).eigenvalues
+        assert fields["prop3/C1-within", eps] == von_neumann_entropy(rho)
+        mean = float(np.real(np.sum(levels * rho.diagonal())))
+        assert fields["prop3/C1-energy", eps] == abs(mean - energy)
+        assert fields["prop3/C2-halfdist", eps] == 0.5 * trace_norm(rho - tau0)
 
 
 def test_eof_witness_trend():

@@ -33,6 +33,7 @@ from oracles import (
     ehs_kelley_reference,
     kr_dual_lp,
     transport_bruteforce,
+    transport_full_lp,
 )
 
 
@@ -150,16 +151,18 @@ class TestKantorovich:
 
 class TestSolveTransport:
     def test_dense_and_sparse_paths_match_vertex_enumeration(self, rng, monkeypatch):
-        sparse_calls = []
+        calls = []
         real_linprog = metrics.linprog
 
         def spy(*args, **kwargs):
-            sparse_calls.append(issparse(kwargs["A_eq"]))
+            calls.append((args[0], kwargs["A_eq"], kwargs["b_eq"]))
             return real_linprog(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "linprog", spy)
         for _ in range(10):
             n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            # every block here starts from all its cells: one LP over all of them
+            assert min(n, m) <= metrics.TRANSPORT_START_CELLS
             cost = rng.uniform(0.0, 1.0, size=(n, m))
             p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
             expected = transport_bruteforce(cost, p, q)
@@ -170,7 +173,84 @@ class TestSolveTransport:
                 sparse, _ = solve_transport(cost, p, q)
             assert dense == pytest.approx(expected, abs=1e-9)
             assert sparse == pytest.approx(expected, abs=1e-9)
-        assert sparse_calls == [False, True] * 10
+            # cell i*m + j lies in marginal rows i and n + j
+            a_eq = np.zeros((n + m, n * m))
+            for i in range(n):
+                for j in range(m):
+                    a_eq[i, i * m + j] = a_eq[n + j, i * m + j] = 1.0
+            assert len(calls) == 2
+            for (c, a, b), sparse_path in zip(calls, (False, True)):
+                assert issparse(a) == sparse_path
+                assert np.array_equal(c, cost.ravel())
+                assert np.array_equal(a.toarray() if sparse_path else a, a_eq)
+                assert np.array_equal(b, np.concatenate([p, q]))
+            calls.clear()
+
+    def test_priced_lp_matches_full_lp_with_a_certificate(self, monkeypatch):
+        # KR costs min(|x - y|, 2) on random point clouds; the duals of each
+        # solve's last LP must price every cell of the full cost matrix
+        last = []
+        real_linprog = metrics.linprog
+
+        def spy(*args, **kwargs):
+            last[:] = [real_linprog(*args, **kwargs)]
+            return last[0]
+
+        monkeypatch.setattr(metrics, "linprog", spy)
+        rng = np.random.default_rng(9)
+        kinds = ("plain", "zero-weight", "n=1", "m=1", "identical", "far")
+        rounds = []
+        for case in range(300):
+            kind = kinds[case % len(kinds)]
+            n, m = (int(k) for k in rng.integers(1, 81, size=2))
+            n, m = (1 if kind == "n=1" else n), (1 if kind == "m=1" else m)
+            spread = rng.uniform(0.1, 3.0)
+            pts_a = rng.normal(scale=spread, size=(n, 2))
+            pts_b = rng.normal(scale=spread, size=(m, 2))
+            p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            if kind == "zero-weight":
+                p[1::3], q[::4] = 0.0, 0.0
+                p, q = p / p.sum(), q / q.sum()
+            if kind == "identical":
+                m, pts_b, q = n, pts_a, p
+            if kind == "far":
+                pts_b = pts_b + 10.0 * spread + 4.0
+            gaps = pts_a[:, None, :] - pts_b[None, :, :]
+            cost = np.minimum(np.hypot(gaps[..., 0], gaps[..., 1]), 2.0)
+            sol = metrics._solve_transports([(cost, p, q)])[0]
+            assert abs(sol.value - transport_full_lp(cost, p, q)) <= 1e-12
+            assert np.allclose(sol.plan.sum(axis=1), p, rtol=0.0, atol=1e-9)
+            assert np.allclose(sol.plan.sum(axis=0), q, rtol=0.0, atol=1e-9)
+            duals = last[0].eqlin.marginals
+            violation = max(-float(np.min(cost - duals[:n, None] - duals[None, n:])), 0.0)
+            assert violation <= 1e-10
+            assert sol.gap == violation * np.sum(p)
+            if kind == "identical":
+                assert abs(sol.value) <= 1e-12
+            if kind == "far":
+                assert abs(sol.value - 2.0) <= 1e-12
+            rounds.append(sol.iterations)
+        # pricing ran, and adding each row's and column's most negative cell
+        # keeps it to a few rounds (8 here; 14 when the least negative is added)
+        assert 1 < max(rounds) <= 11
+
+    def test_priced_batch_matches_lone_solves(self):
+        # complete and priced blocks in one LP: each block's value, plan and
+        # gap stand on their own; all blocks share the batch's rounds
+        rng = np.random.default_rng(4)
+        problems = []
+        for n, m in ((2, 9), (30, 40), (1, 1), (12, 25), (3, 3), (40, 6)):
+            gaps = rng.normal(size=(n, 1, 2)) - rng.normal(size=(1, m, 2))
+            problems.append((np.minimum(np.hypot(gaps[..., 0], gaps[..., 1]), 2.0),
+                             rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))))
+        batch = metrics._solve_transports(problems)
+        assert len({sol.iterations for sol in batch}) == 1 and batch[0].iterations > 1
+        for (cost, p, q), sol in zip(problems, batch):
+            assert abs(sol.value - transport_full_lp(cost, p, q)) <= 1e-12
+            assert sol.plan.shape == cost.shape
+            assert np.allclose(sol.plan.sum(axis=1), p, rtol=0.0, atol=1e-9)
+            assert np.allclose(sol.plan.sum(axis=0), q, rtol=0.0, atol=1e-9)
+            assert 0.0 <= sol.gap <= 1e-10
 
 
 class TestDkUpper:
