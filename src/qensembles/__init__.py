@@ -10,15 +10,10 @@ from .errors import (
 )
 from .linalg import (
     binary_entropy,
-    bures_distance,
-    conditional_entropy,
     eigvals_desc,
     fidelity,
     g_func,
-    mirsky_gap,
-    partial_trace,
     positive_part,
-    relative_entropy,
     trace_norm,
     von_neumann_entropy,
 )
@@ -26,20 +21,16 @@ from .energy import (
     GibbsSolution,
     HamiltonianSpec,
     avg_passive_energy,
-    ergotropy,
     f_h,
     mean_energy,
     passive_energy,
-    passive_rearrangement,
     solve_gibbs,
     truncated_passive_energy,
-    wl_check,
 )
 from .ensembles import (
     Ensemble,
     average_entropy,
     average_state,
-    qc_state,
     singleton,
     steer_to_average,
 )
@@ -57,21 +48,14 @@ from .metrics import (
 )
 from .channels import (
     KrausChannel,
-    NormEstimate,
     aoe,
-    choi_matrix,
-    choi_rank,
-    coherent_overlap,
     coherent_state,
-    diamond_lower,
     erasure_channel,
     erasure_pair_diamond,
-    fock_dephasing,
     holevo_chi,
     identity_channel,
     mix_channels,
     mix_with_state,
-    norm_1to1_lower,
 )
 from .bounds import (
     BoundReport,

@@ -2,8 +2,11 @@
 proposition-style tags, plus the rank/energy constraint records and the
 BoundReport evidence type.
 
-Every evaluator is total over its guarded domain, returns 0 at zero closeness,
-and is nondecreasing in its closeness parameter.
+Every evaluator is total over its guarded domain. Those with a closeness
+parameter (eps or delta) are nondecreasing in it and return 0 at zero
+closeness, with two exceptions: aoe_upper (prop7) bounds an AOE, not a
+difference, and gives ln r at delta = 0; chi_cb_prior_energy (chi-cb-2) is
+defined only for eps > 0.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Kraus-form quantum channels, Choi data, channel functionals on ensembles,
-channel-distance estimation, and the catalog of analytically known channels.
+"""Kraus-form quantum channels, channel functionals on ensembles, the catalog
+of analytically known channels, and coherent states on a truncated Fock space.
 
-Norm estimation never claims exactness: searches return certified lower
-bounds (with the achieving witness); catalog families carry closed forms.
+Channel distances enter the bounds as closed-form upper bounds: t for a
+mixture (1-t) Phi + t Psi, and erasure_pair_diamond for an erasure pair.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -21,19 +21,11 @@ from .linalg import (
     _value,
     check_density,
     hermitian_part,
-    outer,
-    relative_entropy,
-    sign_operator,
-    trace_norm,
     von_neumann_entropy,
 )
 
 KRAUS_TP_TOL = 1e-9
-CHOI_RANK_TOL = 1e-9
 FOCK_CAP = 512
-SEARCH_RESTARTS = 64
-SEARCH_TOL = 1e-10
-SEARCH_MAX_ITER = 200
 
 
 def _sandwich(ops, rho):
@@ -103,199 +95,15 @@ def mix_channels(t, chan_a, chan_b):
     return KrausChannel(chan_a.dim_in, chan_a.dim_out, ops)
 
 
-def choi_matrix(chan):
-    """(Phi (x) id)(|Gamma><Gamma|) with the normalized maximally entangled input."""
-    d = chan.dim_in
-    gamma = np.eye(d).reshape(-1) / math.sqrt(d)
-    v = np.kron(chan.kraus, np.eye(d)) @ gamma
-    return hermitian_part(_running_sum(v[:, :, None] * v.conj()[:, None, :]))
-
-
-def choi_rank(chan):
-    """Number of Choi eigenvalues above 1e-9: the minimal environment dimension."""
-    w = np.linalg.eigvalsh(choi_matrix(chan))
-    return int(np.sum(w > CHOI_RANK_TOL))
-
-
 def aoe(chan, mu):
     """Average output entropy sum_i p_i S(Phi(rho_i))."""
     return _running_sum(mu.weights * von_neumann_entropy(chan.apply(mu.states)))
 
 
-def holevo_chi(chan, mu, cross_check=False, tol=1e-8):
-    """Output Holevo information S(Phi(avg)) - AOE.
-
-    With cross_check the relative-entropy form sum_i p_i D(Phi(rho_i)||Phi(avg))
-    is evaluated as well and disagreement beyond tol raises.
-    """
-    out_avg = chan.apply(average_state(mu))
-    chi = von_neumann_entropy(out_avg) - aoe(chan, mu)
-    if cross_check:
-        alt = 0.0
-        for w, out in zip(mu.weights, chan.apply(mu.states)):
-            if w > 0.0:
-                alt += w * relative_entropy(out, out_avg)
-        if not math.isfinite(alt) or abs(alt - chi) > tol:
-            raise ValidationError(
-                f"Holevo paths disagree: entropy form {chi}, relative-entropy form {alt}"
-            )
+def holevo_chi(chan, mu):
+    """Output Holevo information S(Phi(avg)) - AOE, clamped at 0 from below."""
+    chi = von_neumann_entropy(chan.apply(average_state(mu))) - aoe(chan, mu)
     return max(chi, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Norm lower-bound searches
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormEstimate:
-    """Channel-distance estimate; kind says how it was obtained."""
-
-    value: float
-    kind: str  # one_to_one_lower | diamond_lower | closed_form
-    witness: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
-
-
-def _difference_maps(phi, psi_chan, ancilla):
-    # (Phi - Psi) (x) id_ancilla and its adjoint; ancilla 1 gives Phi - Psi itself
-    if (phi.dim_in, phi.dim_out) != (psi_chan.dim_in, psi_chan.dim_out):
-        raise DimensionMismatch("channels must share input and output dimensions")
-    ops = np.kron(np.concatenate([phi.kraus, psi_chan.kraus]), np.eye(ancilla))
-    ops_h = ops.conj().swapaxes(-1, -2)
-    # +1 for Phi's operators, -1 for Psi's, added in that order
-    sign = np.repeat([1.0, -1.0], [len(phi.kraus), len(psi_chan.kraus)])[:, None, None]
-
-    def apply_fn(rho):
-        return hermitian_part(_running_sum(sign * _sandwich(ops, rho)))
-
-    def adjoint_fn(x):
-        return hermitian_part(_running_sum(sign * _sandwich(ops_h, x)))
-
-    return apply_fn, adjoint_fn
-
-
-def _ascend(apply_fn, adjoint_fn, start, tol, max_iter, project=None):
-    # Alternating maximization of ||Delta(|v><v|)||_1: dual sign operator,
-    # then the top eigenvector of the lifted Heisenberg operator. Monotone
-    # unless project (onto a feasible set) is given; stops at the first
-    # step that does not improve.
-    vec = start / np.linalg.norm(start)
-    if project is not None:
-        vec = project(vec)
-    value = trace_norm(apply_fn(outer(vec)))
-    for _ in range(max_iter):
-        x_op = sign_operator(apply_fn(outer(vec)))
-        w, v = np.linalg.eigh(adjoint_fn(x_op))
-        cand = v[:, -1]
-        if project is not None:
-            cand = project(cand)
-        cand_val = trace_norm(apply_fn(outer(cand)))
-        if cand_val <= value + tol:
-            if cand_val > value:
-                vec, value = cand, cand_val
-            break
-        vec, value = cand, cand_val
-    return value, vec
-
-
-def _haar_vectors(dim, count, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def norm_1to1_lower(
-    phi, psi_chan, restarts=SEARCH_RESTARTS, seed=0, tol=SEARCH_TOL,
-    max_iter=SEARCH_MAX_ITER,
-):
-    """Lower bound on ||Phi - Psi||_{1->1} by multistart ascent over pure inputs.
-
-    Pure inputs suffice: the objective is convex on states. Deterministic for a
-    fixed seed; the result is the max over restarts.
-    """
-    apply_fn, adjoint_fn = _difference_maps(phi, psi_chan, 1)
-    starts = list(np.eye(phi.dim_in, dtype=complex))
-    starts += list(_haar_vectors(phi.dim_in, restarts, seed))
-    best_val, best_vec = max(
-        (_ascend(apply_fn, adjoint_fn, s, tol, max_iter) for s in starts),
-        key=lambda result: result[0],
-    )
-    return NormEstimate(value=best_val, kind="one_to_one_lower", witness=best_vec)
-
-
-def _marginal_energy(vec, energies):
-    d = int(round(math.sqrt(vec.size)))
-    amp = vec.reshape(d, d)
-    pops = np.sum(np.abs(amp) ** 2, axis=1)
-    return float(np.sum(energies[:d] * pops))
-
-
-def _project_energy(vec, energies, cap):
-    # blend toward the zero-energy product vector until the marginal obeys the cap
-    d = int(round(math.sqrt(vec.size)))
-    ground = np.zeros_like(vec)
-    ground[0] = 1.0
-    if _marginal_energy(vec, energies) <= cap:
-        return vec
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        t = 0.5 * (lo + hi)
-        cand = (1.0 - t) * vec + t * ground
-        cand = cand / np.linalg.norm(cand)
-        if _marginal_energy(cand, energies) > cap:
-            lo = t
-        else:
-            hi = t
-    cand = (1.0 - hi) * vec + hi * ground
-    return cand / np.linalg.norm(cand)
-
-
-def diamond_lower(
-    phi, psi_chan, restarts=SEARCH_RESTARTS, seed=0, tol=SEARCH_TOL,
-    max_iter=SEARCH_MAX_ITER, energy_cap=None,
-):
-    """Lower bound on ||Phi - Psi||_diamond via pure bipartite inputs on dim_in^2.
-
-    Seeded with (best 1->1 witness) (x) |0> so the result is never below the
-    1->1 search. With energy_cap=(ham, E) every iterate is projected onto the
-    marginal-energy ball, giving a lower bound on the energy-constrained
-    diamond norm instead.
-    """
-    d = phi.dim_in
-    apply_fn, adjoint_fn = _difference_maps(phi, psi_chan, d)
-    project = None
-    if energy_cap is not None:
-        ham, cap = energy_cap
-        project = lambda vec: _project_energy(vec, ham.eigenvalues, cap)
-    one = norm_1to1_lower(phi, psi_chan, restarts=restarts, seed=seed, tol=tol)
-    seed_vec = np.kron(one.witness, np.eye(d, dtype=complex)[0])
-    gamma = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
-    starts = [seed_vec, gamma]
-    starts += list(_haar_vectors(d * d, restarts, seed))
-    best_val, best_vec = max(
-        (_ascend(apply_fn, adjoint_fn, s, tol, max_iter, project) for s in starts),
-        key=lambda result: result[0],
-    )
-    extras = {}
-    if energy_cap is not None:
-        extras = {"energy_constrained": True, "energy_cap": float(cap)}
-    elif best_val < one.value - 1e-12:
-        best_val, best_vec = one.value, seed_vec / np.linalg.norm(seed_vec)
-    return NormEstimate(
-        value=best_val, kind="diamond_lower", witness=best_vec, extras=extras
-    )
-
-
-def evaluate_witness(phi, psi_chan, estimate):
-    """Re-evaluate a NormEstimate's witness; reproduces value to 1e-8.
-
-    The witness length fixes the ancilla: dim_in for a 1->1 witness gives 1.
-    """
-    if estimate.witness is None:
-        return estimate.value
-    vec = np.asarray(estimate.witness, dtype=complex).reshape(-1)
-    apply_fn, _ = _difference_maps(phi, psi_chan, vec.size // phi.dim_in)
-    return trace_norm(apply_fn(outer(vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +133,7 @@ def erasure_channel(dim, p):
 
 def erasure_pair_diamond(p, q):
     """Closed-form ||Omega_p - Omega_q||_diamond = 2|p - q| (any input achieves it)."""
-    return NormEstimate(value=2.0 * abs(p - q), kind="closed_form", witness=None)
+    return 2.0 * abs(p - q)
 
 
 def mix_with_state(dim, eps, omega):
@@ -344,19 +152,6 @@ def mix_with_state(dim, eps, omega):
                     k = np.zeros((dim, dim), dtype=complex)
                     k[:, j] = math.sqrt(eps * lam) * col
                     ops.append(k)
-    return KrausChannel(dim, dim, tuple(ops))
-
-
-def fock_dephasing(n_max):
-    """Dephasing onto the number basis: Kraus set {|n><n|}, n = 0..n_max."""
-    if n_max > FOCK_CAP:
-        raise ValidationError(f"n_max {n_max} exceeds cap {FOCK_CAP}")
-    dim = n_max + 1
-    ops = []
-    for n in range(dim):
-        k = np.zeros((dim, dim), dtype=complex)
-        k[n, n] = 1.0
-        ops.append(k)
     return KrausChannel(dim, dim, tuple(ops))
 
 
@@ -387,12 +182,6 @@ def coherent_state(zeta, n_max):
     return amps / nrm
 
 
-def coherent_overlap(z1, z2):
-    """<z1|z2> = exp(-(|z1|^2 + |z2|^2)/2 + conj(z1) z2)."""
-    z1, z2 = complex(z1), complex(z2)
-    return np.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2) + np.conj(z1) * z2)
-
-
 @functools.lru_cache(maxsize=8)
 def _displacement_eigh(n_max):
     # eigh of the Hermitian i(a^dag - a); read-only because every caller shares it
@@ -417,14 +206,15 @@ def displacement_operator(zeta, n_max):
     return phase[:, None] * core * phase.conj()
 
 
-def poisson_entropy(lam, n_cap=FOCK_CAP):
+def poisson_entropy(lam):
     """Shannon entropy of Poisson(lam): lam(1 - ln lam) + e^-lam sum lam^n ln(n!)/n!.
 
     lam may be a scalar, giving a Python float, or an array, giving one
-    entropy per entry. The series of each lam runs to n = top, capped at
-    n_cap; the lam sharing a top are summed as the rows of one 2-D array,
-    each row pairwise as np.sum adds a 1-D series, so an array gives the
-    scalar values bit for bit.
+    entropy per entry. The series of each lam runs to n = top = lam +
+    12 sqrt(lam) + 40, and a top past FOCK_CAP (lam above about 274) raises
+    TruncationError. The lam sharing a top are summed as the rows of one 2-D
+    array, each row pairwise as np.sum adds a 1-D series, so an array gives
+    the scalar values bit for bit.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0.0):  # also rejects NaN
@@ -433,7 +223,12 @@ def poisson_entropy(lam, n_cap=FOCK_CAP):
     out = np.zeros(flat.size)
     pos = np.flatnonzero(flat > 0.0)
     log_lam = np.array([math.log(x) for x in flat[pos].tolist()])
-    tops = np.minimum((flat[pos] + 12.0 * np.sqrt(flat[pos]) + 40.0).astype(int), n_cap)
+    tops = flat[pos] + 12.0 * np.sqrt(flat[pos]) + 40.0
+    if not np.all(tops < FOCK_CAP + 1):  # also rejects inf
+        raise TruncationError(
+            f"Poisson parameter {np.max(flat)} needs a series past n = {FOCK_CAP}"
+        )
+    tops = tops.astype(int)
     for top in np.unique(tops).tolist():
         at = np.flatnonzero(tops == top)
         n = np.arange(top + 1)

@@ -74,20 +74,14 @@ class HamiltonianSpec:
             raise ValidationError("cannot extend a spectrum without a closed form")
         return HamiltonianSpec.oscillator(max(levels, self.levels))
 
-    def matrix(self, dim=None):
-        """diag(E_0..E_{dim-1}) as a dense Hermitian matrix."""
-        dim = self.levels if dim is None else dim
-        if dim > self.levels:
-            raise DimensionMismatch(f"dim {dim} exceeds truncation {self.levels}")
-        return np.diag(self.eigenvalues[:dim]).astype(complex)
-
 
 @dataclass(frozen=True)
 class GibbsSolution:
-    """Solved Gibbs state: diagonal in the standard basis."""
+    """Solved Gibbs state, diagonal in the standard basis: weights holds its
+    level populations."""
 
     beta: float
-    state: np.ndarray
+    weights: np.ndarray
     mean_energy: float
     entropy: float
     tail_warning: bool = False
@@ -118,23 +112,6 @@ def passive_energy(rho, ham):
         raise ValidationError(f"operator has negative eigenvalue {low}")
     lam = np.clip(lam, 0.0, None)
     return _value(np.sum(ham.eigenvalues[:d] * lam, axis=-1))
-
-
-def passive_rearrangement(rho, ham):
-    """Diagonal operator with rho's descending spectrum on the truncation space."""
-    lam = np.clip(eigvals_desc(rho), 0.0, None)
-    if lam.size > ham.levels:
-        raise DimensionMismatch(
-            f"operator dim {lam.size} exceeds truncation {ham.levels}"
-        )
-    full = np.zeros(ham.levels)
-    full[: lam.size] = lam
-    return np.diag(full).astype(complex)
-
-
-def ergotropy(rho, ham):
-    """Tr H rho - E_H^psv(rho), clamped at 0 from below."""
-    return max(mean_energy(rho, ham) - passive_energy(rho, ham), 0.0)
 
 
 def avg_passive_energy(ensemble, ham):
@@ -215,7 +192,7 @@ def _solve_gibbs_fixed(ham, energy):
     tail = float(w[-1])
     return GibbsSolution(
         beta=beta,
-        state=np.diag(w).astype(complex),
+        weights=w,
         mean_energy=float(np.sum(ev * w)),
         entropy=shannon_entropy(w),
         tail_warning=tail >= TAIL_TOL,
@@ -242,13 +219,3 @@ def f_h(ham, energy):
     if energy == float(ham.eigenvalues[0]):
         return math.log(ground_degeneracy(ham))
     return solve_gibbs(ham, energy).entropy
-
-
-def wl_check(ham, energy, x, y, slack=1e-9):
-    """True iff x F_H(E/x) <= y F_H(E/y) + slack for 0 < x <= y (ground-shifted H);
-    x = y is the equality case."""
-    if not (0.0 < x <= y):
-        raise ValidationError(f"need 0 < x <= y, got x={x}, y={y}")
-    if not ham.ground_shifted:
-        raise ValidationError("wl_check requires a ground-shifted spectrum")
-    return x * f_h(ham, energy / x) <= y * f_h(ham, energy / y) + slack

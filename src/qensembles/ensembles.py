@@ -1,4 +1,4 @@
-"""Discrete ensembles of quantum states, their q-c embedding, and steering.
+"""Discrete ensembles of quantum states and steering.
 
 An ensemble is a weight vector of length n and a read-only (n, d, d) stack of
 states, validated once as a whole; member i is (weights[i], states[i]). Weights
@@ -97,15 +97,6 @@ def average_state(mu):
 def average_entropy(mu):
     """Sum_i p_i S(rho_i)."""
     return _running_sum(mu.weights * von_neumann_entropy(mu.states))
-
-
-def qc_state(mu):
-    """Block-diagonal q-c embedding sum_k p_k rho_k (x) |k><k| on dim*n space."""
-    n, d = len(mu), mu.dim
-    out = np.zeros((d, n, d, n), dtype=complex)
-    k = np.arange(n)
-    out[:, k, :, k] = _weighted(mu)
-    return out.reshape(d * n, d * n)
 
 
 def _support_inv_sqrt(rho):

@@ -53,7 +53,6 @@ from .errors import ValidationError
 from .linalg import (
     binary_entropy,
     fidelity,
-    g_func,
     outer,
     shannon_entropy,
     trace_norm,
@@ -201,7 +200,7 @@ def verify_scb_rank(cfg):
             p, q = sorted(rng.uniform(0.0, 0.3, size=2))
             phi_full = erasure_channel(r_b, float(p)).compose(phi)
             psi_full = erasure_channel(r_b, float(q)).compose(phi)
-            half_norm = 0.5 * erasure_pair_diamond(p, q).value
+            half_norm = 0.5 * erasure_pair_diamond(p, q)
             rank = r_b + 1
 
         lhs = aoe(phi_full, mu) - aoe(psi_full, nu)
@@ -300,7 +299,7 @@ def _gibbs_witness_populations(energy_over_eps, eps):
     # level populations of the witness eps gamma + (1 - eps)|0><0|, a state
     # diagonal in the number basis, validated as a probability vector
     sol = solve_gibbs(HamiltonianSpec.oscillator(64), energy_over_eps)
-    pops = eps * sol.state.diagonal().real
+    pops = eps * sol.weights
     pops[0] += 1.0 - eps
     return _check_weights(pops, "witness populations")
 
@@ -384,29 +383,6 @@ def verify_holevo(cfg):
                 B.cb_holevo_energy(eps, e_mu, ham, e_nu_avg, ham) + cfg.tolerance,
                 eps, dim=d)
     return rec.result()
-
-
-def example7_fock_check(eps, n_mean=1.0, n_max=60, nodes=64):
-    """Coherent-vs-smeared ensembles through the identity: exact Holevo gap and
-    its energy-case cap; returns (gap, cap).
-
-    The gap chi(mu) - chi(nu) equals the average entropy of nu's members,
-    integrated radially against the Gaussian weight by Gauss-Legendre.
-    """
-    ham = HamiltonianSpec.oscillator(n_max + 1)
-    gibbs = solve_gibbs(ham, n_mean, auto_extend=False).state
-    s_hi = n_max / 4.0
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    s_nodes = 0.5 * s_hi * (xs + 1.0)
-    s_weights = 0.5 * s_hi * ws
-    total = 0.0
-    for s, w in zip(s_nodes, s_weights):
-        vec = coherent_state(math.sqrt(s), n_max)
-        state = (1.0 - eps) * outer(vec) + eps * gibbs
-        total += w * von_neumann_entropy(state) * math.exp(-s / n_mean) / n_mean
-    gap = total
-    cap = eps * (g_func(n_mean / eps) + g_func(2.0 * n_mean)) + 2.0 * g_func(eps)
-    return gap, cap
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +488,28 @@ def eof_witness_values(rank, delta):
     return lhs, rhs, fid
 
 
-def verify_eof(cfg):
-    rec = _Recorder("eof")
-    ratios = {}
+def _eof_witness_grid(rec, cfg, with_fidelity):
+    """Record prop8/witness for every (rank, delta); returns the table rows
+    keyed by (rank, delta)."""
+    rows = {}
     for rank in (4, 16, 64):
         for delta in (0.01, 0.05):
             lhs, rhs, fid = eof_witness_values(rank, delta)
-            rec.add("prop8/witness", lhs, rhs + cfg.tolerance, delta,
-                    rank=rank, fidelity=fid)
-            ratios[(rank, delta)] = lhs / rhs
+            extra = {"fidelity": fid} if with_fidelity else {}
+            rec.add("prop8/witness", lhs, rhs + cfg.tolerance, delta, rank=rank, **extra)
+            rows[rank, delta] = {"rank": rank, "delta": delta, "lhs": lhs, "rhs": rhs,
+                                 "ratio": lhs / rhs}
+    return rows
+
+
+def verify_eof(cfg):
+    rec = _Recorder("eof")
+    rows = _eof_witness_grid(rec, cfg, with_fidelity=True)
     for delta in (0.01, 0.05):
-        rec.add("prop8/ratio-trend", ratios[(4, delta)],
-                ratios[(64, delta)], delta, check="ratio grows with rank")
+        rec.add("prop8/ratio-trend", rows[4, delta]["ratio"],
+                rows[64, delta]["ratio"], delta, check="ratio grows with rank")
     # Stated tightness threshold at (r=64, delta=0.01); see the repro table.
-    rec.add("prop8/ratio-0.8", 0.8, ratios[(64, 0.01)], 0.01,
+    rec.add("prop8/ratio-0.8", 0.8, rows[64, 0.01]["ratio"], 0.01,
             check="lhs/rhs exceeds 0.8")
 
     # Corollary 3 sanity: pure states against a product reference
@@ -729,17 +713,10 @@ def repro_coherent_discretization(cfg):
 
 def repro_eof_witness(cfg):
     rec = _Recorder("eof-witness")
-    rows = []
-    for rank in (4, 16, 64):
-        for delta in (0.01, 0.05):
-            lhs, rhs, fid = eof_witness_values(rank, delta)
-            rows.append({"rank": rank, "delta": delta, "lhs": lhs, "rhs": rhs,
-                         "ratio": lhs / rhs})
-            rec.add("prop8/witness", lhs, rhs + cfg.tolerance, delta, rank=rank)
-    lhs, rhs, _ = eof_witness_values(64, 0.01)
-    rec.add("prop8/ratio-0.8", 0.8, lhs / rhs, 0.01,
+    rows = _eof_witness_grid(rec, cfg, with_fidelity=False)
+    rec.add("prop8/ratio-0.8", 0.8, rows[64, 0.01]["ratio"], 0.01,
             check="lhs/rhs exceeds 0.8")
-    return rec.result(tables={"eof_witness": rows})
+    return rec.result(tables={"eof_witness": list(rows.values())})
 
 
 def repro_gibbs_displaced(cfg):
@@ -750,7 +727,7 @@ def repro_gibbs_displaced(cfg):
     n_mean = cfg.extra.get("n_mean", 0.4)
     n_max = int(cfg.extra.get("n_max", 48))
     ham = HamiltonianSpec.oscillator(n_max + 1)
-    gibbs = solve_gibbs(ham, n0, auto_extend=False).state
+    gibbs = np.diag(solve_gibbs(ham, n0, auto_extend=False).weights).astype(complex)
 
     for mag in (0.5, 1.0, 1.5, 2.0):
         d_op = displacement_operator(mag, n_max)
@@ -774,7 +751,7 @@ def repro_gibbs_displaced(cfg):
             avg += (wr / angular) * (d_op @ gibbs @ d_op.conj().T)
             total_w += wr / angular
     avg = avg / np.trace(avg).real
-    target = solve_gibbs(ham, n_mean + n0, auto_extend=False).state
+    target = np.diag(solve_gibbs(ham, n_mean + n0, auto_extend=False).weights)
     err = trace_norm(avg - target)
     rec.add("ape/average-state", None, err, n_mean, captured_weight=total_w,
             note="truncation error reported, not asserted")

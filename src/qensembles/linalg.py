@@ -17,8 +17,7 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 LOG_CLAMP = 1e-14
-SUPPORT_TOL = 1e-10
-# eigenvalues within this of zero get sign 0 (sign_operator, the d_ehs tangents)
+# eigenvalues within this of zero get sign 0 in the d_ehs tangents
 SIGN_TOL = 1e-12
 
 
@@ -108,15 +107,6 @@ def trace_norm(a):
     return _value(np.sum(np.abs(_eigvalsh(a)), axis=-1))
 
 
-def mirsky_gap(rho, sigma):
-    """Sum_i |lambda_i^v(rho) - lambda_i^v(sigma)| over descending spectra."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    return float(np.sum(np.abs(eigvals_desc(rho) - eigvals_desc(sigma))))
-
-
 def _eta(x):
     # -x ln x with eta(0)=0, applied to a clamped spectrum
     out = np.zeros_like(x)
@@ -158,31 +148,6 @@ def g_func(x):
     return float((x + 1.0) * math.log(x + 1.0) - x * math.log(x))
 
 
-def relative_entropy(rho, sigma):
-    """D(rho||sigma) in nats; +inf when supp rho is not contained in supp sigma.
-
-    Evaluated in rho's eigenbasis; the support test uses projector overlap at
-    tolerance 1e-10. +inf is an ordinary return value, not an error.
-    """
-    rho = check_density(rho)
-    sigma = check_density(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    wr, vr = np.linalg.eigh(rho)
-    ws, vs = np.linalg.eigh(sigma)
-    wr = np.clip(wr, 0.0, None)
-    ws = np.clip(ws, 0.0, None)
-    overlap = np.abs(vs.conj().T @ vr) ** 2  # overlap[k, i] = |<w_k|phi_i>|^2
-    off_support = ws <= SUPPORT_TOL
-    leak = float(wr @ overlap[off_support].sum(axis=0)) if off_support.any() else 0.0
-    if leak > SUPPORT_TOL:
-        return math.inf
-    term_rho = float(np.sum(wr[wr > LOG_CLAMP] * np.log(wr[wr > LOG_CLAMP])))
-    on = ~off_support
-    term_sigma = float(wr @ (overlap[on].T @ np.log(ws[on])))
-    return max(term_rho - term_sigma, 0.0)
-
-
 def matrix_sqrt_psd(a, rel_cut=1e-14):
     """PSD square root via eigendecomposition.
 
@@ -208,34 +173,6 @@ def fidelity(rho, sigma):
     return min(max(f, 0.0), 1.0)
 
 
-def bures_distance(rho, sigma):
-    """beta(rho, sigma) = sqrt(2 - 2 sqrt(F))."""
-    return math.sqrt(max(2.0 - 2.0 * math.sqrt(fidelity(rho, sigma)), 0.0))
-
-
-def partial_trace(rho_ab, dim_a, dim_b, keep="A"):
-    """Marginal of a bipartite operator; keep is "A" or "B"."""
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    d = dim_a * dim_b
-    if rho_ab.shape != (d, d):
-        raise DimensionMismatch(
-            f"matrix of shape {rho_ab.shape} does not factor as {dim_a}x{dim_b}"
-        )
-    r = rho_ab.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("ijkj->ik", r)
-    if keep == "B":
-        return np.einsum("ijil->jl", r)
-    raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def conditional_entropy(rho_ab, dim_a, dim_b):
-    """S(A|B) = S(rho_AB) - S(rho_B); may be negative."""
-    rho_ab, spectrum = _density_spectrum(rho_ab)
-    rho_b = partial_trace(rho_ab, dim_a, dim_b, keep="B")
-    return shannon_entropy(spectrum) - von_neumann_entropy(hermitian_part(rho_b))
-
-
 def positive_part(a):
     """[A]_+ = sum of positive-eigenvalue spectral components of a Hermitian A,
     or of each matrix of a (..., d, d) stack."""
@@ -243,11 +180,3 @@ def positive_part(a):
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def sign_operator(a, tol=SIGN_TOL):
-    """sign(A) = sum_i sign(lambda_i) |v_i><v_i| (zero eigenvalues map to 0)."""
-    a = check_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    s = np.where(w > tol, 1.0, np.where(w < -tol, -1.0, 0.0))
-    return (v * s) @ v.conj().T

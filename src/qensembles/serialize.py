@@ -3,8 +3,6 @@
 Complex matrices are nested arrays of [re, im] pairs, row major:
     [[[re, im], ...], ...]
 Ensembles:      {"dim": d, "members": [{"weight": p, "matrix": ...}, ...]}
-Channels:       {"dim_in": a, "dim_out": b, "kraus": [matrix, ...]}
-Hamiltonians:   {"eigenvalues": [...], "closed_form": "oscillator" | null}
 Point measures: {"points": [[x, y], ...], "weights": [...]}
 """
 
@@ -16,8 +14,6 @@ import json
 
 import numpy as np
 
-from .channels import KrausChannel
-from .energy import HamiltonianSpec
 from .ensembles import Ensemble
 from .errors import ValidationError
 from .metrics import PointMeasure
@@ -52,57 +48,6 @@ def ensemble_from_json(data):
         dim=int(data["dim"]),
         weights=np.array([float(m["weight"]) for m in data["members"]]),
         states=[matrix_from_json(m["matrix"]) for m in data["members"]],
-    )
-
-
-def channel_to_json(chan):
-    return {
-        "dim_in": chan.dim_in,
-        "dim_out": chan.dim_out,
-        "kraus": [matrix_to_json(k) for k in chan.kraus],
-    }
-
-
-def channel_from_json(data):
-    if "catalog" in data:
-        return _catalog_channel(data)
-    return KrausChannel(
-        dim_in=int(data["dim_in"]),
-        dim_out=int(data["dim_out"]),
-        kraus=tuple(matrix_from_json(k) for k in data["kraus"]),
-    )
-
-
-def _catalog_channel(data):
-    """Catalog channels addressable by name + parameters:
-    {"catalog": "erasure", "dim": 2, "p": 0.1} and friends."""
-    from . import channels as ch
-
-    name = data["catalog"]
-    if name == "identity":
-        return ch.identity_channel(int(data["dim"]))
-    if name == "erasure":
-        return ch.erasure_channel(int(data["dim"]), float(data["p"]))
-    if name == "mix_with_state":
-        return ch.mix_with_state(
-            int(data["dim"]), float(data["eps"]), matrix_from_json(data["omega"])
-        )
-    if name == "fock_dephasing":
-        return ch.fock_dephasing(int(data["n_max"]))
-    raise ValidationError(f"unknown catalog channel {name!r}")
-
-
-def hamiltonian_to_json(ham):
-    return {
-        "eigenvalues": [float(e) for e in ham.eigenvalues],
-        "closed_form": ham.closed_form,
-    }
-
-
-def hamiltonian_from_json(data):
-    return HamiltonianSpec(
-        np.array(data["eigenvalues"], dtype=float),
-        closed_form=data.get("closed_form"),
     )
 
 

@@ -6,8 +6,10 @@ transportation LP via exhaustive basis (vertex) enumeration and as one LP
 over every cell, the coupling distance via a dense fixed angular grid of dual
 cuts and via plain Kelley cutting planes, the Holevo-bound crossover via the two bound formulas written
 out with `math` only, the EoF witness via an explicit Schmidt-coefficient matrix and its singular values,
-the Kantorovich-Rubinshtein distance via its bounded-Lipschitz dual LP, and the
-Poisson entropy via its defining series with `math.lgamma`.
+the Kantorovich-Rubinshtein distance via its bounded-Lipschitz dual LP, the
+Poisson entropy via its defining series with `math.lgamma`, the average entropy
+of an ensemble as the conditional entropy S(A|C) of its q-c state built block by
+block, and the Holevo quantity as an average of relative entropies.
 """
 
 import itertools
@@ -290,3 +292,59 @@ def poisson_entropy_series(lam):
         log_p = -lam + n * math.log(lam) - math.lgamma(n + 1.0)
         total -= math.exp(log_p) * log_p
     return total
+
+
+def _entropy(rho):
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-14]
+    return float(-np.sum(w * np.log(w)))
+
+
+def qc_state(weights, states):
+    """sum_k p_k rho_k (x) |k><k| on the dim * n space, one Kronecker block at a time."""
+    n = len(weights)
+    out = 0.0
+    for k, (p, rho) in enumerate(zip(weights, states)):
+        flag = np.zeros((n, n))
+        flag[k, k] = 1.0
+        out = out + p * np.kron(rho, flag)
+    return out
+
+
+def partial_trace(rho_ab, dim_a, dim_b, keep):
+    """Marginal of a bipartite operator on A (keep="A") or on B (keep="B")."""
+    r = np.asarray(rho_ab).reshape(dim_a, dim_b, dim_a, dim_b)
+    return np.einsum("ijkj->ik", r) if keep == "A" else np.einsum("ijil->jl", r)
+
+
+def conditional_entropy(rho_ab, dim_a, dim_b):
+    """S(A|B) = S(rho_AB) - S(rho_B); may be negative."""
+    return _entropy(rho_ab) - _entropy(partial_trace(rho_ab, dim_a, dim_b, "B"))
+
+
+def qc_conditional_entropy(mu):
+    """S(A|C) of mu's q-c state, which equals the average entropy sum_k p_k S(rho_k)."""
+    return conditional_entropy(qc_state(mu.weights, mu.states), mu.dim, len(mu))
+
+
+def relative_entropy(rho, sigma, support_tol=1e-10):
+    """D(rho||sigma) in nats from both eigendecompositions; +inf when rho puts
+    more than support_tol of its mass outside the support of sigma."""
+    wr, vr = np.linalg.eigh(rho)
+    ws, vs = np.linalg.eigh(sigma)
+    wr, ws = np.clip(wr, 0.0, None), np.clip(ws, 0.0, None)
+    overlap = np.abs(vs.conj().T @ vr) ** 2  # overlap[k, i] = |<w_k|phi_i>|^2
+    off = ws <= support_tol
+    if wr @ overlap[off].sum(axis=0) > support_tol:
+        return math.inf
+    pos = wr > 1e-14
+    return float(np.sum(wr[pos] * np.log(wr[pos]))
+                 - wr @ (overlap[~off].T @ np.log(ws[~off])))
+
+
+def holevo_relative_entropy_form(chan, mu):
+    """sum_i p_i D(Phi(rho_i) || Phi(avg)), each output summed over the Kraus
+    operators one at a time."""
+    outs = [sum(k @ rho @ k.conj().T for k in chan.kraus) for rho in mu.states]
+    avg = sum(p * out for p, out in zip(mu.weights, outs))
+    return sum(p * relative_entropy(out, avg) for p, out in zip(mu.weights, outs) if p > 0.0)

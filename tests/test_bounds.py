@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qensembles import (
     ConvergenceError,
@@ -423,3 +424,65 @@ class TestTagRegistry:
     def test_missing_parameter_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="bound 'prop2' needs parameter 'rank'"):
             evaluate_tag("prop2", {"eps": 0.1})
+
+
+# ---------------------------------------------------------------------------
+# Monotonicity in closeness of every closeness-parameterized tag
+# ---------------------------------------------------------------------------
+
+_RANKS = st.integers(2, 64)
+_ENERGIES = st.floats(0.01, 10.0)
+
+
+def _side(data, suffix):
+    if data.draw(st.booleans()):
+        return {f"rank{suffix}": data.draw(_RANKS)}
+    return {f"energy{suffix}": data.draw(_ENERGIES)}
+
+
+# tag -> (closeness key, draw of the other parameters, upper end of the
+# guarded closeness domain given those parameters)
+_CLOSENESS = {
+    "prop2": ("eps", lambda d: {"rank": d.draw(_RANKS)}, lambda p: 1.0),
+    "prop3": ("eps", lambda d: {"energy": d.draw(_ENERGIES)}, lambda p: 1.0),
+    "prop4": ("eps", lambda d: {**_side(d, "_mu"), **_side(d, "_nu")}, lambda p: 1.0),
+    "cor2a": ("eps", lambda d: {"rank_mu": d.draw(_RANKS), "rank_nu": d.draw(_RANKS)},
+              lambda p: 1.0),
+    "cor2b": ("eps", lambda d: {"energy_mu": d.draw(_ENERGIES),
+                                "energy_nu": d.draw(_ENERGIES)}, lambda p: 1.0),
+    "chi-cb-1": ("eps", lambda d: {"dim": d.draw(st.integers(2, 64))}, lambda p: 1.0),
+    "chi-cb-2": ("eps", lambda d: {"energy": d.draw(_ENERGIES)}, lambda p: 1.0),
+    "prop6": ("delta", lambda d: _side(d, ""),
+              lambda p: 1.0 - 1.0 / p["rank"] if "rank" in p else 1.0),
+    "prop7": ("delta", lambda d: {"rank": d.draw(st.integers(1, 64)),
+                                  "energy": d.draw(_ENERGIES)}, lambda p: 1.0),
+    "prop8": ("eps", lambda d: {"rank": d.draw(_RANKS)},
+              lambda p: 1.0 - math.sqrt(2.0 * p["rank"] - 1.0) / p["rank"]),
+    "cor3": ("delta", lambda d: {"rank": d.draw(_RANKS)}, lambda p: 1.0 - 1.0 / p["rank"]),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_CLOSENESS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tag_nondecreasing_in_closeness(tag, data):
+    key, draw_params, upper = _CLOSENESS[tag]
+    params = draw_params(data)
+    # Positive closeness starts at 1e-9: below about 1e-13 E the energy tags'
+    # eps F_H(E/eps) loses its digits to cancellation in g_func, and once E/eps
+    # overflows it is NaN (ROADMAP, "Energy bounds at tiny closeness")
+    closeness = st.floats(1e-9, upper(params))
+    a, b = sorted(data.draw(closeness, label="closeness") for _ in range(2))
+    value_a = evaluate_tag(tag, {**params, key: a})
+    value_b = evaluate_tag(tag, {**params, key: b})
+    assert value_a <= value_b + 1e-12 * max(1.0, abs(value_b))
+
+    # 0 at zero closeness, but for the two exceptions the module docstring names
+    if tag == "prop7":
+        assert evaluate_tag(tag, {**params, key: 0.0}) == math.log(params["rank"])
+    elif tag == "chi-cb-2":
+        with pytest.raises(ValidationError):
+            evaluate_tag(tag, {**params, key: 0.0})
+    else:
+        assert evaluate_tag(tag, {**params, key: 0.0}) == 0.0
+

@@ -11,31 +11,19 @@ from qensembles import (
     ValidationError,
     aoe,
     avg_passive_energy,
-    choi_matrix,
-    choi_rank,
-    coherent_overlap,
     coherent_state,
-    diamond_lower,
     erasure_channel,
     erasure_pair_diamond,
     fidelity,
-    fock_dephasing,
     holevo_chi,
     identity_channel,
     mix_channels,
     mix_with_state,
-    norm_1to1_lower,
     solve_gibbs,
     trace_norm,
     von_neumann_entropy,
 )
-from qensembles.channels import (
-    FOCK_CAP,
-    _difference_maps,
-    displacement_operator,
-    evaluate_witness,
-    poisson_entropy,
-)
+from qensembles.channels import FOCK_CAP, displacement_operator, poisson_entropy
 from qensembles.energy import mean_energy
 from qensembles.ensembles import Ensemble, pure_ensemble, singleton
 from qensembles.errors import TruncationError
@@ -48,7 +36,7 @@ from qensembles.randomgen import (
 )
 
 from conftest import basis_ket, ketbra
-from oracles import poisson_entropy_series
+from oracles import holevo_relative_entropy_form, poisson_entropy_series
 
 
 class TestApply:
@@ -73,24 +61,6 @@ class TestApply:
     def test_tp_validation(self):
         with pytest.raises(ValidationError):
             KrausChannel(2, 2, (np.eye(2) * 0.9,))
-
-
-class TestChoi:
-    def test_identity_rank_one(self):
-        assert choi_rank(identity_channel(2)) == 1
-
-    def test_erasure_rank_three(self):
-        assert choi_rank(erasure_channel(2, 0.3)) == 3
-
-    def test_rank_at_most_kraus_count(self, rng):
-        chan = random_channel(2, 2, 2, rng)
-        assert choi_rank(chan) <= len(chan.kraus)
-
-    def test_choi_is_state(self, rng):
-        chan = random_channel(2, 3, 2, rng)
-        choi = choi_matrix(chan)
-        assert np.trace(choi).real == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.eigvalsh(choi)[0] >= -1e-9
 
 
 class TestAoeChi:
@@ -130,9 +100,12 @@ class TestAoeChi:
         assert holevo_chi(identity_channel(3), mu) == pytest.approx(math.log(3))
 
     def test_chi_two_path_agreement(self, rng):
-        chan = random_channel(2, 2, 2, rng)
-        mu = random_ensemble(2, 3, rng)
-        assert holevo_chi(chan, mu, cross_check=True, tol=1e-8) >= 0.0
+        for d in (2, 3):
+            chan = random_channel(d, d, 2, rng)
+            mu = random_ensemble(d, 3, rng)
+            assert holevo_chi(chan, mu) == pytest.approx(
+                holevo_relative_entropy_form(chan, mu), abs=1e-8
+            )
 
     def test_aoe_below_energy_ceiling(self, rng):
         ham = HamiltonianSpec(np.arange(3, dtype=float))
@@ -141,95 +114,6 @@ class TestAoeChi:
         out = chan.apply_ensemble(mu)
         cap = solve_gibbs(ham, max(avg_passive_energy(out, ham), 1e-9)).entropy
         assert aoe(chan, mu) <= cap + 1e-8
-
-
-class TestNormSearch:
-    def test_equal_channels(self, rng):
-        chan = random_channel(2, 2, 2, rng)
-        assert norm_1to1_lower(chan, chan, restarts=4).value == pytest.approx(
-            0.0, abs=1e-10
-        )
-
-    def test_erasure_pair_exact(self):
-        p, q = 0.1, 0.25
-        est = norm_1to1_lower(erasure_channel(2, p), erasure_channel(2, q), restarts=8)
-        assert est.value == pytest.approx(2 * abs(p - q), abs=1e-9)
-        dia = diamond_lower(erasure_channel(2, p), erasure_channel(2, q), restarts=8)
-        assert dia.value == pytest.approx(erasure_pair_diamond(p, q).value, abs=1e-9)
-
-    def test_mix_with_state_capped(self, rng):
-        eps = 0.2
-        omega = random_state(2, 2, rng)
-        phi = mix_with_state(2, eps, omega)
-        psi = identity_channel(2)
-        assert norm_1to1_lower(phi, psi, restarts=8).value <= 2 * eps + 1e-9
-        assert diamond_lower(phi, psi, restarts=8).value <= 2 * eps + 1e-9
-
-    def test_diamond_dominates_1to1(self, rng):
-        for seed in range(3):
-            a = random_channel(2, 2, 2, rng)
-            b = random_channel(2, 2, 2, rng)
-            one = norm_1to1_lower(a, b, restarts=6, seed=seed)
-            dia = diamond_lower(a, b, restarts=6, seed=seed)
-            assert dia.value >= one.value - 1e-8
-
-    def test_reproducible_and_monotone_in_restarts(self, rng):
-        a = random_channel(3, 3, 2, rng)
-        b = random_channel(3, 3, 2, rng)
-        v1 = norm_1to1_lower(a, b, restarts=8, seed=5).value
-        v2 = norm_1to1_lower(a, b, restarts=8, seed=5).value
-        v3 = norm_1to1_lower(a, b, restarts=16, seed=5).value
-        assert v1 == v2
-        assert v3 >= v1 - 1e-12
-
-    def test_witness_reproduces_value(self, rng):
-        a = random_channel(2, 2, 2, rng)
-        b = random_channel(2, 2, 2, rng)
-        for est in (norm_1to1_lower(a, b, restarts=6), diamond_lower(a, b, restarts=6)):
-            assert evaluate_witness(a, b, est) == pytest.approx(est.value, abs=1e-8)
-
-    def test_energy_constrained_variant(self, rng):
-        a = random_channel(2, 2, 2, rng)
-        b = random_channel(2, 2, 2, rng)
-        ham = HamiltonianSpec(np.array([0.0, 1.0]))
-        free = diamond_lower(a, b, restarts=6)
-        capped = diamond_lower(a, b, restarts=6, energy_cap=(ham, 0.2))
-        assert capped.value <= free.value + 1e-9
-        assert capped.extras.get("energy_constrained") is True
-        assert evaluate_witness(a, b, capped) == pytest.approx(capped.value, abs=1e-8)
-
-
-class TestDifferenceMaps:
-    """The maps of (Phi - Psi) (x) id that both norm searches ascend on."""
-
-    @staticmethod
-    def _pair(seed, dim_in, dim_out):
-        rng = np.random.default_rng(seed)
-        a = random_channel(dim_in, dim_out, 2, rng)
-        b = random_channel(dim_in, dim_out, 3, rng)
-        return rng, a, b
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
-    def test_adjoint_duality(self, seed, dims):
-        dim_in, dim_out = dims
-        rng, a, b = self._pair(seed, dim_in, dim_out)
-        for ancilla in (1, dim_in):
-            apply_fn, adjoint_fn = _difference_maps(a, b, ancilla)
-            rho = random_state(dim_in * ancilla, dim_in * ancilla, rng)
-            g = rng.standard_normal((2, dim_out * ancilla, dim_out * ancilla))
-            x = (g[0] + 1j * g[1]) + (g[0] + 1j * g[1]).conj().T
-            lhs = np.trace(x @ apply_fn(rho))
-            rhs = np.trace(adjoint_fn(x) @ rho)
-            assert abs(lhs - rhs) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
-    def test_ancilla_one_is_channel_difference(self, seed, dims):
-        rng, a, b = self._pair(seed, *dims)
-        apply_fn, _ = _difference_maps(a, b, 1)
-        rho = random_state(dims[0], dims[0], rng)
-        assert np.max(np.abs(apply_fn(rho) - (a.apply(rho) - b.apply(rho)))) < 1e-13
 
 
 class TestTraceNormMonotonicity:
@@ -241,6 +125,12 @@ class TestTraceNormMonotonicity:
             assert trace_norm(chan.apply(rho) - chan.apply(sigma)) <= trace_norm(
                 rho - sigma
             ) + 1e-10
+
+
+def _with_ancilla(chan, ancilla):
+    """chan (x) id on an ancilla of the given dimension."""
+    ops = [np.kron(k, np.eye(ancilla)) for k in chan.kraus]
+    return KrausChannel(chan.dim_in * ancilla, chan.dim_out * ancilla, ops)
 
 
 class TestCatalog:
@@ -259,26 +149,49 @@ class TestCatalog:
         expected = 0.7 * a.apply(rho) + 0.3 * b.apply(rho)
         assert np.allclose(mixed.apply(rho), expected, atol=1e-12)
 
+    def test_erasure_pair_exact(self, rng):
+        # every input, with or without an ancilla, attains the closed form
+        p, q = 0.1, 0.25
+        closed = erasure_pair_diamond(p, q)
+        assert type(closed) is float and closed == pytest.approx(2 * abs(p - q))
+        a, b = erasure_channel(2, p), erasure_channel(2, q)
+        for ancilla in (1, 2):
+            for _ in range(5):
+                rho = ketbra(random_pure(2 * ancilla, rng))
+                gap = trace_norm(_with_ancilla(a, ancilla).apply(rho)
+                                 - _with_ancilla(b, ancilla).apply(rho))
+                assert gap == pytest.approx(closed, abs=1e-9)
+
+    def test_mix_with_state_capped(self, rng):
+        # the closed-form half-diamond bounds t of the harness's channel pairs
+        eps, t = 0.2, 0.15
+        pairs = [(mix_with_state(2, eps, random_state(2, 2, rng)), identity_channel(2), eps)]
+        for d in (2, 3):
+            a = random_channel(d, d, 2, rng)
+            pairs.append((a, mix_channels(t, a, random_channel(d, d, 2, rng)), t))
+        for a, b, bound in pairs:
+            for _ in range(20):
+                rho = ketbra(random_pure(a.dim_in**2, rng))
+                gap = trace_norm(_with_ancilla(a, a.dim_in).apply(rho)
+                                 - _with_ancilla(b, a.dim_in).apply(rho))
+                assert gap <= 2 * bound + 1e-9
+
     def test_fock_dephasing_poisson_spectrum(self):
+        # dephasing a coherent state in the number basis leaves |amplitudes|^2
         n_max = 40
         zeta = 1.3
-        chan = fock_dephasing(n_max)
-        out = chan.apply(ketbra(coherent_state(zeta, n_max)))
+        pops = np.abs(coherent_state(zeta, n_max)) ** 2
         n = np.arange(n_max + 1)
         expected = np.exp(-zeta**2 + n * math.log(zeta**2)
                           - np.array([math.lgamma(k + 1) for k in n]))
-        assert np.allclose(np.diag(out).real, expected, atol=1e-8)
+        assert np.allclose(pops, expected, atol=1e-8)
 
     def test_fock_dephasing_preserves_mean_photons(self):
         n_max = 60
         ham = HamiltonianSpec.oscillator(n_max + 1)
         for zeta in (0.5, 1.5 + 0.5j):
-            out = fock_dephasing(n_max).apply(ketbra(coherent_state(zeta, n_max)))
+            out = np.diag(np.abs(coherent_state(zeta, n_max)) ** 2)
             assert mean_energy(out, ham) == pytest.approx(abs(zeta) ** 2, abs=1e-6)
-
-    def test_fock_cap(self):
-        with pytest.raises(ValidationError):
-            fock_dephasing(600)
 
 
 class TestCoherent:
@@ -290,7 +203,8 @@ class TestCoherent:
         z1, z2 = 0.7 + 0.2j, -0.3 + 1.0j
         v1 = coherent_state(z1, 80)
         v2 = coherent_state(z2, 80)
-        assert np.vdot(v1, v2) == pytest.approx(coherent_overlap(z1, z2), abs=1e-9)
+        closed = np.exp(-0.5 * (abs(z1) ** 2 + abs(z2) ** 2) + np.conj(z1) * z2)
+        assert np.vdot(v1, v2) == pytest.approx(closed, abs=1e-9)
 
     def test_lipschitz_bound(self):
         for z1, z2 in ((0.2, 0.9), (0.5 + 0.5j, 0.1 - 0.2j)):
@@ -307,7 +221,7 @@ class TestCoherent:
 
     def test_poisson_entropy_matches_dephased_state(self):
         n_max, zeta = 50, 1.2
-        out = fock_dephasing(n_max).apply(ketbra(coherent_state(zeta, n_max)))
+        out = np.diag(np.abs(coherent_state(zeta, n_max)) ** 2)
         assert von_neumann_entropy(out) == pytest.approx(
             poisson_entropy(zeta**2), abs=1e-8
         )
@@ -343,19 +257,18 @@ class TestClosedFormKernels:
             # one lam's truncated series summed on its own, as a 1-D array
             if lam == 0.0:
                 return 0.0
-            top = min(int(lam + 12.0 * math.sqrt(lam) + 40.0), FOCK_CAP)
+            top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
             n = np.arange(top + 1)
             log_fact = gammaln(n + 1.0)
             log_pmf = -lam + n * math.log(lam) - log_fact
             return lam * (1.0 - math.log(lam)) + float(np.sum(np.exp(log_pmf) * log_fact))
 
-        # past FOCK_CAP the series is cut at n_cap, so those values are not
-        # the entropy; the array and scalar paths must still agree on them
+        # 274 is the largest integer lam whose series top stays within FOCK_CAP
         rng = np.random.default_rng(5)
         lams = np.concatenate([
-            [0.0, 1e-12, 1e-300, 0.5, FOCK_CAP - 0.5, FOCK_CAP + 1.0, 3.0e3],
+            [0.0, 1e-12, 1e-300, 0.5, 100.0, 273.5, 274.0],
             rng.uniform(0.0, 45.0, 600), rng.uniform(0.0, 1e-3, 20),
-            rng.uniform(400.0, 900.0, 30),
+            rng.uniform(45.0, 274.0, 30),
         ])
         rng.shuffle(lams)
         batched = poisson_entropy(lams.reshape(-1, 3))
@@ -365,6 +278,18 @@ class TestClosedFormKernels:
             assert type(scalar) is float
             assert value == scalar == one_series(lam)
         assert poisson_entropy(np.array([])).shape == (0,)
+
+    def test_poisson_entropy_raises_past_fock_cap(self):
+        assert int(274.0 + 12.0 * math.sqrt(274.0) + 40.0) == FOCK_CAP
+        rng = np.random.default_rng(6)
+        for lam in (275.0, FOCK_CAP - 0.5, FOCK_CAP + 1.0, 3.0e3, float("inf")):
+            with pytest.raises(TruncationError):
+                poisson_entropy(lam)
+        past = rng.uniform(400.0, 900.0, 30)
+        for lams in (past, np.concatenate([rng.uniform(0.0, 45.0, 50), past[:1]]),
+                     np.array([[1.0, 2.0], [274.0, 275.0]])):
+            with pytest.raises(TruncationError):
+                poisson_entropy(lams)
 
     @pytest.mark.parametrize("lam", [-1e-9, [0.5, -2.0], [float("nan")]])
     def test_poisson_entropy_rejects_negative(self, lam):

@@ -8,10 +8,8 @@ from qensembles import (
     ValidationError,
     average_entropy,
     average_state,
-    conditional_entropy,
     d0,
     fidelity,
-    qc_state,
     steer_to_average,
     trace_norm,
     von_neumann_entropy,
@@ -25,6 +23,7 @@ from qensembles.randomgen import (
 )
 
 from conftest import basis_ket, ketbra
+from oracles import qc_conditional_entropy, qc_state
 
 
 class TestEnsembleType:
@@ -66,17 +65,20 @@ class TestAverageState:
 class TestQcState:
     def test_singleton_block(self, rng):
         rho = random_state(2, 2, rng)
-        out = qc_state(singleton(rho))
+        out = qc_state([1.0], [rho])
         assert np.allclose(out, np.kron(rho, np.array([[1.0]])))
 
     def test_trace_one(self, rng):
         mu = random_ensemble(2, 3, rng)
-        assert np.trace(qc_state(mu)).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(qc_state(mu.weights, mu.states)).real == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_trace_distance_recovers_d0(self, rng):
         mu = random_ensemble(2, 3, rng)
         nu = random_ensemble(2, 3, rng)
-        assert trace_norm(qc_state(mu) - qc_state(nu)) == pytest.approx(
+        qc_mu, qc_nu = qc_state(mu.weights, mu.states), qc_state(nu.weights, nu.states)
+        assert trace_norm(qc_mu - qc_nu) == pytest.approx(
             2 * d0(mu, nu), abs=1e-10
         )
 
@@ -93,9 +95,9 @@ class TestQcConditionalEntropy:
         )
 
     def test_matches_bipartite_conditional_entropy(self, rng):
-        mu = random_ensemble(2, 3, rng)
-        direct = conditional_entropy(qc_state(mu), 2, 3)
-        assert average_entropy(mu) == pytest.approx(direct, abs=1e-9)
+        for d, n in ((2, 3), (3, 4)):
+            mu = random_ensemble(d, n, rng)
+            assert average_entropy(mu) == pytest.approx(qc_conditional_entropy(mu), abs=1e-9)
 
 
 class TestSteering:

@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from qensembles import serialize as ser
+from qensembles.channels import coherent_state
 from qensembles.energy import HamiltonianSpec, solve_gibbs
-from qensembles.linalg import trace_norm, von_neumann_entropy
+from qensembles.linalg import g_func, outer, trace_norm, von_neumann_entropy
 from qensembles.experiments import (
     EXPERIMENTS,
     REPROS,
     ExperimentConfig,
     eof_witness_values,
-    example7_fock_check,
     gaussian_grid_measure,
     verify_scb_rank,
 )
@@ -91,8 +93,21 @@ def test_tightness_statistics_reported():
 
 
 def test_example7_gap_inside_cap():
+    # Coherent against smeared ensembles through the identity: the Holevo gap
+    # chi(mu) - chi(nu) is the average entropy of nu's members
+    # (1 - eps)|z><z| + eps gamma(N), integrated radially against the Gaussian
+    # weight by Gauss-Legendre; it stays inside the energy-case cap
+    n_mean, n_max = 1.0, 60
+    ham = HamiltonianSpec.oscillator(n_max + 1)
+    gibbs = np.diag(solve_gibbs(ham, n_mean, auto_extend=False).weights)
+    s_hi = n_max / 4.0
+    xs, ws = np.polynomial.legendre.leggauss(64)
     for eps in (0.1, 0.25):
-        gap, cap = example7_fock_check(eps, n_mean=1.0, n_max=60, nodes=64)
+        gap = 0.0
+        for s, w in zip(0.5 * s_hi * (xs + 1.0), 0.5 * s_hi * ws):
+            state = (1.0 - eps) * outer(coherent_state(math.sqrt(s), n_max)) + eps * gibbs
+            gap += w * von_neumann_entropy(state) * math.exp(-s / n_mean) / n_mean
+        cap = eps * (g_func(n_mean / eps) + g_func(2.0 * n_mean)) + 2.0 * g_func(eps)
         assert 0.0 <= gap <= cap
 
 
@@ -102,7 +117,8 @@ def test_energy_witnesses_match_the_dense_states():
     records = EXPERIMENTS["scb-energy"](small_cfg(trials=1)).records
     fields = {(r.report.tag, r.report.epsilon): r.report.lhs for r in records}
     for eps, energy in ((0.1, 1.0), (0.25, 0.5), (0.5, 2.0)):
-        gibbs = solve_gibbs(HamiltonianSpec.oscillator(64), energy / eps).state
+        sol = solve_gibbs(HamiltonianSpec.oscillator(64), energy / eps)
+        gibbs = np.diag(sol.weights).astype(complex)
         tau0 = np.zeros_like(gibbs)
         tau0[0, 0] = 1.0
         rho = eps * gibbs + (1.0 - eps) * tau0

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qensembles import HamiltonianSpec, PointMeasure, ValidationError
+from qensembles import PointMeasure, ValidationError
 from qensembles.bounds import BoundReport
 from qensembles.experiments import TrialRecord
-from qensembles.randomgen import random_channel, random_ensemble, random_state
+from qensembles.randomgen import random_ensemble, random_state
 from qensembles import serialize as ser
 
 
@@ -29,39 +29,6 @@ def test_ensemble_round_trip(rng):
     assert np.allclose(back.weights, mu.weights)
     for a, b in zip(back.states, mu.states):
         assert np.allclose(a, b)
-
-
-def test_channel_round_trip(rng):
-    chan = random_channel(2, 3, 2, rng)
-    back = ser.channel_from_json(ser.channel_to_json(chan))
-    rho = random_state(2, 2, rng)
-    assert np.allclose(back.apply(rho), chan.apply(rho), atol=1e-12)
-
-
-def test_channel_catalog_addressing(rng):
-    chan = ser.channel_from_json({"catalog": "erasure", "dim": 2, "p": 0.3})
-    assert (chan.dim_in, chan.dim_out) == (2, 3)
-    omega = random_state(2, 2, rng)
-    chan2 = ser.channel_from_json(
-        {"catalog": "mix_with_state", "dim": 2, "eps": 0.1,
-         "omega": ser.matrix_to_json(omega)}
-    )
-    rho = random_state(2, 2, rng)
-    assert np.allclose(chan2.apply(rho), 0.9 * rho + 0.1 * omega, atol=1e-12)
-    assert ser.channel_from_json({"catalog": "identity", "dim": 3}).dim_out == 3
-    assert ser.channel_from_json({"catalog": "fock_dephasing", "n_max": 5}).dim_in == 6
-    with pytest.raises(ValidationError):
-        ser.channel_from_json({"catalog": "unknown"})
-
-
-def test_hamiltonian_round_trip():
-    ham = HamiltonianSpec.oscillator(7)
-    back = ser.hamiltonian_from_json(ser.hamiltonian_to_json(ham))
-    assert back.closed_form == "oscillator"
-    assert np.allclose(back.eigenvalues, ham.eigenvalues)
-    plain = HamiltonianSpec(np.array([0.0, 0.4, 1.0]))
-    back2 = ser.hamiltonian_from_json(ser.hamiltonian_to_json(plain))
-    assert back2.closed_form is None
 
 
 def test_point_measure_round_trip(rng):

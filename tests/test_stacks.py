@@ -16,14 +16,12 @@ from qensembles import (
     Ensemble,
     HamiltonianSpec,
     KrausChannel,
-    NormEstimate,
     PointMeasure,
     ValidationError,
     aoe,
     average_entropy,
     average_state,
     avg_passive_energy,
-    choi_matrix,
     d0,
     dk_upper,
     eigvals_desc,
@@ -34,9 +32,8 @@ from qensembles import (
     truncated_passive_energy,
     von_neumann_entropy,
 )
-from qensembles.channels import evaluate_witness
 from qensembles.ensembles import mix_members_toward
-from qensembles.linalg import check_density, hermitian_part, outer
+from qensembles.linalg import check_density, hermitian_part
 from qensembles.randomgen import random_channel, random_state
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -177,25 +174,6 @@ class TestStackedKernels:
         assert np.array_equal(both.kraus, np.stack(
             [k @ l for k in outer_chan.kraus for l in chan.kraus]))
         assert np.array_equal(both.apply(mu.states), per_matrix(both.apply, mu.states))
-        for ancilla in (1, chan.dim_in):
-            vec = np.random.default_rng(seed).standard_normal(chan.dim_in * ancilla) + 0j
-            vec /= np.linalg.norm(vec)
-            rho = outer(vec)
-            diff = np.zeros((chan.dim_out * ancilla,) * 2, dtype=complex)
-            for k in chan.kraus:
-                k = np.kron(k, np.eye(ancilla))
-                diff += k @ rho @ k.conj().T
-            for k in other.kraus:
-                k = np.kron(k, np.eye(ancilla))
-                diff -= k @ rho @ k.conj().T
-            estimate = NormEstimate(value=0.0, kind="diamond_lower", witness=vec)
-            assert evaluate_witness(chan, other, estimate) == trace_norm(hermitian_part(diff))
-        gamma = np.eye(chan.dim_in).reshape(-1) / np.sqrt(chan.dim_in)
-        acc = np.zeros((chan.dim_out * chan.dim_in,) * 2, dtype=complex)
-        for k in chan.kraus:
-            v = np.kron(k, np.eye(chan.dim_in)) @ gamma
-            acc += np.outer(v, v.conj())
-        assert np.array_equal(choi_matrix(chan), hermitian_part(acc))
 
 
 class TestEnsembleValidation:

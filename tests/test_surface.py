@@ -1,0 +1,31 @@
+"""Every exported name must be reached from the package itself.
+
+A name in qensembles.__all__ that no module other than __init__ refers to has
+no caller in the CLI, the experiments or the reproductions; it is dead surface
+and should be deleted rather than exported.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import qensembles
+
+
+def _referenced_identifiers():
+    names = set()
+    for path in Path(qensembles.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_reached_inside_the_package():
+    exported = {name for name in qensembles.__all__
+                if not inspect.ismodule(getattr(qensembles, name))}
+    assert sorted(exported - _referenced_identifiers()) == []
