@@ -133,21 +133,9 @@ def _with_ancilla(chan, ancilla):
     return KrausChannel(chan.dim_in * ancilla, chan.dim_out * ancilla, ops)
 
 
-class TestCatalog:
-    def test_erasure_zero_is_isometric(self, rng):
-        chan = erasure_channel(2, 0.0)
-        rho = random_state(2, 2, rng)
-        out = chan.apply(rho)
-        assert np.allclose(out[:2, :2], rho, atol=1e-12)
-        assert abs(out[2, 2]) < 1e-15
-
-    def test_mix_channels_validates(self, rng):
-        a = random_channel(2, 2, 2, rng)
-        b = random_channel(2, 2, 1, rng)
-        mixed = mix_channels(0.3, a, b)
-        rho = random_state(2, 2, rng)
-        expected = 0.7 * a.apply(rho) + 0.3 * b.apply(rho)
-        assert np.allclose(mixed.apply(rho), expected, atol=1e-12)
+class TestNormSearch:
+    """Sampled inputs searched against the closed-form channel distances that
+    the bounds take as their closeness."""
 
     def test_erasure_pair_exact(self, rng):
         # every input, with or without an ancilla, attains the closed form
@@ -175,6 +163,67 @@ class TestCatalog:
                 gap = trace_norm(_with_ancilla(a, a.dim_in).apply(rho)
                                  - _with_ancilla(b, a.dim_in).apply(rho))
                 assert gap <= 2 * bound + 1e-9
+
+
+class TestDifferenceMaps:
+    """(Phi - Psi) (x) id applied as the difference of two extended Kraus
+    channels, the map whose trace norms the distance checks sample."""
+
+    @staticmethod
+    def _pair(seed, dim_in, dim_out):
+        rng = np.random.default_rng(seed)
+        a = random_channel(dim_in, dim_out, 2, rng)
+        b = random_channel(dim_in, dim_out, 3, rng)
+        return rng, a, b
+
+    @staticmethod
+    def _adjoint(chan, x):
+        # sum_i K_i^dagger X K_i, the Hilbert-Schmidt adjoint of the Kraus map
+        ops = chan.kraus
+        return np.sum(ops.conj().swapaxes(-1, -2) @ x @ ops, axis=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+    def test_adjoint_duality(self, seed, dims):
+        dim_in, dim_out = dims
+        rng, a, b = self._pair(seed, dim_in, dim_out)
+        for ancilla in (1, dim_in):
+            ext_a, ext_b = _with_ancilla(a, ancilla), _with_ancilla(b, ancilla)
+            rho = random_state(dim_in * ancilla, dim_in * ancilla, rng)
+            g = rng.standard_normal((2, dim_out * ancilla, dim_out * ancilla))
+            x = (g[0] + 1j * g[1]) + (g[0] + 1j * g[1]).conj().T
+            lhs = np.trace(x @ (ext_a.apply(rho) - ext_b.apply(rho)))
+            rhs = np.trace((self._adjoint(ext_a, x) - self._adjoint(ext_b, x)) @ rho)
+            assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+    def test_ancilla_one_is_channel_difference(self, seed, dims):
+        rng, a, b = self._pair(seed, *dims)
+        rho = random_state(dims[0], dims[0], rng)
+        delta = a.apply(rho) - b.apply(rho)
+        ext = _with_ancilla(a, 1).apply(rho) - _with_ancilla(b, 1).apply(rho)
+        assert np.max(np.abs(ext - delta)) < 1e-13
+        # a mixture moves by t times the difference, so its closeness is t
+        mixed = mix_channels(0.3, b, a).apply(rho) - b.apply(rho)
+        assert np.max(np.abs(mixed - 0.3 * delta)) < 1e-13
+
+
+class TestCatalog:
+    def test_erasure_zero_is_isometric(self, rng):
+        chan = erasure_channel(2, 0.0)
+        rho = random_state(2, 2, rng)
+        out = chan.apply(rho)
+        assert np.allclose(out[:2, :2], rho, atol=1e-12)
+        assert abs(out[2, 2]) < 1e-15
+
+    def test_mix_channels_validates(self, rng):
+        a = random_channel(2, 2, 2, rng)
+        b = random_channel(2, 2, 1, rng)
+        mixed = mix_channels(0.3, a, b)
+        rho = random_state(2, 2, rng)
+        expected = 0.7 * a.apply(rho) + 0.3 * b.apply(rho)
+        assert np.allclose(mixed.apply(rho), expected, atol=1e-12)
 
     def test_fock_dephasing_poisson_spectrum(self):
         # dephasing a coherent state in the number basis leaves |amplitudes|^2
