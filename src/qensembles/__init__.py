@@ -21,7 +21,6 @@ from .energy import (
     GibbsSolution,
     HamiltonianSpec,
     avg_passive_energy,
-    f_h,
     mean_energy,
     passive_energy,
     solve_gibbs,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, EnergyRangeError, ValidationError
 from .linalg import binary_entropy, g_func
-from .energy import HamiltonianSpec, f_h
 
 HOLDS_SLACK = 1e-8
 CROSSOVER_BISECTIONS = 200
@@ -41,12 +40,6 @@ class BoundReport:
             return None
         return self.lhs <= self.rhs + HOLDS_SLACK
 
-    @property
-    def slack(self):
-        if self.lhs is None:
-            return None
-        return self.rhs - self.lhs
-
 
 @dataclass(frozen=True)
 class RankConstraint:
@@ -60,7 +53,14 @@ class RankConstraint:
 @dataclass(frozen=True)
 class EnergyConstraint:
     energy: float
-    ham: HamiltonianSpec
+
+
+def _check_energy(energy):
+    """A mean energy of the oscillator, as given: nonnegative, else EnergyRangeError."""
+    energy = float(energy)
+    if not energy >= 0.0:
+        raise EnergyRangeError(energy, 0.0, math.inf)
+    return energy
 
 
 def scb_rank(eps, rank):
@@ -75,23 +75,22 @@ def scb_rank(eps, rank):
     return math.log(rank)
 
 
-def scb_energy(eps, energy, ham):
+def scb_energy(eps, energy):
     """eps F_H(E/eps) + g(eps) (energy-constrained form; oscillator F_H = g)."""
+    energy = _check_energy(energy)
     eps = float(eps)
     if eps <= 0.0:
         if eps == 0.0:
             return 0.0
         raise ValidationError(f"eps must be nonnegative, got {eps}")
-    if not ham.ground_shifted:
-        raise ValidationError("energy bound requires a ground-shifted spectrum")
-    return eps * f_h(ham, energy / eps) + g_func(eps)
+    return eps * g_func(energy / eps) + g_func(eps)
 
 
 def _case_term(eps, constraint):
     if isinstance(constraint, RankConstraint):
         return scb_rank(eps, constraint.rank)
     if isinstance(constraint, EnergyConstraint):
-        return scb_energy(eps, constraint.energy, constraint.ham)
+        return scb_energy(eps, constraint.energy)
     raise ValidationError(f"unsupported constraint {constraint!r}")
 
 
@@ -108,11 +107,9 @@ def cb_holevo_rank(eps, rank_mu, rank_nu):
     return scb_holevo(eps, RankConstraint(rank_mu), RankConstraint(rank_nu))
 
 
-def cb_holevo_energy(eps, e_mu, ham_mu, e_nu, ham_nu):
+def cb_holevo_energy(eps, e_mu, e_nu):
     """Two-sided energy continuity bound eps F(E_mu/eps) + eps F(E_nu/eps) + 2g(eps)."""
-    return scb_holevo(
-        eps, EnergyConstraint(e_mu, ham_mu), EnergyConstraint(e_nu, ham_nu)
-    )
+    return scb_holevo(eps, EnergyConstraint(e_mu), EnergyConstraint(e_nu))
 
 
 def chi_cb_prior_dim(eps, dim):
@@ -129,7 +126,7 @@ def _h2_clamped(x):
     return binary_entropy(min(max(x, 0.0), 1.0))
 
 
-def chi_cb_prior_energy(eps, energy, ham, grid=1000):
+def chi_cb_prior_energy(eps, energy, grid=1000):
     """Prior energy-constrained Holevo continuity bound, minimized over its
 
     free parameter t in (0, 1/(2 eps)] by a log-spaced grid plus golden-section
@@ -137,6 +134,7 @@ def chi_cb_prior_energy(eps, energy, ham, grid=1000):
     width, if GOLDEN_STEPS steps leave the bracket wider than
     1e-10 * max(1, its upper end).
     """
+    energy = _check_energy(energy)
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must lie in (0, 1], got {eps}")
@@ -147,12 +145,8 @@ def chi_cb_prior_energy(eps, energy, ham, grid=1000):
 
     def objective(t):
         r_t = (1.0 + t / 2.0) / (1.0 - eps * t)
-        try:
-            f_val = f_h(ham, energy / (eps * t))
-        except EnergyRangeError:
-            return math.inf
         return (
-            eps * (2.0 * t + r_t) * f_val
+            eps * (2.0 * t + r_t) * g_func(energy / (eps * t))
             + 2.0 * g_func(eps * r_t)
             + 2.0 * _h2_clamped(eps * t)
         )
@@ -245,14 +239,13 @@ def ae_upper(delta, constraint):
             raise ValidationError(f"rank case needs delta <= 1 - 1/r, got {delta}")
         return delta * math.log(r - 1) + binary_entropy(delta)
     if isinstance(constraint, EnergyConstraint):
-        if delta == 0.0:
-            return 0.0
-        return delta * f_h(constraint.ham, constraint.energy / delta) + g_func(delta)
+        return scb_energy(delta, constraint.energy)
     raise ValidationError(f"unsupported constraint {constraint!r}")
 
 
-def aoe_upper(rank, delta_r, e_psv, ham):
+def aoe_upper(rank, delta_r, e_psv):
     """ln r + delta F_H(E/delta) + g(delta): AOE cap from the Choi-rank-r distance."""
+    e_psv = _check_energy(e_psv)
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
     delta_r = float(delta_r)
@@ -260,7 +253,7 @@ def aoe_upper(rank, delta_r, e_psv, ham):
         raise ValidationError(f"delta must be nonnegative, got {delta_r}")
     if delta_r == 0.0:
         return math.log(rank)
-    return math.log(rank) + delta_r * f_h(ham, e_psv / delta_r) + g_func(delta_r)
+    return math.log(rank) + delta_r * g_func(e_psv / delta_r) + g_func(delta_r)
 
 
 def eof_scb(eps, rank):
@@ -331,15 +324,10 @@ def s_ineq_check(eps, n_mean, slack=1e-9):
 # Tag registry for the CLI
 # ---------------------------------------------------------------------------
 
-# Every energy tag uses the oscillator E_k = k, whose F_H is the closed form
-# g(E): the truncation length never changes a value.
-_OSC = HamiltonianSpec.oscillator(200)
-
-
 def _case(params, rank_key, energy_key):
     if rank_key in params:
-        return RankConstraint(int(params[rank_key]))
-    return EnergyConstraint(params[energy_key], _OSC)
+        return RankConstraint(params[rank_key])
+    return EnergyConstraint(params[energy_key])
 
 
 def _discretization(params):
@@ -348,23 +336,21 @@ def _discretization(params):
 
 
 BOUNDS = {
-    "prop2": lambda p: scb_rank(p["eps"], int(p["rank"])),
-    "prop3": lambda p: scb_energy(p["eps"], p["energy"], _OSC),
+    "prop2": lambda p: scb_rank(p["eps"], p["rank"]),
+    "prop3": lambda p: scb_energy(p["eps"], p["energy"]),
     "prop4": lambda p: scb_holevo(
         p["eps"], _case(p, "rank_mu", "energy_mu"), _case(p, "rank_nu", "energy_nu")
     ),
-    "cor2a": lambda p: cb_holevo_rank(p["eps"], int(p["rank_mu"]), int(p["rank_nu"])),
-    "cor2b": lambda p: cb_holevo_energy(
-        p["eps"], p["energy_mu"], _OSC, p["energy_nu"], _OSC
-    ),
-    "chi-cb-1": lambda p: chi_cb_prior_dim(p["eps"], int(p["dim"])),
-    "chi-cb-2": lambda p: chi_cb_prior_energy(p["eps"], p["energy"], _OSC)[0],
-    "crossover": lambda p: crossover_eps(int(p["dim"])),
+    "cor2a": lambda p: cb_holevo_rank(p["eps"], p["rank_mu"], p["rank_nu"]),
+    "cor2b": lambda p: cb_holevo_energy(p["eps"], p["energy_mu"], p["energy_nu"]),
+    "chi-cb-1": lambda p: chi_cb_prior_dim(p["eps"], p["dim"]),
+    "chi-cb-2": lambda p: chi_cb_prior_energy(p["eps"], p["energy"])[0],
+    "crossover": lambda p: crossover_eps(p["dim"]),
     "prop6": lambda p: ae_upper(p["delta"], _case(p, "rank", "energy")),
-    "prop7": lambda p: aoe_upper(int(p["rank"]), p["delta"], p["energy"], _OSC),
-    "prop8": lambda p: eof_scb(p["eps"], int(p["rank"])),
-    "remark3": lambda p: eof_scb_fid(p["fidelity"], int(p["rank"])),
-    "cor3": lambda p: eof_upper_sep(p["delta"], int(p["rank"])),
+    "prop7": lambda p: aoe_upper(p["rank"], p["delta"], p["energy"]),
+    "prop8": lambda p: eof_scb(p["eps"], p["rank"]),
+    "remark3": lambda p: eof_scb_fid(p["fidelity"], p["rank"]),
+    "cor3": lambda p: eof_upper_sep(p["delta"], p["rank"]),
     "discretization": _discretization,
     "s-ineq": lambda p: s_ineq_check(p["eps"], p["n_mean"]),
 }
@@ -377,11 +363,32 @@ BOUNDS.update({
 })
 
 
+# parameters that count levels or ranks; every other one is a real number
+_INTEGER_PARAMS = {"rank", "rank_mu", "rank_nu", "dim"}
+
+
+def _checked(tag, key, value):
+    """A parameter as an int (integer keys) or a float, else ValidationError."""
+    kind = int if key in _INTEGER_PARAMS else float
+    try:
+        ok = (isinstance(value, (int, float)) and math.isfinite(value)
+              and (kind is float or value == int(value)))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        what = "a finite integer" if kind is int else "a finite number"
+        raise ValidationError(
+            f"bound {tag!r} parameter {key!r} must be {what}, got {value!r}"
+        )
+    return kind(value)
+
+
 def evaluate_tag(tag, params):
     """Evaluate a bound by its tag with a flat parameter record (CLI surface)."""
     tag = tag.lower()
     if tag not in BOUNDS:
         raise ValidationError(f"unknown bound tag {tag!r}")
+    params = {key: _checked(tag, key, value) for key, value in params.items()}
     try:
         return BOUNDS[tag](params)
     except KeyError as exc:

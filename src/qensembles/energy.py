@@ -1,25 +1,23 @@
-"""Hamiltonians as truncated eigenvalue sequences: Gibbs states, the entropy
-ceiling F_H, passive energy and its ensemble averages.
+"""The truncated harmonic oscillator E_k = k: Gibbs states, passive energy and
+its ensemble averages.
 
-A Hamiltonian is represented by its nondecreasing eigenvalue sequence in the
-standard basis; ``closed_form="oscillator"`` tags the rule E_k = k, for which
-F_H has the closed form g(E) and truncations may be extended automatically.
+The entropy ceiling F_H of this Hamiltonian is the closed form g(E)
+(linalg.g_func); a Gibbs state needs a finite truncation, which solve_gibbs
+may extend.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatch, EnergyRangeError, ValidationError
+from .errors import ConvergenceError, EnergyRangeError, ValidationError
 from .linalg import (
     _running_sum,
     _value,
     check_hermitian,
     eigvals_desc,
-    g_func,
     positive_part,
     shannon_entropy,
 )
@@ -33,46 +31,27 @@ GIBBS_BISECTIONS = 200
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Truncated spectrum of an energy observable, standard-basis eigenvectors."""
+    """Truncated number operator on the first `levels` Fock levels."""
 
-    eigenvalues: np.ndarray
-    closed_form: str | None = None
-    ground_shifted: bool = field(default=False)
+    levels: int
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if ev.ndim != 1 or ev.size < 2:
+        if self.levels < 2:
             raise ValidationError("spectrum needs at least 2 levels")
-        if np.any(np.diff(ev) < 0):
-            raise ValidationError("eigenvalues must be nondecreasing")
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "ground_shifted", bool(ev[0] == 0.0))
-        if self.closed_form not in (None, "oscillator"):
-            raise ValidationError(f"unknown closed_form tag {self.closed_form!r}")
-        if self.closed_form == "oscillator" and not np.array_equal(
-            ev, np.arange(ev.size, dtype=float)
-        ):
-            raise ValidationError("oscillator tag requires eigenvalues 0,1,2,...")
 
     @classmethod
     def oscillator(cls, levels):
         """Truncated number operator: E_k = k for k = 0..levels-1."""
-        return cls(np.arange(levels, dtype=float), closed_form="oscillator")
+        return cls(levels)
 
     @property
-    def levels(self):
-        return int(self.eigenvalues.size)
+    def eigenvalues(self):
+        return np.arange(self.levels, dtype=float)
 
     @property
     def max_mean(self):
         """Mean energy of the uniform (beta=0) state, the largest achievable mean."""
         return float(np.mean(self.eigenvalues))
-
-    def extended(self, levels):
-        """Longer truncation by the closed-form rule; only for tagged spectra."""
-        if self.closed_form != "oscillator":
-            raise ValidationError("cannot extend a spectrum without a closed form")
-        return HamiltonianSpec.oscillator(max(levels, self.levels))
 
 
 @dataclass(frozen=True)
@@ -87,88 +66,75 @@ class GibbsSolution:
     tail_warning: bool = False
 
 
-def mean_energy(rho, ham):
-    """Tr H rho for a state on the first dim(rho) levels of ham."""
+def mean_energy(rho):
+    """Tr H rho for a state on the first dim(rho) levels."""
     rho = check_hermitian(rho)
-    if rho.shape[0] > ham.levels:
-        raise DimensionMismatch(
-            f"state dim {rho.shape[0]} exceeds truncation {ham.levels}"
-        )
-    return float(np.real(np.sum(ham.eigenvalues[: rho.shape[0]] * np.diag(rho))))
+    levels = np.arange(rho.shape[0], dtype=float)
+    return float(np.real(np.sum(levels * np.diag(rho))))
 
 
-def passive_energy(rho, ham):
-    """Sum_i E_i lambda_i^v(rho): spectrum sorted descending against the rising spectrum.
+def passive_energy(rho):
+    """Sum_k k lambda_k^v(rho): spectrum sorted descending against the levels.
 
     Accepts any PSD Hermitian operator (not only unit trace), or a (..., d, d)
-    stack of them; the spectrum is zero-padded up to the truncation length.
+    stack of them.
     """
     lam = eigvals_desc(rho)
-    d = lam.shape[-1]
-    if d > ham.levels:
-        raise DimensionMismatch(f"operator dim {d} exceeds truncation {ham.levels}")
     low = np.min(lam[..., -1])
     if low < -1e-9:
         raise ValidationError(f"operator has negative eigenvalue {low}")
     lam = np.clip(lam, 0.0, None)
-    return _value(np.sum(ham.eigenvalues[:d] * lam, axis=-1))
+    return _value(np.sum(np.arange(lam.shape[-1], dtype=float) * lam, axis=-1))
 
 
-def avg_passive_energy(ensemble, ham):
+def avg_passive_energy(ensemble):
     """Weighted average of member passive energies."""
-    return _running_sum(ensemble.weights * passive_energy(ensemble.states, ham))
+    return _running_sum(ensemble.weights * passive_energy(ensemble.states))
 
 
-def truncated_passive_energy(ensemble, ham, eps):
-    """Sum_k E_H^psv([p_k rho_k - eps I]_+), the epsilon-truncated passive energy."""
+def truncated_passive_energy(ensemble, eps):
+    """Sum_k E^psv([p_k rho_k - eps I]_+), the epsilon-truncated passive energy."""
     if eps <= 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
     cut = ensemble.weights[:, None, None] * ensemble.states - eps * np.eye(ensemble.dim)
-    return _running_sum(passive_energy(positive_part(cut), ham))
+    return _running_sum(passive_energy(positive_part(cut)))
 
 
-def _gibbs_weights(shifted, beta):
-    w = np.exp(-beta * shifted)
+def _gibbs_weights(ev, beta):
+    w = np.exp(-beta * ev)
     return w / np.sum(w)
 
 
 def solve_gibbs(ham, energy, auto_extend=True):
     """Gibbs state at mean energy E: beta solved by bisection on [1e-12, 1e4].
 
-    The achievable interval is (E_0, mean(E_k)]; beta = 0 (the uniform truncated
-    state) is admitted at the upper endpoint. Out-of-range energies raise
-    EnergyRangeError carrying the interval, and a bisection that does not close
-    raises ConvergenceError. A relative tail mass above 1e-12 sets tail_warning;
-    closed-form spectra are extended (up to 2000 levels) before warning.
+    The achievable interval is (0, (levels-1)/2]; beta = 0 (the uniform
+    truncated state) is admitted at the upper endpoint. Out-of-range energies
+    raise EnergyRangeError carrying the interval, and a bisection that does
+    not close raises ConvergenceError. A relative tail mass above 1e-12 sets
+    tail_warning; with auto_extend the truncation is first doubled (up to
+    2000 levels) until the tail is negligible.
     """
     energy = float(energy)
-    if auto_extend and ham.closed_form == "oscillator":
-        # enlarge the truncation until the tail at the solved beta is negligible
-        need = ham.levels
-        while need < EXTEND_CAP:
-            cand = ham if need == ham.levels else ham.extended(need)
-            if energy > cand.max_mean:
-                need = min(2 * need, EXTEND_CAP)
-                continue
-            sol = _solve_gibbs_fixed(cand, energy)
-            if not sol.tail_warning:
-                return sol
-            need = min(2 * need, EXTEND_CAP)
-        return _solve_gibbs_fixed(ham.extended(EXTEND_CAP), energy)
+    if auto_extend:
+        while ham.levels < EXTEND_CAP:
+            if energy <= ham.max_mean:
+                sol = _solve_gibbs_fixed(ham, energy)
+                if not sol.tail_warning:
+                    return sol
+            ham = HamiltonianSpec.oscillator(min(2 * ham.levels, EXTEND_CAP))
     return _solve_gibbs_fixed(ham, energy)
 
 
 def _solve_gibbs_fixed(ham, energy):
     ev = ham.eigenvalues
-    e0 = float(ev[0])
-    shifted = ev - e0
     hi_mean = ham.max_mean
     tol = 1e-10 * max(1.0, abs(energy))
-    if energy <= e0 or energy > hi_mean + tol:
-        raise EnergyRangeError(energy, e0, hi_mean)
+    if energy <= 0.0 or energy > hi_mean + tol:
+        raise EnergyRangeError(energy, 0.0, hi_mean)
 
     def mean_at(beta):
-        return float(np.sum(ev * _gibbs_weights(shifted, beta)))
+        return float(np.sum(ev * _gibbs_weights(ev, beta)))
 
     if energy >= mean_at(GIBBS_BETA_LO) - tol:
         beta = 0.0
@@ -188,7 +154,7 @@ def _solve_gibbs_fixed(ham, energy):
         else:
             raise ConvergenceError(f"Gibbs bisection for E={energy} did not close in "
                                    f"{GIBBS_BISECTIONS} steps", gap=abs(m - energy))
-        w = _gibbs_weights(shifted, beta)
+        w = _gibbs_weights(ev, beta)
     tail = float(w[-1])
     return GibbsSolution(
         beta=beta,
@@ -197,25 +163,3 @@ def _solve_gibbs_fixed(ham, energy):
         entropy=shannon_entropy(w),
         tail_warning=tail >= TAIL_TOL,
     )
-
-
-def ground_degeneracy(ham, tol=1e-12):
-    """Multiplicity of the lowest level."""
-    ev = ham.eigenvalues
-    return int(np.sum(ev <= ev[0] + tol))
-
-
-def f_h(ham, energy):
-    """F_H(E): entropy of the Gibbs state at mean energy E (the entropy ceiling).
-
-    Oscillator-tagged spectra use the closed form g(E). E equal to the ground
-    energy returns ln(ground degeneracy).
-    """
-    energy = float(energy)
-    if ham.closed_form == "oscillator":
-        if energy < 0.0:
-            raise EnergyRangeError(energy, 0.0, math.inf)
-        return g_func(energy)
-    if energy == float(ham.eigenvalues[0]):
-        return math.log(ground_degeneracy(ham))
-    return solve_gibbs(ham, energy).entropy

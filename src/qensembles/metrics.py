@@ -61,10 +61,6 @@ class PointMeasure:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", _check_weights(w, "weights"))
 
-    @property
-    def size(self):
-        return self.weights.size
-
 
 @dataclass(frozen=True)
 class CouplingSolution:

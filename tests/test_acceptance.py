@@ -173,9 +173,10 @@ def test_criterion_06_prop3_suite():
 
 def test_criterion_07_oscillator_closed_form():
     with criterion(7, "oscillator closed form", 5.0):
-        ham = HamiltonianSpec(np.arange(200, dtype=float))
+        ham = HamiltonianSpec.oscillator(200)
         for energy in np.linspace(0.01, 10.0, 41):
-            assert abs(solve_gibbs(ham, energy).entropy - g_func(energy)) <= 1e-8
+            entropy = solve_gibbs(ham, energy, auto_extend=False).entropy
+            assert abs(entropy - g_func(energy)) <= 1e-8
 
 
 def test_criterion_08_erasure_sandwich():
@@ -242,17 +243,16 @@ def test_criterion_12_scalar_property_sweeps():
         for r in (2, 3, 4, 7, 12, 25):
             eps_star = 1.0 - 1.0 / r
             assert abs(scb_rank(eps_star, r) - math.log(r)) <= 1e-12
-        osc = HamiltonianSpec.oscillator(64)
         closeness = 1e-6
         small = [
             scb_rank(closeness, 4),
-            scb_energy(closeness, 1.0, osc),
+            scb_energy(closeness, 1.0),
             scb_holevo(closeness, RankConstraint(3), RankConstraint(3)),
-            scb_holevo(closeness, EnergyConstraint(1.0, osc),
-                       EnergyConstraint(1.0, osc)),
+            scb_holevo(closeness, EnergyConstraint(1.0),
+                       EnergyConstraint(1.0)),
             cb_holevo_rank(closeness, 4, 4),
             chi_cb_prior_dim(closeness, 4),
-            aoe_upper(3, closeness, 1.0, osc) - math.log(3),
+            aoe_upper(3, closeness, 1.0) - math.log(3),
             eof_scb_fid(1.0 - closeness**2, 4),
             sum(discretization_bounds(closeness, 1.0)),
         ]

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from qensembles import (
     ConvergenceError,
     EnergyConstraint,
-    HamiltonianSpec,
     RankConstraint,
     ValidationError,
     aoe_upper,
@@ -33,18 +32,16 @@ from qensembles import (
 from qensembles import bounds
 from qensembles.bounds import BOUNDS, BoundReport, evaluate_tag
 
-OSC = HamiltonianSpec.oscillator(200)
-
 # (params, direct evaluator call) for every registry key, aliases included.
 _SCB_RANK = [({"eps": 0.1, "rank": 4}, lambda: scb_rank(0.1, 4))]
-_SCB_ENERGY = [({"eps": 0.1, "energy": 1.0}, lambda: scb_energy(0.1, 1.0, OSC))]
+_SCB_ENERGY = [({"eps": 0.1, "energy": 1.0}, lambda: scb_energy(0.1, 1.0))]
 _SCB_HOLEVO = [
     ({"eps": 0.2, "rank_mu": 3, "rank_nu": 5},
      lambda: scb_holevo(0.2, RankConstraint(3), RankConstraint(5))),
     ({"eps": 0.2, "energy_mu": 1.0, "energy_nu": 2.0},
-     lambda: scb_holevo(0.2, EnergyConstraint(1.0, OSC), EnergyConstraint(2.0, OSC))),
+     lambda: scb_holevo(0.2, EnergyConstraint(1.0), EnergyConstraint(2.0))),
     ({"eps": 0.2, "rank_mu": 3, "energy_nu": 2.0},
-     lambda: scb_holevo(0.2, RankConstraint(3), EnergyConstraint(2.0, OSC))),
+     lambda: scb_holevo(0.2, RankConstraint(3), EnergyConstraint(2.0))),
 ]
 TAG_CASES = {
     "prop2": _SCB_RANK, "lemma3": _SCB_RANK, "scb-rank": _SCB_RANK,
@@ -53,17 +50,17 @@ TAG_CASES = {
     "cor2a": [({"eps": 0.2, "rank_mu": 3, "rank_nu": 5},
                lambda: cb_holevo_rank(0.2, 3, 5))],
     "cor2b": [({"eps": 0.2, "energy_mu": 1.0, "energy_nu": 2.0},
-               lambda: cb_holevo_energy(0.2, 1.0, OSC, 2.0, OSC))],
+               lambda: cb_holevo_energy(0.2, 1.0, 2.0))],
     "chi-cb-1": [({"eps": 0.2, "dim": 3}, lambda: chi_cb_prior_dim(0.2, 3))],
     "chi-cb-2": [({"eps": 0.2, "energy": 1.0},
-                  lambda: chi_cb_prior_energy(0.2, 1.0, OSC)[0])],
+                  lambda: chi_cb_prior_energy(0.2, 1.0)[0])],
     "crossover": [({"dim": 4}, lambda: crossover_eps(4)),
                   ({"dim": 18}, lambda: crossover_eps(18))],
     "prop6": [({"delta": 0.2, "rank": 4}, lambda: ae_upper(0.2, RankConstraint(4))),
               ({"delta": 0.2, "energy": 1.0},
-               lambda: ae_upper(0.2, EnergyConstraint(1.0, OSC)))],
+               lambda: ae_upper(0.2, EnergyConstraint(1.0)))],
     "prop7": [({"rank": 3, "delta": 0.2, "energy": 1.0},
-               lambda: aoe_upper(3, 0.2, 1.0, OSC))],
+               lambda: aoe_upper(3, 0.2, 1.0))],
     "prop8": [({"eps": 0.1, "rank": 4}, lambda: eof_scb(0.1, 4))],
     "remark3": [({"fidelity": 0.95, "rank": 4}, lambda: eof_scb_fid(0.95, 4))],
     "cor3": [({"delta": 0.3, "rank": 4}, lambda: eof_upper_sep(0.3, 4))],
@@ -99,21 +96,21 @@ class TestScbRank:
 class TestScbEnergy:
     def test_oscillator_closed_form(self):
         for eps, energy in ((0.1, 1.0), (0.5, 3.0), (1.0, 2.0)):
-            assert scb_energy(eps, energy, OSC) == pytest.approx(
+            assert scb_energy(eps, energy) == pytest.approx(
                 eps * g_func(energy / eps) + g_func(eps), abs=1e-12
             )
 
     def test_eps_one(self):
-        assert scb_energy(1.0, 2.5, OSC) == pytest.approx(
+        assert scb_energy(1.0, 2.5) == pytest.approx(
             g_func(2.5) + g_func(1.0), abs=1e-12
         )
 
     def test_nondecreasing_in_eps(self):
-        vals = [scb_energy(e, 1.0, OSC) for e in np.linspace(1e-4, 1.0, 40)]
+        vals = [scb_energy(e, 1.0) for e in np.linspace(1e-4, 1.0, 40)]
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_zero(self):
-        assert scb_energy(0.0, 5.0, OSC) == 0.0
+        assert scb_energy(0.0, 5.0) == 0.0
 
 
 class TestScbHolevo:
@@ -140,8 +137,8 @@ class TestScbHolevoEnergyPair:
             )
             got = scb_holevo(
                 eps,
-                EnergyConstraint(n_mean, OSC),
-                EnergyConstraint(2 * eps * n_mean, OSC),
+                EnergyConstraint(n_mean),
+                EnergyConstraint(2 * eps * n_mean),
             )
             assert got == pytest.approx(expected, abs=1e-12)
 
@@ -160,7 +157,7 @@ class TestCorollary2:
 
     def test_symmetric_energy(self):
         for eps in (0.1, 0.4):
-            assert cb_holevo_energy(eps, 2.0, OSC, 2.0, OSC) == pytest.approx(
+            assert cb_holevo_energy(eps, 2.0, 2.0) == pytest.approx(
                 2 * eps * g_func(2.0 / eps) + 2 * g_func(eps), abs=1e-12
             )
 
@@ -196,20 +193,20 @@ class TestPriorChiBounds:
             assert cb_holevo_rank(eps, 5, 5) < cap
 
     def test_energy_form_minimizer(self):
-        value, t_star = chi_cb_prior_energy(0.1, 10.0, OSC)
+        value, t_star = chi_cb_prior_energy(0.1, 10.0)
         assert math.isfinite(value) and value > 0.0
         assert 0.0 < t_star <= 1.0 / (2 * 0.1) + 1e-12
 
     def test_energy_form_unclosed_golden_section_raises(self, monkeypatch):
         monkeypatch.setattr(bounds, "GOLDEN_STEPS", 3)
         with pytest.raises(ConvergenceError) as err:
-            chi_cb_prior_energy(0.1, 10.0, OSC)
+            chi_cb_prior_energy(0.1, 10.0)
         assert err.value.gap > 1e-10 * (1.0 / (2 * 0.1))
 
     def test_energy_form_grid_oracle(self):
         # doubling the grid resolution must not find a meaningfully lower value
-        coarse, _ = chi_cb_prior_energy(0.2, 3.0, OSC, grid=1000)
-        fine, _ = chi_cb_prior_energy(0.2, 3.0, OSC, grid=2000)
+        coarse, _ = chi_cb_prior_energy(0.2, 3.0, grid=1000)
+        fine, _ = chi_cb_prior_energy(0.2, 3.0, grid=2000)
         assert coarse == pytest.approx(fine, abs=1e-8)
 
 
@@ -286,11 +283,10 @@ class TestAeUpper:
     def test_geometric_tail_gap(self):
         # spectrum {1-p, p(1-q) q^k}: energy-case bound gap stays within the
         # stated envelope g(p) - h2(p) + p ln 2 + p(1 + p/N)
-        ham = HamiltonianSpec(np.concatenate([[0.0], np.arange(499, dtype=float)]))
         for p in (0.1, 0.3):
             for n_mean in (0.5, 1.0, 3.0):
                 exact = binary_entropy(p) + p * g_func(n_mean)
-                bound = ae_upper(p, EnergyConstraint(p * n_mean, ham))
+                bound = ae_upper(p, EnergyConstraint(p * n_mean))
                 gap = bound - exact
                 envelope = (
                     g_func(p) - binary_entropy(p) + p * math.log(2)
@@ -302,15 +298,15 @@ class TestAeUpper:
 
 class TestAoeUpper:
     def test_delta_zero(self):
-        assert aoe_upper(4, 0.0, 2.0, OSC) == math.log(4)
+        assert aoe_upper(4, 0.0, 2.0) == math.log(4)
 
     def test_oscillator_form(self):
-        assert aoe_upper(3, 0.2, 1.5, OSC) == pytest.approx(
+        assert aoe_upper(3, 0.2, 1.5) == pytest.approx(
             math.log(3) + 0.2 * g_func(1.5 / 0.2) + g_func(0.2), abs=1e-12
         )
 
     def test_monotone_in_delta(self):
-        vals = [aoe_upper(3, d, 1.0, OSC) for d in np.linspace(1e-4, 0.8, 25)]
+        vals = [aoe_upper(3, d, 1.0) for d in np.linspace(1e-4, 0.8, 25)]
         assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -373,13 +369,13 @@ class TestSmallClosenessLimit:
     def test_every_evaluator_vanishes(self):
         eps = 1e-6
         assert scb_rank(eps, 5) < 2e-5
-        assert scb_energy(eps, 1.0, OSC) < 4e-5
+        assert scb_energy(eps, 1.0) < 4e-5
         assert scb_holevo(eps, RankConstraint(3), RankConstraint(3)) < 4e-5
         assert cb_holevo_rank(eps, 4, 4) < 4e-5
-        assert cb_holevo_energy(eps, 1.0, OSC, 1.0, OSC) < 8e-5
+        assert cb_holevo_energy(eps, 1.0, 1.0) < 8e-5
         assert chi_cb_prior_dim(eps, 4) < 4e-5
         assert ae_upper(eps, RankConstraint(4)) < 2e-5
-        assert aoe_upper(3, eps, 1.0, OSC) - math.log(3) < 4e-5
+        assert aoe_upper(3, eps, 1.0) - math.log(3) < 4e-5
         assert eof_scb(eps, 4) < 4e-2  # delta = sqrt(2 eps) scale
         assert eof_scb_fid(1.0 - eps**2, 4) < 2e-5
         loss, gain = discretization_bounds(eps, 1.0)
@@ -389,7 +385,7 @@ class TestSmallClosenessLimit:
 class TestBoundReport:
     def test_holds_semantics(self):
         rep = BoundReport(tag="t", rhs=1.0, epsilon=0.1, lhs=0.5)
-        assert rep.holds is True and rep.slack == 0.5
+        assert rep.holds is True and rep.rhs - rep.lhs == 0.5
         rep2 = BoundReport(tag="t", rhs=1.0, epsilon=0.1, lhs=1.1)
         assert rep2.holds is False
         rep3 = BoundReport(tag="t", rhs=1.0, epsilon=0.1)
@@ -402,7 +398,7 @@ class TestTagRegistry:
 
     def test_energy_tag_defaults_to_oscillator(self):
         assert evaluate_tag("prop3", {"eps": 0.1, "energy": 1.0}) == pytest.approx(
-            scb_energy(0.1, 1.0, OSC)
+            0.1 * g_func(1.0 / 0.1) + g_func(0.1), abs=1e-12
         )
 
     def test_crossover_tag(self):

@@ -72,6 +72,25 @@ def test_bound_subcommand(capsys):
      "eps must be nonnegative"),
     (["bound", "prop3", "--param", "eps=0.1", "--param", "energy=-1"],
      "outside achievable interval"),
+    # a negative energy is named as given, not as the scaled E/eps
+    (["bound", "chi-cb-2", "--param", "eps=0.1", "--param", "energy=-1"],
+     "mean energy -1.0 outside achievable interval"),
+    (["bound", "prop6", "--param", "delta=0.1", "--param", "energy=-1"],
+     "mean energy -1.0 outside achievable interval"),
+    (["bound", "prop7", "--param", "rank=3", "--param", "delta=0.1",
+      "--param", "energy=-1"], "mean energy -1.0 outside achievable interval"),
+    (["bound", "cor2b", "--param", "eps=0.1", "--param", "energy_mu=1",
+      "--param", "energy_nu=-1"], "mean energy -1.0 outside achievable interval"),
+    (["bound", "prop2", "--param", "eps=nan", "--param", "rank=4"],
+     "parameter 'eps' must be a finite number, got nan"),
+    (["bound", "prop3", "--param", "eps=0.1", "--param", "energy=inf"],
+     "parameter 'energy' must be a finite number, got inf"),
+    (["bound", "prop2", "--param", "eps=0.1", "--param", "rank=abc"],
+     "parameter 'rank' must be a finite integer, got 'abc'"),
+    (["bound", "prop2", "--param", "eps=0.1", "--param", "rank=3.5"],
+     "parameter 'rank' must be a finite integer, got 3.5"),
+    (["bound", "crossover", "--param", "dim=5.9"],
+     "parameter 'dim' must be a finite integer, got 5.9"),
 ])
 def test_bound_usage_error_exits_2(argv, message, capsys):
     assert main(argv) == 2

@@ -10,7 +10,6 @@ from qensembles import (
     ValidationError,
     avg_passive_energy,
     eigvals_desc,
-    f_h,
     g_func,
     mean_energy,
     passive_energy,
@@ -26,38 +25,29 @@ from qensembles.randomgen import random_pure, random_state, random_unitary
 
 from conftest import ketbra
 
-QUBIT = HamiltonianSpec(np.array([0.0, 1.0]))
+QUBIT = HamiltonianSpec.oscillator(2)
 
 
 def test_hamiltonian_spec_validation():
     with pytest.raises(ValidationError):
-        HamiltonianSpec(np.array([1.0, 0.5]))
-    with pytest.raises(ValidationError):
-        HamiltonianSpec(np.array([0.0]))
-    with pytest.raises(ValidationError):
-        HamiltonianSpec(np.array([0.0, 2.0]), closed_form="oscillator")
+        HamiltonianSpec.oscillator(1)
     ham = HamiltonianSpec.oscillator(5)
-    assert ham.ground_shifted and ham.levels == 5
+    assert ham.levels == 5 and np.array_equal(ham.eigenvalues, np.arange(5.0))
+    assert ham.max_mean == 2.0
 
 
 class TestPassiveEnergy:
     def test_pure_state_ground_shifted(self, rng):
         psi = random_pure(4, rng)
-        ham = HamiltonianSpec.oscillator(6)
-        assert passive_energy(ketbra(psi), ham) == pytest.approx(0.0, abs=1e-12)
+        assert passive_energy(ketbra(psi)) == pytest.approx(0.0, abs=1e-12)
 
     def test_sorted_dot_product(self):
-        assert passive_energy(np.diag([0.5, 0.5]), QUBIT) == pytest.approx(0.5)
+        assert passive_energy(np.diag([0.5, 0.5])) == pytest.approx(0.5)
 
     def test_below_mean_energy(self, rng):
-        ham = HamiltonianSpec.oscillator(4)
         for _ in range(20):
             rho = random_state(4, 4, rng)
-            assert passive_energy(rho, ham) <= mean_energy(rho, ham) + 1e-10
-
-    def test_dim_guard(self):
-        with pytest.raises(Exception):
-            passive_energy(np.eye(3) / 3, QUBIT)
+            assert passive_energy(rho) <= mean_energy(rho) + 1e-10
 
 
 def rearranged(rho):
@@ -71,7 +61,7 @@ class TestPassiveRearrangement:
     def test_sorted_diagonal_fixed_point(self):
         rho = np.diag([0.8, 0.2]).astype(complex)
         assert np.array_equal(rearranged(rho), rho)
-        assert passive_energy(rho, QUBIT) == pytest.approx(mean_energy(rho, QUBIT), abs=1e-15)
+        assert passive_energy(rho) == pytest.approx(mean_energy(rho), abs=1e-15)
 
     def test_gibbs_conjugate_restores(self, rng):
         ham = HamiltonianSpec.oscillator(5)
@@ -79,18 +69,15 @@ class TestPassiveRearrangement:
         u = random_unitary(5, rng)
         rotated = u @ gibbs @ u.conj().T
         assert np.allclose(rearranged(rotated), gibbs, atol=1e-10)
-        assert passive_energy(rotated, ham) == pytest.approx(
-            mean_energy(gibbs, ham), abs=1e-12
-        )
+        assert passive_energy(rotated) == pytest.approx(mean_energy(gibbs), abs=1e-12)
 
     def test_entropy_preserved(self, rng):
-        ham = HamiltonianSpec.oscillator(4)
         rho = random_state(4, 4, rng)
         assert von_neumann_entropy(rearranged(rho)) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-10
         )
-        assert passive_energy(rho, ham) == pytest.approx(
-            mean_energy(rearranged(rho), ham), abs=1e-14
+        assert passive_energy(rho) == pytest.approx(
+            mean_energy(rearranged(rho)), abs=1e-14
         )
 
 
@@ -99,39 +86,32 @@ class TestErgotropy:
 
     def test_passive_state(self):
         rho = np.diag([0.7, 0.3])
-        assert mean_energy(rho, QUBIT) - passive_energy(rho, QUBIT) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert mean_energy(rho) - passive_energy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_excited_state(self):
         rho = np.diag([0.0, 1.0])
-        assert mean_energy(rho, QUBIT) - passive_energy(rho, QUBIT) == pytest.approx(1.0)
+        assert mean_energy(rho) - passive_energy(rho) == pytest.approx(1.0)
 
     def test_nonnegative(self, rng):
-        ham = HamiltonianSpec.oscillator(4)
         for rank in (1, 2, 4):
             for _ in range(10):
                 rho = random_state(4, rank, rng)
-                assert passive_energy(rho, ham) <= mean_energy(rho, ham) + 1e-12
-                assert passive_energy(rho, ham) == pytest.approx(
-                    mean_energy(rearranged(rho), ham), abs=1e-14
+                assert passive_energy(rho) <= mean_energy(rho) + 1e-12
+                assert passive_energy(rho) == pytest.approx(
+                    mean_energy(rearranged(rho)), abs=1e-14
                 )
 
 
 class TestAvgPassiveEnergy:
     def test_pure_ensemble_zero(self, rng):
-        ham = HamiltonianSpec.oscillator(3)
         mu = Ensemble.from_members(
             [(0.5, ketbra(random_pure(3, rng))), (0.5, ketbra(random_pure(3, rng)))]
         )
-        assert avg_passive_energy(mu, ham) == pytest.approx(0.0, abs=1e-12)
+        assert avg_passive_energy(mu) == pytest.approx(0.0, abs=1e-12)
 
     def test_singleton(self, rng):
-        ham = HamiltonianSpec.oscillator(3)
         rho = random_state(3, 3, rng)
-        assert avg_passive_energy(singleton(rho), ham) == pytest.approx(
-            passive_energy(rho, ham)
-        )
+        assert avg_passive_energy(singleton(rho)) == pytest.approx(passive_energy(rho))
 
     def test_displaced_gibbs_family(self):
         # every displaced thermal state keeps the thermal passive energy
@@ -144,12 +124,12 @@ class TestAvgPassiveEnergy:
             rho = d_op @ gibbs @ d_op.conj().T
             members.append((0.25, hermitian_part(rho / np.trace(rho).real)))
         mu = Ensemble.from_members(members)
-        assert avg_passive_energy(mu, ham) == pytest.approx(n0, abs=1e-6)
+        assert avg_passive_energy(mu) == pytest.approx(n0, abs=1e-6)
 
 
 class TestSolveGibbs:
     def test_qubit_midpoint_is_uniform(self):
-        sol = solve_gibbs(QUBIT, 0.5)
+        sol = solve_gibbs(QUBIT, 0.5, auto_extend=False)
         assert sol.beta == 0.0
         assert np.array_equal(sol.weights, [0.5, 0.5])
         assert sol.entropy == pytest.approx(math.log(2))
@@ -161,15 +141,15 @@ class TestSolveGibbs:
         assert sol.mean_energy == pytest.approx(1.0, abs=1e-9)
 
     def test_ground_limit(self):
-        ham = HamiltonianSpec(np.array([0.0, 1.0, 2.0]))
-        assert solve_gibbs(ham, 1e-6).entropy < 2e-5
+        ham = HamiltonianSpec.oscillator(3)
+        assert solve_gibbs(ham, 1e-6, auto_extend=False).entropy < 2e-5
 
     def test_range_error_carries_interval(self):
         with pytest.raises(EnergyRangeError) as err:
-            solve_gibbs(QUBIT, 0.9)
+            solve_gibbs(QUBIT, 0.9, auto_extend=False)
         assert err.value.lo == 0.0 and err.value.hi == pytest.approx(0.5)
         with pytest.raises(EnergyRangeError):
-            solve_gibbs(QUBIT, 0.0)
+            solve_gibbs(QUBIT, 0.0, auto_extend=False)
 
     def test_unclosed_bisection_raises(self, monkeypatch):
         monkeypatch.setattr(energy_mod, "GIBBS_BISECTIONS", 1)
@@ -184,10 +164,26 @@ class TestSolveGibbs:
                              (4.0, 0.2231435513176957)):
             assert solve_gibbs(ham, energy).beta == beta
 
+    def test_extension_doubles_until_the_tail_is_negligible(self):
+        start = HamiltonianSpec.oscillator(64)
+        for energy, levels in ((10.0, 512), (2.0, 128)):
+            sol = solve_gibbs(start, energy)
+            assert sol.weights.size == levels and not sol.tail_warning
+        assert solve_gibbs(start, 10.0).weights[-1] == pytest.approx(6.4e-23, rel=0.01)
+
+    def test_extension_stops_at_the_cap_with_a_warning(self):
+        start = HamiltonianSpec.oscillator(64)
+        sol = solve_gibbs(start, 900.0)
+        assert sol.weights.size == energy_mod.EXTEND_CAP == 2000
+        assert sol.tail_warning
+        with pytest.raises(EnergyRangeError) as err:
+            solve_gibbs(start, 1000.0)
+        assert err.value.hi == 999.5
+
     def test_maximal_entropy_among_sampled_states(self, rng):
-        ham = HamiltonianSpec(np.array([0.0, 1.0, 2.0, 4.0]))
+        ham = HamiltonianSpec.oscillator(4)
         energy = 0.8
-        sol = solve_gibbs(ham, energy)
+        sol = solve_gibbs(ham, energy, auto_extend=False)
         ev = ham.eigenvalues
         for _ in range(1000):
             w = rng.dirichlet(np.ones(4))
@@ -204,39 +200,33 @@ class TestSolveGibbs:
 
 
 class TestFH:
+    """The oscillator's entropy ceiling F_H is the closed form g."""
+
     def test_oscillator_closed_form(self):
-        ham = HamiltonianSpec.oscillator(200)
+        # g(E) is the entropy of the geometric populations E^k / (E+1)^(k+1)
+        k = np.arange(4000)
         for energy in (0.3, 1.0, 7.5):
-            assert f_h(ham, energy) == g_func(energy)
+            log_pops = k * math.log(energy) - (k + 1) * math.log(energy + 1.0)
+            entropy = -np.sum(np.exp(log_pops) * log_pops)
+            assert g_func(energy) == pytest.approx(entropy, abs=1e-12)
 
     def test_nondegenerate_ground_zero(self):
-        ham = HamiltonianSpec(np.array([0.0, 1.0, 3.0]))
-        assert f_h(ham, 0.0) == 0.0
-
-    def test_degenerate_ground(self):
-        ham = HamiltonianSpec(np.array([0.0, 0.0, 1.0, 2.0]))
-        assert f_h(ham, 0.0) == pytest.approx(math.log(2))
+        assert g_func(0.0) == 0.0
+        with pytest.raises(EnergyRangeError):
+            solve_gibbs(HamiltonianSpec.oscillator(3), 0.0, auto_extend=False)
 
     def test_truncation_tracks_closed_form(self):
         # K=200 truncation against g(E) across the working range
-        ham = HamiltonianSpec(np.arange(200, dtype=float))
+        ham = HamiltonianSpec.oscillator(200)
         for energy in np.linspace(0.01, 10.0, 23):
-            assert solve_gibbs(ham, energy).entropy == pytest.approx(
+            assert solve_gibbs(ham, energy, auto_extend=False).entropy == pytest.approx(
                 g_func(energy), abs=1e-8
             )
 
-    def test_shifted_double_ground_sandwich(self):
-        # spectrum (0,0,1,2,...): g(E) <= F_H(E) <= g(E) + ln 2
-        ham = HamiltonianSpec(np.concatenate([[0.0], np.arange(399, dtype=float)]))
-        for energy in (0.2, 0.5, 1.0, 2.0, 5.0):
-            val = f_h(ham, energy)
-            assert val >= g_func(energy) - 1e-9
-            assert val <= g_func(energy) + math.log(2) + 1e-9
-
     def test_strictly_increasing_and_concave(self):
-        ham = HamiltonianSpec(np.array([0.0, 0.5, 1.3, 2.0, 4.0]))
+        ham = HamiltonianSpec.oscillator(5)
         grid = np.linspace(0.05, 1.5, 12)
-        vals = [f_h(ham, e) for e in grid]
+        vals = [solve_gibbs(ham, e, auto_extend=False).entropy for e in grid]
         diffs = np.diff(vals)
         assert np.all(diffs > 0.0)
         assert np.all(np.diff(diffs) < 1e-9)
@@ -244,71 +234,56 @@ class TestFH:
 
 class TestTruncatedPassiveEnergy:
     def test_large_eps_vanishes(self, rng):
-        ham = HamiltonianSpec.oscillator(3)
         mu = Ensemble.from_members([(1.0, random_state(3, 3, rng))])
-        assert truncated_passive_energy(mu, ham, 1.1) == 0.0
+        assert truncated_passive_energy(mu, 1.1) == 0.0
 
     def test_singleton_worked_case(self):
         mu = singleton(np.diag([0.8, 0.2]).astype(complex))
-        assert truncated_passive_energy(mu, QUBIT, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert truncated_passive_energy(mu, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_limit(self, rng):
-        ham = HamiltonianSpec.oscillator(4)
         mu = Ensemble.from_members(
             [(0.6, random_state(4, 4, rng)), (0.4, random_state(4, 4, rng))]
         )
-        target = avg_passive_energy(mu, ham)
+        target = avg_passive_energy(mu)
         prev = -1.0
         for eps in (0.5, 0.2, 0.1, 0.01, 1e-4, 1e-7):
-            val = truncated_passive_energy(mu, ham, eps)
+            val = truncated_passive_energy(mu, eps)
             assert val >= prev - 1e-12
             prev = val
         assert prev == pytest.approx(target, abs=1e-5)
 
 
-def scaled_ceiling(ham, energy, x):
+def scaled_ceiling(energy, x):
     """x F_H(E/x), which the W-L inequality says is nondecreasing in x."""
-    return x * f_h(ham, energy / x)
+    return x * g_func(energy / x)
 
 
 class TestWL:
     def test_oscillator_grid(self):
-        ham = HamiltonianSpec.oscillator(200)
         for energy in (0.5, 1.0, 3.0):
             for x, y in ((0.1, 0.2), (0.3, 0.9), (0.05, 1.0)):
-                assert scaled_ceiling(ham, energy, x) <= scaled_ceiling(ham, energy, y) + 1e-9
+                assert scaled_ceiling(energy, x) <= scaled_ceiling(energy, y) + 1e-9
 
     def test_equal_arguments(self):
-        ham = HamiltonianSpec.oscillator(50)
         # x = y is the equality case; the oscillator ceiling is g(E)
-        assert scaled_ceiling(ham, 1.0, 0.4) == 0.4 * g_func(1.0 / 0.4)
-        assert scaled_ceiling(ham, 1.0, 1.0) == f_h(ham, 1.0) == g_func(1.0)
-
-    def test_random_truncated_spectra(self, rng):
-        for _ in range(10):
-            ev = np.sort(rng.uniform(0.0, 3.0, size=6))
-            ev[0] = 0.0
-            ham = HamiltonianSpec(ev)
-            hi = ham.max_mean
-            energy = float(rng.uniform(0.05, 0.5)) * hi
-            x = float(rng.uniform(energy / hi, 0.9))
-            y = float(rng.uniform(x, 1.0))
-            assert scaled_ceiling(ham, energy, x) <= scaled_ceiling(ham, energy, y) + 1e-9
+        assert scaled_ceiling(1.0, 0.4) == 0.4 * g_func(1.0 / 0.4)
+        assert scaled_ceiling(1.0, 1.0) == g_func(1.0)
 
 
 class TestEntropyCeilingInvariants:
     def test_entropy_below_f_of_passive(self, rng):
-        ham = HamiltonianSpec(np.arange(4, dtype=float))
+        ham = HamiltonianSpec.oscillator(4)
         for _ in range(15):
             rho = random_state(4, 4, rng)
-            cap = solve_gibbs(ham, passive_energy(rho, ham)).entropy
+            cap = solve_gibbs(ham, passive_energy(rho), auto_extend=False).entropy
             assert von_neumann_entropy(rho) <= cap + 1e-8
 
     def test_avg_entropy_below_f_of_avg_passive(self, rng):
-        ham = HamiltonianSpec(np.arange(4, dtype=float))
+        ham = HamiltonianSpec.oscillator(4)
         mu = Ensemble.from_members(
             [(0.5, random_state(4, 4, rng)), (0.5, random_state(4, 2, rng))]
         )
         avg_s = sum(w * von_neumann_entropy(s) for w, s in mu.members)
-        cap = solve_gibbs(ham, avg_passive_energy(mu, ham)).entropy
+        cap = solve_gibbs(ham, avg_passive_energy(mu), auto_extend=False).entropy
         assert avg_s <= cap + 1e-8

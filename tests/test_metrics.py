@@ -513,7 +513,7 @@ class TestKRDistances:
             measures.append(PointMeasure(points=pts[keep],
                                          weights=wts[keep] / wts[keep].sum()))
         a, b = measures
-        assert (a.size, b.size) == (88, 348)
+        assert (a.weights.size, b.weights.size) == (88, 348)
         oracle = kr_dual_lp(a.points, a.weights, b.points, b.weights)
         assert kr_distance(a, b) == pytest.approx(oracle, abs=1e-9)
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from qensembles import (
     DimensionMismatch,
     Ensemble,
-    HamiltonianSpec,
     KrausChannel,
     PointMeasure,
     ValidationError,
@@ -99,7 +98,7 @@ class TestStackedKernels:
     def test_a_matrix_gives_a_float(self, mu):
         rho = mu.states[0]
         for value in (von_neumann_entropy(rho), trace_norm(rho),
-                      passive_energy(rho, HamiltonianSpec.oscillator(mu.dim))):
+                      passive_energy(rho)):
             assert type(value) is float
 
     @SETTINGS
@@ -122,7 +121,6 @@ class TestStackedKernels:
     @given(ensemble_and_channel())
     def test_ensemble_functionals(self, case):
         mu, chan = case
-        ham = HamiltonianSpec.oscillator(mu.dim)
         acc = np.zeros((mu.dim, mu.dim), dtype=complex)
         for w, rho in mu.members:
             acc += w * rho
@@ -131,11 +129,11 @@ class TestStackedKernels:
             w * von_neumann_entropy(rho) for w, rho in mu.members)
         assert aoe(chan, mu) == running(
             w * von_neumann_entropy(chan.apply(rho)) for w, rho in mu.members)
-        assert avg_passive_energy(mu, ham) == running(
-            w * passive_energy(rho, ham) for w, rho in mu.members)
+        assert avg_passive_energy(mu) == running(
+            w * passive_energy(rho) for w, rho in mu.members)
         eps = 0.05
-        assert truncated_passive_energy(mu, ham, eps) == running(
-            passive_energy(positive_part(w * rho - eps * np.eye(mu.dim)), ham)
+        assert truncated_passive_energy(mu, eps) == running(
+            passive_energy(positive_part(w * rho - eps * np.eye(mu.dim)))
             for w, rho in mu.members)
 
     @SETTINGS
