@@ -59,7 +59,7 @@ def _check_energy(energy):
     """A mean energy of the oscillator, as given: nonnegative, else EnergyRangeError."""
     energy = float(energy)
     if not energy >= 0.0:
-        raise EnergyRangeError(energy, 0.0, math.inf)
+        raise EnergyRangeError(energy, 0.0, math.inf, lo_closed=True)
     return energy
 
 

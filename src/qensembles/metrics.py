@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 from scipy.sparse import csc_matrix
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
@@ -249,11 +250,11 @@ def _ehs_tangents(cp, cq, rs, ss):
 
     One eigendecomposition of the stack cp_k rho_k - cq_k sigma_k gives its
     sign operators X_k, hence the cuts (Tr X_k rho_k, -Tr X_k sigma_k), and
-    its absolute eigenvalue sums, hence f_k(cp_k, cq_k) itself.
+    its absolute eigenvalue sums, hence f_k(cp_k, cq_k) itself. The states
+    come from validated ensembles, which hold exactly Hermitian stacks, so
+    the stack is exactly Hermitian too and is not checked again.
     """
-    w, v = np.linalg.eigh(
-        check_hermitian(cp[:, None, None] * rs - cq[:, None, None] * ss)
-    )
+    w, v = np.linalg.eigh(cp[:, None, None] * rs - cq[:, None, None] * ss)
     s = np.where(w > SIGN_TOL, 1.0, np.where(w < -SIGN_TOL, -1.0, 0.0))
     x_ops = (v * s[:, None, :]) @ v.conj().swapaxes(-1, -2)
     a = np.einsum("kij,kji->k", x_ops, rs).real
@@ -262,14 +263,79 @@ def _ehs_tangents(cp, cq, rs, ss):
 
 
 def _unseen(seen, owner, a, b):
-    # indices of the cuts whose (pair, a, b) to 12 digits is not yet in seen
-    fresh = []
-    for r, (k, x, y) in enumerate(zip(owner.tolist(), a.tolist(), b.tolist())):
-        key = (k, round(x, 12), round(y, 12))
-        if key not in seen:
-            seen.add(key)
-            fresh.append(r)
-    return fresh
+    """Fresh cuts by their key: the pair and a, b to 12 decimals.
+
+    seen holds the keys of earlier cuts, one int64 row each. Returns the
+    indices, in order, of the cuts whose key is neither in seen nor taken by
+    an earlier cut of this batch, and seen with their keys added.
+    """
+    keys = np.column_stack([owner, np.rint(a * 1e12), np.rint(b * 1e12)]).astype(np.int64)
+    both = np.concatenate([seen, keys])
+    # a stable sort by key puts each key's first occurrence first in its run
+    order = np.lexsort(both.T[::-1])
+    ordered = both[order]
+    first = order[np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])]
+    fresh = np.sort(first[first >= len(seen)]) - len(seen)
+    return fresh, np.concatenate([seen, keys[fresh]])
+
+
+class _EhsModel:
+    """The coupling LP of d_ehs_many as one HiGHS model kept across rounds.
+
+    Columns [P, Q, T] per global pair, min 1/2 sum T, each pair's P and Q in
+    its instance's marginal rows; cut rows join with add_cuts, and each solve
+    re-runs from the last optimal basis. This is the one place that uses
+    scipy's private HiGHS binding (the class its linprog drives), through the
+    names in HIGHS_API.
+    """
+
+    HIGHS_API = (
+        "_Highs.passModel", "_Highs.addRows", "_Highs.run", "_Highs.getSolution",
+        "_Highs.getModelStatus", "_Highs.setOptionValue", "HighsSolution.col_value",
+        "HighsModelStatus.kOptimal", "kHighsInf", "MatrixFormat.kColwise",
+        *(f"HighsLp.{f}_" for f in ("num_col", "num_row", "col_cost", "col_lower",
+                                    "col_upper", "row_lower", "row_upper", "a_matrix")),
+        *(f"HighsSparseMatrix.{f}_" for f in ("format", "num_col", "num_row", "start",
+                                              "index", "value")),
+    )
+
+    def __init__(self, row_p, row_q, b_eq):
+        self.n_pairs = n = row_p.size
+        lp = _highs.HighsLp()
+        lp.num_col_, lp.num_row_ = 3 * n, b_eq.size
+        lp.col_cost_ = np.concatenate([np.zeros(2 * n), np.full(n, 0.5)])
+        lp.col_lower_ = np.zeros(3 * n)
+        lp.col_upper_ = np.full(3 * n, _highs.kHighsInf)
+        lp.row_lower_ = lp.row_upper_ = b_eq
+        mat = lp.a_matrix_
+        mat.format_ = _highs.MatrixFormat.kColwise
+        mat.num_col_, mat.num_row_ = lp.num_col_, lp.num_row_
+        # a P or Q column has one entry, in its marginal row; a T column none
+        mat.start_ = np.concatenate([np.arange(2 * n + 1), np.full(n, 2 * n)])
+        mat.index_ = np.concatenate([row_p, row_q])
+        mat.value_ = np.ones(2 * n)
+        self.highs = _highs._Highs()
+        for key, value in {"output_flag": False, "presolve": "off", **LP_OPTIONS}.items():
+            self.highs.setOptionValue(key, value)
+        self.highs.passModel(lp)
+
+    def add_cuts(self, pair, a, b):
+        # one row a P + b Q - T <= 0 per cut, on the columns of its pair
+        k, n = pair.size, self.n_pairs
+        self.highs.addRows(
+            k, np.full(k, -_highs.kHighsInf), np.zeros(k), 3 * k,
+            np.arange(0, 3 * k, 3, dtype=np.int32),
+            np.column_stack([pair, n + pair, 2 * n + pair]).astype(np.int32).ravel(),
+            np.column_stack([a, b, -np.ones(k)]).ravel(),
+        )
+
+    def solve(self):
+        """(P, Q, T) at the optimum of the LP over the cuts added so far."""
+        self.highs.run()
+        status = self.highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise ConvergenceError(f"cutting-plane LP failed: model status {status.name}")
+        return np.split(np.array(self.highs.getSolution().col_value), 3)
 
 
 def _ehs_brackets(use, phi, ang_pair, ang):
@@ -317,14 +383,17 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
 def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     """d_ehs of every (mu, nu) in pairs, by one cutting plane run in lockstep.
 
-    The instances are independent, so the LP of a round is separable: every
-    instance still open shares one block-diagonal LP (one linprog call per
-    round, one eigh per dimension), and its own lower bound is half the sum
-    of its own epigraph variables. An instance leaves the LP once its own gap
-    is within tol; two singletons never enter it. Returns one
-    CouplingSolution per pair. Raises ConvergenceError if an LP fails or,
-    carrying the largest open gap, if an instance is still open after
-    max_rounds.
+    The instances are independent, so their LP is separable: all of them
+    share one block-diagonal LP, kept as one HiGHS model for the whole call
+    (_EhsModel). Each round adds only the fresh cuts of the instances still
+    open and re-solves from the last optimal basis (dual simplex, no
+    presolve); there is one eigh per dimension and round, and an instance's
+    lower bound is half the sum of its own epigraph variables. An instance
+    closes once its own gap is within tol; its rows never change again, so it
+    stays at its optimum without touching the others. Two singletons never
+    enter the LP. Returns one CouplingSolution per pair. Raises
+    ConvergenceError if an LP ends in any status but optimal or, carrying the
+    largest open gap, if an instance is still open after max_rounds.
     """
     pairs = list(pairs)
     out = [None] * len(pairs)
@@ -353,7 +422,6 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     inst, row_p, row_q = _marginal_rows(n, m)
     first = np.concatenate([[0], np.cumsum(n * m)])
     n_pairs = inst.size
-    row_inst = np.repeat(np.arange(len(todo)), n + m)
     b_all = np.concatenate(
         [w for t in todo for w in (pairs[t][0].weights, pairs[t][1].weights)]
     )
@@ -389,9 +457,9 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     cut_pair = np.concatenate([np.repeat(all_pairs, 2), seed_pair])
     cut_a = np.concatenate([np.tile([1.0, -1.0], n_pairs), seed_a])
     cut_b = np.concatenate([np.tile([-1.0, 1.0], n_pairs), seed_b])
-    seen = set()
-    fresh = _unseen(seen, cut_pair, cut_a, cut_b)
-    cut_pair, cut_a, cut_b = cut_pair[fresh], cut_a[fresh], cut_b[fresh]
+    fresh, seen = _unseen(np.empty((0, 3), dtype=np.int64), cut_pair, cut_a, cut_b)
+    model = _EhsModel(row_p, row_q, b_all)
+    model.add_cuts(cut_pair[fresh], cut_a[fresh], cut_b[fresh])
     # the angles in [0, pi/2] of the tangents made so far
     ang_pair, ang = seed_pair, thetas
 
@@ -400,40 +468,9 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     best_p, best_q = np.zeros(n_pairs), np.zeros(n_pairs)
     gap = np.full(len(todo), np.inf)
     for rounds in range(1, max_rounds + 1):
-        # only open instances are in this round's LP: an open pair's P, Q and
-        # T are its columns col, cols + col and 2 cols + col
-        live, live_rows = np.flatnonzero(is_open[inst]), is_open[row_inst]
-        cols = live.size
-        col, row = np.cumsum(is_open[inst]) - 1, np.cumsum(live_rows) - 1
-        a_eq = csc_matrix(
-            (np.ones(2 * cols),
-             (np.concatenate([row[row_p[live]], row[row_q[live]]]),
-              np.arange(2 * cols))),
-            shape=(row[-1] + 1, 3 * cols),
-        )
-        # each cut row: a P + b Q - T <= 0 on its own pair
-        cuts = np.arange(cut_pair.size)
-        a_ub = csc_matrix(
-            (np.concatenate([cut_a, cut_b, -np.ones(cut_pair.size)]),
-             (np.tile(cuts, 3),
-              np.concatenate([col[cut_pair], cols + col[cut_pair], 2 * cols + col[cut_pair]]))),
-            shape=(cut_pair.size, 3 * cols),
-        )
-        res = linprog(
-            np.concatenate([np.zeros(2 * cols), 0.5 * np.ones(cols)]),
-            A_ub=a_ub,
-            b_ub=np.zeros(cut_pair.size),
-            A_eq=a_eq,
-            b_eq=b_all[live_rows],
-            bounds=(0, None),
-            method="highs",
-            options=LP_OPTIONS,
-        )
-        if not res.success:
-            raise ConvergenceError(f"cutting-plane LP failed: {res.message}")
-        plan_p, plan_q = np.zeros(n_pairs), np.zeros(n_pairs)
-        plan_p[live], plan_q[live] = res.x[:cols], res.x[cols : 2 * cols]
-        lower = 0.5 * np.bincount(inst[live], weights=res.x[2 * cols :], minlength=len(todo))
+        plan_p, plan_q, epi = model.solve()
+        live = np.flatnonzero(is_open[inst])
+        lower = 0.5 * np.bincount(inst, weights=epi, minlength=len(todo))
         # pairs with P_ij = Q_ij = 0 add nothing to the objective
         use = live[(plan_p[live] > 0.0) | (plan_q[live] > 0.0)]
         phi = np.arctan2(plan_q[use], plan_p[use])
@@ -462,17 +499,15 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
             is_open[u] = False
         if not is_open.any():
             return out
+        # closed instances take no more cuts: their angles and keys go
         ang_pair = np.concatenate([ang_pair, owner])
         ang = np.concatenate([ang, phi, new_ang])
-        fresh = _unseen(seen, owner, new_a, new_b)
-        cut_pair = np.concatenate([cut_pair, owner[fresh]])
-        cut_a = np.concatenate([cut_a, new_a[fresh]])
-        cut_b = np.concatenate([cut_b, new_b[fresh]])
-        # cuts and angles of closed instances leave the next LP
-        keep = is_open[inst[cut_pair]]
-        cut_pair, cut_a, cut_b = cut_pair[keep], cut_a[keep], cut_b[keep]
         keep = is_open[inst[ang_pair]]
         ang_pair, ang = ang_pair[keep], ang[keep]
+        keep = is_open[inst[owner]]
+        owner, new_a, new_b = owner[keep], new_a[keep], new_b[keep]
+        fresh, seen = _unseen(seen[is_open[inst[seen[:, 0]]]], owner, new_a, new_b)
+        model.add_cuts(owner[fresh], new_a[fresh], new_b[fresh])
     raise ConvergenceError(
         f"cutting plane did not reach tol={tol} in {max_rounds} rounds",
         gap=float(np.max(gap[is_open])),

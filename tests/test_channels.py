@@ -248,6 +248,17 @@ class TestCoherent:
         vec = coherent_state(0.0, 10)
         assert vec[0] == 1.0 and np.all(vec[1:] == 0.0)
 
+    def test_zero_amplitude_is_the_vacuum_at_every_cut(self):
+        # zeta = 0 has no log |zeta|^2; the vacuum it returns is the limit of
+        # small amplitudes, and holds at the smallest truncation too
+        for zeta in (0.0, 0j, -0.0):
+            for n_max in (0, 1, 7):
+                vec = coherent_state(zeta, n_max)
+                assert vec.dtype == complex and vec.shape == (n_max + 1,)
+                assert vec.tolist() == [1.0] + [0.0] * n_max
+        near = coherent_state(1e-9 * np.exp(0.3j), 7)
+        assert np.allclose(near, coherent_state(0.0, 7), rtol=0.0, atol=2e-9)
+
     def test_overlap_closed_form(self):
         z1, z2 = 0.7 + 0.2j, -0.3 + 1.0j
         v1 = coherent_state(z1, 80)

@@ -91,6 +91,13 @@ def test_bound_subcommand(capsys):
      "parameter 'rank' must be a finite integer, got 3.5"),
     (["bound", "crossover", "--param", "dim=5.9"],
      "parameter 'dim' must be a finite integer, got 5.9"),
+    # energy 0 is accepted, so the interval printed is closed at 0 and open
+    # at inf
+    (["bound", "prop3", "--param", "eps=0.1", "--param", "energy=-1"],
+     "error: mean energy -1.0 outside achievable interval [0.0, inf)\n"),
+    (["bound", "cor2b", "--param", "eps=0.1", "--param", "energy_mu=-0.5",
+      "--param", "energy_nu=1"],
+     "error: mean energy -0.5 outside achievable interval [0.0, inf)\n"),
 ])
 def test_bound_usage_error_exits_2(argv, message, capsys):
     assert main(argv) == 2

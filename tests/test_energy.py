@@ -148,8 +148,11 @@ class TestSolveGibbs:
         with pytest.raises(EnergyRangeError) as err:
             solve_gibbs(QUBIT, 0.9, auto_extend=False)
         assert err.value.lo == 0.0 and err.value.hi == pytest.approx(0.5)
+        # energy 0 is refused and the top of the spectrum's range accepted
+        assert str(err.value) == "mean energy 0.9 outside achievable interval (0.0, 0.5]"
         with pytest.raises(EnergyRangeError):
             solve_gibbs(QUBIT, 0.0, auto_extend=False)
+        assert solve_gibbs(QUBIT, 0.5, auto_extend=False).beta == 0.0
 
     def test_unclosed_bisection_raises(self, monkeypatch):
         monkeypatch.setattr(energy_mod, "GIBBS_BISECTIONS", 1)

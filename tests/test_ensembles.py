@@ -139,6 +139,24 @@ class TestSteering:
         delta = math.sqrt(max(1 - fidelity(average_state(mu), sigma), 0.0))
         assert d0(mu_prime, nu) <= delta + 1e-8
 
+    def test_off_support_remainder_in_closed_form(self):
+        # mu = |0><0| and sigma diagonal: the member keeps sigma's weight on
+        # |0>, and the off-support remainder outcome takes the rest of sigma,
+        # at weight t in nu and as a zero-weight pad of mu
+        mu = singleton(ketbra(basis_ket(3, 0)))
+        sigma = np.diag([0.75, 0.15, 0.10]).astype(complex)
+        nu, mu_prime = steer_to_average(mu, sigma)
+        assert np.allclose(nu.weights, [0.75, 0.25], rtol=0.0, atol=1e-12)
+        assert np.allclose(nu.states[0], np.diag([1.0, 0.0, 0.0]), rtol=0.0, atol=1e-12)
+        assert np.allclose(nu.states[1], np.diag([0.0, 0.6, 0.4]), rtol=0.0, atol=1e-12)
+        assert mu_prime.weights.tolist() == [1.0, 0.0]
+        assert np.array_equal(mu_prime.states[0], mu.states[0])
+        assert np.array_equal(mu_prime.states[1], nu.states[1])
+        assert d0(mu_prime, nu) == pytest.approx(0.25, abs=1e-12)
+        # sigma inside mu's support leaves no remainder and no pad
+        nu, mu_prime = steer_to_average(mu, mu.states[0])
+        assert len(nu) == len(mu_prime) == 1
+
     def test_invalid_target(self, rng):
         mu = random_ensemble(2, 2, rng)
         with pytest.raises(ValidationError):

@@ -24,6 +24,7 @@ from qensembles import metrics
 from qensembles.ensembles import singleton
 from qensembles.errors import ValidationError
 from qensembles.experiments import gaussian_grid_measure
+from qensembles.linalg import check_hermitian
 from qensembles.metrics import _ehs_brackets, _ehs_tangents, solve_transport
 from qensembles.randomgen import random_channel, random_ensemble, random_state
 
@@ -333,7 +334,7 @@ class TestEhs:
         nu = random_ensemble(2, 2, rng)
         with pytest.raises(ConvergenceError) as err:
             d_ehs(mu, nu, tol=0.0, max_rounds=1)
-        assert err.value.gap is not None and err.value.gap >= 0.0
+        assert err.value.gap is not None and 0.0 <= err.value.gap < math.inf
 
     def test_plans_satisfy_marginals(self, rng):
         mu = random_ensemble(2, 3, rng)
@@ -394,7 +395,7 @@ class TestEhs:
         tol = 1e-9
         with pytest.raises(ConvergenceError) as err:
             d_ehs_many(pairs, tol=tol, max_rounds=1)
-        assert err.value.gap > tol
+        assert tol < err.value.gap < math.inf
 
     def test_two_singletons_need_no_lp(self, rng):
         for d in (2, 3, 5):
@@ -423,12 +424,89 @@ class TestEhs:
                         expected.append((k, p + f * (mine[mine > p].min() - p)))
         assert list(zip(owners.tolist(), angles.tolist())) == expected
 
-    def test_non_hermitian_stack_raises(self, rng):
+    def test_degenerate_inputs_match_kelley_reference(self, monkeypatch):
+        # each case on its own (a lone one-pair call) and all in one batch,
+        # with the d_ehs LP kept in one HiGHS model: linprog is never reached
+        monkeypatch.setattr(metrics, "linprog", None)
+        rng = np.random.default_rng(7150)
+        tol = 1e-8
+        pure = [random_state(3, 1, rng) for _ in range(4)]
+        mixed = [random_state(3, 3, rng) for _ in range(4)]
+        shared = Ensemble.from_members(zip((0.3, 0.7), mixed[:2]))
+        cases = {
+            "zero weights": (Ensemble.from_members(zip((0.0, 0.4, 0.6), mixed[:3])),
+                             Ensemble.from_members(zip((0.5, 0.0, 0.5), pure[:3]))),
+            "rank 1": (Ensemble.from_members(zip((0.2, 0.8), pure[:2])),
+                       Ensemble.from_members(zip((0.6, 0.4), pure[2:]))),
+            "n=1, m=4": (singleton(mixed[0]),
+                         Ensemble.from_members(zip((0.1, 0.2, 0.3, 0.4), pure))),
+            "n=3, m=1": (Ensemble.from_members(zip((0.5, 0.25, 0.25), pure[:3])),
+                         singleton(mixed[3])),
+            "identical": (shared, shared),
+            "two singletons": (singleton(pure[0]), singleton(mixed[0])),
+        }
+        pairs = list(cases.values())
+        batch = d_ehs_many(pairs, tol=tol)
+        for (name, (mu, nu)), together in zip(cases.items(), batch):
+            alone = d_ehs(mu, nu, tol=tol)
+            expected = ehs_kelley_reference(mu, nu, tol)
+            for sol in (alone, together):
+                assert abs(sol.value - expected) <= tol, name
+                assert 0.0 <= sol.gap <= tol, name
+                assert np.allclose(sol.plan.sum(axis=1), mu.weights, rtol=0.0, atol=1e-9)
+                assert np.allclose(sol.plan_q.sum(axis=0), nu.weights, rtol=0.0, atol=1e-9)
+        assert abs(batch[4].value) <= tol
+        assert batch[5].iterations == 0
+
+    def test_lp_status_other_than_optimal_raises(self):
+        # a negative marginal leaves the kept model infeasible
+        model = metrics._EhsModel(np.array([0]), np.array([1]), np.array([-1.0, 1.0]))
+        with pytest.raises(ConvergenceError, match="model status kInfeasible"):
+            model.solve()
+
+    def test_kept_model_takes_the_lp_options(self):
+        # the certified gaps rest on LP_OPTIONS; presolve off keeps the basis
+        model = metrics._EhsModel(np.array([0]), np.array([1]), np.array([1.0, 1.0]))
+        for key, value in {"presolve": "off", "output_flag": False, **metrics.LP_OPTIONS}.items():
+            assert model.highs.getOptionValue(key)[1] == value
+
+    def test_private_highs_api_is_there(self):
+        # d_ehs_many keeps its LP in scipy's private HiGHS binding; name the
+        # first attribute missing if a scipy release renames any of them
+        from scipy.optimize._highspy import _core
+
+        for name in metrics._EhsModel.HIGHS_API:
+            obj = _core
+            for part in name.split("."):
+                assert hasattr(obj, part), (
+                    f"scipy.optimize._highspy._core lacks {name} (no attribute {part!r})"
+                )
+                obj = getattr(obj, part)
+
+    def test_tangents_match_checked_stack_bit_for_bit(self, rng, monkeypatch):
+        # validated ensembles hold exactly Hermitian stacks, so every
+        # cp rho - cq sigma is exactly Hermitian and check_hermitian returns
+        # it unchanged: the tangents are those of the checked stack, bit for
+        # bit. A skewed state is refused where it enters, by Ensemble.
+        real_eigh = np.linalg.eigh
+        for d in (2, 3, 5):
+            mu = mixed_rank_ensemble(d, 3, rng, zero_weight=True)
+            nu = mixed_rank_ensemble(d, 4, rng, zero_weight=False)
+            rs, ss = np.repeat(mu.states, 4, axis=0), np.tile(nu.states, (3, 1, 1))
+            theta = np.linspace(0.0, np.pi / 2.0, rs.shape[0])
+            for cp, cq in ((np.cos(theta), np.sin(theta)),
+                           tuple(rng.uniform(0.0, 1.0, size=(2, rs.shape[0])))):
+                stack = cp[:, None, None] * rs - cq[:, None, None] * ss
+                assert check_hermitian(stack).tobytes() == stack.tobytes()
+                unchecked = _ehs_tangents(cp, cq, rs, ss)
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "eigh", lambda h: real_eigh(check_hermitian(h)))
+                    checked = _ehs_tangents(cp, cq, rs, ss)
+                for got, want in zip(unchecked, checked):
+                    assert got.tobytes() == want.tobytes()
         sigma = random_state(2, 2, rng)
-        skewed = sigma + np.array([[0.0, 1e-3], [0.0, 0.0]])
-        stack = np.stack([sigma, skewed])
         with pytest.raises(ValidationError):
-            _ehs_tangents(np.ones(2), np.full(2, 0.5), stack, stack[::-1])
+            Ensemble.from_members([(1.0, sigma + np.array([[0.0, 1e-3], [0.0, 0.0]]))])
 
 
 class TestMetricAxioms:
