@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+# unused here, kept bound: perfbench's tracer wraps metrics.linprog by name
+from scipy.optimize import linprog  # noqa: F401
 from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import csc_matrix
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import _check_weights
@@ -28,11 +28,12 @@ EHS_MAX_ROUNDS = 200
 # fractions of the way from a round's tangent angle to its neighbours at which
 # d_ehs adds further tangents
 EHS_BRACKET_FRACTIONS = (0.1, 0.5)
-
-# transport LPs with at most this many cells, over all their blocks, get a
-# dense A_eq: scipy's sparse path costs more below it (dense won at 12 x 12
-# cells, CSC at 16 x 16)
-TRANSPORT_DENSE_CELLS = 200
+# d_ehs_many runs its lockstep cutting plane on at most this many instances
+# per HiGHS model, since HiGHS time grows faster than the model: criterion
+# 4's 1,000 pairs at tol 1e-8 took 3.4 s in one model, 2.2 s in models of
+# 160 and 2.0 s in models of 80 (one BLAS thread). Calls of up to this many,
+# such as verify's 30 trials, stay whole.
+EHS_MODEL_INSTANCES = 80
 # a transport LP block with more rows and columns than this starts its priced
 # LP from each row's and each column's this many cheapest cells and a
 # northwest-corner plan, not from every cell: on the 88 x 348 KR grids of
@@ -116,6 +117,62 @@ def _marginal_rows(n, m):
     return block, start[block] + k // m[block], start[block] + n[block] + k % m[block]
 
 
+class _HighsModel:
+    """A min-cost LP over columns x >= 0, kept as one HiGHS model across solves.
+
+    Its equality rows (right-hand sides b_eq) go in once with passModel;
+    columns join with add_cols and rows with add_rows, and each solve re-runs
+    from the last optimal basis (presolve off, the LP_OPTIONS tolerances).
+    Every LP of the package runs here. This is the one place that uses
+    scipy's private HiGHS binding (the class its linprog drives), through the
+    names in HIGHS_API.
+    """
+
+    HIGHS_API = (
+        "_Highs.passModel", "_Highs.addCols", "_Highs.addRows", "_Highs.run",
+        "_Highs.getSolution", "_Highs.getModelStatus", "_Highs.setOptionValue",
+        "HighsSolution.col_value", "HighsSolution.row_dual",
+        "HighsModelStatus.kOptimal", "kHighsInf",
+        *(f"HighsLp.{f}_" for f in ("num_row", "row_lower", "row_upper")),
+    )
+
+    def __init__(self, b_eq):
+        lp = _highs.HighsLp()
+        lp.num_row_ = b_eq.size
+        lp.row_lower_ = lp.row_upper_ = b_eq
+        self.highs = _highs._Highs()
+        for key, value in {"output_flag": False, "presolve": "off", **LP_OPTIONS}.items():
+            self.highs.setOptionValue(key, value)
+        self.highs.passModel(lp)
+
+    def add_cols(self, cost, rows):
+        # one column per cost, with coefficient 1 in each row of its row of rows
+        k, w = rows.shape
+        self.highs.addCols(
+            k, cost, np.zeros(k), np.full(k, _highs.kHighsInf), k * w,
+            w * np.arange(k, dtype=np.int32), rows.astype(np.int32).ravel(),
+            np.ones(k * w),
+        )
+
+    def add_rows(self, cols, values):
+        # one row sum values * x[cols] <= 0 per row of cols and values
+        k, w = cols.shape
+        self.highs.addRows(
+            k, np.full(k, -_highs.kHighsInf), np.zeros(k), k * w,
+            w * np.arange(k, dtype=np.int32), cols.astype(np.int32).ravel(),
+            values.ravel(),
+        )
+
+    def solve(self):
+        """Column values and row duals at the optimum of the LP so far."""
+        self.highs.run()
+        status = self.highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise ConvergenceError(f"LP failed: model status {status.name}")
+        sol = self.highs.getSolution()
+        return np.array(sol.col_value), np.array(sol.row_dual)
+
+
 def solve_transport(cost, p, q):
     """Exact transportation LP: min <cost, plan> with marginals p (rows), q (cols)."""
     sol = _solve_transports([(cost, p, q)])[0]
@@ -142,44 +199,23 @@ def _start_cells(cost, p, q):
     return keep
 
 
-def _transport_lp(c, rows_p, rows_q, b_eq):
-    # one transportation LP over the cells with costs c and marginal rows
-    # rows_p, rows_q
-    total, n_rows = c.size, b_eq.size
-    if total <= TRANSPORT_DENSE_CELLS:
-        a_eq = np.zeros((n_rows, total))
-        a_eq[rows_p, np.arange(total)] = 1.0
-        a_eq[rows_q, np.arange(total)] = 1.0
-    else:
-        # sparse since the dense matrix is rows x cells, CSC since linprog
-        # hands that layout to HiGHS
-        a_eq = csc_matrix(
-            (np.ones(2 * total), np.column_stack([rows_p, rows_q]).ravel(),
-             np.arange(0, 2 * total + 1, 2)),
-            shape=(n_rows, total),
-        )
-    res = linprog(
-        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        options=LP_OPTIONS,
-    )
-    if not res.success:
-        raise ConvergenceError(f"transportation LP failed: {res.message}")
-    return res
-
-
 def _solve_transports(problems):
     """Transportation LPs (cost, p, q), solved as one block-diagonal LP priced
     by column generation; one CouplingSolution per problem.
 
-    Each round solves the LP over the cells included so far (see _start_cells
-    for the first round), reads the duals (u, v) of its marginal rows and
-    prices every cell by its reduced cost c_ij - u_i - v_j. Each row's and
-    each column's most negative excluded cell joins the next round. Once no
-    excluded cell prices below -dual_feasibility_tolerance, (u, v) is dual
-    feasible on the full LP, so the restricted optimum is the full one to the
-    tolerance HiGHS certifies. iterations counts the rounds; gap is the
-    largest dual violation over all cells of a block times the block's mass,
-    a bound on how far its value can sit above the full optimum.
+    The LP is kept as one HiGHS model (_HighsModel): its rows are every
+    block's marginal rows, and its columns are the cells included so far,
+    starting from _start_cells. Each round solves it, warm from the last
+    optimal basis after the first, reads the duals (u, v) of its marginal
+    rows and prices every cell by its reduced cost c_ij - u_i - v_j. Each
+    row's and each column's most negative excluded cell joins the model as a
+    new column. Once no excluded cell prices below
+    -dual_feasibility_tolerance, (u, v) is dual feasible on the full LP, so
+    the restricted optimum is the full one to the tolerance HiGHS certifies.
+    A block's value is sum cost * plan; iterations counts the rounds; gap is
+    the largest dual violation over all cells of a block times the block's
+    mass, a bound on how far its value can sit above the full optimum.
+    Raises ConvergenceError if an LP ends in any model status but optimal.
     """
     if not problems:
         return []
@@ -187,34 +223,37 @@ def _solve_transports(problems):
     n = np.array([c.shape[0] for c in costs])
     m = np.array([c.shape[1] for c in costs])
     block, rows_p, rows_q = _marginal_rows(n, m)
-    b_eq = np.concatenate(
-        [np.asarray(w, dtype=float) for _, p, q in problems for w in (p, q)]
-    )
     c = np.concatenate([cost.reshape(-1) for cost in costs])
     included = np.concatenate(
         [_start_cells(cost, p, q).reshape(-1) for cost, (_, p, q) in zip(costs, problems)]
     )
+    model = _HighsModel(np.concatenate(
+        [np.asarray(w, dtype=float) for _, p, q in problems for w in (p, q)]
+    ))
+    # cells[k] is the cell of the model's column k
+    cells = new = np.flatnonzero(included)
     tol = LP_OPTIONS["dual_feasibility_tolerance"]
     rounds = 0
     while True:
         rounds += 1
-        cells = np.flatnonzero(included)
-        res = _transport_lp(c[cells], rows_p[cells], rows_q[cells], b_eq)
-        duals = res.eqlin.marginals
+        model.add_cols(c[new], np.column_stack([rows_p[new], rows_q[new]]))
+        x_cells, duals = model.solve()
         reduced = c - duals[rows_p] - duals[rows_q]
         priced = np.flatnonzero(~included & (reduced < -tol))
         if not priced.size:
             break
+        picks = []
         for rows in (rows_p, rows_q):
             # the most negative priced cell of each marginal row: sorted by
             # row, then by reduced cost, it comes first in its row's run
             order = priced[np.lexsort((reduced[priced], rows[priced]))]
-            first = np.concatenate([[True], rows[order][1:] != rows[order][:-1]])
-            included[order[first]] = True
+            picks.append(order[np.concatenate([[True], rows[order][1:] != rows[order][:-1]])])
+        new = np.unique(np.concatenate(picks))
+        included[new] = True
+        cells = np.concatenate([cells, new])
     x = np.zeros(c.size)
-    x[cells] = res.x
-    # a single block keeps HiGHS's own objective value
-    values = [res.fun] if n.size == 1 else np.bincount(block, weights=c * x)
+    x[cells] = x_cells
+    values = np.bincount(block, weights=c * x, minlength=n.size)
     starts = np.cumsum(n * m) - n * m
     violation = np.maximum(-np.minimum.reduceat(reduced, starts), 0.0)
     return [
@@ -279,65 +318,6 @@ def _unseen(seen, owner, a, b):
     return fresh, np.concatenate([seen, keys[fresh]])
 
 
-class _EhsModel:
-    """The coupling LP of d_ehs_many as one HiGHS model kept across rounds.
-
-    Columns [P, Q, T] per global pair, min 1/2 sum T, each pair's P and Q in
-    its instance's marginal rows; cut rows join with add_cuts, and each solve
-    re-runs from the last optimal basis. This is the one place that uses
-    scipy's private HiGHS binding (the class its linprog drives), through the
-    names in HIGHS_API.
-    """
-
-    HIGHS_API = (
-        "_Highs.passModel", "_Highs.addRows", "_Highs.run", "_Highs.getSolution",
-        "_Highs.getModelStatus", "_Highs.setOptionValue", "HighsSolution.col_value",
-        "HighsModelStatus.kOptimal", "kHighsInf", "MatrixFormat.kColwise",
-        *(f"HighsLp.{f}_" for f in ("num_col", "num_row", "col_cost", "col_lower",
-                                    "col_upper", "row_lower", "row_upper", "a_matrix")),
-        *(f"HighsSparseMatrix.{f}_" for f in ("format", "num_col", "num_row", "start",
-                                              "index", "value")),
-    )
-
-    def __init__(self, row_p, row_q, b_eq):
-        self.n_pairs = n = row_p.size
-        lp = _highs.HighsLp()
-        lp.num_col_, lp.num_row_ = 3 * n, b_eq.size
-        lp.col_cost_ = np.concatenate([np.zeros(2 * n), np.full(n, 0.5)])
-        lp.col_lower_ = np.zeros(3 * n)
-        lp.col_upper_ = np.full(3 * n, _highs.kHighsInf)
-        lp.row_lower_ = lp.row_upper_ = b_eq
-        mat = lp.a_matrix_
-        mat.format_ = _highs.MatrixFormat.kColwise
-        mat.num_col_, mat.num_row_ = lp.num_col_, lp.num_row_
-        # a P or Q column has one entry, in its marginal row; a T column none
-        mat.start_ = np.concatenate([np.arange(2 * n + 1), np.full(n, 2 * n)])
-        mat.index_ = np.concatenate([row_p, row_q])
-        mat.value_ = np.ones(2 * n)
-        self.highs = _highs._Highs()
-        for key, value in {"output_flag": False, "presolve": "off", **LP_OPTIONS}.items():
-            self.highs.setOptionValue(key, value)
-        self.highs.passModel(lp)
-
-    def add_cuts(self, pair, a, b):
-        # one row a P + b Q - T <= 0 per cut, on the columns of its pair
-        k, n = pair.size, self.n_pairs
-        self.highs.addRows(
-            k, np.full(k, -_highs.kHighsInf), np.zeros(k), 3 * k,
-            np.arange(0, 3 * k, 3, dtype=np.int32),
-            np.column_stack([pair, n + pair, 2 * n + pair]).astype(np.int32).ravel(),
-            np.column_stack([a, b, -np.ones(k)]).ravel(),
-        )
-
-    def solve(self):
-        """(P, Q, T) at the optimum of the LP over the cuts added so far."""
-        self.highs.run()
-        status = self.highs.getModelStatus()
-        if status != _highs.HighsModelStatus.kOptimal:
-            raise ConvergenceError(f"cutting-plane LP failed: model status {status.name}")
-        return np.split(np.array(self.highs.getSolution().col_value), 3)
-
-
 def _ehs_brackets(use, phi, ang_pair, ang):
     # for each pair in use, the angles a fraction f of the way from phi to the
     # nearest earlier tangent angle of that pair on each side, if there is one.
@@ -381,19 +361,20 @@ def d_ehs(mu, nu, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
 
 
 def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
-    """d_ehs of every (mu, nu) in pairs, by one cutting plane run in lockstep.
+    """d_ehs of every (mu, nu) in pairs, by cutting planes run in lockstep.
 
-    The instances are independent, so their LP is separable: all of them
-    share one block-diagonal LP, kept as one HiGHS model for the whole call
-    (_EhsModel). Each round adds only the fresh cuts of the instances still
-    open and re-solves from the last optimal basis (dual simplex, no
-    presolve); there is one eigh per dimension and round, and an instance's
-    lower bound is half the sum of its own epigraph variables. An instance
-    closes once its own gap is within tol; its rows never change again, so it
-    stays at its optimum without touching the others. Two singletons never
-    enter the LP. Returns one CouplingSolution per pair. Raises
-    ConvergenceError if an LP ends in any status but optimal or, carrying the
-    largest open gap, if an instance is still open after max_rounds.
+    The instances are independent, so their LP is separable: up to
+    EHS_MODEL_INSTANCES of them share one block-diagonal LP, kept as one
+    HiGHS model for their whole run (_HighsModel). Each round adds only the
+    fresh cuts of the instances still open and re-solves from the last
+    optimal basis (dual simplex, no presolve); there is one eigh per
+    dimension and round, and an instance's lower bound is half the sum of its
+    own epigraph variables. An instance closes once its own gap is within
+    tol; its rows never change again, so it stays at its optimum without
+    touching the others. Two singletons never enter the LP. Returns one
+    CouplingSolution per pair. Raises ConvergenceError if an LP ends in any
+    status but optimal or, carrying the largest open gap of its model, if an
+    instance is still open after max_rounds.
     """
     pairs = list(pairs)
     out = [None] * len(pairs)
@@ -411,30 +392,34 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
             )
         else:
             todo.append(t)
-    if not todo:
-        return out
+    for at in range(0, len(todo), EHS_MODEL_INSTANCES):
+        chunk = todo[at : at + EHS_MODEL_INSTANCES]
+        for t, sol in zip(chunk, _ehs_lockstep([pairs[t] for t in chunk], tol, max_rounds)):
+            out[t] = sol
+    return out
 
+
+def _ehs_lockstep(pairs, tol, max_rounds):
+    """The cutting plane of d_ehs_many on pairs that are not two singletons,
+    in one kept model; one CouplingSolution per pair."""
     # global pair g runs over the instances in turn; pair k = i*m + j of an
     # instance couples its rho_i with its sigma_j and lies in its marginal
     # rows i (through P) and n + j (through Q)
-    n = np.array([len(pairs[t][0]) for t in todo])
-    m = np.array([len(pairs[t][1]) for t in todo])
+    n = np.array([len(mu) for mu, _ in pairs])
+    m = np.array([len(nu) for _, nu in pairs])
     inst, row_p, row_q = _marginal_rows(n, m)
     first = np.concatenate([[0], np.cumsum(n * m)])
     n_pairs = inst.size
-    b_all = np.concatenate(
-        [w for t in todo for w in (pairs[t][0].weights, pairs[t][1].weights)]
-    )
 
     # the states of each pair, stacked per dimension: pair g is row slot[g]
     # of the stacks of its dimension
-    dims = np.repeat([pairs[t][0].dim for t in todo], n * m)
+    dims = np.repeat([mu.dim for mu, _ in pairs], n * m)
     slot = np.zeros(n_pairs, dtype=int)
     stacks = {}
     for d in np.unique(dims).tolist():
         at = np.flatnonzero(dims == d)
         slot[at] = np.arange(at.size)
-        group = [pairs[t] for t in todo if pairs[t][0].dim == d]
+        group = [(mu, nu) for mu, nu in pairs if mu.dim == d]
         stacks[d] = (
             np.concatenate([np.repeat(mu.states, len(nu), axis=0) for mu, nu in group]),
             np.concatenate([np.tile(nu.states, (len(mu), 1, 1)) for mu, nu in group]),
@@ -458,19 +443,30 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
     cut_a = np.concatenate([np.tile([1.0, -1.0], n_pairs), seed_a])
     cut_b = np.concatenate([np.tile([-1.0, 1.0], n_pairs), seed_b])
     fresh, seen = _unseen(np.empty((0, 3), dtype=np.int64), cut_pair, cut_a, cut_b)
-    model = _EhsModel(row_p, row_q, b_all)
-    model.add_cuts(cut_pair[fresh], cut_a[fresh], cut_b[fresh])
+    # columns [P, Q, T] per pair, min 1/2 sum T; a P or Q column lies in its
+    # instance's marginal row, a T column in none
+    model = _HighsModel(np.concatenate([w for mu, nu in pairs for w in (mu.weights, nu.weights)]))
+    model.add_cols(np.zeros(2 * n_pairs), np.concatenate([row_p, row_q])[:, None])
+    model.add_cols(np.full(n_pairs, 0.5), np.empty((n_pairs, 0), dtype=int))
+
+    def add_cuts(pair, a, b):
+        # one row a P + b Q - T <= 0 per cut, on the columns of its pair
+        model.add_rows(np.column_stack([pair, n_pairs + pair, 2 * n_pairs + pair]),
+                       np.column_stack([a, b, -np.ones(pair.size)]))
+
+    add_cuts(cut_pair[fresh], cut_a[fresh], cut_b[fresh])
     # the angles in [0, pi/2] of the tangents made so far
     ang_pair, ang = seed_pair, thetas
 
-    is_open = np.ones(len(todo), dtype=bool)
-    best_value = np.full(len(todo), np.inf)
+    out = [None] * len(pairs)
+    is_open = np.ones(len(pairs), dtype=bool)
+    best_value = np.full(len(pairs), np.inf)
     best_p, best_q = np.zeros(n_pairs), np.zeros(n_pairs)
-    gap = np.full(len(todo), np.inf)
+    gap = np.full(len(pairs), np.inf)
     for rounds in range(1, max_rounds + 1):
-        plan_p, plan_q, epi = model.solve()
+        plan_p, plan_q, epi = np.split(model.solve()[0], 3)
         live = np.flatnonzero(is_open[inst])
-        lower = 0.5 * np.bincount(inst, weights=epi, minlength=len(todo))
+        lower = 0.5 * np.bincount(inst, weights=epi, minlength=len(pairs))
         # pairs with P_ij = Q_ij = 0 add nothing to the objective
         use = live[(plan_p[live] > 0.0) | (plan_q[live] > 0.0)]
         phi = np.arctan2(plan_q[use], plan_p[use])
@@ -481,7 +477,7 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
             np.concatenate([plan_p[use], np.cos(new_ang)]),
             np.concatenate([plan_q[use], np.sin(new_ang)]),
         )
-        upper = 0.5 * np.bincount(inst[use], weights=norms[: use.size], minlength=len(todo))
+        upper = 0.5 * np.bincount(inst[use], weights=norms[: use.size], minlength=len(pairs))
         better = is_open & (upper < best_value)
         best_value[better] = upper[better]
         take = better[inst]
@@ -489,7 +485,7 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
         gap[is_open] = np.maximum(best_value - lower, 0.0)[is_open]
         for u in np.flatnonzero(is_open & (gap <= tol)).tolist():
             shape = (n[u], m[u])
-            out[todo[u]] = CouplingSolution(
+            out[u] = CouplingSolution(
                 value=float(best_value[u]),
                 plan=best_p[first[u] : first[u + 1]].reshape(shape),
                 plan_q=best_q[first[u] : first[u + 1]].reshape(shape),
@@ -507,7 +503,7 @@ def d_ehs_many(pairs, tol=1e-6, max_rounds=EHS_MAX_ROUNDS):
         keep = is_open[inst[owner]]
         owner, new_a, new_b = owner[keep], new_a[keep], new_b[keep]
         fresh, seen = _unseen(seen[is_open[inst[seen[:, 0]]]], owner, new_a, new_b)
-        model.add_cuts(owner[fresh], new_a[fresh], new_b[fresh])
+        add_cuts(owner[fresh], new_a[fresh], new_b[fresh])
     raise ConvergenceError(
         f"cutting plane did not reach tol={tol} in {max_rounds} rounds",
         gap=float(np.max(gap[is_open])),

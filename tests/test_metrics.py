@@ -1,8 +1,10 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+import scipy.optimize
 
 from qensembles import (
     ConvergenceError,
@@ -46,6 +48,26 @@ def example1_pair():
     mu = Ensemble.from_members([(0.5, np.kron(z0, z0)), (0.5, np.kron(rho2, z1))])
     nu = singleton(np.kron(sigma, z0))
     return mu, nu
+
+
+def kept_models(monkeypatch):
+    """The list every _HighsModel made from now on is appended to."""
+    models = []
+
+    class Recorded(metrics._HighsModel):
+        def __init__(self, b_eq):
+            super().__init__(b_eq)
+            models.append(self)
+
+    monkeypatch.setattr(metrics, "_HighsModel", Recorded)
+    return models
+
+
+def same_solution(a, b):
+    """Two CouplingSolutions equal in every field, plans bit for bit."""
+    return (a.value, a.iterations, a.gap) == (b.value, b.iterations, b.gap) and all(
+        np.array_equal(x, y) for x, y in ((a.plan, b.plan), (a.plan_q, b.plan_q))
+    )
 
 
 def mixed_rank_ensemble(dim, members, rng, zero_weight):
@@ -152,52 +174,41 @@ class TestKantorovich:
 
 class TestSolveTransport:
     def test_dense_and_sparse_paths_match_vertex_enumeration(self, rng, monkeypatch):
-        calls = []
-        real_linprog = metrics.linprog
-
-        def spy(*args, **kwargs):
-            calls.append((args[0], kwargs["A_eq"], kwargs["b_eq"]))
-            return real_linprog(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "linprog", spy)
+        # the kept model's column of cell i*m + j costs cost[i, j], lies in
+        # marginal rows i and n + j with coefficient 1, and is >= 0; the rows
+        # hold p then q
+        models = kept_models(monkeypatch)
         for _ in range(10):
             n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             # every block here starts from all its cells: one LP over all of them
             assert min(n, m) <= metrics.TRANSPORT_START_CELLS
             cost = rng.uniform(0.0, 1.0, size=(n, m))
             p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
-            expected = transport_bruteforce(cost, p, q)
-            dense, _ = solve_transport(cost, p, q)
-            # a threshold of 0 cells sends the same LP down the CSC path
-            with monkeypatch.context() as patch:
-                patch.setattr(metrics, "TRANSPORT_DENSE_CELLS", 0)
-                sparse, _ = solve_transport(cost, p, q)
-            assert dense == pytest.approx(expected, abs=1e-9)
-            assert sparse == pytest.approx(expected, abs=1e-9)
-            # cell i*m + j lies in marginal rows i and n + j
+            value, _ = solve_transport(cost, p, q)
+            assert value == pytest.approx(transport_bruteforce(cost, p, q), abs=1e-9)
             a_eq = np.zeros((n + m, n * m))
             for i in range(n):
                 for j in range(m):
                     a_eq[i, i * m + j] = a_eq[n + j, i * m + j] = 1.0
-            assert len(calls) == 2
-            for (c, a, b), sparse_path in zip(calls, (False, True)):
-                assert issparse(a) == sparse_path
-                assert np.array_equal(c, cost.ravel())
-                assert np.array_equal(a.toarray() if sparse_path else a, a_eq)
-                assert np.array_equal(b, np.concatenate([p, q]))
-            calls.clear()
+            (model,) = models
+            lp = model.highs.getLp()
+            mat = lp.a_matrix_
+            dense = np.zeros((lp.num_row_, lp.num_col_))
+            for k in range(lp.num_col_):
+                span = slice(mat.start_[k], mat.start_[k + 1])
+                dense[np.array(mat.index_[span], dtype=int), k] = mat.value_[span]
+            assert np.array_equal(dense, a_eq)
+            assert np.array_equal(lp.col_cost_, cost.ravel())
+            assert np.array_equal(lp.col_lower_, np.zeros(n * m))
+            assert np.array_equal(lp.col_upper_, np.full(n * m, np.inf))
+            assert np.array_equal(lp.row_lower_, np.concatenate([p, q]))
+            assert np.array_equal(lp.row_upper_, np.concatenate([p, q]))
+            models.clear()
 
     def test_priced_lp_matches_full_lp_with_a_certificate(self, monkeypatch):
         # KR costs min(|x - y|, 2) on random point clouds; the duals of each
-        # solve's last LP must price every cell of the full cost matrix
-        last = []
-        real_linprog = metrics.linprog
-
-        def spy(*args, **kwargs):
-            last[:] = [real_linprog(*args, **kwargs)]
-            return last[0]
-
-        monkeypatch.setattr(metrics, "linprog", spy)
+        # solve's kept model must price every cell of the full cost matrix
+        models = kept_models(monkeypatch)
         rng = np.random.default_rng(9)
         kinds = ("plain", "zero-weight", "n=1", "m=1", "identical", "far")
         rounds = []
@@ -222,7 +233,7 @@ class TestSolveTransport:
             assert abs(sol.value - transport_full_lp(cost, p, q)) <= 1e-12
             assert np.allclose(sol.plan.sum(axis=1), p, rtol=0.0, atol=1e-9)
             assert np.allclose(sol.plan.sum(axis=0), q, rtol=0.0, atol=1e-9)
-            duals = last[0].eqlin.marginals
+            duals = np.array(models[-1].highs.getSolution().row_dual)
             violation = max(-float(np.min(cost - duals[:n, None] - duals[None, n:])), 0.0)
             assert violation <= 1e-10
             assert sol.gap == violation * np.sum(p)
@@ -234,6 +245,19 @@ class TestSolveTransport:
         # pricing ran, and adding each row's and column's most negative cell
         # keeps it to a few rounds (8 here; 14 when the least negative is added)
         assert 1 < max(rounds) <= 11
+
+    def test_unequal_masses_raise_with_the_model_status(self):
+        # an all-cells block and a priced one: the first LP is infeasible
+        for n, m in ((2, 2), (5, 6)):
+            cost = np.ones((n, m))
+            p, q = np.full(n, 1.0 / n), np.full(m, 1.2 / m)
+            with pytest.raises(ConvergenceError, match="model status kInfeasible"):
+                metrics._solve_transports([(cost, p, q)])
+
+    def test_linprog_stays_bound(self):
+        # no LP of the package calls it, but the benchmark's tracer wraps
+        # metrics.linprog by name on every install
+        assert metrics.linprog is scipy.optimize.linprog
 
     def test_priced_batch_matches_lone_solves(self):
         # complete and priced blocks in one LP: each block's value, plan and
@@ -397,6 +421,28 @@ class TestEhs:
             d_ehs_many(pairs, tol=tol, max_rounds=1)
         assert tol < err.value.gap < math.inf
 
+    def test_many_runs_at_most_the_cap_per_model(self, rng, monkeypatch):
+        tol = 1e-8
+        pairs = [(random_ensemble(2, 2, rng), random_ensemble(2, 3, rng)) for _ in range(7)]
+        pairs.insert(3, (singleton(random_state(2, 1, rng)), singleton(random_state(2, 2, rng))))
+        whole = d_ehs_many(pairs, tol=tol)
+        models = kept_models(monkeypatch)
+        # 30 instances, as in a verify call at --trials 30: one model
+        d_ehs_many([pairs[0]] * 30, tol=tol)
+        assert len(models) == 1
+        models.clear()
+        monkeypatch.setattr(metrics, "EHS_MODEL_INSTANCES", 3)
+        capped = d_ehs_many(pairs, tol=tol)
+        # the singleton pair takes no model: instances 0-2, 4-6 and 7
+        assert len(models) == 3
+        for chunk in ([0, 1, 2], [4, 5, 6], [7]):
+            alone = d_ehs_many([pairs[t] for t in chunk], tol=tol)
+            for t, sol in zip(chunk, alone):
+                assert same_solution(capped[t], sol)
+        for sol, ref in zip(capped, whole):
+            assert abs(sol.value - ref.value) <= tol and sol.gap <= tol
+        assert same_solution(capped[3], whole[3])
+
     def test_two_singletons_need_no_lp(self, rng):
         for d in (2, 3, 5):
             rho, sigma = random_state(d, d, rng), random_state(d, 1, rng)
@@ -426,7 +472,8 @@ class TestEhs:
 
     def test_degenerate_inputs_match_kelley_reference(self, monkeypatch):
         # each case on its own (a lone one-pair call) and all in one batch,
-        # with the d_ehs LP kept in one HiGHS model: linprog is never reached
+        # with every LP kept in a HiGHS model: linprog is never reached, by
+        # d_ehs nor by the transport LPs of d_kantorovich, KR and W1
         monkeypatch.setattr(metrics, "linprog", None)
         rng = np.random.default_rng(7150)
         tol = 1e-8
@@ -457,25 +504,45 @@ class TestEhs:
                 assert np.allclose(sol.plan_q.sum(axis=0), nu.weights, rtol=0.0, atol=1e-9)
         assert abs(batch[4].value) <= tol
         assert batch[5].iterations == 0
+        for (name, (mu, nu)), together in zip(cases.items(), d_kantorovich_many(pairs)):
+            cost = 0.5 * np.array([[trace_norm(r - s) for s in nu.states] for r in mu.states])
+            expected = transport_bruteforce(cost, mu.weights, nu.weights)
+            for value in (d_kantorovich(mu, nu).value, together.value,
+                          solve_transport(cost, mu.weights, nu.weights)[0]):
+                assert abs(value - expected) <= 1e-9, name
+        # 5 x 7 atoms: more than TRANSPORT_START_CELLS each way, so priced
+        a = PointMeasure(points=rng.normal(size=(5, 2)), weights=rng.dirichlet(np.ones(5)))
+        b = PointMeasure(points=rng.normal(size=(7, 2)) + 1.5,
+                         weights=rng.dirichlet(np.ones(7)))
+        euclid = np.hypot(*np.moveaxis(a.points[:, None] - b.points[None], -1, 0))
+        assert abs(kr_distance(a, b) - kr_dual_lp(a.points, a.weights, b.points, b.weights)) <= 1e-9
+        assert abs(kr_modified(a, b) - transport_full_lp(euclid, a.weights, b.weights)) <= 1e-9
 
     def test_lp_status_other_than_optimal_raises(self):
         # a negative marginal leaves the kept model infeasible
-        model = metrics._EhsModel(np.array([0]), np.array([1]), np.array([-1.0, 1.0]))
+        model = metrics._HighsModel(np.array([-1.0, 1.0]))
+        model.add_cols(np.zeros(2), np.array([[0], [1]]))
         with pytest.raises(ConvergenceError, match="model status kInfeasible"):
             model.solve()
 
     def test_kept_model_takes_the_lp_options(self):
         # the certified gaps rest on LP_OPTIONS; presolve off keeps the basis
-        model = metrics._EhsModel(np.array([0]), np.array([1]), np.array([1.0, 1.0]))
+        model = metrics._HighsModel(np.array([1.0, 1.0]))
         for key, value in {"presolve": "off", "output_flag": False, **metrics.LP_OPTIONS}.items():
             assert model.highs.getOptionValue(key)[1] == value
 
     def test_private_highs_api_is_there(self):
-        # d_ehs_many keeps its LP in scipy's private HiGHS binding; name the
-        # first attribute missing if a scipy release renames any of them
+        # every LP of the package is kept in scipy's private HiGHS binding;
+        # name the first attribute missing if a scipy release renames any of
+        # them. The list names every method and solution field the model uses.
         from scipy.optimize._highspy import _core
 
-        for name in metrics._EhsModel.HIGHS_API:
+        api = metrics._HighsModel.HIGHS_API
+        source = inspect.getsource(metrics._HighsModel)
+        used = {f"_Highs.{f}" for f in re.findall(r"self\.highs\.(\w+)", source)}
+        used |= {f"HighsSolution.{f}" for f in re.findall(r"\bsol\.(\w+)", source)}
+        assert {"_Highs.addCols", "HighsSolution.row_dual"} <= used <= set(api)
+        for name in api:
             obj = _core
             for part in name.split("."):
                 assert hasattr(obj, part), (
