@@ -308,7 +308,7 @@ def discretization_bounds(delta, n_mean):
     return loss, gain
 
 
-def s_ineq_check(eps, n_mean, slack=1e-9):
+def s_ineq_check(eps, n_mean):
     """Check eps g(N/eps) - eps g(N) <= -eps ln eps + eps(1 + eps/N) <= 1/e + 1 + 1/N."""
     eps = float(eps)
     n_mean = float(n_mean)
@@ -317,7 +317,7 @@ def s_ineq_check(eps, n_mean, slack=1e-9):
     left = eps * g_func(n_mean / eps) - eps * g_func(n_mean)
     mid = -eps * math.log(eps) + eps * (1.0 + eps / n_mean)
     right = 1.0 / math.e + 1.0 + 1.0 / n_mean
-    return left <= mid + slack and mid <= right + slack
+    return left <= mid + 1e-9 and mid <= right + 1e-9
 
 
 # ---------------------------------------------------------------------------

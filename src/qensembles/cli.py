@@ -25,8 +25,16 @@ from .metrics import d0, d_ehs, d_kantorovich, dk_upper, kr_distance, kr_modifie
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ValidationError(f"cannot read JSON from {path}: {exc}") from None
+
+
+def _usage_error(exc):
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _parse_param(text):
@@ -42,26 +50,32 @@ def _parse_param(text):
 
 
 def _cmd_metric(args):
+    try:
+        out = _metric(args)
+    except ValidationError as exc:
+        return _usage_error(exc)
+    print(json.dumps(out, sort_keys=True))
+    return 0
+
+
+def _metric(args):
     if args.name in ("kr", "krmod"):
         a = ser.point_measure_from_json(_load_json(args.a))
         b = ser.point_measure_from_json(_load_json(args.b))
         value = kr_distance(a, b) if args.name == "kr" else kr_modified(a, b)
-        out = {"metric": args.name, "value": value}
-    else:
-        mu = ser.ensemble_from_json(_load_json(args.a))
-        nu = ser.ensemble_from_json(_load_json(args.b))
-        if args.name == "d0":
-            out = {"metric": "d0", "value": d0(mu, nu)}
-        elif args.name == "dk":
-            sol = d_kantorovich(mu, nu)
-            out = {"metric": "dk", "value": sol.value,
-                   "upper_bound": dk_upper(mu, nu)}
-        else:
-            sol = d_ehs(mu, nu, tol=args.tol)
-            out = {"metric": "dehs", "value": sol.value, "gap": sol.gap,
-                   "iterations": sol.iterations}
-    print(json.dumps(out, sort_keys=True))
-    return 0
+        return {"metric": args.name, "value": value}
+    mu = ser.ensemble_from_json(_load_json(args.a))
+    nu = ser.ensemble_from_json(_load_json(args.b))
+    if args.name == "d0":
+        return {"metric": "d0", "value": d0(mu, nu)}
+    if args.name == "dk":
+        return {"metric": "dk", "value": d_kantorovich(mu, nu).value,
+                "upper_bound": dk_upper(mu, nu)}
+    if not args.tol > 0.0:  # also rejects NaN
+        raise ValidationError(f"--tol must be positive, got {args.tol}")
+    sol = d_ehs(mu, nu, tol=args.tol)
+    return {"metric": "dehs", "value": sol.value, "gap": sol.gap,
+            "iterations": sol.iterations}
 
 
 def _cmd_bound(args):
@@ -69,29 +83,33 @@ def _cmd_bound(args):
     try:
         value = B.evaluate_tag(args.tag, params)
     except (ValidationError, EnergyRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     print(json.dumps({"tag": args.tag, "value": value, "params": params},
                      sort_keys=True))
     return 0
 
 
-def _config_from_args(args, name):
-    cfg_data = {}
-    if args.config:
-        cfg_data = _load_json(args.config)
+CONFIG_KEYS = ("seed", "trials", "dims", "output_path")
+
+
+def _config_from_args(args):
+    """(ExperimentConfig, report path or None) from --config, then --seed,
+    --trials and --out, which override the file's values."""
+    data = _load_json(args.config) if args.config else {}
+    if not isinstance(data, dict):
+        raise ValidationError(f"config file must hold a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValidationError(f"unknown config key {unknown[0]!r}; "
+                              f"expected one of {', '.join(CONFIG_KEYS)}")
+    out_path = data.pop("output_path", None)
+    if out_path is not None and not isinstance(out_path, str):
+        raise ValidationError(f"output_path must be a string, got {out_path!r}")
     if args.seed is not None:
-        cfg_data["seed"] = args.seed
+        data["seed"] = args.seed
     if args.trials is not None:
-        cfg_data["trials"] = args.trials
-    cfg_data.setdefault("experiment", name)
-    out_path = args.out or cfg_data.pop("output_path", None)
-    known = {"seed", "trials", "dims", "tolerance", "experiment"}
-    extra = cfg_data.pop("extra", {})
-    extra.update({k: cfg_data.pop(k) for k in list(cfg_data) if k not in known})
-    if "dims" in cfg_data:
-        cfg_data["dims"] = tuple(cfg_data["dims"])
-    return ExperimentConfig(output_path=out_path, extra=extra, **cfg_data)
+        data["trials"] = args.trials
+    return ExperimentConfig(**data), args.out or out_path
 
 
 def _table_csv(rows):
@@ -126,16 +144,12 @@ def _emit(result, args, out_path):
     return 0 if result.passed else 1
 
 
-def _cmd_verify(args):
-    fn = EXPERIMENTS[args.experiment]
-    cfg = _config_from_args(args, args.experiment)
-    return _emit(fn(cfg), args, cfg.output_path)
-
-
-def _cmd_repro(args):
-    fn = REPROS[args.name]
-    cfg = _config_from_args(args, args.name)
-    return _emit(fn(cfg), args, cfg.output_path)
+def _cmd_run(args):
+    try:
+        cfg, out_path = _config_from_args(args)
+    except ValidationError as exc:
+        return _usage_error(exc)
+    return _emit(args.runs[args.name](cfg), args, out_path)
 
 
 def build_parser():
@@ -168,13 +182,13 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification experiment")
-    p_verify.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    p_verify.set_defaults(fn=_cmd_verify)
+    p_verify.add_argument("name", choices=sorted(EXPERIMENTS))
+    p_verify.set_defaults(fn=_cmd_run, runs=EXPERIMENTS)
 
     p_repro = sub.add_parser("repro", parents=[common],
                              help="reproduce a worked example")
     p_repro.add_argument("name", choices=sorted(REPROS))
-    p_repro.set_defaults(fn=_cmd_repro)
+    p_repro.set_defaults(fn=_cmd_run, runs=REPROS)
     return parser
 
 

@@ -25,8 +25,8 @@ def _check_weights(weights, name):
     """Validate a probability vector (nonnegative within WEIGHT_TOL, unit sum
     within WEIGHT_TOL) and return it as floats clipped at 0."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < -WEIGHT_TOL):
-        raise ValidationError(f"{name} must be nonnegative")
+    if not np.all(w >= -WEIGHT_TOL):  # also rejects NaN
+        raise ValidationError(f"{name} must be nonnegative numbers")
     if abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
         raise ValidationError(f"{name} sum to {np.sum(w)}, expected 1")
     return np.clip(w, 0.0, None)
@@ -176,12 +176,8 @@ def perturb_weights(mu, direction, t):
     return Ensemble(dim=mu.dim, weights=w, states=mu.states)
 
 
-def pure_ensemble(vectors, weights=None):
-    """Ensemble of rank-1 projectors from state vectors."""
+def pure_ensemble(vectors):
+    """Uniformly weighted ensemble of rank-1 projectors from state vectors."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    n = len(vecs)
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    return Ensemble.from_members(
-        [(float(w), outer(v / np.linalg.norm(v))) for w, v in zip(weights, vecs)]
-    )
+    w = 1.0 / len(vecs)
+    return Ensemble.from_members([(w, outer(v / np.linalg.norm(v))) for v in vecs])

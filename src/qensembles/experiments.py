@@ -78,21 +78,34 @@ from .randomgen import (
 from .randomgen import random_channel as _random_channel
 
 
-@dataclass
+# slack added to the right-hand side of every asserted bound
+TOLERANCE = 1e-8
+# certified gap of every d_ehs solve
+DEHS_TOL = 1e-7
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one run; everything else an experiment uses is fixed."""
+
     seed: int = 2024
     trials: int = 100
     dims: tuple = (2, 3, 4, 5)
-    tolerance: float = 1e-8
-    experiment: str = ""
-    output_path: str | None = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if any(d < 2 for d in self.dims):
-            raise ValidationError("dims must all be >= 2")
+        if not _is_int(self.seed):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if (not isinstance(self.dims, (list, tuple)) or not self.dims
+                or not all(_is_int(d) and d >= 2 for d in self.dims)):
+            raise ValidationError(
+                f"dims must be a non-empty list of integers >= 2, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(self.dims))
 
 
 @dataclass
@@ -153,23 +166,36 @@ class _Recorder:
         return ExperimentResult(self.name, self.records, tables)
 
 
-def _perturbed_ensemble(mu, rng, strength=0.3):
+def _perturbed_ensemble(mu, rng):
     targets = [random_state(mu.dim, mu.dim, rng) for _ in mu.members]
-    nu = mix_members_toward(mu, targets, float(rng.uniform(0.0, strength)))
+    nu = mix_members_toward(mu, targets, float(rng.uniform(0.0, 0.3)))
     direction = rng.normal(size=len(nu))
     return perturb_weights(nu, direction, float(rng.uniform(0.0, 0.15)))
 
 
-def _mixed_channel_pair(chan, rng, t_max=0.25):
+def _mixed_channel_pair(chan, rng):
     """(Psi, half-diamond upper bound): Psi = (1-t) chan + t random channel.
 
     Half the diamond distance is at most t regardless of the mixed-in channel,
     so t is a closed-form epsilon contribution safe to assert against.
     """
-    t = float(rng.uniform(0.0, t_max))
+    t = float(rng.uniform(0.0, 0.25))
     other = _random_channel(chan.dim_in, chan.dim_out,
                             int(rng.integers(1, 3)), rng)
     return mix_channels(t, chan, other), t
+
+
+def _channel_trials(cfg, max_dim):
+    """(i, d, rng, phi, mu, nu) per trial: a random channel phi on dimension
+    d, a random ensemble mu and its perturbation nu, drawn in that order from
+    the trial's generator rng, which then draws the trial's other choices."""
+    dims = [d for d in cfg.dims if d <= max_dim] or [2, 3]
+    for i in range(cfg.trials):
+        rng = derive_rng(cfg.seed, i)
+        d = dims[i % len(dims)]
+        phi = _random_channel(d, d, int(rng.integers(1, 3)), rng)
+        mu = random_ensemble(d, int(rng.integers(1, 4)), rng)
+        yield i, d, rng, phi, mu, _perturbed_ensemble(mu, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -178,48 +204,38 @@ def _mixed_channel_pair(chan, rng, t_max=0.25):
 
 def verify_scb_rank(cfg):
     rec = _Recorder("scb-rank")
-    dims = [d for d in cfg.dims if d <= 5] or [2, 3]
-    dehs_tol = cfg.extra.get("dehs_tol", 1e-7)
     trials = []
-    for i in range(cfg.trials):
-        rng = derive_rng(cfg.seed, i)
-        d = dims[i % len(dims)]
-        r_b = d
-        phi = _random_channel(d, r_b, int(rng.integers(1, 3)), rng)
-        mu = random_ensemble(d, int(rng.integers(1, 4)), rng)
-        nu = _perturbed_ensemble(mu, rng)
-
+    for i, d, rng, phi, mu, nu in _channel_trials(cfg, max_dim=5):
         mode = i % 3
         if mode == 0:
-            psi_chan, half_norm = phi, 0.0
-            phi_full, psi_full, rank = phi, phi, r_b
+            phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
         elif mode == 1:
-            psi_chan, half_norm = _mixed_channel_pair(phi, rng)
-            phi_full, psi_full, rank = phi, psi_chan, r_b
+            psi_full, half_norm = _mixed_channel_pair(phi, rng)
+            phi_full, rank = phi, d
         else:
             p, q = sorted(rng.uniform(0.0, 0.3, size=2))
-            phi_full = erasure_channel(r_b, float(p)).compose(phi)
-            psi_full = erasure_channel(r_b, float(q)).compose(phi)
+            phi_full = erasure_channel(d, float(p)).compose(phi)
+            psi_full = erasure_channel(d, float(q)).compose(phi)
             half_norm = 0.5 * erasure_pair_diamond(p, q)
-            rank = r_b + 1
+            rank = d + 1
 
         lhs = aoe(phi_full, mu) - aoe(psi_full, nu)
         trials.append((d, mu, nu, mode, half_norm, rank, lhs))
 
     ensembles = [(mu, nu) for _, mu, nu, *_ in trials]
-    dehs = d_ehs_many(ensembles, tol=dehs_tol)
+    dehs = d_ehs_many(ensembles, tol=DEHS_TOL)
     dk = d_kantorovich_many(ensembles)
     for (d, mu, nu, mode, half_norm, rank, lhs), s_ehs, s_dk in zip(trials, dehs, dk):
         metrics = {"dehs": s_ehs.value, "d0": d0(mu, nu), "dk": s_dk.value}
         for name, dist in metrics.items():
             eps = dist + half_norm
-            rec.add(f"prop2/{name}", lhs, B.scb_rank(eps, rank) + cfg.tolerance,
+            rec.add(f"prop2/{name}", lhs, B.scb_rank(eps, rank) + TOLERANCE,
                     eps, dim=d, rank=rank, mode=mode)
-    _scb_rank_witnesses(rec, cfg)
+    _scb_rank_witnesses(rec)
     return rec.result()
 
 
-def _scb_rank_witnesses(rec, cfg):
+def _scb_rank_witnesses(rec):
     for r_b in (2, 3, 5):
         for eps in (0.1, 0.3, 1.0 - 1.0 / r_b):
             # C-1: perturbed basis state against a basis state, identity channel
@@ -250,22 +266,15 @@ def _scb_rank_witnesses(rec, cfg):
 
 def verify_scb_energy(cfg):
     rec = _Recorder("scb-energy")
-    dims = [d for d in cfg.dims if d <= 6] or [2, 3]
-    dehs_tol = cfg.extra.get("dehs_tol", 1e-7)
     trials = []
-    for i in range(cfg.trials):
-        rng = derive_rng(cfg.seed, i)
-        d = dims[i % len(dims)]
-        phi = _random_channel(d, d, int(rng.integers(1, 3)), rng)
-        mu = random_ensemble(d, int(rng.integers(1, 4)), rng)
-        nu = _perturbed_ensemble(mu, rng)
+    for i, d, rng, phi, mu, nu in _channel_trials(cfg, max_dim=6):
         if i % 2 == 0:
             psi_chan, half_norm = phi, 0.0
         else:
             psi_chan, half_norm = _mixed_channel_pair(phi, rng)
         trials.append((d, phi, psi_chan, mu, nu, half_norm))
 
-    dehs = d_ehs_many([(mu, nu) for _, _, _, mu, nu, _ in trials], tol=dehs_tol)
+    dehs = d_ehs_many([(mu, nu) for _, _, _, mu, nu, _ in trials], tol=DEHS_TOL)
     for (d, phi, psi_chan, mu, nu, half_norm), sol in zip(trials, dehs):
         out_mu = phi.apply_ensemble(mu)
         e_b = avg_passive_energy(out_mu)
@@ -275,22 +284,22 @@ def verify_scb_energy(cfg):
         eps_ehs = sol.value + half_norm
         eps_d0 = d0(mu, nu) + half_norm
         if eps_ehs > 0.0:
-            rec.add("prop3/dehs", lhs, B.scb_energy(eps_ehs, e_b) + cfg.tolerance,
+            rec.add("prop3/dehs", lhs, B.scb_energy(eps_ehs, e_b) + TOLERANCE,
                     eps_ehs, dim=d, e_b=e_b)
-            rec.add("prop3/B2", lhs, B.scb_energy(eps_ehs, e_b2) + cfg.tolerance,
+            rec.add("prop3/B2", lhs, B.scb_energy(eps_ehs, e_b2) + TOLERANCE,
                     eps_ehs, dim=d, e_b=e_b2)
             # B-2 is the weaker bound: E_B <= Tr H Phi(avg)
             rec.add("prop3/B2-dominates", B.scb_energy(eps_ehs, e_b),
-                    B.scb_energy(eps_ehs, e_b2) + cfg.tolerance, eps_ehs, dim=d)
+                    B.scb_energy(eps_ehs, e_b2) + TOLERANCE, eps_ehs, dim=d)
         if eps_d0 > 0.0:
             e_cut = truncated_passive_energy(out_mu, eps_d0)
             refined = B.scb_energy(eps_d0, max(e_b - e_cut, 0.0))
             plain = B.scb_energy(eps_d0, e_b)
-            rec.add("prop3/refined", lhs, refined + cfg.tolerance, eps_d0,
+            rec.add("prop3/refined", lhs, refined + TOLERANCE, eps_d0,
                     dim=d, e_cut=e_cut)
-            rec.add("prop3/refined-le-plain", refined, plain + cfg.tolerance,
+            rec.add("prop3/refined-le-plain", refined, plain + TOLERANCE,
                     eps_d0, dim=d)
-    _scb_energy_witnesses(rec, cfg)
+    _scb_energy_witnesses(rec)
     return rec.result()
 
 
@@ -303,7 +312,7 @@ def _gibbs_witness_populations(energy_over_eps, eps):
     return _check_weights(pops, "witness populations")
 
 
-def _scb_energy_witnesses(rec, cfg):
+def _scb_energy_witnesses(rec):
     for eps, energy in ((0.1, 1.0), (0.25, 0.5), (0.5, 2.0)):
         pops = _gibbs_witness_populations(energy / eps, eps)
         lhs = shannon_entropy(np.sort(pops))
@@ -312,7 +321,7 @@ def _scb_energy_witnesses(rec, cfg):
         # 3C-1: strict exceedance of the first term, within the full bound
         rec.add("prop3/C1-exceeds", floor + 1e-12, lhs, eps, energy=energy,
                 check="strict-exceedance")
-        rec.add("prop3/C1-within", lhs, cap + cfg.tolerance, eps, energy=energy)
+        rec.add("prop3/C1-within", lhs, cap + TOLERANCE, eps, energy=energy)
         # summed as complex, as Tr H rho over the matrix was, for the same bits
         rec.add_equality("prop3/C1-energy",
                          np.real(np.sum(np.arange(pops.size, dtype=float)
@@ -330,7 +339,7 @@ def _scb_energy_witnesses(rec, cfg):
         rec.add("prop3/C2-halfdist", dist, eps + 1e-12, eps, energy=energy)
         rec.add("prop3/C2-exceeds", floor + 1e-12, lhs, eps, energy=energy,
                 check="strict-exceedance")
-        rec.add("prop3/C2-within", lhs, cap + cfg.tolerance, eps, energy=energy)
+        rec.add("prop3/C2-within", lhs, cap + TOLERANCE, eps, energy=energy)
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +348,15 @@ def _scb_energy_witnesses(rec, cfg):
 
 def verify_holevo(cfg):
     rec = _Recorder("holevo")
-    dims = [d for d in cfg.dims if d <= 5] or [2, 3]
-    dehs_tol = cfg.extra.get("dehs_tol", 1e-7)
     trials = []
-    for i in range(cfg.trials):
-        rng = derive_rng(cfg.seed, i)
-        d = dims[i % len(dims)]
-        phi = _random_channel(d, d, int(rng.integers(1, 3)), rng)
-        mu = random_ensemble(d, int(rng.integers(1, 4)), rng)
-        nu = _perturbed_ensemble(mu, rng)
+    for i, d, rng, phi, mu, nu in _channel_trials(cfg, max_dim=5):
         if i % 2 == 0:
             psi_chan, half_norm = phi, 0.0
         else:
             psi_chan, half_norm = _mixed_channel_pair(phi, rng)
         trials.append((i, d, phi, psi_chan, mu, nu, half_norm))
 
-    dehs = d_ehs_many([(mu, nu) for *_, mu, nu, _ in trials], tol=dehs_tol)
+    dehs = d_ehs_many([(mu, nu) for *_, mu, nu, _ in trials], tol=DEHS_TOL)
     for (i, d, phi, psi_chan, mu, nu, half_norm), sol in zip(trials, dehs):
         eps = min(sol.value + half_norm, 1.0)
         if eps <= 0.0:
@@ -370,14 +372,14 @@ def verify_holevo(cfg):
         b_j = case_b[combo % 2]
         rhs = B.scb_holevo(eps, a_i, b_j)
         rec.add(f"prop4/case{combo // 2 + 1}{combo % 2 + 1}", lhs,
-                rhs + cfg.tolerance, eps, dim=d)
+                rhs + TOLERANCE, eps, dim=d)
 
         # Corollary 2 two-sided variants with symmetric constraints
         e_nu_avg = mean_energy(psi_chan.apply(average_state(nu)))
-        rec.add("cor2a/abs", abs(lhs), B.cb_holevo_rank(eps, d, d) + cfg.tolerance,
+        rec.add("cor2a/abs", abs(lhs), B.cb_holevo_rank(eps, d, d) + TOLERANCE,
                 eps, dim=d)
         rec.add("cor2b/abs", abs(lhs),
-                B.cb_holevo_energy(eps, e_mu, e_nu_avg) + cfg.tolerance,
+                B.cb_holevo_energy(eps, e_mu, e_nu_avg) + TOLERANCE,
                 eps, dim=d)
     return rec.result()
 
@@ -428,7 +430,7 @@ def verify_lemmas(cfg):
         nu = random_ensemble(d, n, rng)
         lhs = average_entropy(mu) - average_entropy(nu)
         eps = d0(mu, nu)
-        rec.add("lemma3/rank", lhs, B.scb_rank(eps, r) + cfg.tolerance, eps,
+        rec.add("lemma3/rank", lhs, B.scb_rank(eps, r) + TOLERANCE, eps,
                 dim=d, rank=r)
 
         energy = avg_passive_energy(mu)
@@ -436,8 +438,8 @@ def verify_lemmas(cfg):
             e_cut = truncated_passive_energy(mu, eps)
             refined = B.scb_energy(eps, max(energy - e_cut, 0.0))
             plain = B.scb_energy(eps, energy)
-            rec.add("lemma4/refined", lhs, refined + cfg.tolerance, eps, dim=d)
-            rec.add("lemma4/chain", refined, plain + cfg.tolerance, eps, dim=d)
+            rec.add("lemma4/refined", lhs, refined + TOLERANCE, eps, dim=d)
+            rec.add("lemma4/chain", refined, plain + TOLERANCE, eps, dim=d)
 
         if i % 5 == 0:
             # branch coverage: nearly orthogonal sides push eps past 1 - 1/r
@@ -449,7 +451,7 @@ def verify_lemmas(cfg):
             mu2 = pure_ensemble(pad_a)
             nu2 = pure_ensemble(pad_b)
             eps2 = d0(mu2, nu2)
-            rec.add("lemma3/branch", 0.0, B.scb_rank(eps2, 2) + cfg.tolerance,
+            rec.add("lemma3/branch", 0.0, B.scb_rank(eps2, 2) + TOLERANCE,
                     eps2, dim=d, branch=eps2 > 0.5)
         if i % 7 == 0:
             # sign case: pure blocks against maximally mixed blocks make the
@@ -459,7 +461,7 @@ def verify_lemmas(cfg):
             nu3 = Ensemble(d, mu3.weights.copy(), (mixed, mixed))
             lhs3 = -math.log(d)
             eps3 = d0(mu3, nu3)
-            rec.add("lemma3/sign-case", lhs3, B.scb_rank(eps3, 2) + cfg.tolerance,
+            rec.add("lemma3/sign-case", lhs3, B.scb_rank(eps3, 2) + TOLERANCE,
                     eps3, dim=d, negative_lhs=True)
     return rec.result()
 
@@ -484,7 +486,7 @@ def eof_witness_values(rank, delta):
     return lhs, rhs, fid
 
 
-def _eof_witness_grid(rec, cfg, with_fidelity):
+def _eof_witness_grid(rec, with_fidelity):
     """Record prop8/witness for every (rank, delta); returns the table rows
     keyed by (rank, delta)."""
     rows = {}
@@ -492,7 +494,7 @@ def _eof_witness_grid(rec, cfg, with_fidelity):
         for delta in (0.01, 0.05):
             lhs, rhs, fid = eof_witness_values(rank, delta)
             extra = {"fidelity": fid} if with_fidelity else {}
-            rec.add("prop8/witness", lhs, rhs + cfg.tolerance, delta, rank=rank, **extra)
+            rec.add("prop8/witness", lhs, rhs + TOLERANCE, delta, rank=rank, **extra)
             rows[rank, delta] = {"rank": rank, "delta": delta, "lhs": lhs, "rhs": rhs,
                                  "ratio": lhs / rhs}
     return rows
@@ -500,7 +502,7 @@ def _eof_witness_grid(rec, cfg, with_fidelity):
 
 def verify_eof(cfg):
     rec = _Recorder("eof")
-    rows = _eof_witness_grid(rec, cfg, with_fidelity=True)
+    rows = _eof_witness_grid(rec, with_fidelity=True)
     for delta in (0.01, 0.05):
         rec.add("prop8/ratio-trend", rows[4, delta]["ratio"],
                 rows[64, delta]["ratio"], delta, check="ratio grows with rank")
@@ -522,7 +524,7 @@ def verify_eof(cfg):
         delta_f = math.sqrt(max(1.0 - fidelity(rho, sigma0), 0.0))
         e_f = von_neumann_entropy(np.diag(lam).astype(complex))
         rec.add("cor3/pure", e_f,
-                B.eof_upper_sep(delta_f, rank) + cfg.tolerance, delta_f, rank=rank)
+                B.eof_upper_sep(delta_f, rank) + TOLERANCE, delta_f, rank=rank)
         # separable pure state: E_F = 0 <= any admissible cap
         rec.add("cor3/separable", 0.0, B.eof_upper_sep(0.0, rank), 0.0, rank=rank)
     return rec.result()
@@ -561,9 +563,8 @@ def repro_crossover(cfg):
 def repro_erasure(cfg):
     rec = _Recorder("erasure")
     rows = []
-    ranks = cfg.extra.get("ranks", (4, 8, 16))
-    grid = cfg.extra.get("grid", (0.02, 0.05))
-    for r in ranks:
+    grid = (0.02, 0.05)
+    for r in (4, 8, 16):
         basis = np.eye(r, dtype=complex)
         mu = pure_ensemble([basis[:, k] for k in range(r)])
         sigma = outer(basis[:, 0])
@@ -579,9 +580,9 @@ def repro_erasure(cfg):
                 closed = (eps_tot * math.log(2 * (r - 1))
                           + 2.0 * binary_entropy(eps_tot))
                 lower = (p + eps - p * eps) * math.log(r) - (1 - p) * binary_entropy(eps)
-                rec.add("example6/upper", lhs, upper + cfg.tolerance, eps_tot,
+                rec.add("example6/upper", lhs, upper + TOLERANCE, eps_tot,
                         r=r, p=p, eps_state=eps)
-                rec.add("example6/lower", lower, lhs + cfg.tolerance, eps_tot,
+                rec.add("example6/lower", lower, lhs + TOLERANCE, eps_tot,
                         r=r, p=p, eps_state=eps)
                 rec.add_equality("example6/closed-form", upper, closed, eps_tot)
                 rows.append({"r": r, "p": p, "eps": eps, "chi_gap": lhs,
@@ -593,10 +594,11 @@ def repro_erasure(cfg):
 # Coherent-ensemble discretization (reproduction)
 # ---------------------------------------------------------------------------
 
-def _dephased_coherent_aoe(n_mean, panels, order=32, s_max=45.0):
-    """(1/N) integral of H_P(s) e^(-s/N) ds by composite Gauss-Legendre."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, s_max, panels + 1)
+def _dephased_coherent_aoe(n_mean, panels):
+    """(1/N) integral of H_P(s) e^(-s/N) ds over [0, 45] by composite
+    32-point Gauss-Legendre."""
+    xs, ws = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, 45.0, panels + 1)
     mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     nodes = mids[:, None] + halves[:, None] * xs
     entropies = poisson_entropy(nodes)
@@ -637,8 +639,8 @@ def _subsampled_measure(pts, wts, radius):
 
 def repro_coherent_discretization(cfg):
     rec = _Recorder("coherent")
-    n_mean = cfg.extra.get("n_mean", 1.0)
-    deltas = cfg.extra.get("deltas", (0.5, 0.25))
+    n_mean = 1.0
+    deltas = (0.5, 0.25)
     rows = []
 
     base = _dephased_coherent_aoe(n_mean, panels=32)
@@ -652,9 +654,9 @@ def repro_coherent_discretization(cfg):
         half_cells = int(math.ceil(6.0 * math.sqrt(n_mean / 2.0) / delta))
         aoe_disc = _discretized_aoe(n_mean, delta, half_cells)
         loss_cap, gain_cap = B.discretization_bounds(delta, n_mean)
-        rec.add("coherent/loss", aoe_cont - aoe_disc, loss_cap + cfg.tolerance,
+        rec.add("coherent/loss", aoe_cont - aoe_disc, loss_cap + TOLERANCE,
                 delta, n_mean=n_mean)
-        rec.add("coherent/gain", aoe_disc - aoe_cont, gain_cap + cfg.tolerance,
+        rec.add("coherent/gain", aoe_disc - aoe_cont, gain_cap + TOLERANCE,
                 delta, n_mean=n_mean)
         gaps[delta] = abs(aoe_cont - aoe_disc)
         rows.append({"delta": delta, "aoe_continuous": aoe_cont,
@@ -663,7 +665,7 @@ def repro_coherent_discretization(cfg):
 
     ds = sorted(deltas)
     for fine, coarse in zip(ds[:-1], ds[1:]):
-        rec.add("coherent/monotone-gap", gaps[fine], gaps[coarse] + cfg.tolerance,
+        rec.add("coherent/monotone-gap", gaps[fine], gaps[coarse] + TOLERANCE,
                 fine, coarse=coarse)
 
     # KR distance between successive discretizations, on subsampled supports
@@ -698,7 +700,7 @@ def repro_coherent_discretization(cfg):
              for w, (x, y) in zip(w2, pts2)]
         )
         dk = d_kantorovich(mu, nu).value
-        rec.add("lemma9/transfer", dk, kr_modified(pm1, pm2) + cfg.tolerance,
+        rec.add("lemma9/transfer", dk, kr_modified(pm1, pm2) + TOLERANCE,
                 0.0, case=k)
     return rec.result(tables={"coherent": rows})
 
@@ -709,7 +711,7 @@ def repro_coherent_discretization(cfg):
 
 def repro_eof_witness(cfg):
     rec = _Recorder("eof-witness")
-    rows = _eof_witness_grid(rec, cfg, with_fidelity=False)
+    rows = _eof_witness_grid(rec, with_fidelity=False)
     rec.add("prop8/ratio-0.8", 0.8, rows[64, 0.01]["ratio"], 0.01,
             check="lhs/rhs exceeds 0.8")
     return rec.result(tables={"eof_witness": list(rows.values())})
@@ -719,9 +721,7 @@ def repro_gibbs_displaced(cfg):
     """Displaced-Gibbs ensemble: passive energies stay at N_0; the quadrature
     average approaches the Gibbs state at N + N_0 (error reported, not asserted)."""
     rec = _Recorder("gibbs-displaced")
-    n0 = cfg.extra.get("n0", 0.5)
-    n_mean = cfg.extra.get("n_mean", 0.4)
-    n_max = int(cfg.extra.get("n_max", 48))
+    n0, n_mean, n_max = 0.5, 0.4, 48
     ham = HamiltonianSpec.oscillator(n_max + 1)
     gibbs = np.diag(solve_gibbs(ham, n0, auto_extend=False).weights).astype(complex)
 

@@ -27,14 +27,14 @@ def hermitian_part(a):
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def check_hermitian(a, tol=HERM_TOL, name="operator"):
+def check_hermitian(a, name="operator"):
     """Validate hermiticity of a matrix or (..., d, d) stack and return it symmetrized."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2))) if a.size else 0.0
-    if not dev <= tol:  # also rejects NaN and inf entries
-        raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {tol})")
+    if not dev <= HERM_TOL:  # also rejects NaN and inf entries
+        raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {HERM_TOL})")
     return hermitian_part(a)
 
 
@@ -48,29 +48,29 @@ def _eigvalsh(h):
     return np.linalg.eigvalsh(h)
 
 
-def check_density(rho, dim=None, name="state"):
+def check_density(rho, dim=None):
     """Validate a density matrix or (..., d, d) stack of them (Hermitian, PSD,
     unit trace) and return it symmetrized."""
-    return _density_spectrum(rho, dim, name)[0]
+    return _density_spectrum(rho, dim)[0]
 
 
-def _density_spectrum(rho, dim=None, name="state"):
+def _density_spectrum(rho, dim=None):
     """check_density that also returns the ascending spectra it decomposed; a
     stack's error names the first matrix that fails."""
-    rho = check_hermitian(rho, name=name)
+    rho = check_hermitian(rho, name="state")
     if dim is not None and rho.shape[-1] != dim:
-        raise DimensionMismatch(f"{name} has dim {rho.shape[-1]}, expected {dim}")
+        raise DimensionMismatch(f"state has dim {rho.shape[-1]}, expected {dim}")
     tr = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
     off = np.abs(tr - 1.0) > TRACE_TOL
     if off.any():
         raise ValidationError(
-            f"{name} trace {float(tr[off][0])} deviates from 1 beyond {TRACE_TOL}"
+            f"state trace {float(tr[off][0])} deviates from 1 beyond {TRACE_TOL}"
         )
     w = _eigvalsh(rho)
     low = w[..., 0].reshape(-1)
     if (low < -PSD_TOL).any():
         raise ValidationError(
-            f"{name} has negative eigenvalue {float(low[low < -PSD_TOL][0])}"
+            f"state has negative eigenvalue {float(low[low < -PSD_TOL][0])}"
         )
     return rho, w
 
@@ -148,17 +148,17 @@ def g_func(x):
     return float((x + 1.0) * math.log(x + 1.0) - x * math.log(x))
 
 
-def matrix_sqrt_psd(a, rel_cut=1e-14):
+def matrix_sqrt_psd(a):
     """PSD square root via eigendecomposition.
 
-    Eigenvalues below rel_cut * max are zeroed outright, not clipped: machine
+    Eigenvalues below 1e-14 * max are zeroed outright, not clipped: machine
     noise at +1e-17 would otherwise inject 1e-8-scale spurious columns.
     """
     a = check_hermitian(a)
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
     if w.size:
-        w[w < rel_cut * float(w[-1])] = 0.0
+        w[w < 1e-14 * float(w[-1])] = 0.0
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -19,7 +19,7 @@ from scipy.optimize._highspy import _core as _highs
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import _check_weights
-from .linalg import SIGN_TOL, _running_sum, check_hermitian, trace_norm
+from .linalg import SIGN_TOL, _running_sum, trace_norm
 
 # d_ehs seeds each pair with tangents at this many angles spread evenly over
 # [0, pi/2], the quadrant where every (P_ij, Q_ij) lies
@@ -60,6 +60,8 @@ class PointMeasure:
         w = np.asarray(self.weights, dtype=float)
         if pts.ndim != 2 or pts.shape[0] != w.size:
             raise ValidationError("points and weights have mismatched shapes")
+        if not np.all(np.isfinite(pts)):
+            raise ValidationError("points must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", _check_weights(w, "weights"))
 
@@ -279,7 +281,7 @@ def d_kantorovich_many(pairs):
         if mu.dim != nu.dim:
             raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
         diffs = mu.states[:, None] - nu.states[None, :]
-        cost = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(check_hermitian(diffs))), axis=-1)
+        cost = 0.5 * trace_norm(diffs)
         problems.append((cost, mu.weights, nu.weights))
     return _solve_transports(problems)
 

@@ -43,11 +43,29 @@ def ensemble_to_json(mu):
     }
 
 
+def _field(data, key):
+    """data[key] of a decoded JSON object; ValidationError naming a missing key."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValidationError(f"JSON input is missing the key {key!r}")
+    return data[key]
+
+
+def _as_array(value, dtype, key):
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {key!r} in JSON input: {exc}") from None
+
+
 def ensemble_from_json(data):
+    dim = _field(data, "dim")
+    members = _field(data, "members")
+    if not isinstance(dim, int) or not isinstance(members, list):
+        raise ValidationError("ensemble JSON needs an integer 'dim' and a list 'members'")
     return Ensemble(
-        dim=int(data["dim"]),
-        weights=np.array([float(m["weight"]) for m in data["members"]]),
-        states=[matrix_from_json(m["matrix"]) for m in data["members"]],
+        dim=dim,
+        weights=_as_array([_field(m, "weight") for m in members], float, "weight"),
+        states=[matrix_from_json(_field(m, "matrix")) for m in members],
     )
 
 
@@ -60,8 +78,8 @@ def point_measure_to_json(pm):
 
 def point_measure_from_json(data):
     return PointMeasure(
-        points=np.array(data["points"], dtype=float),
-        weights=np.array(data["weights"], dtype=float),
+        points=_as_array(_field(data, "points"), float, "points"),
+        weights=_as_array(_field(data, "weights"), float, "weights"),
     )
 
 

@@ -181,10 +181,7 @@ def test_criterion_07_oscillator_closed_form():
 
 def test_criterion_08_erasure_sandwich():
     with criterion(8, "erasure sandwich", 30.0):
-        cfg = ExperimentConfig(
-            seed=801, trials=1,
-            extra={"ranks": (4, 8, 16), "grid": (0.02, 0.05)},
-        )
+        cfg = ExperimentConfig(seed=801, trials=1)
         res = REPROS["erasure"](cfg)
         assert not res.violations, [
             (r.report.tag, r.report.lhs, r.report.rhs) for r in res.violations[:5]
@@ -194,9 +191,7 @@ def test_criterion_08_erasure_sandwich():
 
 def test_criterion_09_coherent_discretization():
     with criterion(9, "coherent discretization", 120.0):
-        cfg = ExperimentConfig(
-            seed=901, trials=1, extra={"n_mean": 1.0, "deltas": (0.5, 0.25)}
-        )
+        cfg = ExperimentConfig(seed=901, trials=1)
         res = REPROS["coherent"](cfg)
         assert not res.violations, [
             (r.report.tag, r.report.lhs, r.report.rhs) for r in res.violations[:5]

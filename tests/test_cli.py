@@ -139,14 +139,117 @@ def test_repro_crossover_surfaces_known_red(tmp_path, capsys):
 
 
 def test_config_file_merging(tmp_path):
+    # the file gives trials, dims and the report path; --seed is merged in and
+    # the run matches one configured by flags alone
     out = tmp_path / "r.json"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "trials": 3, "dims": [2], "dehs_tol": 1e-6, "output_path": str(out),
-    }))
+    cfg.write_text(json.dumps({"trials": 3, "dims": [2], "output_path": str(out)}))
     code = main(["verify", "scb-rank", "--config", str(cfg), "--seed", "9"])
     assert code == 0
     assert out.exists() and json.loads(out.read_text())
+
+    flags = tmp_path / "flags.json"
+    dims_only = tmp_path / "dims.json"
+    dims_only.write_text(json.dumps({"dims": [2]}))
+    assert main(["verify", "scb-rank", "--config", str(dims_only), "--seed", "9",
+                 "--trials", "3", "--out", str(flags)]) == 0
+    assert flags.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    (None, ["--trials", "0"], "trials must be an integer >= 1, got 0"),
+    ({"dims": [1]}, [], "dims must be a non-empty list of integers >= 2, got [1]"),
+    ({"dims": []}, [], "got []"),
+    ({"trials": "x"}, [], "trials must be an integer >= 1, got 'x'"),
+    ({"seed": True}, [], "seed must be an integer, got True"),
+    ({"trails": 5}, [], "unknown config key 'trails'"),
+    ({"dehs_tol": 1e-6}, [], "unknown config key 'dehs_tol'"),
+    ([2, 3], [], "config file must hold a JSON object"),
+    ({"output_path": 3}, [], "output_path must be a string, got 3"),
+    ("{not json", [], "cannot read JSON from"),
+])
+@pytest.mark.parametrize("command", [["verify", "steering"], ["repro", "erasure"]])
+def test_bad_config_exits_2(tmp_path, capsys, command, config, flags, message):
+    out = tmp_path / "report.json"
+    argv = command + flags + ["--out", str(out)]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "steering", "--config", str(tmp_path / "absent.json"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read JSON from") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, replace_a, message", [
+    # a member whose matrix is not a density matrix
+    ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1, 0], [0, 0]],
+                                                                        [[0, 0], [1, 0]]]}]},
+     "state trace 2.0 deviates from 1"),
+    ("dk", lambda d: {"dim": d["dim"]}, "missing the key 'members'"),
+    ("dehs", lambda d: {**d, "members": [{"matrix": m["matrix"]} for m in d["members"]]},
+     "missing the key 'weight'"),
+    ("d0", lambda d: [d], "missing the key 'dim'"),
+    ("dk", lambda d: {**d, "members": [{**m, "weight": float("nan")} for m in d["members"]]},
+     "ensemble weights must be nonnegative numbers"),
+    ("kr", lambda d: {**d, "points": [[float("nan"), 0.0]]}, "points must be finite"),
+    ("d0", lambda d: {**d, "dim": "2"}, "integer 'dim'"),
+    ("kr", lambda d: {"points": [[0.0, 0.0]]}, "missing the key 'weights'"),
+    ("krmod", lambda d: {"points": [["a", 0.0]], "weights": [1.0]},
+     "malformed 'points'"),
+])
+def test_bad_metric_input_exits_2(example1_files, tmp_path, capsys, name, replace_a,
+                                  message):
+    a, b = example1_files
+    if name in ("kr", "krmod"):
+        pm = PointMeasure(points=np.array([[0.0, 0.0]]), weights=np.array([1.0]))
+        b = tmp_path / "pm.json"
+        b.write_text(json.dumps(ser.point_measure_to_json(pm)))
+        data = ser.point_measure_to_json(pm)
+    else:
+        data = json.loads(Path(a).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(replace_a(data)))
+    assert main(["metric", name, "--a", str(bad), "--b", str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-7", "nan"])
+def test_metric_bad_tol_exits_2(example1_files, capsys, tol):
+    a, b = example1_files
+    assert main(["metric", "dehs", "--a", a, "--b", b, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tol must be positive, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("content", ["{not json", None, b"\xff\xfe"])
+def test_unreadable_metric_input_exits_2(example1_files, tmp_path, capsys, content):
+    a, b = example1_files
+    bad = tmp_path / "bad.json"
+    if isinstance(content, str):
+        bad.write_text(content)
+    elif content is not None:
+        bad.write_bytes(content)
+    assert main(["metric", "d0", "--a", str(bad), "--b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read JSON from")
 
 
 def test_cli_import_leaves_out_scipy_stats():

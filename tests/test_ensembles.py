@@ -131,7 +131,7 @@ class TestSteering:
         # mu confined to a subspace, target with full support: the POVM gains
         # an off-support remainder outcome and mu gets a zero-weight pad
         v0, v1 = basis_ket(3, 0), basis_ket(3, 1)
-        mu = pure_ensemble([v0, v1], weights=[0.5, 0.5])
+        mu = pure_ensemble([v0, v1])
         sigma = 0.8 * average_state(mu) + 0.2 * np.eye(3) / 3
         nu, mu_prime = steer_to_average(mu, sigma)
         assert len(mu_prime) == len(nu)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qensembles import ValidationError
 from qensembles import serialize as ser
 from qensembles.channels import coherent_state
 from qensembles.energy import HamiltonianSpec, solve_gibbs
@@ -23,7 +24,7 @@ KNOWN_RED = {"prop8/ratio-0.8", "crossover/band-lo", "crossover/band-hi"}
 
 
 def small_cfg(**kw):
-    base = dict(seed=11, trials=8, dims=(2, 3), tolerance=1e-8)
+    base = dict(seed=11, trials=8, dims=(2, 3))
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -39,10 +40,7 @@ def test_experiments_hold(name):
 
 @pytest.mark.parametrize("name", sorted(REPROS))
 def test_repros_hold(name):
-    cfg = small_cfg()
-    if name == "coherent":
-        cfg.extra["deltas"] = (0.5,)
-    res = REPROS[name](cfg)
+    res = REPROS[name](small_cfg())
     unexpected = [r for r in res.violations if r.report.tag not in KNOWN_RED]
     assert not unexpected, [
         (r.report.tag, r.report.lhs, r.report.rhs) for r in unexpected
@@ -142,7 +140,27 @@ def test_gaussian_grid_mass_is_normalized():
 
 
 def test_config_validation():
-    with pytest.raises(Exception):
-        ExperimentConfig(trials=0)
-    with pytest.raises(Exception):
-        ExperimentConfig(dims=(1, 2))
+    # each rejected value is named in the error
+    for kw, named in [
+        ({"trials": 0}, "0"),
+        ({"trials": True}, "True"),
+        ({"trials": "5"}, "'5'"),
+        ({"trials": 5.0}, "5.0"),
+        ({"seed": False}, "False"),
+        ({"seed": "7"}, "'7'"),
+        ({"seed": 7.5}, "7.5"),
+        ({"dims": (1, 2)}, "(1, 2)"),
+        ({"dims": ()}, "()"),
+        ({"dims": []}, "[]"),
+        ({"dims": [2, 3.0]}, "[2, 3.0]"),
+        ({"dims": [2, True]}, "[2, True]"),
+        ({"dims": 3}, "3"),
+        ({"dims": "23"}, "'23'"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(**kw)
+        assert named in str(info.value), kw
+
+
+def test_config_keeps_dims_as_a_tuple():
+    assert ExperimentConfig(dims=[2, 3]).dims == (2, 3)

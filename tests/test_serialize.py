@@ -62,3 +62,24 @@ def test_report_serialization_excludes_timing_and_is_deterministic():
     csv_b = ser.reports_to_csv(_records())
     assert csv_a == csv_b
     assert csv_a.splitlines()[0] == "trial,tag,lhs,rhs,epsilon,holds,params"
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"dim": 2}, "members"),
+    ({"members": []}, "dim"),
+    ({"dim": 2, "members": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}]}, "weight"),
+    ({"dim": 2, "members": [{"weight": 1.0}]}, "matrix"),
+    ([], "dim"),
+])
+def test_ensemble_missing_key_is_named(data, key):
+    with pytest.raises(ValidationError, match=f"missing the key '{key}'"):
+        ser.ensemble_from_json(data)
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"weights": [1.0]}, "points"),
+    ({"points": [[0.0, 0.0]]}, "weights"),
+])
+def test_point_measure_missing_key_is_named(data, key):
+    with pytest.raises(ValidationError, match=f"missing the key '{key}'"):
+        ser.point_measure_from_json(data)
