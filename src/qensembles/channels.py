@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, TruncationError, ValidationError
 from .ensembles import Ensemble, average_state
@@ -26,6 +25,15 @@ from .linalg import (
 
 KRAUS_TP_TOL = 1e-9
 FOCK_CAP = 512
+
+
+@functools.cache
+def _special():
+    # scipy.special loads on first use, not on import: only coherent_state
+    # and poisson_entropy need it (gammaln)
+    import scipy.special
+
+    return scipy.special
 
 
 def _sandwich(ops, rho):
@@ -173,7 +181,7 @@ def coherent_state(zeta, n_max):
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    log_mag = -0.5 * nbar + 0.5 * (n * math.log(nbar) - gammaln(n + 1.0))
+    log_mag = -0.5 * nbar + 0.5 * (n * math.log(nbar) - _special().gammaln(n + 1.0))
     phase = np.exp(1j * n * np.angle(zeta))
     amps = np.exp(log_mag) * phase
     nrm = np.linalg.norm(amps)
@@ -232,7 +240,7 @@ def poisson_entropy(lam):
     for top in np.unique(tops).tolist():
         at = np.flatnonzero(tops == top)
         n = np.arange(top + 1)
-        log_fact = gammaln(n + 1.0)
+        log_fact = _special().gammaln(n + 1.0)
         log_pmf = -flat[pos[at], None] + n * log_lam[at, None] - log_fact
         series = np.sum(np.exp(log_pmf) * log_fact, axis=1)
         out[pos[at]] = flat[pos[at]] * (1.0 - log_lam[at]) + series

@@ -9,12 +9,12 @@ byte-identical across runs (timing is kept in memory only).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import bounds as B
 from .channels import (
@@ -84,6 +84,15 @@ TOLERANCE = 1e-8
 DEHS_TOL = 1e-7
 
 
+@functools.cache
+def _special():
+    # scipy.special loads on first use, not on import: only
+    # gaussian_grid_measure needs it (ndtr)
+    import scipy.special
+
+    return scipy.special
+
+
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -99,6 +108,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not _is_int(self.seed):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        # derive_rng keeps the low 63 bits, so a seed outside would alias one inside
+        if not 0 <= self.seed < 2**63:
+            raise ValidationError(f"seed must lie in [0, 2^63), got {self.seed}")
         if not _is_int(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
         if (not isinstance(self.dims, (list, tuple)) or not self.dims
@@ -616,6 +628,7 @@ def gaussian_grid_measure(n_mean, delta, half_cells):
     ks = np.arange(-half_cells, half_cells)
     edges_lo = delta * ks
     edges_hi = delta * (ks + 1)
+    ndtr = _special().ndtr
     mass_1d = ndtr(edges_hi / sigma) - ndtr(edges_lo / sigma)
     centers = delta * (ks + 0.5)
     cx, cy = np.meshgrid(centers, centers, indexing="ij")

@@ -10,12 +10,10 @@ solved as transportation LPs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-# unused here, kept bound: perfbench's tracer wraps metrics.linprog by name
-from scipy.optimize import linprog  # noqa: F401
-from scipy.optimize._highspy import _core as _highs
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import _check_weights
@@ -46,6 +44,27 @@ LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+
+@functools.cache
+def _highs():
+    # scipy.optimize loads on the first LP, not on import: it is most of the
+    # import time of the package, and the closed-form bounds never need it
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+def __getattr__(name):
+    # metrics.linprog stays bound for perfbench's tracer, which wraps it by
+    # name; no LP of the package calls it. Imported on first access, then
+    # kept in the module dict, where the tracer's binding sweep finds it.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +145,8 @@ class _HighsModel:
     columns join with add_cols and rows with add_rows, and each solve re-runs
     from the last optimal basis (presolve off, the LP_OPTIONS tolerances).
     Every LP of the package runs here. This is the one place that uses
-    scipy's private HiGHS binding (the class its linprog drives), through the
-    names in HIGHS_API.
+    scipy's private HiGHS binding (the class its linprog drives), reached
+    through _highs() and the names in HIGHS_API.
     """
 
     HIGHS_API = (
@@ -139,10 +158,10 @@ class _HighsModel:
     )
 
     def __init__(self, b_eq):
-        lp = _highs.HighsLp()
+        lp = _highs().HighsLp()
         lp.num_row_ = b_eq.size
         lp.row_lower_ = lp.row_upper_ = b_eq
-        self.highs = _highs._Highs()
+        self.highs = _highs()._Highs()
         for key, value in {"output_flag": False, "presolve": "off", **LP_OPTIONS}.items():
             self.highs.setOptionValue(key, value)
         self.highs.passModel(lp)
@@ -151,7 +170,7 @@ class _HighsModel:
         # one column per cost, with coefficient 1 in each row of its row of rows
         k, w = rows.shape
         self.highs.addCols(
-            k, cost, np.zeros(k), np.full(k, _highs.kHighsInf), k * w,
+            k, cost, np.zeros(k), np.full(k, _highs().kHighsInf), k * w,
             w * np.arange(k, dtype=np.int32), rows.astype(np.int32).ravel(),
             np.ones(k * w),
         )
@@ -160,7 +179,7 @@ class _HighsModel:
         # one row sum values * x[cols] <= 0 per row of cols and values
         k, w = cols.shape
         self.highs.addRows(
-            k, np.full(k, -_highs.kHighsInf), np.zeros(k), k * w,
+            k, np.full(k, -_highs().kHighsInf), np.zeros(k), k * w,
             w * np.arange(k, dtype=np.int32), cols.astype(np.int32).ravel(),
             values.ravel(),
         )
@@ -169,7 +188,7 @@ class _HighsModel:
         """Column values and row duals at the optimum of the LP so far."""
         self.highs.run()
         status = self.highs.getModelStatus()
-        if status != _highs.HighsModelStatus.kOptimal:
+        if status != _highs().HighsModelStatus.kOptimal:
             raise ConvergenceError(f"LP failed: model status {status.name}")
         sol = self.highs.getSolution()
         return np.array(sol.col_value), np.array(sol.row_dual)

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,3 +23,14 @@ def basis_ket(dim, k):
 def ketbra(v):
     v = np.asarray(v, dtype=complex).reshape(-1)
     return np.outer(v, v.conj())
+
+
+def fresh_python(code):
+    """Run code in a new interpreter that imports this checkout's package."""
+    import qensembles
+
+    src = str(Path(qensembles.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)

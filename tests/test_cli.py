@@ -1,19 +1,15 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qensembles
 from qensembles import Ensemble, PointMeasure
 from qensembles import serialize as ser
 from qensembles.cli import main
 from qensembles.ensembles import singleton
 
-from conftest import basis_ket, ketbra
+from conftest import basis_ket, fresh_python, ketbra
 
 
 @pytest.fixture
@@ -162,6 +158,8 @@ def test_config_file_merging(tmp_path):
     ({"dims": []}, [], "got []"),
     ({"trials": "x"}, [], "trials must be an integer >= 1, got 'x'"),
     ({"seed": True}, [], "seed must be an integer, got True"),
+    (None, ["--seed=-1"], "seed must lie in [0, 2^63), got -1"),
+    ({"seed": 2**63}, [], f"seed must lie in [0, 2^63), got {2**63}"),
     ({"trails": 5}, [], "unknown config key 'trails'"),
     ({"dehs_tol": 1e-6}, [], "unknown config key 'dehs_tol'"),
     ([2, 3], [], "config file must hold a JSON object"),
@@ -182,6 +180,15 @@ def test_bad_config_exits_2(tmp_path, capsys, command, config, flags, message):
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    # derive_rng keeps the low 63 bits, so 2^63 - 1 is the last seed that
+    # aliases none other; -1 and 2^63 exit 2 (test_bad_config_exits_2)
+    out = tmp_path / "report.json"
+    assert main(["verify", "lemmas", "--trials", "2", f"--seed={2**63 - 1}",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -252,10 +259,39 @@ def test_unreadable_metric_input_exits_2(example1_files, tmp_path, capsys, conte
     assert captured.err.startswith("error: cannot read JSON from")
 
 
+# scipy loads on first use: importing the package or its CLI loads none of these
+SCIPY_LAZY = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.special",
+              "scipy.linalg", "scipy.fft")
+
+
 def test_cli_import_leaves_out_scipy_stats():
-    src = str(Path(qensembles.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, qensembles.cli; sys.exit(int('scipy.stats' in sys.modules))"
-    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert res.returncode == 0
+    code = f"""
+import sys
+import qensembles
+after_package = [m for m in {SCIPY_LAZY!r} if m in sys.modules]
+import qensembles.cli
+after_cli = [m for m in {SCIPY_LAZY!r} if m in sys.modules]
+print(after_package, after_cli)
+"""
+    res = fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "prop2", "--param", "eps=0.1", "--param", "rank=4"],
+    ["verify", "lemmas", "--trials", "3"],
+])
+def test_closed_form_commands_leave_out_scipy_optimize(tmp_path, argv):
+    # neither command solves an LP, so neither loads scipy's LP layer
+    if argv[0] == "verify":
+        argv = argv + ["--out", str(tmp_path / "report.json")]
+    code = f"""
+import sys
+from qensembles.cli import main
+code = main({argv!r})
+print(code, "scipy.optimize" in sys.modules)
+"""
+    res = fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-2:] == ["0", "False"]

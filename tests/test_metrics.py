@@ -30,7 +30,7 @@ from qensembles.linalg import check_hermitian
 from qensembles.metrics import _ehs_brackets, _ehs_tangents, solve_transport
 from qensembles.randomgen import random_channel, random_ensemble, random_state
 
-from conftest import basis_ket, ketbra
+from conftest import basis_ket, fresh_python, ketbra
 from oracles import (
     ehs_angular_grid_lp,
     ehs_kelley_reference,
@@ -258,6 +258,26 @@ class TestSolveTransport:
         # no LP of the package calls it, but the benchmark's tracer wraps
         # metrics.linprog by name on every install
         assert metrics.linprog is scipy.optimize.linprog
+
+    def test_linprog_binds_on_first_access(self):
+        # in a fresh interpreter metrics.linprog imports scipy.optimize on
+        # first access and then sits in the module dict, where the tracer's
+        # binding sweep reads it; any other missing name stays missing
+        res = fresh_python("""
+import qensembles.metrics as metrics
+before = "linprog" in vars(metrics)
+import scipy.optimize
+print(before, metrics.linprog is scipy.optimize.linprog, "linprog" in vars(metrics))
+try:
+    getattr(metrics, "no_such_name")
+except AttributeError as exc:
+    print(type(exc).__name__, exc)
+""")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [
+            "False True True",
+            "AttributeError module 'qensembles.metrics' has no attribute 'no_such_name'",
+        ]
 
     def test_priced_batch_matches_lone_solves(self):
         # complete and priced blocks in one LP: each block's value, plan and
@@ -534,8 +554,10 @@ class TestEhs:
     def test_private_highs_api_is_there(self):
         # every LP of the package is kept in scipy's private HiGHS binding;
         # name the first attribute missing if a scipy release renames any of
-        # them. The list names every method and solution field the model uses.
-        from scipy.optimize._highspy import _core
+        # them. The list names every method and solution field the model uses,
+        # each read through the accessor the model itself calls.
+        core = metrics._highs()
+        assert core is scipy.optimize._highspy._core
 
         api = metrics._HighsModel.HIGHS_API
         source = inspect.getsource(metrics._HighsModel)
@@ -543,7 +565,7 @@ class TestEhs:
         used |= {f"HighsSolution.{f}" for f in re.findall(r"\bsol\.(\w+)", source)}
         assert {"_Highs.addCols", "HighsSolution.row_dual"} <= used <= set(api)
         for name in api:
-            obj = _core
+            obj = core
             for part in name.split("."):
                 assert hasattr(obj, part), (
                     f"scipy.optimize._highspy._core lacks {name} (no attribute {part!r})"
