@@ -158,13 +158,13 @@ def test_config_file_merging(tmp_path):
     ({"dims": []}, [], "got []"),
     ({"trials": "x"}, [], "trials must be an integer >= 1, got 'x'"),
     ({"seed": True}, [], "seed must be an integer, got True"),
-    (None, ["--seed=-1"], "seed must lie in [0, 2^63), got -1"),
-    ({"seed": 2**63}, [], f"seed must lie in [0, 2^63), got {2**63}"),
     ({"trails": 5}, [], "unknown config key 'trails'"),
     ({"dehs_tol": 1e-6}, [], "unknown config key 'dehs_tol'"),
     ([2, 3], [], "config file must hold a JSON object"),
     ({"output_path": 3}, [], "output_path must be a string, got 3"),
     ("{not json", [], "cannot read JSON from"),
+    (None, ["--seed=-1"], "seed must lie in [0, 2^63), got -1"),
+    ({"seed": 2**63}, [], f"seed must lie in [0, 2^63), got {2**63}"),
 ])
 @pytest.mark.parametrize("command", [["verify", "steering"], ["repro", "erasure"]])
 def test_bad_config_exits_2(tmp_path, capsys, command, config, flags, message):
