@@ -730,36 +730,52 @@ def repro_eof_witness(cfg):
     return rec.result(tables={"eof_witness": list(rows.values())})
 
 
+def _displaced(g, zeta, n_max):
+    # D(zeta) diag(g) D(zeta)^dag, the diagonal applied as a column scaling
+    d_op = displacement_operator(zeta, n_max)
+    return (d_op * g) @ d_op.conj().T
+
+
+def _displaced_gibbs_average(g, n_max, radial, angular, r_hi, n_mean):
+    """Unit-trace Gaussian average of D(zeta) diag(g) D(zeta)^dag over a radial
+    x angular polar grid on |zeta| <= r_hi, and the weight the grid captures.
+
+    D(r e^(i phi)) = e^(i phi N) D(r) e^(-i phi N) and diag(g) commutes with
+    e^(i phi N), so the mean over the angles 2 pi k / angular is the phi = 0
+    state with every entry (m, n) zeroed where angular does not divide m - n.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(radial)
+    avg = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    total_w = 0.0
+    for x, w in zip(xs, ws):
+        r = 0.5 * r_hi * (x + 1.0)
+        wr = 0.5 * r_hi * w * (2.0 * r / n_mean) * math.exp(-r * r / n_mean)
+        avg += wr * _displaced(g, r, n_max)
+        # node by node, as the full grid adds it, for the same bits
+        for _ in range(angular):
+            total_w += wr / angular
+    level = np.arange(n_max + 1)
+    avg[(level[:, None] - level) % angular != 0] = 0.0
+    return avg / np.trace(avg).real, total_w
+
+
 def repro_gibbs_displaced(cfg):
     """Displaced-Gibbs ensemble: passive energies stay at N_0; the quadrature
     average approaches the Gibbs state at N + N_0 (error reported, not asserted)."""
     rec = _Recorder("gibbs-displaced")
     n0, n_mean, n_max = 0.5, 0.4, 48
     ham = HamiltonianSpec.oscillator(n_max + 1)
-    gibbs = np.diag(solve_gibbs(ham, n0, auto_extend=False).weights).astype(complex)
+    g = solve_gibbs(ham, n0, auto_extend=False).weights
 
     for mag in (0.5, 1.0, 1.5, 2.0):
-        d_op = displacement_operator(mag, n_max)
-        rho = d_op @ gibbs @ d_op.conj().T
+        rho = _displaced(g, mag, n_max)
         rho = rho / np.trace(rho).real
         rec.add("ape/passive", abs(passive_energy(rho) - n0), 1e-6, mag,
                 n0=n0)
 
     # polar quadrature of the average state against gamma(N + N_0)
-    radial, angular = 20, 16
-    xs, ws = np.polynomial.legendre.leggauss(radial)
-    r_hi = math.sqrt(n_mean) * 4.0
-    avg = np.zeros_like(gibbs)
-    total_w = 0.0
-    for x, w in zip(xs, ws):
-        r = 0.5 * r_hi * (x + 1.0)
-        wr = 0.5 * r_hi * w * (2.0 * r / n_mean) * math.exp(-r * r / n_mean)
-        for k in range(angular):
-            zeta = r * np.exp(2j * np.pi * k / angular)
-            d_op = displacement_operator(zeta, n_max)
-            avg += (wr / angular) * (d_op @ gibbs @ d_op.conj().T)
-            total_w += wr / angular
-    avg = avg / np.trace(avg).real
+    avg, total_w = _displaced_gibbs_average(
+        g, n_max, radial=20, angular=16, r_hi=math.sqrt(n_mean) * 4.0, n_mean=n_mean)
     target = np.diag(solve_gibbs(ham, n_mean + n0, auto_extend=False).weights)
     err = trace_norm(avg - target)
     rec.add("ape/average-state", None, err, n_mean, captured_weight=total_w,

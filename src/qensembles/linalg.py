@@ -139,13 +139,17 @@ def binary_entropy(p):
 
 
 def g_func(x):
-    """g(x) = (x+1) ln(x+1) - x ln x for x > 0, g(0) = 0."""
+    """g(x) = (x+1) ln(x+1) - x ln x for x > 0, g(0) = 0, without cancellation:
+    ln(1+x) + x (ln(1+x) - ln x) up to x = 1, where 1/x may overflow, and
+    ln(1+x) + x ln(1 + 1/x) above."""
     x = float(x)
     if x < 0.0:
         raise ValidationError(f"g argument {x} must be nonnegative")
     if x == 0.0:
         return 0.0
-    return float((x + 1.0) * math.log(x + 1.0) - x * math.log(x))
+    if x <= 1.0:
+        return math.log1p(x) + x * (math.log1p(x) - math.log(x))
+    return math.log1p(x) + x * math.log1p(1.0 / x)
 
 
 def matrix_sqrt_psd(a):

@@ -9,13 +9,17 @@ out with `math` only, the EoF witness via an explicit Schmidt-coefficient matrix
 the Kantorovich-Rubinshtein distance via its bounded-Lipschitz dual LP, the
 Poisson entropy via its defining series with `math.lgamma`, the average entropy
 of an ensemble as the conditional entropy S(A|C) of its q-c state built block by
-block, and the Holevo quantity as an average of relative entropies.
+block, the Holevo quantity as an average of relative entropies, g(x) from its
+defining formula in 700-digit `mpmath`, and the displaced-Gibbs average
+node by node with each displacement from `scipy.linalg.expm`.
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
@@ -348,3 +352,33 @@ def holevo_relative_entropy_form(chan, mu):
     outs = [sum(k @ rho @ k.conj().T for k in chan.kraus) for rho in mu.states]
     avg = sum(p * out for p, out in zip(mu.weights, outs))
     return sum(p * relative_entropy(out, avg) for p, out in zip(mu.weights, outs) if p > 0.0)
+
+
+def g_mpmath(x):
+    """(x+1) ln(x+1) - x ln x in 700-digit arithmetic, rounded to a float:
+    enough digits that neither x + 1 at x = 1e-300 nor the difference of the
+    two terms at x = 1e300 loses any of the float's."""
+    with mpmath.workdps(700):
+        x = mpmath.mpf(x)
+        return float((x + 1) * mpmath.log(x + 1) - x * mpmath.log(x))
+
+
+def displaced_average_bruteforce(g, n_max, radial, angular, r_hi, n_mean):
+    """Unit-trace Gaussian average of D(zeta) diag(g) D(zeta)^dag over the full
+    radial x angular polar grid on |zeta| <= r_hi, node by node, each D(zeta)
+    the matrix exponential of zeta a^dag - conj(zeta) a; and the weight the
+    grid captures."""
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    gibbs = np.diag(np.asarray(g, dtype=complex))
+    xs, ws = np.polynomial.legendre.leggauss(radial)
+    avg = np.zeros_like(gibbs)
+    total_w = 0.0
+    for x, w in zip(xs, ws):
+        r = 0.5 * r_hi * (x + 1.0)
+        wr = 0.5 * r_hi * w * (2.0 * r / n_mean) * math.exp(-r * r / n_mean)
+        for k in range(angular):
+            zeta = r * np.exp(2j * np.pi * k / angular)
+            d_op = expm(zeta * a.T - np.conj(zeta) * a)
+            avg += (wr / angular) * (d_op @ gibbs @ d_op.conj().T)
+            total_w += wr / angular
+    return avg / np.trace(avg).real, total_w

@@ -464,10 +464,9 @@ _CLOSENESS = {
 def test_tag_nondecreasing_in_closeness(tag, data):
     key, draw_params, upper = _CLOSENESS[tag]
     params = draw_params(data)
-    # Positive closeness starts at 1e-9: below about 1e-13 E the energy tags'
-    # eps F_H(E/eps) loses its digits to cancellation in g_func, and once E/eps
-    # overflows it is NaN (ROADMAP, "Energy bounds at tiny closeness")
-    closeness = st.floats(1e-9, upper(params))
+    # Positive closeness starts at 1e-300, where E/eps (E <= 10) and
+    # chi-cb-2's E/(eps t) stay finite; below about 1e-308 they overflow
+    closeness = st.floats(1e-300, upper(params))
     a, b = sorted(data.draw(closeness, label="closeness") for _ in range(2))
     value_a = evaluate_tag(tag, {**params, key: a})
     value_b = evaluate_tag(tag, {**params, key: b})
@@ -482,3 +481,21 @@ def test_tag_nondecreasing_in_closeness(tag, data):
     else:
         assert evaluate_tag(tag, {**params, key: 0.0}) == 0.0
 
+
+_ENERGY_TAGS = {
+    "prop3": {"energy": 1.0},
+    "cor2b": {"energy_mu": 1.0, "energy_nu": 10.0},
+    "chi-cb-2": {"energy": 10.0},
+    "prop6": {"energy": 1.0},
+    "prop7": {"rank": 3, "energy": 1.0},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_ENERGY_TAGS))
+def test_energy_tags_finite_at_closeness_1e_300(tag):
+    # eps F_H(E/eps) at E/eps ~ 1e300 once cancelled to 0 or NaN in g_func
+    key = _CLOSENESS[tag][0]
+    params = _ENERGY_TAGS[tag]
+    tiny = evaluate_tag(tag, {**params, key: 1e-300})
+    small = evaluate_tag(tag, {**params, key: 1e-9})
+    assert math.isfinite(tiny) and 0.0 <= tiny <= small

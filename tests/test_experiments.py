@@ -12,10 +12,13 @@ from qensembles.experiments import (
     EXPERIMENTS,
     REPROS,
     ExperimentConfig,
+    _displaced_gibbs_average,
     eof_witness_values,
     gaussian_grid_measure,
     verify_scb_rank,
 )
+
+from oracles import displaced_average_bruteforce
 
 # Assertions that pin reported approximations contradicting the governing
 # equations asserted next to them (see README); red by design, excluded from
@@ -125,6 +128,20 @@ def test_energy_witnesses_match_the_dense_states():
         mean = float(np.real(np.sum(levels * rho.diagonal())))
         assert fields["prop3/C1-energy", eps] == abs(mean - energy)
         assert fields["prop3/C2-halfdist", eps] == 0.5 * trace_norm(rho - tau0)
+
+
+@pytest.mark.parametrize("angular", [8, 16])
+def test_displaced_gibbs_average_matches_every_node(angular):
+    # one band-masked sandwich per radius gives the polar sum over every
+    # node of D(zeta) gamma(N_0) D(zeta)^dag, each D from expm; the captured
+    # weight is summed node by node, so it agrees bit for bit
+    n0, n_mean, n_max = 0.5, 0.4, 48
+    g = solve_gibbs(HamiltonianSpec.oscillator(n_max + 1), n0, auto_extend=False).weights
+    args = (g, n_max, 20, angular, 4.0 * math.sqrt(n_mean), n_mean)
+    avg, total_w = _displaced_gibbs_average(*args)
+    ref, ref_w = displaced_average_bruteforce(*args)
+    assert np.max(np.abs(avg - ref)) <= 1e-13
+    assert total_w == ref_w
 
 
 def test_eof_witness_trend():

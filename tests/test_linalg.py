@@ -25,7 +25,13 @@ from qensembles.linalg import (
 from qensembles.randomgen import random_pure, random_state, random_unitary
 
 from conftest import basis_ket, ketbra
-from oracles import conditional_entropy, eigvals_by_charpoly, partial_trace, relative_entropy
+from oracles import (
+    conditional_entropy,
+    eigvals_by_charpoly,
+    g_mpmath,
+    partial_trace,
+    relative_entropy,
+)
 
 
 def hermitian(dim, rng):
@@ -126,6 +132,17 @@ class TestBinaryEntropyAndG:
 
     def test_g_one(self):
         assert g_func(1.0) == pytest.approx(2 * math.log(2), abs=1e-14)
+
+    def test_g_matches_mpmath_across_the_float_range(self):
+        for x in np.logspace(-300, 300, 1201):
+            ref = g_mpmath(x)
+            assert abs(g_func(x) - ref) <= 4e-16 * ref, x
+
+    def test_g_finite_at_subnormal_arguments(self):
+        # 1/x overflows below about 5.6e-309, so only the small-x form is safe there
+        for x in (1e-309, 5e-324):
+            value = g_func(x)
+            assert math.isfinite(value) and value >= x
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):

@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from qensembles import (
     ConvergenceError,
     DimensionMismatch,
     Ensemble,
+    KrausChannel,
     PointMeasure,
     average_state,
     d0,
@@ -28,7 +30,7 @@ from qensembles.errors import ValidationError
 from qensembles.experiments import gaussian_grid_measure
 from qensembles.linalg import check_hermitian
 from qensembles.metrics import _ehs_brackets, _ehs_tangents, solve_transport
-from qensembles.randomgen import random_channel, random_ensemble, random_state
+from qensembles.randomgen import random_channel, random_ensemble, random_state, random_unitary
 
 from conftest import basis_ket, fresh_python, ketbra
 from oracles import (
@@ -624,6 +626,39 @@ class TestMetricAxioms:
             assert d_ab == pytest.approx(d_ba, abs=1e-9)
             assert d_ab <= d_ac + d_cb + 1e-8
             assert metric(pms[0], pms[0]) <= 1e-10
+
+
+# Derandomized property tests on d <= 4, one d_ehs_many call per example. Members
+# are rank 1 or full rank, and with zero_weight the first member weighs 0.
+_PAIRS = dict(dim=st.integers(2, 4), n=st.integers(1, 3), m=st.integers(1, 3),
+              zero_weight=st.booleans(), seed=st.integers(0, 2**32 - 1))
+_PROPERTY_TOL = 1e-7
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(**_PAIRS)
+def test_metrics_are_unitarily_invariant(dim, n, m, zero_weight, seed):
+    rng = np.random.default_rng(seed)
+    mu = mixed_rank_ensemble(dim, n, rng, zero_weight)
+    nu = mixed_rank_ensemble(dim, m, rng, zero_weight)
+    rotate = KrausChannel(dim, dim, [random_unitary(dim, rng)])
+    umu, unu = rotate.apply_ensemble(mu), rotate.apply_ensemble(nu)
+    assert abs(d0(umu, unu) - d0(mu, nu)) <= 1e-9
+    assert abs(d_kantorovich(umu, unu).value - d_kantorovich(mu, nu).value) <= 1e-9
+    plain, rotated = d_ehs_many([(mu, nu), (umu, unu)], tol=_PROPERTY_TOL)
+    assert abs(rotated.value - plain.value) <= _PROPERTY_TOL + 1e-9
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(**_PAIRS, dim_out=st.integers(2, 4), env=st.integers(1, 3))
+def test_ehs_obeys_data_processing(dim, n, m, zero_weight, seed, dim_out, env):
+    rng = np.random.default_rng(seed)
+    mu = mixed_rank_ensemble(dim, n, rng, zero_weight)
+    nu = mixed_rank_ensemble(dim, m, rng, zero_weight)
+    chan = random_channel(dim, dim_out, max(env, math.ceil(dim / dim_out)), rng)
+    before, after = d_ehs_many(
+        [(mu, nu), (chan.apply_ensemble(mu), chan.apply_ensemble(nu))], tol=_PROPERTY_TOL)
+    assert after.value <= before.value + 2.0 * _PROPERTY_TOL
 
 
 class TestKRDistances:
