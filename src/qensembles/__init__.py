@@ -13,7 +13,6 @@ from .linalg import (
     eigvals_desc,
     fidelity,
     g_func,
-    positive_part,
     trace_norm,
     von_neumann_entropy,
 )

@@ -75,6 +75,20 @@ def scb_rank(eps, rank):
     return math.log(rank)
 
 
+def _eps_g(eps, energy, t=1.0, weight=1.0):
+    """eps weight g(E / (eps t)) for eps, t > 0 and E >= 0, also where the
+    quotient x overflows: there 1/x < 1e-308, so g(x) = ln(1 + x) +
+    x ln(1 + 1/x) is ln x + 1 to double precision, and eps g(E/eps) =
+    eps ln(1 + E/eps) + E ln(1 + eps/E) is eps (ln E - ln eps + 1)."""
+    scale = eps * t
+    x = energy / scale if scale > 0.0 else math.inf
+    if math.isfinite(x):
+        return eps * weight * g_func(x)
+    if energy == 0.0:
+        return 0.0
+    return eps * weight * (math.log(energy) - math.log(eps) - math.log(t) + 1.0)
+
+
 def scb_energy(eps, energy):
     """eps F_H(E/eps) + g(eps) (energy-constrained form; oscillator F_H = g)."""
     energy = _check_energy(energy)
@@ -83,7 +97,7 @@ def scb_energy(eps, energy):
         if eps == 0.0:
             return 0.0
         raise ValidationError(f"eps must be nonnegative, got {eps}")
-    return eps * g_func(energy / eps) + g_func(eps)
+    return _eps_g(eps, energy) + g_func(eps)
 
 
 def _case_term(eps, constraint):
@@ -138,7 +152,9 @@ def chi_cb_prior_energy(eps, energy, grid=1000):
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must lie in (0, 1], got {eps}")
-    t_hi = 1.0 / (2.0 * eps)
+    # 1/(2 eps) overflows below eps ~ 3e-309, and the grid's ratio t_hi/t_lo
+    # below eps ~ 3e-303; the minimizer stays far inside (t ~ 3e-4 at 1e-300)
+    t_hi = min(1.0 / (2.0 * eps), 1e300)
     t_lo = min(1e-6, t_hi * 1e-6)
     if t_lo >= t_hi:
         raise ValidationError("empty feasible interval for the free parameter")
@@ -146,7 +162,7 @@ def chi_cb_prior_energy(eps, energy, grid=1000):
     def objective(t):
         r_t = (1.0 + t / 2.0) / (1.0 - eps * t)
         return (
-            eps * (2.0 * t + r_t) * g_func(energy / (eps * t))
+            _eps_g(eps, energy, t, 2.0 * t + r_t)
             + 2.0 * g_func(eps * r_t)
             + 2.0 * _h2_clamped(eps * t)
         )
@@ -253,7 +269,7 @@ def aoe_upper(rank, delta_r, e_psv):
         raise ValidationError(f"delta must be nonnegative, got {delta_r}")
     if delta_r == 0.0:
         return math.log(rank)
-    return math.log(rank) + delta_r * g_func(e_psv / delta_r) + g_func(delta_r)
+    return math.log(rank) + _eps_g(delta_r, e_psv) + g_func(delta_r)
 
 
 def eof_scb(eps, rank):

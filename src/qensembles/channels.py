@@ -14,16 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationError, ValidationError
-from .ensembles import Ensemble, average_state
+from .ensembles import Ensemble, average_entropy, average_state
 from .linalg import (
+    TRACE_TOL,
+    _eigvalsh,
     _running_sum,
     _value,
     check_density,
     hermitian_part,
-    von_neumann_entropy,
+    shannon_entropy,
 )
 
-KRAUS_TP_TOL = 1e-9
+# no looser than the state boundary, since a channel's outputs are not
+# checked again: the largest absolute row sum of sum K^dag K - I bounds its
+# operator norm, hence the trace error it adds to any state
+KRAUS_TP_TOL = TRACE_TOL
 FOCK_CAP = 512
 
 
@@ -47,7 +52,9 @@ class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators.
 
     kraus may be given as any sequence of matrices or as a stack; it is
-    stored as a read-only (r, dim_out, dim_in) array.
+    stored as a read-only (r, dim_out, dim_in) array. Channels built from
+    channels (compose, mix_channels) and random channels are trace
+    preserving by construction and skip the check (KrausChannel._trusted).
     """
 
     dim_in: int
@@ -65,11 +72,21 @@ class KrausChannel:
         if ops.shape[1:] != shape:
             raise ValidationError(f"Kraus operator shape {ops.shape[1:]} != {shape}")
         acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
-        dev = float(np.max(np.abs(acc - np.eye(self.dim_in))))
-        if dev > KRAUS_TP_TOL:
+        dev = float(np.max(np.sum(np.abs(acc - np.eye(self.dim_in)), axis=-1)))
+        if not dev <= KRAUS_TP_TOL:  # also rejects NaN and inf entries
             raise ValidationError(f"Kraus set is not trace preserving (dev {dev:.3e})")
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
+
+    @classmethod
+    def _trusted(cls, dim_in, dim_out, kraus):
+        """A channel from an (r, dim_out, dim_in) stack of Kraus operators that
+        is trace preserving by construction, stored without another check."""
+        chan = object.__new__(cls)
+        kraus.setflags(write=False)
+        for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus", kraus)):
+            object.__setattr__(chan, name, value)
+        return chan
 
     def apply(self, rho):
         """Phi(rho) of a matrix, or of each matrix of a (..., dim_in, dim_in) stack."""
@@ -87,30 +104,41 @@ class KrausChannel:
                 f"cannot compose: inner output {inner.dim_out} != {self.dim_in}"
             )
         ops = self.kraus[:, None] @ inner.kraus
-        return KrausChannel(inner.dim_in, self.dim_out, ops.reshape(-1, *ops.shape[2:]))
+        return KrausChannel._trusted(inner.dim_in, self.dim_out,
+                                     ops.reshape(-1, *ops.shape[2:]))
 
     def apply_ensemble(self, mu):
+        """The output ensemble Phi(mu): the same weights, each state mapped."""
         if mu.dim != self.dim_in:
             raise DimensionMismatch(f"ensemble dim {mu.dim} != {self.dim_in}")
-        return Ensemble(self.dim_out, mu.weights.copy(), self.apply(mu.states))
+        return Ensemble._trusted(self.dim_out, mu.weights.copy(), self.apply(mu.states))
 
 
 def mix_channels(t, chan_a, chan_b):
-    """(1-t) chan_a + t chan_b as a single Kraus channel."""
+    """(1-t) chan_a + t chan_b as a single Kraus channel, for t in [0, 1]."""
+    t = float(t)
+    if not 0.0 <= t <= 1.0:  # also rejects NaN
+        raise ValidationError(f"mixing weight {t} outside [0, 1]")
     if (chan_a.dim_in, chan_a.dim_out) != (chan_b.dim_in, chan_b.dim_out):
         raise DimensionMismatch("mixed channels must share dimensions")
     ops = np.concatenate([math.sqrt(1.0 - t) * chan_a.kraus, math.sqrt(t) * chan_b.kraus])
-    return KrausChannel(chan_a.dim_in, chan_a.dim_out, ops)
+    return KrausChannel._trusted(chan_a.dim_in, chan_a.dim_out, ops)
 
 
 def aoe(chan, mu):
     """Average output entropy sum_i p_i S(Phi(rho_i))."""
-    return _running_sum(mu.weights * von_neumann_entropy(chan.apply(mu.states)))
+    return average_entropy(chan.apply_ensemble(mu))
 
 
 def holevo_chi(chan, mu):
     """Output Holevo information S(Phi(avg)) - AOE, clamped at 0 from below."""
-    chi = von_neumann_entropy(chan.apply(average_state(mu))) - aoe(chan, mu)
+    return _holevo_chi(chan.apply_ensemble(mu), chan.apply(average_state(mu)))
+
+
+def _holevo_chi(out_mu, out_avg):
+    # holevo_chi from the output ensemble Phi(mu) and the output Phi(avg mu)
+    # the caller built: S(Phi(avg)) - average_entropy(Phi(mu)), clamped at 0
+    chi = shannon_entropy(_eigvalsh(out_avg)) - average_entropy(out_mu)
     return max(chi, 0.0)
 
 

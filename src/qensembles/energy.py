@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import ConvergenceError, EnergyRangeError, ValidationError
 from .linalg import (
+    _positive_part,
     _running_sum,
     _value,
     check_hermitian,
     eigvals_desc,
-    positive_part,
     shannon_entropy,
 )
 
@@ -68,7 +68,11 @@ class GibbsSolution:
 
 def mean_energy(rho):
     """Tr H rho for a state on the first dim(rho) levels."""
-    rho = check_hermitian(rho)
+    return _mean_energy(check_hermitian(rho))
+
+
+def _mean_energy(rho):
+    # mean_energy of an exactly Hermitian matrix, not checked again
     levels = np.arange(rho.shape[0], dtype=float)
     return float(np.real(np.sum(levels * np.diag(rho))))
 
@@ -79,7 +83,11 @@ def passive_energy(rho):
     Accepts any PSD Hermitian operator (not only unit trace), or a (..., d, d)
     stack of them.
     """
-    lam = eigvals_desc(rho)
+    return _passive(eigvals_desc(rho))
+
+
+def _passive(lam):
+    # passive energies of non-increasing spectra, one per row
     low = np.min(lam[..., -1])
     if low < -1e-9:
         raise ValidationError(f"operator has negative eigenvalue {low}")
@@ -89,7 +97,7 @@ def passive_energy(rho):
 
 def avg_passive_energy(ensemble):
     """Weighted average of member passive energies."""
-    return _running_sum(ensemble.weights * passive_energy(ensemble.states))
+    return _running_sum(ensemble.weights * _passive(ensemble.spectra[:, ::-1]))
 
 
 def truncated_passive_energy(ensemble, eps):
@@ -97,7 +105,9 @@ def truncated_passive_energy(ensemble, eps):
     if eps <= 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
     cut = ensemble.weights[:, None, None] * ensemble.states - eps * np.eye(ensemble.dim)
-    return _running_sum(passive_energy(positive_part(cut)))
+    # cut is exactly Hermitian; the products of _positive_part are not, and
+    # passive_energy symmetrizes them
+    return _running_sum(passive_energy(_positive_part(cut)))
 
 
 def _gibbs_weights(ev, beta):

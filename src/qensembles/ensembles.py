@@ -3,18 +3,24 @@
 An ensemble is a weight vector of length n and a read-only (n, d, d) stack of
 states, validated once as a whole; member i is (weights[i], states[i]). Weights
 sum to 1 and zero-weight members are permitted. Functions of an ensemble act on
-the whole stack at once.
+the whole stack at once, and the entropies and passive energies read the
+spectra the ensemble keeps.
+
+The public constructors validate. The package's own producers whose output
+is valid by construction (channel outputs, random ensembles, reweightings and
+mixtures of validated states) build through Ensemble._trusted instead.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from . import linalg
-from .linalg import _running_sum, check_density, outer, von_neumann_entropy
+from .linalg import _density_spectrum, _running_sum, check_density, outer, shannon_entropy
 
 WEIGHT_TOL = 1e-10
 SUPPORT_CUT = 1e-12
@@ -37,7 +43,10 @@ class Ensemble:
     """Ordered ensemble: weights and a read-only (n, dim, dim) stack of states.
 
     states may be given as any sequence of matrices or as a stack; it is
-    validated once and stored symmetrized.
+    validated once and stored symmetrized. spectra holds the ascending
+    eigenvalues of every state, a read-only (n, dim) array: the ones
+    validation decomposed, or, for a trusted construction, computed on first
+    use; either way np.linalg.eigvalsh(states) bit for bit.
     """
 
     dim: int
@@ -57,10 +66,29 @@ class Ensemble:
             raise ValidationError("weights and states have different lengths")
         if states.ndim != 3:
             raise ValidationError(f"state must be one matrix, got shape {states.shape[1:]}")
-        states = check_density(states, dim=self.dim)
+        states, spectra = _density_spectrum(states, dim=self.dim)
         states.setflags(write=False)
+        spectra.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "spectra", spectra)
+
+    @classmethod
+    def _trusted(cls, dim, weights, states):
+        """An ensemble of a probability vector and an exactly Hermitian stack
+        of density matrices that are valid by construction, stored as given
+        without another check; its spectra are computed on first use."""
+        mu = object.__new__(cls)
+        states.setflags(write=False)
+        for name, value in (("dim", dim), ("weights", weights), ("states", states)):
+            object.__setattr__(mu, name, value)
+        return mu
+
+    @functools.cached_property
+    def spectra(self):
+        spectra = np.linalg.eigvalsh(self.states)
+        spectra.setflags(write=False)
+        return spectra
 
     @classmethod
     def from_members(cls, members):
@@ -96,7 +124,7 @@ def average_state(mu):
 
 def average_entropy(mu):
     """Sum_i p_i S(rho_i)."""
-    return _running_sum(mu.weights * von_neumann_entropy(mu.states))
+    return _running_sum(mu.weights * shannon_entropy(mu.spectra))
 
 
 def _support_inv_sqrt(rho):
@@ -127,7 +155,7 @@ def steer_to_average(mu, sigma):
     Pure-state ensembles steer to pure-state ensembles.
     """
     sigma = check_density(sigma, dim=mu.dim)
-    rho_bar = check_density(average_state(mu), dim=mu.dim)
+    rho_bar = average_state(mu)
     inv_sqrt, support = _support_inv_sqrt(rho_bar)
     sqrt_rho = linalg.matrix_sqrt_psd(rho_bar)
     sqrt_sigma = linalg.matrix_sqrt_psd(sigma)
@@ -160,11 +188,20 @@ def steer_to_average(mu, sigma):
 
 
 def mix_members_toward(mu, targets, t):
-    """Perturb every member toward a target state: rho -> (1-t) rho + t target."""
+    """Perturb every member toward a target state: rho -> (1-t) rho + t target,
+    for t in [0, 1]."""
+    t = float(t)
+    if not 0.0 <= t <= 1.0:  # also rejects NaN
+        raise ValidationError(f"mixing weight {t} outside [0, 1]")
     if len(targets) != len(mu):
         raise DimensionMismatch("need one target per member")
-    states = linalg.hermitian_part((1.0 - t) * mu.states + t * np.asarray(targets))
-    return Ensemble(dim=mu.dim, weights=mu.weights.copy(), states=states)
+    return _mixed_toward(mu, check_density(targets, dim=mu.dim), t)
+
+
+def _mixed_toward(mu, targets, t):
+    # mix_members_toward on an exactly Hermitian stack of valid targets
+    states = linalg.hermitian_part((1.0 - t) * mu.states + t * targets)
+    return Ensemble._trusted(mu.dim, mu.weights.copy(), states)
 
 
 def perturb_weights(mu, direction, t):
@@ -173,7 +210,7 @@ def perturb_weights(mu, direction, t):
     d = d - np.mean(d)
     w = np.clip(mu.weights + t * d, 0.0, None)
     w = w / np.sum(w)
-    return Ensemble(dim=mu.dim, weights=w, states=mu.states)
+    return Ensemble._trusted(mu.dim, _check_weights(w, "ensemble weights"), mu.states)
 
 
 def pure_ensemble(vectors):

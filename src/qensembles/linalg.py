@@ -2,7 +2,10 @@
 
 States are plain complex ndarrays; the validators below enforce the structural
 invariants (hermiticity within 1e-10, eigenvalues >= -1e-10, unit trace within
-1e-10) at API boundaries. All entropies are in nats.
+1e-10) at API boundaries. On the exactly Hermitian stacks the package builds
+from validated inputs it calls the unchecked kernels (_eigvalsh, _trace_norm,
+_positive_part) directly: hermitian_part leaves such a stack unchanged, so
+skipping the check moves no bit. All entropies are in nats.
 """
 
 from __future__ import annotations
@@ -103,7 +106,11 @@ def eigvals_desc(a):
 def trace_norm(a):
     """Trace norm of a Hermitian matrix (sum of absolute eigenvalues), or of
     each matrix of a (..., d, d) stack."""
-    a = check_hermitian(a)
+    return _trace_norm(check_hermitian(a))
+
+
+def _trace_norm(a):
+    # trace_norm of an exactly Hermitian matrix or stack, not checked again
     return _value(np.sum(np.abs(_eigvalsh(a)), axis=-1))
 
 
@@ -177,10 +184,11 @@ def fidelity(rho, sigma):
     return min(max(f, 0.0), 1.0)
 
 
-def positive_part(a):
-    """[A]_+ = sum of positive-eigenvalue spectral components of a Hermitian A,
-    or of each matrix of a (..., d, d) stack."""
-    a = check_hermitian(a)
+def _positive_part(a):
+    """[A]_+ = sum of positive-eigenvalue spectral components of an exactly
+    Hermitian A, or of each matrix of a (..., d, d) stack; not checked, since
+    its one caller, truncated_passive_energy, builds A from a validated
+    ensemble."""
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)

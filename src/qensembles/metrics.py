@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import _check_weights
-from .linalg import SIGN_TOL, _running_sum, trace_norm
+from .linalg import SIGN_TOL, _running_sum, _trace_norm
 
 # d_ehs seeds each pair with tangents at this many angles spread evenly over
 # [0, pi/2], the quadrant where every (P_ij, Q_ij) lies
@@ -115,13 +115,13 @@ def _padded_members(mu, nu):
 def d0(mu, nu):
     """Ordered-ensemble metric: half the summed trace norms of p_i rho_i - q_i sigma_i."""
     p, r, q, s = _padded_members(mu, nu)
-    return 0.5 * _running_sum(trace_norm(p[:, None, None] * r - q[:, None, None] * s))
+    return 0.5 * _running_sum(_trace_norm(p[:, None, None] * r - q[:, None, None] * s))
 
 
 def dk_upper(mu, nu):
     """Easy upper bound on the Kantorovich distance between ordered ensembles."""
     p, r, q, s = _padded_members(mu, nu)
-    return 0.5 * _running_sum(np.minimum(p, q) * trace_norm(r - s) + np.abs(p - q))
+    return 0.5 * _running_sum(np.minimum(p, q) * _trace_norm(r - s) + np.abs(p - q))
 
 
 def _marginal_rows(n, m):
@@ -300,7 +300,7 @@ def d_kantorovich_many(pairs):
         if mu.dim != nu.dim:
             raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
         diffs = mu.states[:, None] - nu.states[None, :]
-        cost = 0.5 * trace_norm(diffs)
+        cost = 0.5 * _trace_norm(diffs)
         problems.append((cost, mu.weights, nu.weights))
     return _solve_transports(problems)
 

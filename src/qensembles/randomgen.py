@@ -2,7 +2,8 @@
 states, Haar-isometry channels, Dirichlet-weighted ensembles.
 
 All generators take a numpy Generator; trial seeds derive deterministically
-from (seed, index) so experiment reports are reproducible bit for bit.
+from (seed, index) so experiment reports are reproducible bit for bit. Their
+channels and ensembles are valid by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def random_channel(dim_in, dim_out, env_dim, rng):
         raise ValidationError("need dim_out * env_dim >= dim_in for an isometry")
     v = random_isometry(dim_in, dim_out * env_dim, rng)
     kraus = v.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1)
-    return KrausChannel(dim_in, dim_out, kraus)
+    return KrausChannel._trusted(dim_in, dim_out, np.ascontiguousarray(kraus))
 
 
 def random_ensemble(dim, members, rng, rank=None):
@@ -71,12 +72,15 @@ def random_ensemble(dim, members, rng, rank=None):
         raise ValidationError(f"members must be >= 1, got {members}")
     weights = rng.dirichlet(np.ones(members))
     rank = dim if rank is None else rank
-    states = tuple(random_state(dim, rank, rng) for _ in range(members))
-    return Ensemble(dim=dim, weights=weights, states=states)
+    states = np.array([random_state(dim, rank, rng) for _ in range(members)])
+    return Ensemble._trusted(dim, weights, states)
 
 
 def random_pure_ensemble(dim, members, rng):
     """Ensemble of Haar-random rank-1 projectors."""
+    if members < 1:
+        raise ValidationError(f"members must be >= 1, got {members}")
     weights = rng.dirichlet(np.ones(members))
-    states = tuple(np.outer(v, v.conj()) for v in (random_pure(dim, rng) for _ in range(members)))
-    return Ensemble(dim=dim, weights=weights, states=states)
+    states = np.array([np.outer(v, v.conj())
+                       for v in (random_pure(dim, rng) for _ in range(members))])
+    return Ensemble._trusted(dim, weights, hermitian_part(states))

@@ -464,9 +464,9 @@ _CLOSENESS = {
 def test_tag_nondecreasing_in_closeness(tag, data):
     key, draw_params, upper = _CLOSENESS[tag]
     params = draw_params(data)
-    # Positive closeness starts at 1e-300, where E/eps (E <= 10) and
-    # chi-cb-2's E/(eps t) stay finite; below about 1e-308 they overflow
-    closeness = st.floats(1e-300, upper(params))
+    # Positive closeness starts at the smallest subnormal, where E/eps and
+    # chi-cb-2's E/(eps t) overflow
+    closeness = st.floats(5e-324, upper(params))
     a, b = sorted(data.draw(closeness, label="closeness") for _ in range(2))
     value_a = evaluate_tag(tag, {**params, key: a})
     value_b = evaluate_tag(tag, {**params, key: b})
@@ -499,3 +499,14 @@ def test_energy_tags_finite_at_closeness_1e_300(tag):
     tiny = evaluate_tag(tag, {**params, key: 1e-300})
     small = evaluate_tag(tag, {**params, key: 1e-9})
     assert math.isfinite(tiny) and 0.0 <= tiny <= small
+
+
+@pytest.mark.parametrize("closeness", [1e-309, 5e-324])
+@pytest.mark.parametrize("tag", sorted(_ENERGY_TAGS))
+def test_energy_tags_finite_at_subnormal_closeness(tag, closeness):
+    # E/eps overflows here; eps g(E/eps) is then eps (ln E - ln eps + 1)
+    key = _CLOSENESS[tag][0]
+    params = _ENERGY_TAGS[tag]
+    tiny = evaluate_tag(tag, {**params, key: closeness})
+    assert math.isfinite(tiny)
+    assert tiny <= evaluate_tag(tag, {**params, key: 1e-300})

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,13 @@ def test_bound_usage_error_exits_2(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_bound_energy_tag_is_finite_at_subnormal_closeness(capsys):
+    # E/eps overflows at eps = 5e-324; the printed value must not be NaN
+    assert main(["bound", "prop3", "--param", "eps=5e-324", "--param", "energy=1"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert math.isfinite(value) and value > 0.0
 
 
 def test_verify_exits_clean(tmp_path, capsys):
@@ -216,6 +224,13 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("kr", lambda d: {"points": [[0.0, 0.0]]}, "missing the key 'weights'"),
     ("krmod", lambda d: {"points": [["a", 0.0]], "weights": [1.0]},
      "malformed 'points'"),
+    # members that are not Hermitian, or not PSD
+    ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[0.5, 0], [0.1, 0]],
+                                                                        [[0, 0], [0.5, 0]]]}]},
+     "state is not Hermitian"),
+    ("dk", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1.2, 0], [0, 0]],
+                                                                        [[0, 0], [-0.2, 0]]]}]},
+     "state has negative eigenvalue"),
 ])
 def test_bad_metric_input_exits_2(example1_files, tmp_path, capsys, name, replace_a,
                                   message):

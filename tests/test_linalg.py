@@ -10,13 +10,13 @@ from qensembles import (
     eigvals_desc,
     fidelity,
     g_func,
-    positive_part,
     trace_norm,
     von_neumann_entropy,
 )
 from qensembles.linalg import (
     HERM_TOL,
     _eigvalsh,
+    _positive_part,
     check_density,
     check_hermitian,
     hermitian_part,
@@ -256,16 +256,16 @@ class TestConditionalEntropy:
 class TestPositivePart:
     def test_psd_fixed_point(self, rng):
         rho = random_state(3, 3, rng)
-        assert np.allclose(positive_part(rho), rho, atol=1e-10)
+        assert np.allclose(_positive_part(rho), rho, atol=1e-10)
 
     def test_diagonal(self):
         assert np.allclose(
-            positive_part(np.diag([0.3, -0.2])), np.diag([0.3, 0.0]), atol=1e-12
+            _positive_part(np.diag([0.3, -0.2])), np.diag([0.3, 0.0]), atol=1e-12
         )
 
     def test_decomposition_identity(self, rng):
         a = hermitian(4, rng)
-        assert np.allclose(positive_part(a) - positive_part(-a), a, atol=1e-9)
+        assert np.allclose(_positive_part(a) - _positive_part(-a), a, atol=1e-9)
 
 
 class TestUnitaryInvariance:

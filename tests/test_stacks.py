@@ -26,13 +26,12 @@ from qensembles import (
     eigvals_desc,
     mix_channels,
     passive_energy,
-    positive_part,
     trace_norm,
     truncated_passive_energy,
     von_neumann_entropy,
 )
 from qensembles.ensembles import mix_members_toward
-from qensembles.linalg import check_density, hermitian_part
+from qensembles.linalg import _positive_part, check_density, hermitian_part
 from qensembles.randomgen import random_channel, random_state
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -90,7 +89,7 @@ class TestStackedKernels:
         assert np.array_equal(check_density(mu.states), per_matrix(check_density, mu.states))
         assert np.array_equal(von_neumann_entropy(mu.states),
                               per_matrix(von_neumann_entropy, mu.states))
-        for fn in (trace_norm, eigvals_desc, positive_part):
+        for fn in (trace_norm, eigvals_desc, _positive_part):
             assert np.array_equal(fn(herm), per_matrix(fn, herm))
 
     @SETTINGS
@@ -133,7 +132,7 @@ class TestStackedKernels:
             w * passive_energy(rho) for w, rho in mu.members)
         eps = 0.05
         assert truncated_passive_energy(mu, eps) == running(
-            passive_energy(positive_part(w * rho - eps * np.eye(mu.dim)))
+            passive_energy(_positive_part(w * rho - eps * np.eye(mu.dim)))
             for w, rho in mu.members)
 
     @SETTINGS
