@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -152,7 +153,10 @@ def _cmd_run(args):
     return _emit(args.runs[args.name](cfg), args, out_path)
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process: parsing leaves it unchanged,
+    and every parse starts from fresh defaults (--param's list included)."""
     parser = argparse.ArgumentParser(
         prog="qensembles",
         description="Ensemble metrics, entropy bounds, and their verification harness",

@@ -7,7 +7,7 @@ import pytest
 
 from qensembles import Ensemble, PointMeasure
 from qensembles import serialize as ser
-from qensembles.cli import main
+from qensembles.cli import build_parser, main
 from qensembles.ensembles import singleton
 
 from conftest import basis_ket, fresh_python, ketbra
@@ -277,6 +277,49 @@ def test_unreadable_metric_input_exits_2(example1_files, tmp_path, capsys, conte
 # scipy loads on first use: importing the package or its CLI loads none of these
 SCIPY_LAZY = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.special",
               "scipy.linalg", "scipy.fft")
+
+
+# bound with and without --param (prop2 needs eps and rank, so a --param list
+# kept from an earlier call would let the bare one pass), verify, repro, and a
+# bad argument that argparse rejects
+_REPEATED_ARGV = [
+    ["bound", "prop2", "--param", "eps=0.1", "--param", "rank=4"],
+    ["bound", "prop2"],
+    ["bound", "prop3", "--param", "eps=0.2", "--param", "energy=1.5"],
+    ["verify", "lemmas", "--seed", "5", "--trials", "3"],
+    ["repro", "erasure"],
+    ["bound", "no-such-tag"],
+]
+
+
+def _run_main(argv, out_path, capsys):
+    """(exit code, stdout, stderr, report bytes) of one main call."""
+    if argv[0] in ("verify", "repro"):
+        argv = argv + ["--out", str(out_path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    report = out_path.read_bytes() if out_path.exists() else None
+    return code, captured.out, captured.err, report
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    fresh = []
+    for k, argv in enumerate(_REPEATED_ARGV):
+        build_parser.cache_clear()
+        fresh.append(_run_main(argv, tmp_path / f"fresh{k}.json", capsys))
+    assert [out[0] for out in fresh] == [0, 2, 0, 0, 0, 2]
+    assert "needs parameter 'eps'" in fresh[1][2]
+
+    build_parser.cache_clear()
+    for rep in range(2):
+        for k, argv in enumerate(_REPEATED_ARGV):
+            again = _run_main(argv, tmp_path / f"again{rep}-{k}.json", capsys)
+            assert again == fresh[k], argv
+    assert build_parser.cache_info().misses == 1
+    assert json.loads(fresh[2][1])["params"] == {"eps": 0.2, "energy": 1.5}
 
 
 def test_cli_import_leaves_out_scipy_stats():

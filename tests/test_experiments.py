@@ -3,21 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from qensembles import ValidationError
+from qensembles import Ensemble, ValidationError
+from qensembles import experiments
 from qensembles import serialize as ser
+from qensembles.cli import main
 from qensembles.channels import coherent_state
 from qensembles.energy import HamiltonianSpec, solve_gibbs
 from qensembles.linalg import g_func, outer, trace_norm, von_neumann_entropy
+from qensembles.metrics import d_ehs_many
 from qensembles.experiments import (
+    DEHS_TOL,
     EXPERIMENTS,
     REPROS,
     ExperimentConfig,
+    _channel_trials,
+    _dehs_values,
     _displaced_gibbs_average,
     eof_witness_values,
     gaussian_grid_measure,
     verify_scb_rank,
 )
 
+from conftest import fresh_python
 from oracles import displaced_average_bruteforce
 
 # Assertions that pin reported approximations contradicting the governing
@@ -181,3 +188,85 @@ def test_config_validation():
 
 def test_config_keeps_dims_as_a_tuple():
     assert ExperimentConfig(dims=[2, 3]).dims == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# The kept d_ehs batch (_dehs_values)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def dehs_spy(monkeypatch):
+    """The pair lists experiments.d_ehs_many is called with, one per call."""
+    calls = []
+    real = experiments.d_ehs_many
+
+    def spy(pairs, **kw):
+        calls.append(list(pairs))
+        return real(pairs, **kw)
+
+    monkeypatch.setattr(experiments, "d_ehs_many", spy)
+    return calls
+
+
+def channel_pairs(cfg):
+    return [(mu, nu) for *_, mu, nu in _channel_trials(cfg, max_dim=5)]
+
+
+def test_warm_reports_match_cold_ones(tmp_path, dehs_spy):
+    # scb-rank solves the batch; scb-energy and holevo at the same seed and
+    # trial count reuse it, and must write what a fresh process writes
+    flags = ["--seed", "9101", "--trials", "12"]
+    warm = {}
+    for name in ("scb-rank", "scb-energy", "holevo"):
+        warm[name] = tmp_path / f"warm-{name}.json"
+        main(["verify", name, *flags, "--out", str(warm[name])])
+    assert len(dehs_spy) == 1
+    for name in ("scb-energy", "holevo"):
+        cold = tmp_path / f"cold-{name}.json"
+        res = fresh_python(
+            "from qensembles.cli import main\n"
+            f"main({['verify', name, *flags, '--out', str(cold)]!r})\n")
+        assert res.returncode == 0, res.stderr
+        assert warm[name].read_bytes() == cold.read_bytes(), name
+
+
+def _flip_last_bit(pair):
+    # nu with the lowest bit of one state entry's real part flipped
+    mu, nu = pair
+    states = nu.states.copy()
+    states.view(np.uint64)[0, 0, 0] ^= 1
+    return mu, Ensemble._trusted(nu.dim, nu.weights, states)
+
+
+def test_kept_batch_misses_on_any_change(dehs_spy):
+    base = channel_pairs(ExperimentConfig(seed=9102, trials=4, dims=(2, 3)))
+    flipped = base[:1] + [_flip_last_bit(base[1])] + base[2:]
+    variants = [
+        channel_pairs(ExperimentConfig(seed=9103, trials=4, dims=(2, 3))),
+        channel_pairs(ExperimentConfig(seed=9102, trials=5, dims=(2, 3))),
+        channel_pairs(ExperimentConfig(seed=9102, trials=4, dims=(3, 2))),
+        flipped,
+    ]
+    assert not np.array_equal(flipped[1][1].states, base[1][1].states)
+
+    values = _dehs_values(base)
+    assert _dehs_values(base) is values
+    assert len(dehs_spy) == 1
+    for k, pairs in enumerate(variants, start=2):
+        _dehs_values(pairs)
+        assert len(dehs_spy) == k and len(dehs_spy[-1]) == len(pairs)
+    # one entry: the base batch was replaced, so it is solved again
+    assert _dehs_values(base) == values
+    assert len(dehs_spy) == len(variants) + 2
+
+
+def test_kept_batch_returns_fresh_values_and_cannot_be_mutated(dehs_spy):
+    pairs = channel_pairs(ExperimentConfig(seed=9104, trials=5, dims=(2, 3)))
+    values = _dehs_values(pairs)
+    assert values == tuple(sol.value for sol in d_ehs_many(pairs, tol=DEHS_TOL))
+    assert type(values) is tuple and all(type(v) is float for v in values)
+    with pytest.raises(TypeError):
+        values[0] = 0.0
+    assert _dehs_values(pairs) is values and len(dehs_spy) == 1
+    key, kept = experiments._dehs_last
+    assert kept is values and key[0] == DEHS_TOL

@@ -661,6 +661,35 @@ def test_ehs_obeys_data_processing(dim, n, m, zero_weight, seed, dim_out, env):
     assert after.value <= before.value + 2.0 * _PROPERTY_TOL
 
 
+# Triangle inequality on d <= 3: singletons, zero weights, rank-1 members and
+# n != m are all drawn. d_ehs values sit within tol above the distance, so the
+# triangle holds for them within 3 tol.
+_TRIPLES = dict(dim=st.integers(2, 3), n=st.integers(1, 3), m=st.integers(1, 3),
+                k=st.integers(1, 3), zero_weight=st.booleans(),
+                seed=st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(**_TRIPLES)
+def test_dk_and_ehs_obey_the_triangle_inequality(dim, n, m, k, zero_weight, seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = (mixed_rank_ensemble(dim, size, rng, zero_weight) for size in (n, m, k))
+    pairs = [(a, c), (a, b), (b, c)]
+    ac, ab, bc = (sol.value for sol in d_kantorovich_many(pairs))
+    assert ac <= ab + bc + 1e-9
+    ac, ab, bc = (sol.value for sol in d_ehs_many(pairs, tol=_PROPERTY_TOL))
+    assert ac <= ab + bc + 3.0 * _PROPERTY_TOL
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(dim=st.integers(2, 3), n=st.integers(1, 3), zero_weight=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_d0_obeys_the_triangle_inequality(dim, n, zero_weight, seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = (mixed_rank_ensemble(dim, n, rng, zero_weight) for _ in range(3))
+    assert d0(a, c) <= d0(a, b) + d0(b, c) + 1e-12
+
+
 class TestKRDistances:
     def test_identical(self):
         pm = PointMeasure(points=np.array([[0.0, 0.0], [1.0, 0.0]]),

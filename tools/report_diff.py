@@ -6,7 +6,8 @@
 ``run`` writes the JSON report of every ``verify`` and ``repro`` command at
 seeds 7000-7002 with ``--trials 30`` (33 reports) to
 DIR/<verify|repro>-<name>-s<seed>.json. It runs the package under the
-``src/`` next to this script, in process, with BLAS pinned to one thread.
+``src/`` next to this script, in process, with BLAS pinned to one thread,
+every command of one seed before the next seed.
 To get a second tree's reports, run the script from a copy placed in that
 tree.
 
@@ -49,8 +50,10 @@ def run(out_dir, seeds=SEEDS, trials=TRIALS, only=None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for kind, name in only or commands():
-        for seed in seeds:
+    # seeds outside, commands inside: verify scb-rank, scb-energy and holevo of
+    # one seed run in turn, so the last two reuse the d_ehs batch of the first
+    for seed in seeds:
+        for kind, name in only or commands():
             path = out_dir / f"{kind}-{name}-s{seed}.json"
             argv = [kind, name, "--seed", str(seed), "--trials", str(trials),
                     "--out", str(path)]
