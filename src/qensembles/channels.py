@@ -17,6 +17,7 @@ from .errors import DimensionMismatch, TruncationError, ValidationError
 from .ensembles import Ensemble, average_entropy, average_state
 from .linalg import (
     TRACE_TOL,
+    _check_traces,
     _eigvalsh,
     _running_sum,
     _value,
@@ -30,12 +31,15 @@ from .linalg import (
 # operator norm, hence the trace error it adds to any state
 KRAUS_TP_TOL = TRACE_TOL
 FOCK_CAP = 512
+# series terms poisson_entropy evaluates at once: each temporary is 128 KiB
+# of float64, which stays in cache (2**17-cell blocks ran slower)
+_POISSON_BLOCK_CELLS = 2**14
 
 
 @functools.cache
 def _special():
-    # scipy.special loads on first use, not on import: only coherent_state
-    # and poisson_entropy need it (gammaln)
+    # scipy.special loads on first use, not on import: coherent_state and
+    # poisson_entropy need gammaln, experiments.gaussian_grid_measure ndtr
     import scipy.special
 
     return scipy.special
@@ -108,10 +112,16 @@ class KrausChannel:
                                      ops.reshape(-1, *ops.shape[2:]))
 
     def apply_ensemble(self, mu):
-        """The output ensemble Phi(mu): the same weights, each state mapped."""
+        """The output ensemble Phi(mu): the same weights, each state mapped.
+
+        The outputs are Hermitian and PSD by construction, but an input's trace
+        error and the channel's add, so their traces are checked against
+        TRACE_TOL (ValidationError) before they are trusted."""
         if mu.dim != self.dim_in:
             raise DimensionMismatch(f"ensemble dim {mu.dim} != {self.dim_in}")
-        return Ensemble._trusted(self.dim_out, mu.weights.copy(), self.apply(mu.states))
+        states = self.apply(mu.states)
+        _check_traces(states)
+        return Ensemble._trusted(self.dim_out, mu.weights.copy(), states)
 
 
 def mix_channels(t, chan_a, chan_b):
@@ -248,9 +258,17 @@ def poisson_entropy(lam):
     lam may be a scalar, giving a Python float, or an array, giving one
     entropy per entry. The series of each lam runs to n = top = lam +
     12 sqrt(lam) + 40, and a top past FOCK_CAP (lam above about 274) raises
-    TruncationError. The lam sharing a top are summed as the rows of one 2-D
-    array, each row pairwise as np.sum adds a 1-D series, so an array gives
-    the scalar values bit for bit.
+    TruncationError.
+
+    An array is evaluated in blocks: the lam are sorted by top, one ln n!
+    table is built at the largest top, and each block of sorted rows (at most
+    _POISSON_BLOCK_CELLS terms) gets its terms from one 2-D exp at the block's
+    widest top. The terms are elementwise, so a row's extra columns change
+    none of its own. Each row is then summed over exactly its top + 1 terms,
+    one add.reduce(axis=1) (np.sum's kernel) per run of rows sharing a top
+    within a block. Rows are never padded: a row is added pairwise with its
+    last n % 8 terms one by one, so trailing zeros would move the rounding.
+    An array therefore gives the scalar values bit for bit.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0.0):  # also rejects NaN
@@ -258,18 +276,33 @@ def poisson_entropy(lam):
     flat = lam.reshape(-1)
     out = np.zeros(flat.size)
     pos = np.flatnonzero(flat > 0.0)
-    log_lam = np.array([math.log(x) for x in flat[pos].tolist()])
     tops = flat[pos] + 12.0 * np.sqrt(flat[pos]) + 40.0
     if not np.all(tops < FOCK_CAP + 1):  # also rejects inf
         raise TruncationError(
             f"Poisson parameter {np.max(flat)} needs a series past n = {FOCK_CAP}"
         )
+    if pos.size == 0:
+        return _value(out.reshape(lam.shape))
     tops = tops.astype(int)
-    for top in np.unique(tops).tolist():
-        at = np.flatnonzero(tops == top)
-        n = np.arange(top + 1)
-        log_fact = _special().gammaln(n + 1.0)
-        log_pmf = -flat[pos[at], None] + n * log_lam[at, None] - log_fact
-        series = np.sum(np.exp(log_pmf) * log_fact, axis=1)
-        out[pos[at]] = flat[pos[at]] * (1.0 - log_lam[at]) + series
+    order = np.argsort(tops)
+    pos, tops = pos[order], tops[order]
+    lam_s = flat[pos]
+    log_lam = np.array([math.log(x) for x in lam_s.tolist()])
+    n = np.arange(tops[-1] + 1)
+    log_fact = _special().gammaln(n + 1.0)
+    rows = _POISSON_BLOCK_CELLS // n.size
+    # segments [a, b) of sorted rows within one block and sharing one top
+    cuts = np.union1d(np.flatnonzero(np.diff(tops)) + 1,
+                      np.arange(rows, pos.size, rows)).tolist()
+    series = np.empty(pos.size)
+    for a, b in zip([0] + cuts, cuts + [pos.size]):
+        if a % rows == 0:  # a block starts: its terms at its widest top
+            block = slice(a, min(a + rows, pos.size))
+            width = tops[block.stop - 1] + 1
+            log_pmf = (-lam_s[block, None] + n[:width] * log_lam[block, None]
+                       - log_fact[:width])
+            terms = np.exp(log_pmf) * log_fact[:width]
+        series[a:b] = np.add.reduce(terms[a - block.start:b - block.start, :tops[a] + 1],
+                                    axis=1)
+    out[pos] = lam_s * (1.0 - log_lam) + series
     return _value(out.reshape(lam.shape))

@@ -19,6 +19,7 @@ import numpy as np
 from . import bounds as B
 from .channels import (
     _holevo_chi,
+    _special,
     coherent_state,
     displacement_operator,
     erasure_channel,
@@ -51,6 +52,7 @@ from .ensembles import (
 )
 from .errors import ValidationError
 from .linalg import (
+    _running_sum,
     binary_entropy,
     fidelity,
     g_func,
@@ -83,15 +85,21 @@ from .randomgen import random_channel as _random_channel
 TOLERANCE = 1e-8
 # certified gap of every d_ehs solve
 DEHS_TOL = 1e-7
+# default |a - b| bound of an equality record
+EQUALITY_TOL = 1e-10
+# margin by which a tightness witness must strictly exceed a bound's first
+# term (prop3/C1-exceeds, C2-exceeds), and its slack on the half distance eps
+WITNESS_MARGIN = 1e-12
 
 
-@functools.cache
-def _special():
-    # scipy.special loads on first use, not on import: only
-    # gaussian_grid_measure needs it (ndtr)
-    import scipy.special
-
-    return scipy.special
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order):
+    # nodes and weights of the order-point rule on [-1, 1]; read-only because
+    # every caller shares them
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
 
 
 def _is_int(value):
@@ -158,7 +166,7 @@ class _Recorder:
         self._t0 = now
         return report
 
-    def add_equality(self, tag, value_a, value_b, eps, tol=1e-10, **params):
+    def add_equality(self, tag, value_a, value_b, eps, tol=EQUALITY_TOL, **params):
         """Record |a - b| <= tol as a bound (holds=False on violation)."""
         gap = abs(float(value_a) - float(value_b))
         return self.add(tag, gap, tol, eps, check="equality", **params)
@@ -357,7 +365,7 @@ def _scb_energy_witnesses(rec):
         floor = eps * g_func(energy / eps)
         cap = B.scb_energy(eps, energy)
         # 3C-1: strict exceedance of the first term, within the full bound
-        rec.add("prop3/C1-exceeds", floor + 1e-12, lhs, eps, energy=energy,
+        rec.add("prop3/C1-exceeds", floor + WITNESS_MARGIN, lhs, eps, energy=energy,
                 check="strict-exceedance")
         rec.add("prop3/C1-within", lhs, cap + TOLERANCE, eps, energy=energy)
         # summed as complex, as Tr H rho over the matrix was, for the same bits
@@ -374,8 +382,8 @@ def _scb_energy_witnesses(rec):
         diff = pops.copy()
         diff[0] -= 1.0
         dist = 0.5 * float(np.sum(np.abs(np.sort(diff))))
-        rec.add("prop3/C2-halfdist", dist, eps + 1e-12, eps, energy=energy)
-        rec.add("prop3/C2-exceeds", floor + 1e-12, lhs, eps, energy=energy,
+        rec.add("prop3/C2-halfdist", dist, eps + WITNESS_MARGIN, eps, energy=energy)
+        rec.add("prop3/C2-exceeds", floor + WITNESS_MARGIN, lhs, eps, energy=energy,
                 check="strict-exceedance")
         rec.add("prop3/C2-within", lhs, cap + TOLERANCE, eps, energy=energy)
 
@@ -639,16 +647,14 @@ def repro_erasure(cfg):
 def _dephased_coherent_aoe(n_mean, panels):
     """(1/N) integral of H_P(s) e^(-s/N) ds over [0, 45] by composite
     32-point Gauss-Legendre."""
-    xs, ws = np.polynomial.legendre.leggauss(32)
+    xs, ws = _gauss_legendre(32)
     edges = np.linspace(0.0, 45.0, panels + 1)
     mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     nodes = mids[:, None] + halves[:, None] * xs
-    entropies = poisson_entropy(nodes)
-    total = 0.0
-    for half, panel_nodes, panel_entropies in zip(halves, nodes, entropies):
-        for s, w, h in zip(panel_nodes, ws, panel_entropies):
-            total += half * w * h * math.exp(-s / n_mean) / n_mean
-    return total
+    decay = np.array([math.exp(x) for x in (-nodes / n_mean).ravel().tolist()])
+    terms = halves[:, None] * ws * poisson_entropy(nodes) * decay.reshape(nodes.shape)
+    # panel by panel, node by node, as a loop adds them, for the same bits
+    return _running_sum((terms / n_mean).ravel())
 
 
 def gaussian_grid_measure(n_mean, delta, half_cells):
@@ -670,7 +676,7 @@ def gaussian_grid_measure(n_mean, delta, half_cells):
 def _discretized_aoe(n_mean, delta, half_cells):
     pts, wts = gaussian_grid_measure(n_mean, delta, half_cells)
     s_vals = np.sum(pts**2, axis=1)
-    return float(sum(w * h for w, h in zip(wts, poisson_entropy(s_vals))))
+    return _running_sum(wts * poisson_entropy(s_vals))
 
 
 def _subsampled_measure(pts, wts, radius):
@@ -774,7 +780,7 @@ def _displaced_gibbs_average(g, n_max, radial, angular, r_hi, n_mean):
     e^(i phi N), so the mean over the angles 2 pi k / angular is the phi = 0
     state with every entry (m, n) zeroed where angular does not divide m - n.
     """
-    xs, ws = np.polynomial.legendre.leggauss(radial)
+    xs, ws = _gauss_legendre(radial)
     avg = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     total_w = 0.0
     for x, w in zip(xs, ws):

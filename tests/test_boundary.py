@@ -111,16 +111,37 @@ def test_kraus_check_bounds_the_trace_error_of_every_output():
         KrausChannel(3, 3, ((v * np.sqrt(w)) @ v.T,))
 
 
+def test_channel_output_beyond_the_trace_tolerance_is_rejected():
+    # a channel and a state that each pass, at 0.9e-10 from trace
+    # preservation and from unit trace, give an output of trace 1 + 1.8e-10,
+    # which the state boundary (and the JSON round trip) would reject
+    chan = KrausChannel(2, 2, (math.sqrt(1.0 + 0.9e-10) * np.eye(2),))
+    mu = singleton(np.diag([0.5 + 0.9e-10, 0.5]))
+    with pytest.raises(ValidationError, match=r"state trace 1\.00000000018 deviates from 1 "
+                                              r"by 1\.800e-10, beyond 1e-10"):
+        chan.apply_ensemble(mu)
+    with pytest.raises(ValidationError, match="deviates from 1"):
+        aoe(chan, mu)
+    # inside the tolerance the output is kept and passes the state boundary
+    out = chan.apply_ensemble(singleton(np.diag([0.5 + 0.05e-10, 0.5])))
+    check_density(out.states)
+    ser.ensemble_from_json(ser.ensemble_to_json(out))
+
+
 # ---------------------------------------------------------------------------
 # The validators are called only at the boundary
 # ---------------------------------------------------------------------------
 
-VALIDATORS = {"check_hermitian", "check_density", "_density_spectrum", "_check_weights"}
+VALIDATORS = {"check_hermitian", "check_density", "_density_spectrum", "_check_weights",
+              "_check_traces"}
 
 # every function of the package that calls a validator (calls inside the
 # validators themselves aside); an internal kernel added here needs a reason
 BOUNDARY = {
     "channels.mix_with_state",
+    # a trusted output: the input's and the channel's trace errors add, so
+    # an output can leave TRACE_TOL although both inputs passed (O(n d))
+    "channels.KrausChannel.apply_ensemble",
     "energy.mean_energy",
     "ensembles.Ensemble.__post_init__",
     "ensembles.mix_members_toward",

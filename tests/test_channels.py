@@ -23,7 +23,12 @@ from qensembles import (
     trace_norm,
     von_neumann_entropy,
 )
-from qensembles.channels import FOCK_CAP, displacement_operator, poisson_entropy
+from qensembles.channels import (
+    FOCK_CAP,
+    _POISSON_BLOCK_CELLS,
+    displacement_operator,
+    poisson_entropy,
+)
 from qensembles.energy import mean_energy
 from qensembles.ensembles import Ensemble, pure_ensemble, singleton
 from qensembles.errors import TruncationError
@@ -291,6 +296,17 @@ class TestCoherent:
         assert np.allclose(d_op @ d_op.conj().T, np.eye(51), atol=1e-9)
 
 
+def one_series(lam):
+    # one lam's truncated series summed on its own, as a 1-D array
+    if lam == 0.0:
+        return 0.0
+    top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
+    n = np.arange(top + 1)
+    log_fact = gammaln(n + 1.0)
+    log_pmf = -lam + n * math.log(lam) - log_fact
+    return lam * (1.0 - math.log(lam)) + float(np.sum(np.exp(log_pmf) * log_fact))
+
+
 class TestClosedFormKernels:
     @pytest.mark.parametrize("n_max", [10, 48])
     def test_displacement_matches_expm(self, n_max):
@@ -313,16 +329,6 @@ class TestClosedFormKernels:
             )
 
     def test_poisson_entropy_array_equals_scalar_calls(self):
-        def one_series(lam):
-            # one lam's truncated series summed on its own, as a 1-D array
-            if lam == 0.0:
-                return 0.0
-            top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
-            n = np.arange(top + 1)
-            log_fact = gammaln(n + 1.0)
-            log_pmf = -lam + n * math.log(lam) - log_fact
-            return lam * (1.0 - math.log(lam)) + float(np.sum(np.exp(log_pmf) * log_fact))
-
         # 274 is the largest integer lam whose series top stays within FOCK_CAP
         rng = np.random.default_rng(5)
         lams = np.concatenate([
@@ -338,6 +344,26 @@ class TestClosedFormKernels:
             assert type(scalar) is float
             assert value == scalar == one_series(lam)
         assert poisson_entropy(np.array([])).shape == (0,)
+
+    def test_poisson_entropy_blocks_keep_the_scalar_bits(self):
+        # more rows than one block holds at width 513 (lam up to 274), with
+        # runs of rows sharing a top across block edges
+        rng = np.random.default_rng(19)
+        lams = np.concatenate([
+            np.repeat([3.0, 60.0, 200.0, 274.0], 45),
+            rng.uniform(0.0, 274.0, 400), rng.uniform(270.0, 274.0, 80), [0.0, 1e-300],
+        ])
+        rng.shuffle(lams)
+        positive = lams[lams > 0.0]
+        tops = np.sort((positive + 12.0 * np.sqrt(positive) + 40.0).astype(int))
+        assert tops[-1] + 1 == FOCK_CAP + 1
+        rows = _POISSON_BLOCK_CELLS // (FOCK_CAP + 1)
+        edges = np.arange(rows, tops.size, rows)
+        assert edges.size >= 10
+        assert np.any(tops[edges - 1] == tops[edges])  # a run straddles an edge
+        batched = poisson_entropy(lams)
+        for lam, value in zip(lams.tolist(), batched.tolist()):
+            assert value == poisson_entropy(lam) == one_series(lam)
 
     def test_poisson_entropy_raises_past_fock_cap(self):
         assert int(274.0 + 12.0 * math.sqrt(274.0) + 40.0) == FOCK_CAP

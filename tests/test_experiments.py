@@ -7,7 +7,7 @@ from qensembles import Ensemble, ValidationError
 from qensembles import experiments
 from qensembles import serialize as ser
 from qensembles.cli import main
-from qensembles.channels import coherent_state
+from qensembles.channels import coherent_state, poisson_entropy
 from qensembles.energy import HamiltonianSpec, solve_gibbs
 from qensembles.linalg import g_func, outer, trace_norm, von_neumann_entropy
 from qensembles.metrics import d_ehs_many
@@ -149,6 +149,43 @@ def test_displaced_gibbs_average_matches_every_node(angular):
     ref, ref_w = displaced_average_bruteforce(*args)
     assert np.max(np.abs(avg - ref)) <= 1e-13
     assert total_w == ref_w
+
+
+@pytest.mark.parametrize("panels", [32, 64])
+def test_dephased_coherent_aoe_equals_the_node_loop(panels):
+    # composite 32-point Gauss-Legendre over [0, 45], one node at a time
+    n_mean = 1.0
+    xs, ws = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, 45.0, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for x, w in zip(xs, ws):
+            s = mid + half * x
+            total += half * w * poisson_entropy(s) * math.exp(-s / n_mean) / n_mean
+    assert experiments._dephased_coherent_aoe(n_mean, panels) == total
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.25])
+def test_discretized_aoe_equals_the_atom_loop(delta):
+    n_mean = 1.0
+    half_cells = int(math.ceil(6.0 * math.sqrt(n_mean / 2.0) / delta))
+    pts, wts = gaussian_grid_measure(n_mean, delta, half_cells)
+    total = 0.0
+    for (x, y), w in zip(pts, wts):
+        total += w * poisson_entropy(x * x + y * y)
+    assert experiments._discretized_aoe(n_mean, delta, half_cells) == total
+
+
+@pytest.mark.parametrize("order", [20, 32])
+def test_cached_gauss_legendre_rule_is_read_only(order):
+    xs, ws = experiments._gauss_legendre(order)
+    ref_xs, ref_ws = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(xs, ref_xs) and np.array_equal(ws, ref_ws)
+    assert experiments._gauss_legendre(order)[0] is xs
+    for arr in (xs, ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_eof_witness_trend():

@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -43,4 +44,26 @@ def test_compare_reports_a_holds_flip(tmp_path):
         "t lhs: max |delta| 2 (1 row)",
         "t params.k: max |delta| 0.5 (1 row)",
         "holds flipped: t trial 0: True -> False",
+    ]
+
+
+def test_compare_reports_a_one_ulp_move(tmp_path):
+    # byte identity is what the tool certifies, so the smallest possible move
+    # of one field must show
+    tool = load_tool()
+    (path,) = tool.run(tmp_path / "a", seeds=(7000,), trials=3,
+                       only=[("repro", "coherent")])
+    rows = json.loads(path.read_text())
+    row = next(r for r in rows if r["lhs"] not in (None, 0.0))
+    moved = math.nextafter(row["lhs"], math.inf)
+    delta = moved - row["lhs"]
+    assert delta == math.ulp(row["lhs"])
+    row["lhs"] = moved
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / path.name).write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    out = io.StringIO()
+    assert tool.compare(tmp_path / "a", tmp_path / "b", out=out) is False
+    assert out.getvalue().splitlines() == [
+        f"{path.name}: differs",
+        f"  {row['tag']} lhs: max |delta| {delta:.3g} (1 row)",
     ]
