@@ -121,7 +121,7 @@ class KrausChannel:
             raise DimensionMismatch(f"ensemble dim {mu.dim} != {self.dim_in}")
         states = self.apply(mu.states)
         _check_traces(states)
-        return Ensemble._trusted(self.dim_out, mu.weights.copy(), states)
+        return Ensemble._trusted(self.dim_out, mu.weights, states)
 
 
 def mix_channels(t, chan_a, chan_b):

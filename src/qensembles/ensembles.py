@@ -1,10 +1,10 @@
 """Discrete ensembles of quantum states and steering.
 
-An ensemble is a weight vector of length n and a read-only (n, d, d) stack of
-states, validated once as a whole; member i is (weights[i], states[i]). Weights
-sum to 1 and zero-weight members are permitted. Functions of an ensemble act on
-the whole stack at once, and the entropies and passive energies read the
-spectra the ensemble keeps.
+An ensemble is a read-only weight vector of length n and a read-only (n, d, d)
+stack of states, validated once as a whole; member i is (weights[i],
+states[i]). Weights sum to 1 and zero-weight members are permitted. Functions
+of an ensemble act on the whole stack at once, and the entropies and passive
+energies read the spectra the ensemble keeps.
 
 The public constructors validate. The package's own producers whose output
 is valid by construction (channel outputs, random ensembles, reweightings and
@@ -25,6 +25,11 @@ from .linalg import _density_spectrum, _running_sum, check_density, outer, shann
 WEIGHT_TOL = 1e-10
 SUPPORT_CUT = 1e-12
 COND_LIMIT = 1e12
+# steer_to_average: a steered member of weight <= STEER_WEIGHT_CUT keeps its
+# own state at weight 0; an off-support remainder of mass > STEER_REST_CUT
+# becomes one more member
+STEER_WEIGHT_CUT = 1e-15
+STEER_REST_CUT = 1e-14
 
 
 def _check_weights(weights, name):
@@ -40,7 +45,7 @@ def _check_weights(weights, name):
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Ordered ensemble: weights and a read-only (n, dim, dim) stack of states.
+    """Ordered ensemble: read-only weights and (n, dim, dim) stack of states.
 
     states may be given as any sequence of matrices or as a stack; it is
     validated once and stored symmetrized. spectra holds the ascending
@@ -67,6 +72,7 @@ class Ensemble:
         if states.ndim != 3:
             raise ValidationError(f"state must be one matrix, got shape {states.shape[1:]}")
         states, spectra = _density_spectrum(states, dim=self.dim)
+        w.setflags(write=False)
         states.setflags(write=False)
         spectra.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -79,6 +85,7 @@ class Ensemble:
         of density matrices that are valid by construction, stored as given
         without another check; its spectra are computed on first use."""
         mu = object.__new__(cls)
+        weights.setflags(write=False)
         states.setflags(write=False)
         for name, value in (("dim", dim), ("weights", weights), ("states", states)):
             object.__setattr__(mu, name, value)
@@ -166,11 +173,10 @@ def steer_to_average(mu, sigma):
     u_opt = vh.conj().T @ w_svd.conj().T
     a_mat = sqrt_sigma @ u_opt  # |psi> = vec(a_mat) purifies sigma
 
-    # member i steers to tau_i / q_i at weight q_i = Tr tau_i; a member with
-    # q_i <= 1e-15 keeps its own state at weight 0
+    # member i steers to tau_i / q_i at weight q_i = Tr tau_i
     tau = a_mat @ (inv_sqrt @ _weighted(mu) @ inv_sqrt) @ a_mat.conj().T
     q = np.trace(tau, axis1=-2, axis2=-1).real
-    live = q > 1e-15
+    live = q > STEER_WEIGHT_CUT
     q = np.where(live, q, 0.0)
     states = np.where(live[:, None, None], tau / np.where(live, q, 1.0)[:, None, None],
                       mu.states)
@@ -179,7 +185,7 @@ def steer_to_average(mu, sigma):
     mu_weights, mu_states = mu.weights, mu.states
     remainder = a_mat @ (np.eye(mu.dim) - support) @ a_mat.conj().T
     q_rest = float(np.trace(remainder).real)
-    if q_rest > 1e-14:
+    if q_rest > STEER_REST_CUT:
         rest = linalg.hermitian_part(remainder / q_rest)[None]
         q, states = np.append(q, q_rest), np.concatenate([states, rest])
         mu_weights, mu_states = np.append(mu_weights, 0.0), np.concatenate([mu_states, rest])
@@ -201,7 +207,7 @@ def mix_members_toward(mu, targets, t):
 def _mixed_toward(mu, targets, t):
     # mix_members_toward on an exactly Hermitian stack of valid targets
     states = linalg.hermitian_part((1.0 - t) * mu.states + t * targets)
-    return Ensemble._trusted(mu.dim, mu.weights.copy(), states)
+    return Ensemble._trusted(mu.dim, mu.weights, states)
 
 
 def perturb_weights(mu, direction, t):

@@ -206,36 +206,12 @@ def _mixed_channel_pair(chan, rng):
     return mix_channels(t, chan, other), t
 
 
-# (key, values) of the last batch _dehs_values solved
-_dehs_last = None
-
-
-def _dehs_values(pairs):
-    """d_ehs_many(pairs, tol=DEHS_TOL) values, as a tuple of floats.
-
-    verify scb-rank, scb-energy and holevo draw the same (mu, nu) pairs at one
-    config (_channel_trials), so the last batch is kept and a call on the same
-    batch returns its values without solving again. The key is the exact
-    content of the whole list, not of each pair: HiGHS can round one block of
-    a larger LP differently from the same LP alone, so only a whole-list hit
-    is sure to return what a fresh call would.
-    """
-    global _dehs_last
-    key = (DEHS_TOL, tuple((ens.dim, ens.weights.tobytes(), ens.states.tobytes())
-                           for pair in pairs for ens in pair))
-    last = _dehs_last
-    if last is not None and last[0] == key:
-        return last[1]
-    values = tuple(float(sol.value) for sol in d_ehs_many(pairs, tol=DEHS_TOL))
-    _dehs_last = (key, values)
-    return values
-
-
 def _channel_trials(cfg, max_dim):
     """(i, d, rng, phi, mu, nu) per trial: a random channel phi on dimension
     d, a random ensemble mu and its perturbation nu, drawn in that order from
-    the trial's generator rng, which then draws the trial's other choices."""
-    dims = [d for d in cfg.dims if d <= max_dim] or [2, 3]
+    the trial's generator rng, which then draws the trial's other choices.
+    verify scb-rank, scb-energy and holevo read these through _channel_batch."""
+    dims = _trial_dims(cfg, max_dim)
     for i in range(cfg.trials):
         rng = derive_rng(cfg.seed, i)
         d = dims[i % len(dims)]
@@ -244,14 +220,52 @@ def _channel_trials(cfg, max_dim):
         yield i, d, rng, phi, mu, _perturbed_ensemble(mu, rng)
 
 
+def _trial_dims(cfg, max_dim):
+    return tuple(d for d in cfg.dims if d <= max_dim) or (2, 3)
+
+
+# (key, [(i, d, rng state, phi, mu, nu)], d_ehs values) of the last batch
+_batch_last = None
+
+
+def _channel_batch(cfg, max_dim):
+    """(draws, dehs): the config's _channel_trials as a list, and the tuple of
+    d_ehs_many values of its (mu, nu) pairs in trial order at DEHS_TOL.
+
+    verify scb-rank, scb-energy and holevo draw the same trials at one config,
+    so the last batch is kept, keyed by the seed, the trial count, the
+    filtered dims and DEHS_TOL. The draws are a function of that key, so a
+    hit returns what a fresh call would. The kept channels and ensembles are
+    read-only; each call hands out fresh generators at the kept post-draw
+    states, so what one command draws never shifts another's draws.
+    """
+    global _batch_last
+    key = (cfg.seed, cfg.trials, _trial_dims(cfg, max_dim), DEHS_TOL)
+    if _batch_last is None or _batch_last[0] != key:
+        kept = [(i, d, rng.bit_generator.state, phi, mu, nu)
+                for i, d, rng, phi, mu, nu in _channel_trials(cfg, max_dim)]
+        sols = d_ehs_many([(mu, nu) for *_, mu, nu in kept], tol=DEHS_TOL)
+        _batch_last = (key, kept, tuple(float(sol.value) for sol in sols))
+    _, kept, dehs = _batch_last
+    return [(i, d, _generator_at(state), phi, mu, nu)
+            for i, d, state, phi, mu, nu in kept], dehs
+
+
+def _generator_at(state):
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 # ---------------------------------------------------------------------------
 # Proposition 2: rank-constrained AOE semicontinuity
 # ---------------------------------------------------------------------------
 
 def verify_scb_rank(cfg):
     rec = _Recorder("scb-rank")
-    trials = []
-    for i, d, rng, phi, mu, nu in _channel_trials(cfg, max_dim=5):
+    draws, dehs = _channel_batch(cfg, max_dim=5)
+    dk = d_kantorovich_many([(mu, nu) for *_, mu, nu in draws])
+    for (i, d, rng, phi, mu, nu), v_ehs, s_dk in zip(draws, dehs, dk):
         mode = i % 3
         if mode == 0:
             phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
@@ -266,12 +280,6 @@ def verify_scb_rank(cfg):
             rank = d + 1
 
         lhs = aoe(phi_full, mu) - aoe(psi_full, nu)
-        trials.append((d, mu, nu, mode, half_norm, rank, lhs))
-
-    ensembles = [(mu, nu) for _, mu, nu, *_ in trials]
-    dehs = _dehs_values(ensembles)
-    dk = d_kantorovich_many(ensembles)
-    for (d, mu, nu, mode, half_norm, rank, lhs), v_ehs, s_dk in zip(trials, dehs, dk):
         metrics = {"dehs": v_ehs, "d0": d0(mu, nu), "dk": s_dk.value}
         for name, dist in metrics.items():
             eps = dist + half_norm
@@ -312,16 +320,9 @@ def _scb_rank_witnesses(rec):
 
 def verify_scb_energy(cfg):
     rec = _Recorder("scb-energy")
-    trials = []
-    for i, d, rng, phi, mu, nu in _channel_trials(cfg, max_dim=6):
-        if i % 2 == 0:
-            psi_chan, half_norm = phi, 0.0
-        else:
-            psi_chan, half_norm = _mixed_channel_pair(phi, rng)
-        trials.append((d, phi, psi_chan, mu, nu, half_norm))
-
-    dehs = _dehs_values([(mu, nu) for _, _, _, mu, nu, _ in trials])
-    for (d, phi, psi_chan, mu, nu, half_norm), dist in zip(trials, dehs):
+    draws, dehs = _channel_batch(cfg, max_dim=6)
+    for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
+        psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else _mixed_channel_pair(phi, rng)
         out_mu = phi.apply_ensemble(mu)
         e_b = avg_passive_energy(out_mu)
         e_b2 = _mean_energy(phi.apply(average_state(mu)))
@@ -394,16 +395,9 @@ def _scb_energy_witnesses(rec):
 
 def verify_holevo(cfg):
     rec = _Recorder("holevo")
-    trials = []
-    for i, d, rng, phi, mu, nu in _channel_trials(cfg, max_dim=5):
-        if i % 2 == 0:
-            psi_chan, half_norm = phi, 0.0
-        else:
-            psi_chan, half_norm = _mixed_channel_pair(phi, rng)
-        trials.append((i, d, phi, psi_chan, mu, nu, half_norm))
-
-    dehs = _dehs_values([(mu, nu) for *_, mu, nu, _ in trials])
-    for (i, d, phi, psi_chan, mu, nu, half_norm), dist in zip(trials, dehs):
+    draws, dehs = _channel_batch(cfg, max_dim=5)
+    for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
+        psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else _mixed_channel_pair(phi, rng)
         eps = min(dist + half_norm, 1.0)
         if eps <= 0.0:
             continue

@@ -190,6 +190,7 @@ def _assert_valid_ensemble(mu):
     assert np.array_equal(hermitian_part(mu.states), mu.states)
     assert np.array_equal(_check_weights(mu.weights, "weights"), mu.weights)
     assert not mu.states.flags.writeable
+    assert not mu.weights.flags.writeable
     # spectra computed on first use equal those a validating constructor keeps
     assert np.array_equal(mu.spectra, np.linalg.eigvalsh(mu.states))
     assert not mu.spectra.flags.writeable

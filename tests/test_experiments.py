@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qensembles import Ensemble, ValidationError
+from qensembles import ValidationError
 from qensembles import experiments
 from qensembles import serialize as ser
 from qensembles.cli import main
@@ -17,7 +17,6 @@ from qensembles.experiments import (
     REPROS,
     ExperimentConfig,
     _channel_trials,
-    _dehs_values,
     _displaced_gibbs_average,
     eof_witness_values,
     gaussian_grid_measure,
@@ -228,8 +227,14 @@ def test_config_keeps_dims_as_a_tuple():
 
 
 # ---------------------------------------------------------------------------
-# The kept d_ehs batch (_dehs_values)
+# The kept channel batch (_channel_batch)
 # ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_batch(monkeypatch):
+    """Start with no kept batch, so the first call of a test is a miss."""
+    monkeypatch.setattr(experiments, "_batch_last", None)
+
 
 @pytest.fixture
 def dehs_spy(monkeypatch):
@@ -245,8 +250,45 @@ def dehs_spy(monkeypatch):
     return calls
 
 
-def channel_pairs(cfg):
-    return [(mu, nu) for *_, mu, nu in _channel_trials(cfg, max_dim=5)]
+@pytest.fixture
+def draw_spy(monkeypatch):
+    """The trial indices experiments._channel_trials yields, over all calls."""
+    drawn = []
+    real = experiments._channel_trials
+
+    def spy(cfg, max_dim):
+        for trial in real(cfg, max_dim):
+            drawn.append(trial[0])
+            yield trial
+
+    monkeypatch.setattr(experiments, "_channel_trials", spy)
+    return drawn
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_draws(draws, fresh):
+    # trial by trial: the same index, dimension, channel and pair bit for bit,
+    # and generators that go on to draw the same numbers
+    assert len(draws) == len(fresh)
+    for (i, d, rng, phi, mu, nu), (fi, fd, frng, fphi, fmu, fnu) in zip(draws, fresh):
+        assert (i, d) == (fi, fd)
+        assert same_bits(phi.kraus, fphi.kraus)
+        for ens, fens in ((mu, fmu), (nu, fnu)):
+            assert ens.dim == fens.dim
+            assert same_bits(ens.weights, fens.weights)
+            assert same_bits(ens.states, fens.states)
+        assert same_bits(rng.random(8), frng.random(8))
+
+
+def cold_report(path, argv):
+    res = fresh_python(
+        "from qensembles.cli import main\n"
+        f"main({[*argv, '--out', str(path)]!r})\n")
+    assert res.returncode == 0, res.stderr
+    return path.read_bytes()
 
 
 def test_warm_reports_match_cold_ones(tmp_path, dehs_spy):
@@ -267,43 +309,89 @@ def test_warm_reports_match_cold_ones(tmp_path, dehs_spy):
         assert warm[name].read_bytes() == cold.read_bytes(), name
 
 
-def _flip_last_bit(pair):
-    # nu with the lowest bit of one state entry's real part flipped
-    mu, nu = pair
-    states = nu.states.copy()
-    states.view(np.uint64)[0, 0, 0] ^= 1
-    return mu, Ensemble._trusted(nu.dim, nu.weights, states)
+def test_three_commands_draw_and_solve_one_config_once(
+        tmp_path, fresh_batch, dehs_spy, draw_spy):
+    for name in ("scb-rank", "scb-energy", "holevo"):
+        main(["verify", name, "--seed", "9105", "--trials", "30",
+              "--out", str(tmp_path / f"{name}.json")])
+    # 30 trials drawn and one batch of 30 pairs solved, not 90 and three
+    assert draw_spy == list(range(30))
+    assert [len(pairs) for pairs in dehs_spy] == [30]
 
 
-def test_kept_batch_misses_on_any_change(dehs_spy):
-    base = channel_pairs(ExperimentConfig(seed=9102, trials=4, dims=(2, 3)))
-    flipped = base[:1] + [_flip_last_bit(base[1])] + base[2:]
-    variants = [
-        channel_pairs(ExperimentConfig(seed=9103, trials=4, dims=(2, 3))),
-        channel_pairs(ExperimentConfig(seed=9102, trials=5, dims=(2, 3))),
-        channel_pairs(ExperimentConfig(seed=9102, trials=4, dims=(3, 2))),
-        flipped,
+def test_warm_misses_in_any_order_match_cold_reports(tmp_path, fresh_batch, dehs_spy):
+    # holevo, then scb-rank at another seed (a miss), then scb-energy back at
+    # the first seed (a miss again): each report is what a fresh process writes
+    runs = [("holevo", "9106"), ("scb-rank", "9107"), ("scb-energy", "9106")]
+    for name, seed in runs:
+        argv = ["verify", name, "--seed", seed, "--trials", "9"]
+        warm = tmp_path / f"warm-{name}.json"
+        main([*argv, "--out", str(warm)])
+        assert warm.read_bytes() == cold_report(tmp_path / f"cold-{name}.json", argv), name
+    assert len(dehs_spy) == 3
+
+
+def test_kept_batch_hit_returns_a_fresh_draw_and_solve(fresh_batch, dehs_spy, draw_spy):
+    cfg = ExperimentConfig(seed=9108, trials=5, dims=(2, 3))
+    first, dehs = experiments._channel_batch(cfg, max_dim=5)
+    hit, hit_dehs = experiments._channel_batch(cfg, max_dim=5)
+    again, _ = experiments._channel_batch(cfg, max_dim=5)
+    assert len(dehs_spy) == 1 and len(draw_spy) == 5
+    assert hit_dehs is dehs
+
+    fresh = list(_channel_trials(cfg, max_dim=5))
+    assert dehs == tuple(sol.value for sol in d_ehs_many(
+        [(mu, nu) for *_, mu, nu in fresh], tol=DEHS_TOL))
+    # the miss's and the hit's generators each continue as a fresh draw's
+    assert_same_draws(first, list(_channel_trials(cfg, max_dim=5)))
+    assert_same_draws(hit, fresh)
+    # the hits share the kept channels and ensembles, not the generators: the
+    # numbers hit drew above do not shift again's
+    for (_, _, rng, *kept), (_, _, rng2, *kept2) in zip(hit, again):
+        assert rng is not rng2
+        assert all(a is b for a, b in zip(kept, kept2))
+    assert_same_draws(again, list(_channel_trials(cfg, max_dim=5)))
+
+
+def test_kept_batch_misses_on_each_config_change(fresh_batch, dehs_spy, draw_spy):
+    base = ExperimentConfig(seed=9109, trials=4, dims=(2, 3, 6))
+    misses = [
+        (ExperimentConfig(seed=9110, trials=4, dims=(2, 3, 6)), 5),
+        (ExperimentConfig(seed=9109, trials=5, dims=(2, 3, 6)), 5),
+        (ExperimentConfig(seed=9109, trials=4, dims=(3, 2, 6)), 5),
+        # the same config at a cap that keeps 6: dims (2, 3, 6), not (2, 3)
+        (base, 6),
     ]
-    assert not np.array_equal(flipped[1][1].states, base[1][1].states)
+    experiments._channel_batch(base, max_dim=5)
+    experiments._channel_batch(base, max_dim=5)
+    assert len(dehs_spy) == 1 and len(draw_spy) == base.trials
+    for cfg, max_dim in misses:
+        # each change against the kept base config is a miss
+        experiments._channel_batch(base, max_dim=5)
+        solved, drawn = len(dehs_spy), len(draw_spy)
+        draws, dehs = experiments._channel_batch(cfg, max_dim=max_dim)
+        assert len(dehs_spy) == solved + 1 and len(draw_spy) == drawn + cfg.trials
+        assert len(dehs_spy[-1]) == len(draws) == len(dehs) == cfg.trials
+        assert_same_draws(draws, list(_channel_trials(cfg, max_dim=max_dim)))
+    # the last miss kept dims (2, 3, 6): a cap of 7 filters to the same tuple
+    # and hits; one entry, so the base config at cap 5 is drawn and solved again
+    solved = len(dehs_spy)
+    experiments._channel_batch(base, max_dim=7)
+    assert len(dehs_spy) == solved
+    experiments._channel_batch(base, max_dim=5)
+    assert len(dehs_spy) == solved + 1
 
-    values = _dehs_values(base)
-    assert _dehs_values(base) is values
-    assert len(dehs_spy) == 1
-    for k, pairs in enumerate(variants, start=2):
-        _dehs_values(pairs)
-        assert len(dehs_spy) == k and len(dehs_spy[-1]) == len(pairs)
-    # one entry: the base batch was replaced, so it is solved again
-    assert _dehs_values(base) == values
-    assert len(dehs_spy) == len(variants) + 2
 
-
-def test_kept_batch_returns_fresh_values_and_cannot_be_mutated(dehs_spy):
-    pairs = channel_pairs(ExperimentConfig(seed=9104, trials=5, dims=(2, 3)))
-    values = _dehs_values(pairs)
-    assert values == tuple(sol.value for sol in d_ehs_many(pairs, tol=DEHS_TOL))
-    assert type(values) is tuple and all(type(v) is float for v in values)
+def test_kept_batch_values_are_an_immutable_tuple_of_floats(fresh_batch):
+    cfg = ExperimentConfig(seed=9111, trials=5, dims=(2, 3))
+    draws, dehs = experiments._channel_batch(cfg, max_dim=5)
+    assert type(dehs) is tuple and len(dehs) == 5
+    assert all(type(v) is float for v in dehs)
     with pytest.raises(TypeError):
-        values[0] = 0.0
-    assert _dehs_values(pairs) is values and len(dehs_spy) == 1
-    key, kept = experiments._dehs_last
-    assert kept is values and key[0] == DEHS_TOL
+        dehs[0] = 0.0
+    # the shared channels and ensembles cannot be written either
+    _, _, _, phi, mu, nu = draws[0]
+    for array in (phi.kraus, mu.weights, mu.states, nu.weights, nu.states):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert experiments._channel_batch(cfg, max_dim=5)[1] is dehs

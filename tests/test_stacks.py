@@ -227,6 +227,21 @@ class TestReadOnly:
         states[0, 0, 0] = 0.25  # the caller's array is left writable and unshared
         assert mu.states[0, 0, 0] == 0.5
 
+    def test_weights_are_read_only(self):
+        # a validated, a trusted and a channel-output ensemble: writing a
+        # weight raises instead of leaving a distribution that sums past 1
+        weights = np.array([0.5, 0.5])
+        states = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
+        validated = Ensemble(2, weights, states)
+        trusted = Ensemble._trusted(2, np.array([0.25, 0.75]), states.copy())
+        output = KrausChannel(2, 2, np.eye(2, dtype=complex)[None]).apply_ensemble(trusted)
+        for mu in (validated, trusted, output):
+            with pytest.raises(ValueError):
+                mu.weights[0] = 0.9
+        assert trusted.weights.tolist() == output.weights.tolist() == [0.25, 0.75]
+        weights[0] = 0.9  # the caller's array is left writable and unshared
+        assert validated.weights.tolist() == [0.5, 0.5]
+
     def test_kraus_is_read_only(self):
         ops = np.eye(2, dtype=complex)[None]
         chan = KrausChannel(2, 2, ops)

@@ -51,7 +51,8 @@ def run(out_dir, seeds=SEEDS, trials=TRIALS, only=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     # seeds outside, commands inside: verify scb-rank, scb-energy and holevo of
-    # one seed run in turn, so the last two reuse the d_ehs batch of the first
+    # one seed run in turn, so the last two reuse the channel trials and the
+    # d_ehs batch that the first drew and solved
     for seed in seeds:
         for kind, name in only or commands():
             path = out_dir / f"{kind}-{name}-s{seed}.json"
