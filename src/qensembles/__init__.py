@@ -17,12 +17,8 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .energy import (
-    GibbsSolution,
-    HamiltonianSpec,
     avg_passive_energy,
-    mean_energy,
     passive_energy,
-    solve_gibbs,
     truncated_passive_energy,
 )
 from .ensembles import (

@@ -1,37 +1,39 @@
-"""The truncated harmonic oscillator E_k = k: Gibbs states, passive energy and
-its ensemble averages.
+"""The truncated harmonic oscillator E_k = k: thermal states, passive energy
+and its ensemble averages.
 
 The entropy ceiling F_H of this Hamiltonian is the closed form g(E)
-(linalg.g_func); a Gibbs state needs a finite truncation, which solve_gibbs
-may extend.
+(linalg.g_func), the entropy of its thermal state, whose populations are
+geometric.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EnergyRangeError, ValidationError
+from .channels import FOCK_CAP
+from .errors import EnergyRangeError, TruncationError, ValidationError
 from .linalg import (
     _positive_part,
     _running_sum,
     _value,
     check_hermitian,
     eigvals_desc,
-    shannon_entropy,
 )
 
-GIBBS_BETA_LO = 1e-12
-GIBBS_BETA_HI = 1e4
-TAIL_TOL = 1e-12
-EXTEND_CAP = 2000
-GIBBS_BISECTIONS = 200
+# a thermal state without a fixed truncation keeps the first of 64, 128,
+# 256, ... levels whose top level holds less than this population
+THERMAL_TAIL_CUT = 1e-12
+_THERMAL_START_LEVELS = 64
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Truncated number operator on the first `levels` Fock levels."""
+    """Truncated number operator on the first `levels` Fock levels. No
+    function of the package takes one; perfbench's tracer test wraps
+    `oscillator`."""
 
     levels: int
 
@@ -43,27 +45,6 @@ class HamiltonianSpec:
     def oscillator(cls, levels):
         """Truncated number operator: E_k = k for k = 0..levels-1."""
         return cls(levels)
-
-    @property
-    def eigenvalues(self):
-        return np.arange(self.levels, dtype=float)
-
-    @property
-    def max_mean(self):
-        """Mean energy of the uniform (beta=0) state, the largest achievable mean."""
-        return float(np.mean(self.eigenvalues))
-
-
-@dataclass(frozen=True)
-class GibbsSolution:
-    """Solved Gibbs state, diagonal in the standard basis: weights holds its
-    level populations."""
-
-    beta: float
-    weights: np.ndarray
-    mean_energy: float
-    entropy: float
-    tail_warning: bool = False
 
 
 def mean_energy(rho):
@@ -110,66 +91,27 @@ def truncated_passive_energy(ensemble, eps):
     return _running_sum(passive_energy(_positive_part(cut)))
 
 
-def _gibbs_weights(ev, beta):
-    w = np.exp(-beta * ev)
-    return w / np.sum(w)
+def _thermal_populations(energy, levels=None):
+    """Level populations of the oscillator's thermal state at mean energy E:
+    x^k with x = E / (1 + E), normalised over levels k = 0..levels-1.
 
-
-def solve_gibbs(ham, energy, auto_extend=True):
-    """Gibbs state at mean energy E: beta solved by bisection on [1e-12, 1e4].
-
-    The achievable interval is (0, (levels-1)/2]; beta = 0 (the uniform
-    truncated state) is admitted at the upper endpoint. Out-of-range energies
-    raise EnergyRangeError carrying the interval, and a bisection that does
-    not close raises ConvergenceError. A relative tail mass above 1e-12 sets
-    tail_warning; with auto_extend the truncation is first doubled (up to
-    2000 levels) until the tail is negligible.
+    Without `levels`, the truncation is the first of 64, 128, 256, ... levels
+    whose top population is below THERMAL_TAIL_CUT, and an E that needs more
+    than FOCK_CAP levels (above about 20) raises TruncationError. The
+    untruncated state has mean E and entropy g(E). E must be finite and
+    nonnegative, else EnergyRangeError.
     """
     energy = float(energy)
-    if auto_extend:
-        while ham.levels < EXTEND_CAP:
-            if energy <= ham.max_mean:
-                sol = _solve_gibbs_fixed(ham, energy)
-                if not sol.tail_warning:
-                    return sol
-            ham = HamiltonianSpec.oscillator(min(2 * ham.levels, EXTEND_CAP))
-    return _solve_gibbs_fixed(ham, energy)
-
-
-def _solve_gibbs_fixed(ham, energy):
-    ev = ham.eigenvalues
-    hi_mean = ham.max_mean
-    tol = 1e-10 * max(1.0, abs(energy))
-    if energy <= 0.0 or energy > hi_mean + tol:
-        raise EnergyRangeError(energy, 0.0, hi_mean)
-
-    def mean_at(beta):
-        return float(np.sum(ev * _gibbs_weights(ev, beta)))
-
-    if energy >= mean_at(GIBBS_BETA_LO) - tol:
-        beta = 0.0
-        w = np.full(ev.size, 1.0 / ev.size)
-    else:
-        lo, hi = GIBBS_BETA_LO, GIBBS_BETA_HI
-        beta = 0.5 * (lo + hi)
-        for _ in range(GIBBS_BISECTIONS):
-            beta = 0.5 * (lo + hi)
-            m = mean_at(beta)
-            if abs(m - energy) <= tol:
-                break
-            if m > energy:
-                lo = beta
-            else:
-                hi = beta
-        else:
-            raise ConvergenceError(f"Gibbs bisection for E={energy} did not close in "
-                                   f"{GIBBS_BISECTIONS} steps", gap=abs(m - energy))
-        w = _gibbs_weights(ev, beta)
-    tail = float(w[-1])
-    return GibbsSolution(
-        beta=beta,
-        weights=w,
-        mean_energy=float(np.sum(ev * w)),
-        entropy=shannon_entropy(w),
-        tail_warning=tail >= TAIL_TOL,
-    )
+    if not 0.0 <= energy < math.inf:  # also rejects NaN
+        raise EnergyRangeError(energy, 0.0, math.inf, lo_closed=True)
+    x = energy / (1.0 + energy)
+    size = _THERMAL_START_LEVELS if levels is None else levels
+    while True:
+        pops = x ** np.arange(size, dtype=float)
+        pops /= np.sum(pops)
+        if levels is not None or pops[-1] < THERMAL_TAIL_CUT:
+            return pops
+        size *= 2
+        if size > FOCK_CAP:
+            raise TruncationError(
+                f"thermal state at mean energy {energy} needs more than {FOCK_CAP} levels")

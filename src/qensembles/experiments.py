@@ -32,11 +32,10 @@ from .channels import (
     poisson_entropy,
 )
 from .energy import (
-    HamiltonianSpec,
     _mean_energy,
+    _thermal_populations,
     avg_passive_energy,
     passive_energy,
-    solve_gibbs,
     truncated_passive_energy,
 )
 from .ensembles import (
@@ -56,6 +55,7 @@ from .linalg import (
     binary_entropy,
     fidelity,
     g_func,
+    hermitian_part,
     outer,
     shannon_entropy,
     trace_norm,
@@ -353,8 +353,7 @@ def verify_scb_energy(cfg):
 def _gibbs_witness_populations(energy_over_eps, eps):
     # level populations of the witness eps gamma + (1 - eps)|0><0|, a state
     # diagonal in the number basis
-    sol = solve_gibbs(HamiltonianSpec.oscillator(64), energy_over_eps)
-    pops = eps * sol.weights
+    pops = eps * _thermal_populations(energy_over_eps)
     pops[0] += 1.0 - eps
     return pops
 
@@ -680,6 +679,14 @@ def _subsampled_measure(pts, wts, radius):
     return PointMeasure(points=pts[keep], weights=w), removed
 
 
+def _coherent_ensemble(weights, points, n_max):
+    # the coherent projectors |x + iy><x + iy| at a probability vector of
+    # weights, valid by construction; np.outer of a complex vector need not
+    # be exactly Hermitian, which the trusted constructor requires
+    states = np.stack([outer(coherent_state(complex(x, y), n_max)) for x, y in points])
+    return Ensemble._trusted(n_max + 1, weights, hermitian_part(states))
+
+
 def repro_coherent_discretization(cfg):
     rec = _Recorder("coherent")
     n_mean = 1.0
@@ -734,14 +741,8 @@ def repro_coherent_discretization(cfg):
         w2 = rng.dirichlet(np.ones(3))
         pm1 = PointMeasure(points=pts1, weights=w1)
         pm2 = PointMeasure(points=pts2, weights=w2)
-        mu = Ensemble.from_members(
-            [(w, outer(coherent_state(complex(x, y), n_max)))
-             for w, (x, y) in zip(w1, pts1)]
-        )
-        nu = Ensemble.from_members(
-            [(w, outer(coherent_state(complex(x, y), n_max)))
-             for w, (x, y) in zip(w2, pts2)]
-        )
+        mu = _coherent_ensemble(w1, pts1, n_max)
+        nu = _coherent_ensemble(w2, pts2, n_max)
         dk = d_kantorovich(mu, nu).value
         rec.add("lemma9/transfer", dk, kr_modified(pm1, pm2) + TOLERANCE,
                 0.0, case=k)
@@ -794,8 +795,7 @@ def repro_gibbs_displaced(cfg):
     average approaches the Gibbs state at N + N_0 (error reported, not asserted)."""
     rec = _Recorder("gibbs-displaced")
     n0, n_mean, n_max = 0.5, 0.4, 48
-    ham = HamiltonianSpec.oscillator(n_max + 1)
-    g = solve_gibbs(ham, n0, auto_extend=False).weights
+    g = _thermal_populations(n0, levels=n_max + 1)
 
     for mag in (0.5, 1.0, 1.5, 2.0):
         rho = _displaced(g, mag, n_max)
@@ -806,7 +806,7 @@ def repro_gibbs_displaced(cfg):
     # polar quadrature of the average state against gamma(N + N_0)
     avg, total_w = _displaced_gibbs_average(
         g, n_max, radial=20, angular=16, r_hi=math.sqrt(n_mean) * 4.0, n_mean=n_mean)
-    target = np.diag(solve_gibbs(ham, n_mean + n0, auto_extend=False).weights)
+    target = np.diag(_thermal_populations(n_mean + n0, levels=n_max + 1))
     err = trace_norm(avg - target)
     rec.add("ape/average-state", None, err, n_mean, captured_weight=total_w,
             note="truncation error reported, not asserted")

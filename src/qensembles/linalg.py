@@ -66,10 +66,9 @@ def _density_spectrum(rho, dim=None):
     _check_traces(rho)
     w = _eigvalsh(rho)
     low = w[..., 0].reshape(-1)
-    if (low < -PSD_TOL).any():
-        raise ValidationError(
-            f"state has negative eigenvalue {float(low[low < -PSD_TOL][0])}"
-        )
+    bad = ~(low >= -PSD_TOL)  # also rejects NaN
+    if bad.any():
+        raise ValidationError(f"state has negative eigenvalue {float(low[bad][0])}")
     return rho, w
 
 
@@ -77,8 +76,9 @@ def _check_traces(rho):
     """Raise ValidationError unless a matrix, or every matrix of a stack, has
     trace within TRACE_TOL of 1; the error names the first that does not."""
     # in Python: channel outputs are a few small matrices, where each numpy
-    # call on the traces costs more than the loop
-    off = [t for t in rho.trace(0, -2, -1).real.ravel().tolist() if abs(t - 1.0) > TRACE_TOL]
+    # call on the traces costs more than the loop; `not <=` also rejects NaN
+    off = [t for t in rho.trace(0, -2, -1).real.ravel().tolist()
+           if not abs(t - 1.0) <= TRACE_TOL]
     if off:
         raise ValidationError(
             f"state trace {off[0]} deviates from 1 by {abs(off[0] - 1.0):.3e}, beyond {TRACE_TOL}"

@@ -34,10 +34,13 @@ EHS_BRACKET_FRACTIONS = (0.1, 0.5)
 EHS_MODEL_INSTANCES = 80
 # a transport LP block with more rows and columns than this starts its priced
 # LP from each row's and each column's this many cheapest cells and a
-# northwest-corner plan, not from every cell: on the 88 x 348 KR grids of
-# `repro coherent` that is 1,259 of 30,624 cells, holding 410 of the 432 the
-# optimal plan uses, and one pricing round adds the rest
-TRANSPORT_START_CELLS = 3
+# northwest-corner plan, not from every cell: on the 88 x 348 KR grid of
+# `repro coherent` that is 1,607 of 30,624 cells, which already hold the
+# optimal support, so one HiGHS solve (486 simplex iterations) certifies it;
+# 3 cells needed a second solve (494 + 257). Median kr_distance time there,
+# one BLAS thread, 100 interleaved calls each: 11.7 ms at 3 cells, 8.0 at 4,
+# 8.4 at 5, 8.5 at 6
+TRANSPORT_START_CELLS = 4
 
 # HiGHS defaults sit near 1e-7; certified gaps below that need tighter solves
 LP_OPTIONS = {

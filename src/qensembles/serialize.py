@@ -30,8 +30,12 @@ def matrix_from_json(data):
             [[complex(cell[0], cell[1]) for cell in row] for row in data],
             dtype=complex,
         )
-    except (TypeError, IndexError) as exc:
-        raise ValidationError(f"malformed complex-matrix JSON: {exc}") from exc
+    # ragged rows raise ValueError, an object cell KeyError and an integer
+    # beyond the float range OverflowError
+    except (TypeError, LookupError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"malformed complex-matrix JSON (rows of [re, im] pairs expected): {exc}"
+        ) from exc
 
 
 def ensemble_to_json(mu):
@@ -53,7 +57,7 @@ def _field(data, key):
 def _as_array(value, dtype, key):
     try:
         return np.array(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {key!r} in JSON input: {exc}") from None
 
 

@@ -10,8 +10,10 @@ the Kantorovich-Rubinshtein distance via its bounded-Lipschitz dual LP, the
 Poisson entropy via its defining series with `math.lgamma`, the average entropy
 of an ensemble as the conditional entropy S(A|C) of its q-c state built block by
 block, the Holevo quantity as an average of relative entropies, g(x) from its
-defining formula in 700-digit `mpmath`, and the displaced-Gibbs average
-node by node with each displacement from `scipy.linalg.expm`.
+defining formula in 700-digit `mpmath`, the displaced-Gibbs average
+node by node with each displacement from `scipy.linalg.expm`, and the
+oscillator's truncated Gibbs state by bisection on its Boltzmann factor in
+`mpmath`.
 """
 
 import itertools
@@ -382,3 +384,35 @@ def displaced_average_bruteforce(g, n_max, radial, angular, r_hi, n_mean):
             avg += (wr / angular) * (d_op @ gibbs @ d_op.conj().T)
             total_w += wr / angular
     return avg / np.trace(avg).real, total_w
+
+
+def thermal_populations_oracle(energy, levels, dps=40, steps=150):
+    """The Gibbs state y^k / Z of the number operator on `levels` levels whose
+    mean is `energy` (below (levels - 1) / 2), with y = e^-beta found by
+    bisection on (0, 1) in dps-digit mpmath: its populations as floats and
+    its entropy -sum p ln p."""
+    with mpmath.workdps(dps):
+        target = mpmath.mpf(energy)
+
+        def weights(y):
+            w = [mpmath.mpf(1)]
+            for _ in range(levels - 1):
+                w.append(w[-1] * y)
+            return w
+
+        def mean(y):
+            w = weights(y)
+            return mpmath.fsum(k * v for k, v in enumerate(w)) / mpmath.fsum(w)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(steps):
+            mid = (lo + hi) / 2
+            if mean(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        w = weights((lo + hi) / 2)
+        z = mpmath.fsum(w)
+        pops = [v / z for v in w]
+        entropy = -mpmath.fsum(v * mpmath.log(v) for v in pops if v > 0)
+        return np.array([float(v) for v in pops]), float(entropy)

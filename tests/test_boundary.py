@@ -22,7 +22,6 @@ from qensembles import (
     ValidationError,
     aoe,
     fidelity,
-    mean_energy,
     mix_channels,
     passive_energy,
     singleton,
@@ -31,20 +30,24 @@ from qensembles import (
 )
 from qensembles import serialize as ser
 from qensembles.ensembles import _check_weights, mix_members_toward, perturb_weights
-from qensembles.experiments import _perturbed_ensemble
-from qensembles.linalg import check_density, hermitian_part
+from qensembles.channels import coherent_state
+from qensembles.energy import mean_energy
+from qensembles.experiments import _coherent_ensemble, _perturbed_ensemble
+from qensembles.linalg import check_density, hermitian_part, outer
 from qensembles.randomgen import (
     random_channel,
     random_ensemble,
     random_pure_ensemble,
 )
 
-# 2 x 2 inputs of unit trace but not Hermitian, Hermitian but not PSD, and
-# PSD but not of unit trace
+# 2 x 2 inputs of unit trace but not Hermitian, Hermitian but not PSD, PSD
+# but not of unit trace, and Hermitian but overflowing once symmetrized, so
+# that its trace and spectrum are NaN
 BAD = {
     "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
     "negative": np.diag([1.2, -0.2]).astype(complex),
     "trace-off": np.diag([0.6, 0.6]).astype(complex),
+    "overflow": np.diag([1e308, -1e308]).astype(complex),
 }
 GOOD = np.eye(2, dtype=complex) / 2
 
@@ -221,3 +224,13 @@ def test_trusted_producers_build_valid_objects(d, n, env, t, seed):
                 mix_members_toward(mu, pure.states, t),
                 _perturbed_ensemble(pure, rng)):
         _assert_valid_ensemble(ens)
+    # repro coherent's Lemma 9 ensembles, bit for bit what the validating
+    # constructor stores
+    weights, points = rng.dirichlet(np.ones(n)), rng.uniform(-1.5, 1.5, size=(n, 2))
+    coherent = _coherent_ensemble(weights.copy(), points, 40)
+    _assert_valid_ensemble(coherent)
+    validated = Ensemble.from_members(
+        [(w, outer(coherent_state(complex(x, y), 40))) for w, (x, y) in zip(weights, points)])
+    assert coherent.dim == validated.dim == 41
+    assert np.array_equal(coherent.weights, validated.weights)
+    assert np.array_equal(coherent.states, validated.states)

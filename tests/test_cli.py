@@ -224,6 +224,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("kr", lambda d: {"points": [[0.0, 0.0]]}, "missing the key 'weights'"),
     ("krmod", lambda d: {"points": [["a", 0.0]], "weights": [1.0]},
      "malformed 'points'"),
+    ("kr", lambda d: {"points": [[10**400, 0.0]], "weights": [1.0]},
+     "malformed 'points' in JSON input: int too large to convert to float"),
     # members that are not Hermitian, or not PSD
     ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[0.5, 0], [0.1, 0]],
                                                                         [[0, 0], [0.5, 0]]]}]},
@@ -231,6 +233,24 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("dk", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1.2, 0], [0, 0]],
                                                                         [[0, 0], [-0.2, 0]]]}]},
      "state has negative eigenvalue"),
+    # a Hermitian member whose symmetrized diagonal overflows: its trace and
+    # spectrum are NaN, which must fail the tolerance tests
+    ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1e308, 0], [0, 0]],
+                                                                        [[0, 0], [-1e308, 0]]]}]},
+     "state trace nan deviates from 1"),
+    ("dk", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1e308, 0], [0, 0]],
+                                                                        [[0, 0], [-1e308, 0]]]}]},
+     "state trace nan deviates from 1"),
+    # a ragged row, a cell that is an object, and an entry beyond the float range
+    ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1, 0]],
+                                                                        [[0, 0], [0, 0]]]}]},
+     "malformed complex-matrix JSON"),
+    ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[{"re": 1}, [0, 0]],
+                                                                        [[0, 0], [0, 0]]]}]},
+     "malformed complex-matrix JSON"),
+    ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[10**400, 0], [0, 0]],
+                                                                        [[0, 0], [0, 0]]]}]},
+     "int too large to convert to float"),
 ])
 def test_bad_metric_input_exits_2(example1_files, tmp_path, capsys, name, replace_a,
                                   message):

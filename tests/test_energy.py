@@ -1,39 +1,43 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from qensembles import (
-    ConvergenceError,
     EnergyRangeError,
-    HamiltonianSpec,
+    TruncationError,
     ValidationError,
     avg_passive_energy,
     eigvals_desc,
     g_func,
-    mean_energy,
     passive_energy,
-    solve_gibbs,
     truncated_passive_energy,
     von_neumann_entropy,
 )
-from qensembles import energy as energy_mod
-from qensembles.channels import displacement_operator
+from qensembles.channels import FOCK_CAP, displacement_operator
+from qensembles.energy import (
+    THERMAL_TAIL_CUT,
+    HamiltonianSpec,
+    _thermal_populations,
+    mean_energy,
+)
 from qensembles.ensembles import Ensemble, singleton
-from qensembles.linalg import hermitian_part
+from qensembles.linalg import hermitian_part, shannon_entropy
 from qensembles.randomgen import random_pure, random_state, random_unitary
 
 from conftest import ketbra
+from oracles import thermal_populations_oracle
 
-QUBIT = HamiltonianSpec.oscillator(2)
+
+def thermal_entropy(energy):
+    return shannon_entropy(_thermal_populations(energy))
 
 
 def test_hamiltonian_spec_validation():
     with pytest.raises(ValidationError):
         HamiltonianSpec.oscillator(1)
-    ham = HamiltonianSpec.oscillator(5)
-    assert ham.levels == 5 and np.array_equal(ham.eigenvalues, np.arange(5.0))
-    assert ham.max_mean == 2.0
+    assert HamiltonianSpec.oscillator(5).levels == 5
 
 
 class TestPassiveEnergy:
@@ -64,8 +68,7 @@ class TestPassiveRearrangement:
         assert passive_energy(rho) == pytest.approx(mean_energy(rho), abs=1e-15)
 
     def test_gibbs_conjugate_restores(self, rng):
-        ham = HamiltonianSpec.oscillator(5)
-        gibbs = np.diag(solve_gibbs(ham, 1.0, auto_extend=False).weights)
+        gibbs = np.diag(_thermal_populations(1.0, levels=5))
         u = random_unitary(5, rng)
         rotated = u @ gibbs @ u.conj().T
         assert np.allclose(rearranged(rotated), gibbs, atol=1e-10)
@@ -116,8 +119,7 @@ class TestAvgPassiveEnergy:
     def test_displaced_gibbs_family(self):
         # every displaced thermal state keeps the thermal passive energy
         n_max, n0 = 56, 0.5
-        ham = HamiltonianSpec.oscillator(n_max + 1)
-        gibbs = np.diag(solve_gibbs(ham, n0, auto_extend=False).weights)
+        gibbs = np.diag(_thermal_populations(n0, levels=n_max + 1))
         members = []
         for mag in (0.5, 1.0, 1.5, 2.0):
             d_op = displacement_operator(mag, n_max)
@@ -128,66 +130,86 @@ class TestAvgPassiveEnergy:
 
 
 class TestSolveGibbs:
-    def test_qubit_midpoint_is_uniform(self):
-        sol = solve_gibbs(QUBIT, 0.5, auto_extend=False)
-        assert sol.beta == 0.0
-        assert np.array_equal(sol.weights, [0.5, 0.5])
-        assert sol.entropy == pytest.approx(math.log(2))
+    """The oscillator's thermal state in closed form: x^k with x = E / (1 + E),
+    normalised over its levels."""
+
+    def test_fixed_truncation_is_the_normalised_geometric(self):
+        for energy, levels in ((0.5, 2), (0.5, 49), (0.9, 49), (3.0, 7)):
+            pops = (energy / (1.0 + energy)) ** np.arange(levels, dtype=float)
+            assert np.array_equal(_thermal_populations(energy, levels=levels),
+                                  pops / np.sum(pops))
+        assert np.array_equal(_thermal_populations(0.5, levels=2), [0.75, 0.25])
 
     def test_oscillator_matches_closed_form(self):
-        ham = HamiltonianSpec.oscillator(200)
-        sol = solve_gibbs(ham, 1.0, auto_extend=False)
-        assert sol.entropy == pytest.approx(g_func(1.0), abs=1e-8)
-        assert sol.mean_energy == pytest.approx(1.0, abs=1e-9)
+        # against the Gibbs state of the same truncation with mean exactly E,
+        # bisected in mpmath: the mean, the entropy g(E) and the tail
+        for energy in (1e-6, 0.5, 1.0, 2.0, 4.0, 7.5, 9.5, 10.0):
+            pops = _thermal_populations(energy)
+            oracle, oracle_entropy = thermal_populations_oracle(energy, pops.size)
+            assert np.max(np.abs(pops - oracle)) <= 1e-10
+            assert abs(oracle_entropy - g_func(energy)) <= 1e-10
+            assert shannon_entropy(pops) == pytest.approx(g_func(energy), abs=1e-9)
+            mean = mpmath.fsum(k * mpmath.mpf(float(p)) for k, p in enumerate(pops))
+            assert abs(float(mean) - energy) <= 1e-9 * max(1.0, energy)
+            assert pops[-1] < THERMAL_TAIL_CUT == 1e-12
 
     def test_ground_limit(self):
-        ham = HamiltonianSpec.oscillator(3)
-        assert solve_gibbs(ham, 1e-6, auto_extend=False).entropy < 2e-5
+        assert thermal_entropy(1e-6) < 2e-5
 
     def test_range_error_carries_interval(self):
         with pytest.raises(EnergyRangeError) as err:
-            solve_gibbs(QUBIT, 0.9, auto_extend=False)
-        assert err.value.lo == 0.0 and err.value.hi == pytest.approx(0.5)
-        # energy 0 is refused and the top of the spectrum's range accepted
-        assert str(err.value) == "mean energy 0.9 outside achievable interval (0.0, 0.5]"
-        with pytest.raises(EnergyRangeError):
-            solve_gibbs(QUBIT, 0.0, auto_extend=False)
-        assert solve_gibbs(QUBIT, 0.5, auto_extend=False).beta == 0.0
+            _thermal_populations(-0.5)
+        assert err.value.lo == 0.0 and err.value.hi == math.inf
+        assert str(err.value) == "mean energy -0.5 outside achievable interval [0.0, inf)"
+        for energy in (float("nan"), math.inf, -math.inf):
+            with pytest.raises(EnergyRangeError):
+                _thermal_populations(energy)
+        # energy 0 is the ground state
+        assert np.array_equal(_thermal_populations(0.0, levels=3), [1.0, 0.0, 0.0])
 
-    def test_unclosed_bisection_raises(self, monkeypatch):
-        monkeypatch.setattr(energy_mod, "GIBBS_BISECTIONS", 1)
-        with pytest.raises(ConvergenceError) as err:
-            solve_gibbs(HamiltonianSpec.oscillator(64), 10.0, auto_extend=False)
-        assert err.value.gap > 1e-10 * 10.0
+    def test_closed_form_matches_the_bisection_oracle(self):
+        # fixed truncations far from the tail cut, where the normalised
+        # geometric is the truncated Gibbs state of a lower mean: the oracle
+        # at that mean gives the same populations
+        for energy, levels in ((0.5, 2), (1.0, 5), (0.5, 49), (3.0, 7)):
+            pops = _thermal_populations(energy, levels=levels)
+            mean = float(np.arange(levels) @ pops)
+            oracle, oracle_entropy = thermal_populations_oracle(mean, levels)
+            assert np.max(np.abs(pops - oracle)) <= 1e-15
+            # terms below LOG_CLAMP = 1e-14 add nothing to shannon_entropy
+            assert shannon_entropy(pops) == pytest.approx(oracle_entropy, abs=1e-12)
 
     def test_witness_energies_keep_their_beta(self):
-        # the scb-energy witness states; betas as the bisection has always given them
-        ham = HamiltonianSpec.oscillator(64)
+        # the scb-energy witness states: the ratio of successive populations
+        # is e^-beta = E / (1 + E), within the bisection's tolerance of the
+        # betas it once found for them
         for energy, beta in ((10.0, 0.09531017980279965), (2.0, 0.40546510810302105),
                              (4.0, 0.2231435513176957)):
-            assert solve_gibbs(ham, energy).beta == beta
+            pops = _thermal_populations(energy)
+            ratio = math.log(pops[0] / pops[1])
+            assert ratio == pytest.approx(math.log1p(1.0 / energy), rel=1e-14)
+            assert ratio == pytest.approx(beta, abs=1e-11)
 
     def test_extension_doubles_until_the_tail_is_negligible(self):
-        start = HamiltonianSpec.oscillator(64)
-        for energy, levels in ((10.0, 512), (2.0, 128)):
-            sol = solve_gibbs(start, energy)
-            assert sol.weights.size == levels and not sol.tail_warning
-        assert solve_gibbs(start, 10.0).weights[-1] == pytest.approx(6.4e-23, rel=0.01)
+        for energy, levels in ((10.0, 512), (4.0, 128), (2.0, 128), (0.5, 64)):
+            pops = _thermal_populations(energy)
+            assert pops.size == levels and pops[-1] < THERMAL_TAIL_CUT
+            if levels > 64:
+                # half the levels would not do
+                assert _thermal_populations(energy, levels=levels // 2)[-1] >= THERMAL_TAIL_CUT
+        assert _thermal_populations(10.0)[-1] == pytest.approx(6.4e-23, rel=0.01)
 
-    def test_extension_stops_at_the_cap_with_a_warning(self):
-        start = HamiltonianSpec.oscillator(64)
-        sol = solve_gibbs(start, 900.0)
-        assert sol.weights.size == energy_mod.EXTEND_CAP == 2000
-        assert sol.tail_warning
-        with pytest.raises(EnergyRangeError) as err:
-            solve_gibbs(start, 1000.0)
-        assert err.value.hi == 999.5
+    def test_extension_stops_at_the_fock_cap(self):
+        assert _thermal_populations(20.0).size == FOCK_CAP == 512
+        for energy in (21.0, 900.0, 1e300):
+            with pytest.raises(TruncationError, match="needs more than 512 levels"):
+                _thermal_populations(energy)
 
     def test_maximal_entropy_among_sampled_states(self, rng):
-        ham = HamiltonianSpec.oscillator(4)
+        # no distribution on 4 levels with mean E beats the thermal entropy
         energy = 0.8
-        sol = solve_gibbs(ham, energy, auto_extend=False)
-        ev = ham.eigenvalues
+        entropy = thermal_entropy(energy)
+        ev = np.arange(4.0)
         for _ in range(1000):
             w = rng.dirichlet(np.ones(4))
             e_w = float(ev @ w)
@@ -199,7 +221,7 @@ class TestSolveGibbs:
                 mix = alpha * w + (1 - alpha) * np.eye(4)[3]
             assert float(ev @ mix) == pytest.approx(energy, abs=1e-12)
             sampled = -float(np.sum(mix[mix > 1e-15] * np.log(mix[mix > 1e-15])))
-            assert sol.entropy >= sampled - 1e-8
+            assert entropy >= sampled - 1e-8
 
 
 class TestFH:
@@ -215,21 +237,18 @@ class TestFH:
 
     def test_nondegenerate_ground_zero(self):
         assert g_func(0.0) == 0.0
+        assert thermal_entropy(0.0) == 0.0
         with pytest.raises(EnergyRangeError):
-            solve_gibbs(HamiltonianSpec.oscillator(3), 0.0, auto_extend=False)
+            _thermal_populations(-1e-300)
 
     def test_truncation_tracks_closed_form(self):
-        # K=200 truncation against g(E) across the working range
-        ham = HamiltonianSpec.oscillator(200)
+        # the tail-chosen truncation against g(E) across the working range
         for energy in np.linspace(0.01, 10.0, 23):
-            assert solve_gibbs(ham, energy, auto_extend=False).entropy == pytest.approx(
-                g_func(energy), abs=1e-8
-            )
+            assert thermal_entropy(energy) == pytest.approx(g_func(energy), abs=1e-9)
 
     def test_strictly_increasing_and_concave(self):
-        ham = HamiltonianSpec.oscillator(5)
         grid = np.linspace(0.05, 1.5, 12)
-        vals = [solve_gibbs(ham, e, auto_extend=False).entropy for e in grid]
+        vals = [thermal_entropy(e) for e in grid]
         diffs = np.diff(vals)
         assert np.all(diffs > 0.0)
         assert np.all(np.diff(diffs) < 1e-9)
@@ -276,17 +295,15 @@ class TestWL:
 
 class TestEntropyCeilingInvariants:
     def test_entropy_below_f_of_passive(self, rng):
-        ham = HamiltonianSpec.oscillator(4)
         for _ in range(15):
             rho = random_state(4, 4, rng)
-            cap = solve_gibbs(ham, passive_energy(rho), auto_extend=False).entropy
+            cap = thermal_entropy(passive_energy(rho))
             assert von_neumann_entropy(rho) <= cap + 1e-8
 
     def test_avg_entropy_below_f_of_avg_passive(self, rng):
-        ham = HamiltonianSpec.oscillator(4)
         mu = Ensemble.from_members(
             [(0.5, random_state(4, 4, rng)), (0.5, random_state(4, 2, rng))]
         )
         avg_s = sum(w * von_neumann_entropy(s) for w, s in mu.members)
-        cap = solve_gibbs(ham, avg_passive_energy(mu), auto_extend=False).entropy
+        cap = thermal_entropy(avg_passive_energy(mu))
         assert avg_s <= cap + 1e-8

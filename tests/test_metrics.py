@@ -690,6 +690,19 @@ def test_d0_obeys_the_triangle_inequality(dim, n, zero_weight, seed):
     assert d0(a, c) <= d0(a, b) + d0(b, c) + 1e-12
 
 
+def coherent_grids():
+    """The two subsampled grids of `repro coherent` at its defaults."""
+    n_mean, delta = 1.0, 0.5
+    half = int(math.ceil(6.0 * math.sqrt(n_mean / 2.0) / delta))
+    radius_sq = n_mean * math.log(1000.0)
+    measures = []
+    for step, cells in ((delta, half), (delta / 2.0, 2 * half)):
+        pts, wts = gaussian_grid_measure(n_mean, step, cells)
+        keep = np.sum(pts**2, axis=1) <= radius_sq
+        measures.append(PointMeasure(points=pts[keep], weights=wts[keep] / wts[keep].sum()))
+    return measures
+
+
 class TestKRDistances:
     def test_identical(self):
         pm = PointMeasure(points=np.array([[0.0, 0.0], [1.0, 0.0]]),
@@ -733,20 +746,21 @@ class TestKRDistances:
         assert capped > 50  # the min(d, 2) cap is exercised, not just W1
 
     def test_matches_dual_lp_oracle_on_coherent_grids(self):
-        # the two subsampled grids of `repro coherent` at its defaults
-        n_mean, delta = 1.0, 0.5
-        half = int(math.ceil(6.0 * math.sqrt(n_mean / 2.0) / delta))
-        radius_sq = n_mean * math.log(1000.0)
-        measures = []
-        for step, cells in ((delta, half), (delta / 2.0, 2 * half)):
-            pts, wts = gaussian_grid_measure(n_mean, step, cells)
-            keep = np.sum(pts**2, axis=1) <= radius_sq
-            measures.append(PointMeasure(points=pts[keep],
-                                         weights=wts[keep] / wts[keep].sum()))
-        a, b = measures
+        a, b = coherent_grids()
         assert (a.weights.size, b.weights.size) == (88, 348)
         oracle = kr_dual_lp(a.points, a.weights, b.points, b.weights)
         assert kr_distance(a, b) == pytest.approx(oracle, abs=1e-9)
+
+    def test_coherent_grid_lp_is_solved_once(self):
+        # the start cells already hold the optimal support of the KR LP of
+        # `repro coherent`, so the first solve prices nothing in
+        a, b = coherent_grids()
+        cost = np.minimum(metrics._ground_distance(a, b), 2.0)
+        sol = metrics._solve_transports([(cost, a.weights, b.weights)])[0]
+        assert sol.iterations == 1
+        assert sol.value == kr_distance(a, b)
+        assert sol.value == pytest.approx(transport_full_lp(cost, a.weights, b.weights),
+                                          abs=1e-12)
 
 
 class TestContinuousD0Shadow:

@@ -5,6 +5,8 @@ import math
 import shutil
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
 
 
@@ -67,3 +69,25 @@ def test_compare_reports_a_one_ulp_move(tmp_path):
         f"{path.name}: differs",
         f"  {row['tag']} lhs: max |delta| {delta:.3g} (1 row)",
     ]
+
+
+def test_reports_match_the_golden_manifest(tmp_path):
+    # every verify and repro report, regenerated in this process, has the
+    # bytes recorded in tests/golden_reports.json; `report_diff.py golden`
+    # rewrites them, in a change that means to move report bits
+    tool = load_tool()
+    manifest = json.loads(tool.MANIFEST.read_text())
+    assert tool.digests(sorted(tool.GOLDEN.glob("*.json"))) == manifest["reports"]
+    got = tool.digests(tool.run(tmp_path))
+    if got != manifest["reports"]:
+        out = io.StringIO()
+        tool.compare(tool.GOLDEN, tmp_path, out=out)
+        table = [line for line in out.getvalue().splitlines()
+                 if not line.endswith(": identical")]
+        pytest.fail("reports differ from the golden ones, made with "
+                    f"{stack_text(manifest['stack'])}; this run uses "
+                    f"{stack_text(tool.stack())}\n" + "\n".join(table))
+
+
+def stack_text(stack):
+    return f"numpy {stack['numpy']}, scipy {stack['scipy']}, BLAS {stack['blas']}"

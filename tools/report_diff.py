@@ -2,6 +2,7 @@
 
     python tools/report_diff.py run DIR
     python tools/report_diff.py compare A B
+    python tools/report_diff.py golden
 
 ``run`` writes the JSON report of every ``verify`` and ``repro`` command at
 seeds 7000-7002 with ``--trials 30`` (33 reports) to
@@ -15,12 +16,20 @@ tree.
 byte-identical, otherwise each field that moved (grouped by tag) with its
 max |delta| and the number of rows it moved in, and every ``holds`` flag
 that flipped. It exits 0 when every report is identical, 1 otherwise.
+
+``golden`` rewrites the golden reports: it writes ``run``'s 33 reports to
+tests/golden/ and records in tests/golden_reports.json the sha256 of each
+and the numpy, scipy and BLAS versions that made them. The Tier-1 test
+``test_reports_match_the_golden_manifest`` regenerates them and compares.
+Rewrite them only in a change that means to move report bits, and give that
+change's ``compare`` table.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -29,7 +38,10 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+GOLDEN = ROOT / "tests" / "golden"
+MANIFEST = ROOT / "tests" / "golden_reports.json"
 SEEDS = (7000, 7001, 7002)
 TRIALS = 30
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -64,6 +76,30 @@ def run(out_dir, seeds=SEEDS, trials=TRIALS, only=None):
                 main(argv)
             written.append(path)
     return written
+
+
+def stack():
+    """The numpy, scipy and BLAS versions this process computes with."""
+    import numpy
+    import scipy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
+
+
+def digests(paths):
+    """{file name: sha256 of its bytes} of every path."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
+def write_golden():
+    """Replace the golden reports and rewrite their manifest."""
+    for old in GOLDEN.glob("*.json"):
+        old.unlink()
+    data = {"stack": stack(), "reports": digests(run(GOLDEN))}
+    MANIFEST.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return data
 
 
 def _fields(row):
@@ -140,16 +176,22 @@ def main(argv=None):
     p_cmp = sub.add_parser("compare", help="print what moved from A to B")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
+    sub.add_parser("golden", help="rewrite tests/golden/ and its manifest")
     args = parser.parse_args(argv)
+    if args.command == "compare":
+        return 0 if compare(args.a, args.b) else 1
+    # before numpy loads, so BLAS starts with one thread
+    for var in THREAD_VARS:
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, str(SRC))
     if args.command == "run":
-        # before numpy loads, so BLAS starts with one thread
-        for var in THREAD_VARS:
-            os.environ.setdefault(var, "1")
-        sys.path.insert(0, str(SRC))
         paths = run(args.dir)
         print(f"wrote {len(paths)} reports to {args.dir}")
-        return 0
-    return 0 if compare(args.a, args.b) else 1
+    else:
+        data = write_golden()
+        print(f"wrote {len(data['reports'])} reports to {GOLDEN} and their manifest "
+              f"to {MANIFEST}")
+    return 0
 
 
 if __name__ == "__main__":
