@@ -95,11 +95,13 @@ def _thermal_populations(energy, levels=None):
     """Level populations of the oscillator's thermal state at mean energy E:
     x^k with x = E / (1 + E), normalised over levels k = 0..levels-1.
 
-    Without `levels`, the truncation is the first of 64, 128, 256, ... levels
-    whose top population is below THERMAL_TAIL_CUT, and an E that needs more
-    than FOCK_CAP levels (above about 20) raises TruncationError. The
-    untruncated state has mean E and entropy g(E). E must be finite and
-    nonnegative, else EnergyRangeError.
+    With a fixed `levels` this is the truncated Gibbs state whose mean is E
+    only up to the cut tail, x^levels; its mean is below E. Without `levels`,
+    the truncation is the first of 64, 128, 256, ... levels whose top
+    population is below THERMAL_TAIL_CUT, and an E that needs more than
+    FOCK_CAP levels (above about 20) raises TruncationError. The untruncated
+    state has mean E and entropy g(E). E must be finite and nonnegative, else
+    EnergyRangeError.
     """
     energy = float(energy)
     if not 0.0 <= energy < math.inf:  # also rejects NaN

@@ -73,15 +73,13 @@ def test_compare_reports_a_one_ulp_move(tmp_path):
 
 def test_reports_match_the_golden_manifest(tmp_path):
     # every verify and repro report, regenerated in this process, has the
-    # bytes recorded in tests/golden_reports.json; `report_diff.py golden`
-    # rewrites them, in a change that means to move report bits
+    # bytes of its file in tests/golden/; `report_diff.py golden` rewrites
+    # them, in a change that means to move report bits
     tool = load_tool()
-    manifest = json.loads(tool.MANIFEST.read_text())
-    assert tool.digests(sorted(tool.GOLDEN.glob("*.json"))) == manifest["reports"]
-    got = tool.digests(tool.run(tmp_path))
-    if got != manifest["reports"]:
-        out = io.StringIO()
-        tool.compare(tool.GOLDEN, tmp_path, out=out)
+    tool.run(tmp_path)
+    out = io.StringIO()
+    if not tool.compare(tool.GOLDEN, tmp_path, out=out):
+        manifest = json.loads(tool.MANIFEST.read_text())
         table = [line for line in out.getvalue().splitlines()
                  if not line.endswith(": identical")]
         pytest.fail("reports differ from the golden ones, made with "
