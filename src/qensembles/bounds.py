@@ -46,7 +46,7 @@ class RankConstraint:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 1:
+        if not self.rank >= 1:  # also rejects NaN
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
 
 
@@ -59,19 +59,26 @@ def _check_energy(energy):
     """A mean energy of the oscillator, as given: nonnegative, else EnergyRangeError."""
     energy = float(energy)
     if not energy >= 0.0:
-        raise EnergyRangeError(energy, 0.0, math.inf, lo_closed=True)
+        raise EnergyRangeError(energy)
     return energy
+
+
+def _rank_term(delta, rank):
+    """delta ln(r-1) + h2(delta), the rank term of Props. 2, 6 and 8, Remark 3
+    and Cor. 3; delta may pass 1 - 1/r by the callers' 1e-15 slack, and h2
+    is read at min(delta, 1)."""
+    return delta * math.log(rank - 1) + binary_entropy(min(delta, 1.0))
 
 
 def scb_rank(eps, rank):
     """eps ln(r-1) + h2(eps) for eps <= 1 - 1/r, else ln r (rank-constrained form)."""
-    if rank < 2:
+    if not rank >= 2:  # also rejects NaN
         raise ValidationError(f"rank case needs r >= 2, got {rank}")
     eps = float(eps)
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValidationError(f"eps must be nonnegative, got {eps}")
     if eps <= 1.0 - 1.0 / rank:
-        return eps * math.log(rank - 1) + binary_entropy(eps)
+        return _rank_term(eps, rank)
     return math.log(rank)
 
 
@@ -93,10 +100,10 @@ def scb_energy(eps, energy):
     """eps F_H(E/eps) + g(eps) (energy-constrained form; oscillator F_H = g)."""
     energy = _check_energy(energy)
     eps = float(eps)
-    if eps <= 0.0:
-        if eps == 0.0:
-            return 0.0
+    if not eps >= 0.0:
         raise ValidationError(f"eps must be nonnegative, got {eps}")
+    if eps == 0.0:
+        return 0.0
     return _eps_g(eps, energy) + g_func(eps)
 
 
@@ -131,7 +138,7 @@ def chi_cb_prior_dim(eps, dim):
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"eps must lie in [0, 1], got {eps}")
-    if dim < 2:
+    if not dim >= 2:
         raise ValidationError(f"dim must be >= 2, got {dim}")
     return eps * math.log(dim) + 2.0 * g_func(eps)
 
@@ -206,7 +213,7 @@ def u_func(eps):
 
 def v_func(dim):
     """v(d) = d (1 - 1/d)^2 = (d-1)^2 / d."""
-    if dim < 2:
+    if not dim >= 2:
         raise ValidationError(f"v defined for d >= 2, got {dim}")
     return (dim - 1) ** 2 / dim
 
@@ -220,7 +227,7 @@ def crossover_eps(dim):
     wide; ConvergenceError, carrying the width, if CROSSOVER_BISECTIONS
     steps do not get there.
     """
-    if dim < 2:
+    if not dim >= 2:
         raise ValidationError(f"dim must be >= 2, got {dim}")
     if dim == 2:
         return 0.0
@@ -245,27 +252,21 @@ def crossover_eps(dim):
 def ae_upper(delta, constraint):
     """Upper bound on the average entropy from closeness delta to pure ensembles."""
     delta = float(delta)
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValidationError(f"delta must be nonnegative, got {delta}")
-    if isinstance(constraint, RankConstraint):
-        r = constraint.rank
-        if r < 2:
-            raise ValidationError(f"rank case needs r >= 2, got {r}")
-        if delta > 1.0 - 1.0 / r:
-            raise ValidationError(f"rank case needs delta <= 1 - 1/r, got {delta}")
-        return delta * math.log(r - 1) + binary_entropy(delta)
-    if isinstance(constraint, EnergyConstraint):
-        return scb_energy(delta, constraint.energy)
-    raise ValidationError(f"unsupported constraint {constraint!r}")
+    # Prop. 6's rank case holds up to delta = 1 - 1/r; past it scb_rank gives ln r
+    if isinstance(constraint, RankConstraint) and delta > 1.0 - 1.0 / constraint.rank:
+        raise ValidationError(f"rank case needs delta <= 1 - 1/r, got {delta}")
+    return _case_term(delta, constraint)
 
 
 def aoe_upper(rank, delta_r, e_psv):
     """ln r + delta F_H(E/delta) + g(delta): AOE cap from the Choi-rank-r distance."""
     e_psv = _check_energy(e_psv)
-    if rank < 1:
+    if not rank >= 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
     delta_r = float(delta_r)
-    if delta_r < 0.0:
+    if not delta_r >= 0.0:
         raise ValidationError(f"delta must be nonnegative, got {delta_r}")
     if delta_r == 0.0:
         return math.log(rank)
@@ -275,38 +276,32 @@ def aoe_upper(rank, delta_r, e_psv):
 def eof_scb(eps, rank):
     """EoF semicontinuity bound from trace distance: delta = sqrt(eps(2-eps))."""
     eps = float(eps)
-    if rank < 2:
+    if not rank >= 2:
         raise ValidationError(f"rank must be >= 2, got {rank}")
     guard = 1.0 - math.sqrt(2.0 * rank - 1.0) / rank
     if not 0.0 <= eps <= guard + 1e-15:
         raise ValidationError(
             f"eps {eps} outside [0, {guard:.6f}] (delta must stay <= 1 - 1/r)"
         )
-    delta = math.sqrt(eps * (2.0 - eps))
-    return delta * math.log(rank - 1) + binary_entropy(delta)
+    return _rank_term(math.sqrt(eps * (2.0 - eps)), rank)
 
 
 def eof_scb_fid(fid, rank):
     """EoF semicontinuity bound from fidelity: delta = sqrt(1 - F)."""
     fid = float(fid)
-    if rank < 2:
-        raise ValidationError(f"rank must be >= 2, got {rank}")
     if not 0.0 <= fid <= 1.0:
         raise ValidationError(f"fidelity {fid} outside [0, 1]")
-    delta = math.sqrt(1.0 - fid)
-    if delta > 1.0 - 1.0 / rank + 1e-15:
-        raise ValidationError(f"delta {delta} exceeds 1 - 1/r for r = {rank}")
-    return delta * math.log(rank - 1) + binary_entropy(min(delta, 1.0))
+    return eof_upper_sep(math.sqrt(1.0 - fid), rank)
 
 
 def eof_upper_sep(delta_f, rank):
     """EoF cap from distance-to-separable: delta ln(r-1) + h2(delta)."""
     delta_f = float(delta_f)
-    if rank < 2:
+    if not rank >= 2:
         raise ValidationError(f"rank must be >= 2, got {rank}")
     if not 0.0 <= delta_f <= 1.0 - 1.0 / rank + 1e-15:
         raise ValidationError(f"delta {delta_f} outside [0, 1 - 1/r] for r = {rank}")
-    return delta_f * math.log(rank - 1) + binary_entropy(min(delta_f, 1.0))
+    return _rank_term(delta_f, rank)
 
 
 def discretization_bounds(delta, n_mean):
@@ -314,7 +309,7 @@ def discretization_bounds(delta, n_mean):
     Gaussian coherent ensemble with mean photon number n_mean."""
     delta = float(delta)
     n_mean = float(n_mean)
-    if delta <= 0.0 or n_mean <= 0.0:
+    if not (delta > 0.0 and n_mean > 0.0):  # also rejects NaN
         raise ValidationError("delta and n_mean must be positive")
     d = delta / math.sqrt(2.0)
     loss = d * g_func(math.sqrt(2.0) * n_mean / delta) + g_func(d)
@@ -328,7 +323,7 @@ def s_ineq_check(eps, n_mean):
     """Check eps g(N/eps) - eps g(N) <= -eps ln eps + eps(1 + eps/N) <= 1/e + 1 + 1/N."""
     eps = float(eps)
     n_mean = float(n_mean)
-    if not 0.0 < eps <= 1.0 or n_mean <= 0.0:
+    if not (0.0 < eps <= 1.0 and n_mean > 0.0):
         raise ValidationError("need eps in (0, 1] and N > 0")
     left = eps * g_func(n_mean / eps) - eps * g_func(n_mean)
     mid = -eps * math.log(eps) + eps * (1.0 + eps / n_mean)

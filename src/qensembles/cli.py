@@ -139,9 +139,9 @@ def _emit(result, args, out_path):
         "violations": len(result.violations),
     }
     print(json.dumps(summary, sort_keys=True))
-    for rec in result.violations[:10]:
-        print(f"VIOLATED {rec.report.tag}: lhs={rec.report.lhs} "
-              f"rhs={rec.report.rhs} eps={rec.report.epsilon}", file=sys.stderr)
+    for rep in result.violations[:10]:
+        print(f"VIOLATED {rep.tag}: lhs={rep.lhs} rhs={rep.rhs} eps={rep.epsilon}",
+              file=sys.stderr)
     return 0 if result.passed else 1
 
 

@@ -105,7 +105,7 @@ def _thermal_populations(energy, levels=None):
     """
     energy = float(energy)
     if not 0.0 <= energy < math.inf:  # also rejects NaN
-        raise EnergyRangeError(energy, 0.0, math.inf, lo_closed=True)
+        raise EnergyRangeError(energy)
     x = energy / (1.0 + energy)
     size = _THERMAL_START_LEVELS if levels is None else levels
     while True:

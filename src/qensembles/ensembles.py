@@ -38,8 +38,10 @@ def _check_weights(weights, name):
     w = np.asarray(weights, dtype=float)
     if not np.all(w >= -WEIGHT_TOL):  # also rejects NaN
         raise ValidationError(f"{name} must be nonnegative numbers")
-    if abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
-        raise ValidationError(f"{name} sum to {np.sum(w)}, expected 1")
+    with np.errstate(over="ignore"):  # weights near the float range sum to inf
+        total = float(np.sum(w))
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValidationError(f"{name} sum to {total}, expected 1")
     return np.clip(w, 0.0, None)
 
 

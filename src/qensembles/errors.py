@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import math
-
 
 class ValidationError(ValueError):
     """An input violates a structural invariant (hermiticity, trace, norm, ...)."""
@@ -12,22 +10,10 @@ class DimensionMismatch(ValidationError):
 
 
 class EnergyRangeError(ValueError):
-    """Requested mean energy is outside the achievable interval of a spectrum.
+    """A mean energy outside the oscillator's achievable interval [0, inf)."""
 
-    The interval is (lo, hi], or [lo, hi] when lo_closed; an infinite hi is
-    an open end.
-    """
-
-    def __init__(self, requested, lo, hi, lo_closed=False):
-        self.requested = float(requested)
-        self.lo = float(lo)
-        self.hi = float(hi)
-        left = "[" if lo_closed else "("
-        right = ")" if math.isinf(self.hi) else "]"
-        super().__init__(
-            f"mean energy {requested} outside achievable interval "
-            f"{left}{self.lo}, {self.hi}{right}"
-        )
+    def __init__(self, energy):
+        super().__init__(f"mean energy {energy} outside achievable interval [0.0, inf)")
 
 
 class TruncationError(ValueError):

@@ -4,14 +4,13 @@ tightness-witness checks.
 Every experiment consumes an ExperimentConfig and returns an ExperimentResult
 whose records are BoundReports; the suite-level assertion is "zero holds=False
 records". Trials derive per-index seeds from the config seed, so reports are
-byte-identical across runs (timing is kept in memory only).
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,13 +129,6 @@ class ExperimentConfig:
 
 
 @dataclass
-class TrialRecord:
-    index: int
-    report: B.BoundReport
-    seconds: float = 0.0
-
-
-@dataclass
 class ExperimentResult:
     name: str
     records: list
@@ -144,7 +136,7 @@ class ExperimentResult:
 
     @property
     def violations(self):
-        return [r for r in self.records if r.report.holds is False]
+        return [r for r in self.records if r.holds is False]
 
     @property
     def passed(self):
@@ -155,15 +147,12 @@ class _Recorder:
     def __init__(self, name):
         self.name = name
         self.records = []
-        self._t0 = time.perf_counter()
 
     def add(self, tag, lhs, rhs, eps, **params):
-        now = time.perf_counter()
         report = B.BoundReport(tag=tag, rhs=float(rhs), epsilon=float(eps),
                                lhs=None if lhs is None else float(lhs),
                                params=params)
-        self.records.append(TrialRecord(len(self.records), report, now - self._t0))
-        self._t0 = now
+        self.records.append(report)
         return report
 
     def add_equality(self, tag, value_a, value_b, eps, tol=EQUALITY_TOL, **params):
@@ -174,10 +163,10 @@ class _Recorder:
     def result(self, tables=None):
         tables = dict(tables or {})
         ratios = [
-            r.report.lhs / r.report.rhs
+            r.lhs / r.rhs
             for r in self.records
-            if r.report.lhs is not None and r.report.rhs > 1e-12
-            and r.report.params.get("check") is None
+            if r.lhs is not None and r.rhs > 1e-12
+            and r.params.get("check") is None
         ]
         # tightness statistics are reported, never asserted
         tables["tightness"] = [{

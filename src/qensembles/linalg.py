@@ -60,10 +60,14 @@ def check_density(rho, dim=None):
 def _density_spectrum(rho, dim=None):
     """check_density that also returns the ascending spectra it decomposed; a
     stack's error names the first matrix that fails."""
-    rho = check_hermitian(rho, name="state")
-    if dim is not None and rho.shape[-1] != dim:
-        raise DimensionMismatch(f"state has dim {rho.shape[-1]}, expected {dim}")
-    _check_traces(rho)
+    # inf entries, and entries near the float range that overflow once
+    # symmetrized, leave inf and NaN that the checks below reject; numpy
+    # would print a warning for each first
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = check_hermitian(rho, name="state")
+        if dim is not None and rho.shape[-1] != dim:
+            raise DimensionMismatch(f"state has dim {rho.shape[-1]}, expected {dim}")
+        _check_traces(rho)
     w = _eigvalsh(rho)
     low = w[..., 0].reshape(-1)
     bad = ~(low >= -PSD_TOL)  # also rejects NaN

@@ -41,6 +41,10 @@ EHS_MODEL_INSTANCES = 80
 # one BLAS thread, 100 interleaved calls each: 11.7 ms at 3 cells, 8.0 at 4,
 # 8.4 at 5, 8.5 at 6
 TRANSPORT_START_CELLS = 4
+# largest Euclidean cost kr_modified passes to its LP: HiGHS ended a 2 x 2
+# transport LP in kSolveError at costs of 9.9e17 to 1e19, and in kUnknown
+# from its infinite cost, 1e20, up
+_KR_COST_CAP = 1e15
 
 # HiGHS defaults sit near 1e-7; certified gaps below that need tighter solves
 LP_OPTIONS = {
@@ -80,8 +84,9 @@ class PointMeasure:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] != w.size:
-            raise ValidationError("points and weights have mismatched shapes")
+        if pts.ndim != 2 or w.ndim != 1 or pts.shape[0] != w.size:
+            raise ValidationError(
+                f"points must be (n, m) and weights (n,), got shapes {pts.shape} and {w.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("points must be finite")
         object.__setattr__(self, "points", pts)
@@ -537,8 +542,11 @@ def _ehs_lockstep(pairs, tol, max_rounds):
 def _ground_distance(p1, p2):
     if p1.points.shape[1] != p2.points.shape[1]:
         raise DimensionMismatch("point measures live in different ambient spaces")
-    diff = p1.points[:, None, :] - p2.points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    # a distance beyond the float range comes out inf, which kr_distance
+    # caps at 2 and kr_modified rejects
+    with np.errstate(over="ignore"):
+        diff = p1.points[:, None, :] - p2.points[None, :, :]
+        return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def kr_distance(p1: PointMeasure, p2: PointMeasure):
@@ -556,5 +564,8 @@ def kr_distance(p1: PointMeasure, p2: PointMeasure):
 def kr_modified(p1: PointMeasure, p2: PointMeasure):
     """Modified KR distance: Wasserstein-1 transportation LP over Euclidean cost."""
     cost = _ground_distance(p1, p2)
+    if not cost.max() <= _KR_COST_CAP:
+        raise ValidationError(
+            f"Euclidean cost {cost.max():g} exceeds {_KR_COST_CAP:g}, beyond what the LP solves")
     value, _ = solve_transport(cost, p1.weights, p2.weights)
     return value

@@ -24,18 +24,31 @@ def matrix_to_json(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def matrix_from_json(data):
+def _is_number(value):
+    # a JSON number decodes to int or float; bool is a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number_array(value, depth, what):
+    """value, a JSON array `depth` deep of numbers (int or float, not bool or
+    str), as a float ndarray; else ValidationError('malformed <what>...')."""
+    # ragged rows and leaves that are not numbers leave an object array of
+    # another depth, or with a list, dict, str, bool or None among its cells
+    cells = np.array(value, dtype=object)
+    if cells.ndim != depth or not all(map(_is_number, cells.flat)):
+        raise ValidationError(f"malformed {what}: numbers nested {depth} deep expected")
     try:
-        return np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in data],
-            dtype=complex,
-        )
-    # ragged rows raise ValueError, an object cell KeyError and an integer
-    # beyond the float range OverflowError
-    except (TypeError, LookupError, ValueError, OverflowError) as exc:
-        raise ValidationError(
-            f"malformed complex-matrix JSON (rows of [re, im] pairs expected): {exc}"
-        ) from exc
+        return cells.astype(float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValidationError(f"malformed {what}: {exc}") from None
+
+
+def matrix_from_json(data):
+    what = "complex-matrix JSON (rows of [re, im] pairs expected)"
+    cells = _number_array(data, 3, what)
+    if cells.shape[-1] != 2:
+        raise ValidationError(f"malformed {what}: a cell of {cells.shape[-1]} numbers")
+    return cells.view(complex)[..., 0]
 
 
 def ensemble_to_json(mu):
@@ -54,21 +67,15 @@ def _field(data, key):
     return data[key]
 
 
-def _as_array(value, dtype, key):
-    try:
-        return np.array(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed {key!r} in JSON input: {exc}") from None
-
-
 def ensemble_from_json(data):
     dim = _field(data, "dim")
     members = _field(data, "members")
-    if not isinstance(dim, int) or not isinstance(members, list):
+    if isinstance(dim, bool) or not isinstance(dim, int) or not isinstance(members, list):
         raise ValidationError("ensemble JSON needs an integer 'dim' and a list 'members'")
     return Ensemble(
         dim=dim,
-        weights=_as_array([_field(m, "weight") for m in members], float, "weight"),
+        weights=_number_array([_field(m, "weight") for m in members], 1,
+                              "'weight' in JSON input"),
         states=[matrix_from_json(_field(m, "matrix")) for m in members],
     )
 
@@ -82,8 +89,8 @@ def point_measure_to_json(pm):
 
 def point_measure_from_json(data):
     return PointMeasure(
-        points=_as_array(_field(data, "points"), float, "points"),
-        weights=_as_array(_field(data, "weights"), float, "weights"),
+        points=_number_array(_field(data, "points"), 2, "'points' in JSON input"),
+        weights=_number_array(_field(data, "weights"), 1, "'weights' in JSON input"),
     )
 
 
@@ -112,17 +119,17 @@ def _report_row(index, report):
     }
 
 
-def reports_to_json(records):
-    rows = [_report_row(rec.index, rec.report) for rec in records]
+def reports_to_json(reports):
+    rows = [_report_row(index, rep) for index, rep in enumerate(reports)]
     return json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
 
-def reports_to_csv(records):
+def reports_to_csv(reports):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=REPORT_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for rec in records:
-        row = _report_row(rec.index, rec.report)
+    for index, rep in enumerate(reports):
+        row = _report_row(index, rep)
         row["params"] = json.dumps(row["params"], sort_keys=True)
         writer.writerow(row)
     return buf.getvalue()

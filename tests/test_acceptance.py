@@ -153,9 +153,9 @@ def test_criterion_05_prop2_suite():
         cfg = ExperimentConfig(seed=501, trials=1000, dims=(2, 3, 4, 5))
         res = EXPERIMENTS["scb-rank"](cfg)
         assert not res.violations, [
-            (r.report.tag, r.report.lhs, r.report.rhs) for r in res.violations[:5]
+            (r.tag, r.lhs, r.rhs) for r in res.violations[:5]
         ]
-        tags = {r.report.tag for r in res.records}
+        tags = {r.tag for r in res.records}
         assert {"prop2/C1", "prop2/C2", "prop2/dehs", "prop2/d0", "prop2/dk"} <= tags
 
 
@@ -164,9 +164,9 @@ def test_criterion_06_prop3_suite():
         cfg = ExperimentConfig(seed=601, trials=500, dims=(2, 3, 4, 5, 6))
         res = EXPERIMENTS["scb-energy"](cfg)
         assert not res.violations, [
-            (r.report.tag, r.report.lhs, r.report.rhs) for r in res.violations[:5]
+            (r.tag, r.lhs, r.rhs) for r in res.violations[:5]
         ]
-        tags = {r.report.tag for r in res.records}
+        tags = {r.tag for r in res.records}
         assert {"prop3/refined", "prop3/refined-le-plain",
                 "prop3/C1-exceeds", "prop3/C2-within"} <= tags
 
@@ -184,7 +184,7 @@ def test_criterion_08_erasure_sandwich():
         cfg = ExperimentConfig(seed=801, trials=1)
         res = REPROS["erasure"](cfg)
         assert not res.violations, [
-            (r.report.tag, r.report.lhs, r.report.rhs) for r in res.violations[:5]
+            (r.tag, r.lhs, r.rhs) for r in res.violations[:5]
         ]
         assert len(res.tables["erasure"]) == 12
 
@@ -194,10 +194,10 @@ def test_criterion_09_coherent_discretization():
         cfg = ExperimentConfig(seed=901, trials=1)
         res = REPROS["coherent"](cfg)
         assert not res.violations, [
-            (r.report.tag, r.report.lhs, r.report.rhs) for r in res.violations[:5]
+            (r.tag, r.lhs, r.rhs) for r in res.violations[:5]
         ]
-        quad = [r for r in res.records if r.report.tag == "coherent/quadrature"]
-        assert quad and quad[0].report.lhs <= 1e-6
+        quad = [r for r in res.records if r.tag == "coherent/quadrature"]
+        assert quad and quad[0].lhs <= 1e-6
 
 
 def test_criterion_10_steering():
@@ -205,9 +205,9 @@ def test_criterion_10_steering():
         cfg = ExperimentConfig(seed=1001, trials=500, dims=(2, 3))
         res = EXPERIMENTS["steering"](cfg)
         assert not res.violations, [
-            (r.report.tag, r.report.lhs, r.report.rhs) for r in res.violations[:5]
+            (r.tag, r.lhs, r.rhs) for r in res.violations[:5]
         ]
-        assert any(r.report.tag == "prop1a/purity" for r in res.records)
+        assert any(r.tag == "prop1a/purity" for r in res.records)
 
 
 def test_criterion_11_eof_witness():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qensembles import (
     ConvergenceError,
     EnergyConstraint,
+    EnergyRangeError,
     RankConstraint,
     ValidationError,
     aoe_upper,
@@ -510,3 +511,51 @@ def test_energy_tags_finite_at_subnormal_closeness(tag, closeness):
     tiny = evaluate_tag(tag, {**params, key: closeness})
     assert math.isfinite(tiny)
     assert tiny <= evaluate_tag(tag, {**params, key: 1e-300})
+
+
+# every public evaluator with NaN in each of its numeric arguments in turn: a
+# NaN energy is an EnergyRangeError, any other NaN a ValidationError
+NAN = math.nan
+_NAN_CALLS = {
+    "scb_rank-eps": lambda: scb_rank(NAN, 4),
+    "scb_rank-rank": lambda: scb_rank(0.1, NAN),
+    "scb_energy-eps": lambda: scb_energy(NAN, 1.0),
+    "scb_energy-energy": lambda: scb_energy(0.1, NAN),
+    "scb_holevo-eps": lambda: scb_holevo(NAN, RankConstraint(3), EnergyConstraint(1.0)),
+    "scb_holevo-energy": lambda: scb_holevo(0.2, RankConstraint(3), EnergyConstraint(NAN)),
+    "RankConstraint-rank": lambda: RankConstraint(NAN),
+    "cb_holevo_rank-eps": lambda: cb_holevo_rank(NAN, 3, 5),
+    "cb_holevo_rank-rank": lambda: cb_holevo_rank(0.2, 3, NAN),
+    "cb_holevo_energy-eps": lambda: cb_holevo_energy(NAN, 1.0, 2.0),
+    "cb_holevo_energy-energy": lambda: cb_holevo_energy(0.2, NAN, 2.0),
+    "chi_cb_prior_dim-eps": lambda: chi_cb_prior_dim(NAN, 3),
+    "chi_cb_prior_dim-dim": lambda: chi_cb_prior_dim(0.2, NAN),
+    "chi_cb_prior_energy-eps": lambda: chi_cb_prior_energy(NAN, 1.0),
+    "chi_cb_prior_energy-energy": lambda: chi_cb_prior_energy(0.2, NAN),
+    "u_func-eps": lambda: u_func(NAN),
+    "v_func-dim": lambda: v_func(NAN),
+    "crossover_eps-dim": lambda: crossover_eps(NAN),
+    "ae_upper-rank-delta": lambda: ae_upper(NAN, RankConstraint(4)),
+    "ae_upper-energy-delta": lambda: ae_upper(NAN, EnergyConstraint(1.0)),
+    "ae_upper-energy": lambda: ae_upper(0.2, EnergyConstraint(NAN)),
+    "aoe_upper-rank": lambda: aoe_upper(NAN, 0.2, 1.0),
+    "aoe_upper-delta": lambda: aoe_upper(3, NAN, 1.0),
+    "aoe_upper-energy": lambda: aoe_upper(3, 0.2, NAN),
+    "eof_scb-eps": lambda: eof_scb(NAN, 4),
+    "eof_scb-rank": lambda: eof_scb(0.1, NAN),
+    "eof_scb_fid-fidelity": lambda: eof_scb_fid(NAN, 4),
+    "eof_scb_fid-rank": lambda: eof_scb_fid(0.95, NAN),
+    "eof_upper_sep-delta": lambda: eof_upper_sep(NAN, 4),
+    "eof_upper_sep-rank": lambda: eof_upper_sep(0.3, NAN),
+    "discretization_bounds-delta": lambda: discretization_bounds(NAN, 1.0),
+    "discretization_bounds-n_mean": lambda: discretization_bounds(0.5, NAN),
+    "s_ineq_check-eps": lambda: s_ineq_check(NAN, 1.0),
+    "s_ineq_check-n_mean": lambda: s_ineq_check(0.3, NAN),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NAN_CALLS))
+def test_every_evaluator_rejects_nan(call):
+    error = EnergyRangeError if call.endswith("-energy") else ValidationError
+    with pytest.raises(error):
+        _NAN_CALLS[call]()

@@ -1,9 +1,13 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qensembles import Ensemble, PointMeasure
 from qensembles import serialize as ser
@@ -251,7 +255,25 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[10**400, 0], [0, 0]],
                                                                         [[0, 0], [0, 0]]]}]},
      "int too large to convert to float"),
+    # weights given as a 2-D list
+    ("kr", lambda d: {**d, "weights": [[1.0]]}, "malformed 'weights' in JSON input"),
+    ("krmod", lambda d: {**d, "weights": [[1.0]]}, "malformed 'weights' in JSON input"),
+    # a Euclidean cost beyond what the transport LP solves (kr caps it at 2)
+    ("krmod", lambda d: {**d, "points": [[1e308, 0.0]]}, "Euclidean cost inf exceeds 1e+15"),
+    ("krmod", lambda d: {**d, "points": [[1e16, 0.0]]}, "Euclidean cost 1e+16 exceeds 1e+15"),
+    # JSON numbers are int or float, not str or bool, and cells are pairs
+    ("dk", lambda d: {**d, "members": [{**m, "weight": str(m["weight"])}
+                                       for m in d["members"]]},
+     "malformed 'weight' in JSON input"),
+    ("d0", lambda d: {**d, "members": [{**m, "matrix": [[cell + [5] for cell in row]
+                                                        for row in m["matrix"]]}
+                                       for m in d["members"]]},
+     "a cell of 3 numbers"),
+    ("d0", lambda d: {**d, "dim": True}, "ensemble JSON needs an integer 'dim'"),
+    ("kr", lambda d: {**d, "weights": [True]},
+     "malformed 'weights' in JSON input: numbers nested 1 deep expected"),
 ])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
 def test_bad_metric_input_exits_2(example1_files, tmp_path, capsys, name, replace_a,
                                   message):
     a, b = example1_files
@@ -269,6 +291,81 @@ def test_bad_metric_input_exits_2(example1_files, tmp_path, capsys, name, replac
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_kr_caps_a_distance_beyond_the_float_range(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"points": [[1e308, 0.0]], "weights": [1.0]}))
+    b.write_text(json.dumps({"points": [[-1e308, 0.0]], "weights": [1.0]}))
+    assert main(["metric", "kr", "--a", str(a), "--b", str(b)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["value"] == pytest.approx(2.0, abs=1e-9)
+    assert captured.err == ""
+
+
+def test_overflowing_member_prints_one_error_line(tmp_path):
+    # in process, pytest would take numpy's warnings apart from stderr, so
+    # this runs the CLI in a fresh interpreter and reads its whole stderr
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "members": [
+        {"weight": 1.0, "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]]}]}))
+    argv = ["metric", "d0", "--a", str(bad), "--b", str(bad)]
+    res = fresh_python(f"import sys\nfrom qensembles.cli import main\nsys.exit(main({argv!r}))")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: state trace nan") and res.stderr.count("\n") == 1
+
+
+# JSON values of every kind, with numbers at and beyond the float range
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_VALID_INPUTS = {
+    "ensemble": {"dim": 2, "members": [
+        {"weight": 0.5, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        {"weight": 0.5, "matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]},
+    ]},
+    "points": {"points": [[0.0, 0.0], [1.0, 0.5]], "weights": [0.25, 0.75]},
+}
+
+
+def _mutated(data, tree):
+    """tree with the node at a drawn path kept or replaced by drawn JSON; a
+    number is more often replaced by another number."""
+    if isinstance(tree, (dict, list)) and tree and data.draw(st.integers(0, 7)):
+        key = data.draw(st.sampled_from(list(tree) if isinstance(tree, dict)
+                                        else range(len(tree))))
+        tree = dict(tree) if isinstance(tree, dict) else list(tree)
+        tree[key] = _mutated(data, tree[key])
+        return tree
+    if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        return data.draw(st.just(tree) | st.floats() | _JSON)
+    return data.draw(st.just(tree) | _JSON)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["d0", "dk", "dehs", "kr", "krmod"]))
+def test_mutated_metric_input_exits_2_or_prints_finite_values(data, name):
+    valid = _VALID_INPUTS["points" if name in ("kr", "krmod") else "ensemble"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        a.write_text(json.dumps(_mutated(data, valid)))
+        b.write_text(json.dumps(valid))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["metric", name, "--a", str(a), "--b", str(b)])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code == 0 and err.getvalue() == ""
+        values = json.loads(out.getvalue())
+        assert all(math.isfinite(v) for key, v in values.items() if key != "metric")
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-7", "nan"])

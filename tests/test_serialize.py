@@ -5,7 +5,6 @@ import pytest
 
 from qensembles import PointMeasure, ValidationError
 from qensembles.bounds import BoundReport
-from qensembles.experiments import TrialRecord
 from qensembles.randomgen import random_ensemble, random_state
 from qensembles import serialize as ser
 
@@ -39,27 +38,25 @@ def test_point_measure_round_trip(rng):
     assert np.allclose(back.weights, pm.weights)
 
 
-def _records():
+def _reports():
     return [
-        TrialRecord(0, BoundReport(tag="a", rhs=1.0, epsilon=0.1, lhs=0.5,
-                                   params={"dim": np.int64(3), "p": np.float64(0.2)}),
-                    seconds=0.123),
-        TrialRecord(1, BoundReport(tag="b", rhs=2.0, epsilon=0.2,
-                                   params={"flag": True})),
+        BoundReport(tag="a", rhs=1.0, epsilon=0.1, lhs=0.5,
+                    params={"dim": np.int64(3), "p": np.float64(0.2)}),
+        BoundReport(tag="b", rhs=2.0, epsilon=0.2, params={"flag": True}),
     ]
 
 
 def test_report_serialization_excludes_timing_and_is_deterministic():
-    a = ser.reports_to_json(_records())
-    b = ser.reports_to_json(_records())
+    a = ser.reports_to_json(_reports())
+    b = ser.reports_to_json(_reports())
     assert a == b
-    assert "seconds" not in a and "0.123" not in a
     rows = json.loads(a)
+    assert [row["trial"] for row in rows] == [0, 1]  # numbered by position
     assert rows[0]["holds"] is True and rows[1]["holds"] is None
     assert rows[0]["params"] == {"dim": 3, "p": 0.2}
 
-    csv_a = ser.reports_to_csv(_records())
-    csv_b = ser.reports_to_csv(_records())
+    csv_a = ser.reports_to_csv(_reports())
+    csv_b = ser.reports_to_csv(_reports())
     assert csv_a == csv_b
     assert csv_a.splitlines()[0] == "trial,tag,lhs,rhs,epsilon,holds,params"
 

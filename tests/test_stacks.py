@@ -208,12 +208,19 @@ class TestEnsembleValidation:
         with pytest.raises(ValidationError, match="different lengths"):
             Ensemble(2, [0.5, 0.5], [np.eye(2) / 2])
 
+    @pytest.mark.filterwarnings("error")
     def test_point_measure_shares_the_weight_checks(self):
         pts = np.zeros((2, 2))
         with pytest.raises(ValidationError, match="nonnegative"):
             PointMeasure(pts, [1.5, -0.5])
         with pytest.raises(ValidationError, match="sum to"):
             PointMeasure(pts, [0.5, 0.6])
+        # a sum beyond the float range fails as inf, without a warning
+        with pytest.raises(ValidationError, match="sum to inf"):
+            PointMeasure(pts, [1.7e308, 1.7e308])
+        # one weight per point, in a vector
+        with pytest.raises(ValidationError, match=r"weights \(n,\), got shapes \(2, 2\) and \(1, 2\)"):
+            PointMeasure(pts, [[0.5, 0.5]])
         # within the shared 1e-10 tolerance, clipped at 0
         assert PointMeasure(pts, [1.0 + 5e-11, -5e-11]).weights[1] == 0.0
 
