@@ -19,7 +19,6 @@ from .linalg import (
     TRACE_TOL,
     _check_traces,
     _eigvalsh,
-    _running_sum,
     _value,
     check_density,
     hermitian_part,
@@ -99,7 +98,7 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"input shape {rho.shape} != ({self.dim_in}, {self.dim_in})"
             )
-        return hermitian_part(_running_sum(_sandwich(self.kraus, rho), axis=-3))
+        return hermitian_part(np.sum(_sandwich(self.kraus, rho), axis=-3))
 
     def compose(self, inner):
         """self after inner: Kraus products K_i L_j."""
@@ -264,11 +263,7 @@ def poisson_entropy(lam):
     table is built at the largest top, and each block of sorted rows (at most
     _POISSON_BLOCK_CELLS terms) gets its terms from one 2-D exp at the block's
     widest top. The terms are elementwise, so a row's extra columns change
-    none of its own. Each row is then summed over exactly its top + 1 terms,
-    one add.reduce(axis=1) (np.sum's kernel) per run of rows sharing a top
-    within a block. Rows are never padded: a row is added pairwise with its
-    last n % 8 terms one by one, so trailing zeros would move the rounding.
-    An array therefore gives the scalar values bit for bit.
+    none of its own, and each row sums only its own top + 1 terms.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0.0):  # also rejects NaN
@@ -291,18 +286,13 @@ def poisson_entropy(lam):
     n = np.arange(tops[-1] + 1)
     log_fact = _special().gammaln(n + 1.0)
     rows = _POISSON_BLOCK_CELLS // n.size
-    # segments [a, b) of sorted rows within one block and sharing one top
-    cuts = np.union1d(np.flatnonzero(np.diff(tops)) + 1,
-                      np.arange(rows, pos.size, rows)).tolist()
     series = np.empty(pos.size)
-    for a, b in zip([0] + cuts, cuts + [pos.size]):
-        if a % rows == 0:  # a block starts: its terms at its widest top
-            block = slice(a, min(a + rows, pos.size))
-            width = tops[block.stop - 1] + 1
-            log_pmf = (-lam_s[block, None] + n[:width] * log_lam[block, None]
-                       - log_fact[:width])
-            terms = np.exp(log_pmf) * log_fact[:width]
-        series[a:b] = np.add.reduce(terms[a - block.start:b - block.start, :tops[a] + 1],
-                                    axis=1)
+    for a in range(0, pos.size, rows):
+        block = slice(a, min(a + rows, pos.size))
+        width = tops[block.stop - 1] + 1  # the block's widest top
+        log_pmf = (-lam_s[block, None] + n[:width] * log_lam[block, None]
+                   - log_fact[:width])
+        terms = np.exp(log_pmf) * log_fact[:width]
+        series[block] = np.sum(terms, axis=1, where=n[:width] <= tops[block, None])
     out[pos] = lam_s * (1.0 - log_lam) + series
     return _value(out.reshape(lam.shape))

@@ -17,7 +17,6 @@ from .channels import FOCK_CAP
 from .errors import EnergyRangeError, TruncationError, ValidationError
 from .linalg import (
     _positive_part,
-    _running_sum,
     _value,
     check_hermitian,
     eigvals_desc,
@@ -78,7 +77,7 @@ def _passive(lam):
 
 def avg_passive_energy(ensemble):
     """Weighted average of member passive energies."""
-    return _running_sum(ensemble.weights * _passive(ensemble.spectra[:, ::-1]))
+    return float(np.sum(ensemble.weights * _passive(ensemble.spectra[:, ::-1])))
 
 
 def truncated_passive_energy(ensemble, eps):
@@ -88,7 +87,7 @@ def truncated_passive_energy(ensemble, eps):
     cut = ensemble.weights[:, None, None] * ensemble.states - eps * np.eye(ensemble.dim)
     # cut is exactly Hermitian; the products of _positive_part are not, and
     # passive_energy symmetrizes them
-    return _running_sum(passive_energy(_positive_part(cut)))
+    return float(np.sum(passive_energy(_positive_part(cut))))
 
 
 def _thermal_populations(energy, levels=None):

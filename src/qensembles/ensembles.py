@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from . import linalg
-from .linalg import _density_spectrum, _running_sum, check_density, outer, shannon_entropy
+from .linalg import _density_spectrum, check_density, outer, shannon_entropy
 
 WEIGHT_TOL = 1e-10
 SUPPORT_CUT = 1e-12
@@ -128,12 +128,12 @@ def _weighted(mu):
 
 def average_state(mu):
     """Barycenter sum_i p_i rho_i."""
-    return linalg.hermitian_part(_running_sum(_weighted(mu)))
+    return linalg.hermitian_part(np.sum(_weighted(mu), axis=0))
 
 
 def average_entropy(mu):
     """Sum_i p_i S(rho_i)."""
-    return _running_sum(mu.weights * shannon_entropy(mu.spectra))
+    return float(np.sum(mu.weights * shannon_entropy(mu.spectra)))
 
 
 def _support_inv_sqrt(rho):
@@ -191,7 +191,7 @@ def steer_to_average(mu, sigma):
         rest = linalg.hermitian_part(remainder / q_rest)[None]
         q, states = np.append(q, q_rest), np.concatenate([states, rest])
         mu_weights, mu_states = np.append(mu_weights, 0.0), np.concatenate([mu_states, rest])
-    return (Ensemble(mu.dim, q / _running_sum(q), states),
+    return (Ensemble(mu.dim, q / np.sum(q), states),
             Ensemble(mu.dim, mu_weights, mu_states))
 
 

@@ -35,10 +35,16 @@ def check_hermitian(a, name="operator"):
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
-    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2))) if a.size else 0.0
+    # inf entries leave a NaN deviation, and entries near the float range
+    # overflow once symmetrized; both are rejected, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2))) if a.size else 0.0
+        h = hermitian_part(a)
     if not dev <= HERM_TOL:  # also rejects NaN and inf entries
         raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e} > {HERM_TOL})")
-    return hermitian_part(a)
+    if not np.isfinite(h).all():
+        raise ValidationError(f"{name} entries overflow once symmetrized")
+    return h
 
 
 def _eigvalsh(h):
@@ -60,13 +66,12 @@ def check_density(rho, dim=None):
 def _density_spectrum(rho, dim=None):
     """check_density that also returns the ascending spectra it decomposed; a
     stack's error names the first matrix that fails."""
-    # inf entries, and entries near the float range that overflow once
-    # symmetrized, leave inf and NaN that the checks below reject; numpy
-    # would print a warning for each first
+    rho = check_hermitian(rho, name="state")
+    if dim is not None and rho.shape[-1] != dim:
+        raise DimensionMismatch(f"state has dim {rho.shape[-1]}, expected {dim}")
+    # a trace past the float range adds up to inf or NaN, which the check
+    # rejects; numpy would print a warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = check_hermitian(rho, name="state")
-        if dim is not None and rho.shape[-1] != dim:
-            raise DimensionMismatch(f"state has dim {rho.shape[-1]}, expected {dim}")
         _check_traces(rho)
     w = _eigvalsh(rho)
     low = w[..., 0].reshape(-1)
@@ -98,13 +103,6 @@ def outer(psi):
 def _value(x):
     # one matrix's value as a Python float, a stack's as an array
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _running_sum(x, axis=0):
-    """Sum along an axis left to right, as a loop over its entries adds it.
-    np.sum adds a contiguous axis pairwise once it has more than a few terms,
-    which can move the last bit."""
-    return _value(np.take(np.add.accumulate(x, axis=axis), -1, axis=axis))
 
 
 def eigvals_desc(a):

@@ -11,9 +11,10 @@ Poisson entropy via its defining series with `math.lgamma`, the average entropy
 of an ensemble as the conditional entropy S(A|C) of its q-c state built block by
 block, the Holevo quantity as an average of relative entropies, g(x) from its
 defining formula in 700-digit `mpmath`, the displaced-Gibbs average
-node by node with each displacement from `scipy.linalg.expm`, and the
+node by node with each displacement from `scipy.linalg.expm`, the
 oscillator's truncated Gibbs state by bisection on its Boltzmann factor in
-`mpmath`.
+`mpmath`, and any floating-point sum against `math.fsum`, its correctly
+rounded value.
 """
 
 import itertools
@@ -24,6 +25,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
+
+EPS = np.finfo(float).eps
 
 
 def charpoly_coeffs(a):
@@ -288,6 +291,26 @@ def kr_dual_lp(points_a, w_a, points_b, w_b):
     return float(-res.fun)
 
 
+def near_fsum(value, terms):
+    """Whether value lies within 4 eps * fsum(|t|) of fsum(t), the
+    correctly rounded sum of the terms. Array terms are checked entry by
+    entry, real and imaginary parts apart.
+
+    Added in any order, n terms are off by at most about (n - 1) eps/2 *
+    sum |t| (log2(n) eps/2 * sum |t| pairwise); 4 eps covers any order of a
+    few terms and the typical error, not the worst case, of long sums."""
+    terms = np.asarray(terms)
+    value = np.asarray(value)
+    parts = (np.real, np.imag) if np.iscomplexobj(terms) else (np.real,)
+    for part in parts:
+        columns = part(terms).reshape(len(terms), -1).T.tolist()
+        for entry, column in zip(part(value).reshape(-1).tolist(), columns):
+            scale = math.fsum(abs(t) for t in column)
+            if not abs(entry - math.fsum(column)) <= 4 * EPS * scale:
+                return False
+    return True
+
+
 def poisson_entropy_series(lam):
     """-sum_n p_n ln p_n for Poisson(lam), with ln p_n = -lam + n ln lam - ln n!
     from math.lgamma, summed term by term far past the bulk of the mass."""
@@ -368,13 +391,13 @@ def g_mpmath(x):
 def displaced_average_bruteforce(g, n_max, radial, angular, r_hi, n_mean):
     """Unit-trace Gaussian average of D(zeta) diag(g) D(zeta)^dag over the full
     radial x angular polar grid on |zeta| <= r_hi, node by node, each D(zeta)
-    the matrix exponential of zeta a^dag - conj(zeta) a; and the weight the
-    grid captures."""
+    the matrix exponential of zeta a^dag - conj(zeta) a; and the list of the
+    weights the grid's nodes capture."""
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
     gibbs = np.diag(np.asarray(g, dtype=complex))
     xs, ws = np.polynomial.legendre.leggauss(radial)
     avg = np.zeros_like(gibbs)
-    total_w = 0.0
+    node_weights = []
     for x, w in zip(xs, ws):
         r = 0.5 * r_hi * (x + 1.0)
         wr = 0.5 * r_hi * w * (2.0 * r / n_mean) * math.exp(-r * r / n_mean)
@@ -382,8 +405,8 @@ def displaced_average_bruteforce(g, n_max, radial, angular, r_hi, n_mean):
             zeta = r * np.exp(2j * np.pi * k / angular)
             d_op = expm(zeta * a.T - np.conj(zeta) * a)
             avg += (wr / angular) * (d_op @ gibbs @ d_op.conj().T)
-            total_w += wr / angular
-    return avg / np.trace(avg).real, total_w
+            node_weights.append(wr / angular)
+    return avg / np.trace(avg).real, node_weights
 
 
 def thermal_populations_oracle(energy, levels, dps=40, steps=150):

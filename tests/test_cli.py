@@ -237,14 +237,14 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ("dk", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1.2, 0], [0, 0]],
                                                                         [[0, 0], [-0.2, 0]]]}]},
      "state has negative eigenvalue"),
-    # a Hermitian member whose symmetrized diagonal overflows: its trace and
-    # spectrum are NaN, which must fail the tolerance tests
+    # a Hermitian member whose symmetrized diagonal overflows to inf+nanj,
+    # which check_hermitian rejects before any trace or spectrum is taken
     ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1e308, 0], [0, 0]],
                                                                         [[0, 0], [-1e308, 0]]]}]},
-     "state trace nan deviates from 1"),
+     "state entries overflow once symmetrized"),
     ("dk", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1e308, 0], [0, 0]],
                                                                         [[0, 0], [-1e308, 0]]]}]},
-     "state trace nan deviates from 1"),
+     "state entries overflow once symmetrized"),
     # a ragged row, a cell that is an object, and an entry beyond the float range
     ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1, 0]],
                                                                         [[0, 0], [0, 0]]]}]},
@@ -313,7 +313,7 @@ def test_overflowing_member_prints_one_error_line(tmp_path):
     argv = ["metric", "d0", "--a", str(bad), "--b", str(bad)]
     res = fresh_python(f"import sys\nfrom qensembles.cli import main\nsys.exit(main({argv!r}))")
     assert res.returncode == 2 and res.stdout == ""
-    assert res.stderr.startswith("error: state trace nan") and res.stderr.count("\n") == 1
+    assert res.stderr.startswith("error: state entries overflow") and res.stderr.count("\n") == 1
 
 
 # JSON values of every kind, with numbers at and beyond the float range

@@ -20,6 +20,7 @@ from qensembles.linalg import (
     check_density,
     check_hermitian,
     hermitian_part,
+    matrix_sqrt_psd,
     outer,
 )
 from qensembles.randomgen import random_pure, random_state, random_unitary
@@ -390,16 +391,18 @@ class TestSpectrumPath:
             with pytest.raises(ValidationError):
                 von_neumann_entropy(bad)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_entries_rejected(self):
-        # LAPACK returns finite garbage for a NaN diagonal; neither path may see one
+        # LAPACK returns finite garbage for a NaN diagonal; neither path may see
+        # one. diag(1e308, -1e308) is finite and Hermitian but overflows once
+        # symmetrized; every case is rejected without a numpy warning
         dense = np.full((2, 2), 0.25, dtype=complex)
         dense[0, 1] = dense[1, 0] = np.nan
-        for bad in (np.diag([np.nan, 0.5, 0.5]), np.diag([np.inf, 0.0, 0.0]), dense):
-            with pytest.raises(ValidationError):
-                von_neumann_entropy(bad)
-            with pytest.raises(ValidationError):
-                trace_norm(bad)
+        for bad in (np.diag([np.nan, 0.5, 0.5]), np.diag([np.inf, 0.0, 0.0]), dense,
+                    np.diag([1e308, -1e308])):
+            for fn in (von_neumann_entropy, trace_norm, eigvals_desc, matrix_sqrt_psd):
+                with pytest.raises(ValidationError):
+                    fn(bad)
 
 
 @st.composite

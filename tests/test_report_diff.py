@@ -71,6 +71,29 @@ def test_compare_reports_a_one_ulp_move(tmp_path):
     ]
 
 
+def test_golden_prints_the_table_of_its_rewrite(tmp_path):
+    # the rewrite prints what moved from the old golden reports to the new
+    # ones, then leaves the new ones in their place
+    tool = load_tool()
+    args = dict(seeds=(7000,), trials=3, only=[("verify", "lemmas")])
+    golden, manifest = tmp_path / "golden", tmp_path / "manifest.json"
+    (path,) = tool.run(golden, **args)
+    fresh = path.read_bytes()
+    rows = json.loads(fresh)
+    row = next(r for r in rows if r["holds"])
+    row["rhs"] = row["rhs"] + 0.25
+    path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    out = io.StringIO()
+    assert tool.write_golden(golden, manifest, out=out, **args) == [path]
+    assert out.getvalue().splitlines() == [
+        f"{path.name}: differs",
+        f"  {row['tag']} rhs: max |delta| 0.25 (1 row)",
+    ]
+    assert [p.name for p in golden.iterdir()] == [path.name]
+    assert path.read_bytes() == fresh
+    assert json.loads(manifest.read_text()) == {"stack": tool.stack()}
+
+
 def test_reports_match_the_golden_manifest(tmp_path):
     # every verify and repro report, regenerated in this process, has the
     # bytes of its file in tests/golden/; `report_diff.py golden` rewrites

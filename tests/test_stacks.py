@@ -1,10 +1,11 @@
 """Ensembles and Kraus sets stored as stacks.
 
 Every stacked kernel must equal, bit for bit, the per-matrix calls of the same
-public functions, with scalar totals added left to right as a loop over the
-members adds them. Degenerate inputs (zero weights, rank-1 states, single
-members, ensembles of different lengths, and 8 or more members, where
-np.sum would stop adding left to right) are drawn on purpose.
+public functions; a total over the members must lie within a few eps of the
+correctly rounded sum of the per-member terms (oracles.near_fsum). Degenerate
+inputs (zero weights, rank-1 states, single members, ensembles of different
+lengths, and 8 or more members, where np.sum adds pairwise) are drawn on
+purpose.
 """
 
 import numpy as np
@@ -34,15 +35,9 @@ from qensembles.ensembles import mix_members_toward
 from qensembles.linalg import _positive_part, check_density, hermitian_part
 from qensembles.randomgen import random_channel, random_state
 
+from oracles import near_fsum
+
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
-
-
-def running(terms):
-    """Left-to-right total, the reference every stacked sum must equal."""
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
 
 
 def per_matrix(fn, stack):
@@ -111,10 +106,8 @@ class TestStackedKernels:
         # a traceless input makes the operator terms cancel, where the order
         # of the additions shows in the last bits
         herm = mu.states - average_state(mu)
-        acc = np.zeros((chan.dim_out, chan.dim_out), dtype=complex)
-        for k in chan.kraus:
-            acc += k @ herm[-1] @ k.conj().T
-        assert np.array_equal(chan.apply(herm)[-1], hermitian_part(acc))
+        assert near_fsum(chan.apply(herm)[-1],
+                         [hermitian_part(k @ herm[-1] @ k.conj().T) for k in chan.kraus])
 
     @SETTINGS
     @given(ensemble_and_channel())
@@ -124,16 +117,16 @@ class TestStackedKernels:
         for w, rho in mu.members:
             acc += w * rho
         assert np.array_equal(average_state(mu), hermitian_part(acc))
-        assert average_entropy(mu) == running(
-            w * von_neumann_entropy(rho) for w, rho in mu.members)
-        assert aoe(chan, mu) == running(
-            w * von_neumann_entropy(chan.apply(rho)) for w, rho in mu.members)
-        assert avg_passive_energy(mu) == running(
-            w * passive_energy(rho) for w, rho in mu.members)
+        assert near_fsum(average_entropy(mu),
+                         [w * von_neumann_entropy(rho) for w, rho in mu.members])
+        assert near_fsum(aoe(chan, mu),
+                         [w * von_neumann_entropy(chan.apply(rho)) for w, rho in mu.members])
+        assert near_fsum(avg_passive_energy(mu),
+                         [w * passive_energy(rho) for w, rho in mu.members])
         eps = 0.05
-        assert truncated_passive_energy(mu, eps) == running(
-            passive_energy(_positive_part(w * rho - eps * np.eye(mu.dim)))
-            for w, rho in mu.members)
+        assert near_fsum(truncated_passive_energy(mu, eps),
+                         [passive_energy(_positive_part(w * rho - eps * np.eye(mu.dim)))
+                          for w, rho in mu.members])
 
     @SETTINGS
     @given(ensemble_pairs())
@@ -143,10 +136,11 @@ class TestStackedKernels:
         n = max(len(mu), len(nu))
         a = mu.members + [filler] * (n - len(mu))
         b = nu.members + [filler] * (n - len(nu))
-        assert d0(mu, nu) == 0.5 * running(
-            trace_norm(p * r - q * s) for (p, r), (q, s) in zip(a, b))
-        assert dk_upper(mu, nu) == 0.5 * running(
-            min(p, q) * trace_norm(r - s) + abs(p - q) for (p, r), (q, s) in zip(a, b))
+        assert near_fsum(d0(mu, nu), [
+            0.5 * trace_norm(p * r - q * s) for (p, r), (q, s) in zip(a, b)])
+        assert near_fsum(dk_upper(mu, nu), [
+            0.5 * (min(p, q) * trace_norm(r - s) + abs(p - q))
+            for (p, r), (q, s) in zip(a, b)])
 
     @SETTINGS
     @given(ensembles(), st.floats(0.0, 1.0))

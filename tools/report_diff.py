@@ -17,13 +17,14 @@ byte-identical, otherwise each field that moved (grouped by tag) with its
 max |delta| and the number of rows it moved in, and every ``holds`` flag
 that flipped. It exits 0 when every report is identical, 1 otherwise.
 
-``golden`` rewrites the golden reports: it writes ``run``'s 33 reports to
-tests/golden/ and records in tests/golden_reports.json the numpy, scipy and
-BLAS versions that made them. The Tier-1 test
-``test_reports_match_the_golden_manifest`` regenerates them and compares
-them byte for byte with the golden files.
-Rewrite them only in a change that means to move report bits, and give that
-change's ``compare`` table.
+``golden`` rewrites the golden reports: it writes ``run``'s 33 reports,
+prints the ``compare`` table from the golden reports in tests/golden/ to the
+new ones, then puts the new ones in their place and records in
+tests/golden_reports.json the numpy, scipy and BLAS versions that made them.
+The Tier-1 test ``test_reports_match_the_golden_manifest`` regenerates them
+and compares them byte for byte with the golden files.
+Rewrite them only in a change that means to move report bits, and give the
+table the rewrite printed with that change.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -88,12 +91,19 @@ def stack():
             "blas": f"{blas['name']} {blas['version']}"}
 
 
-def write_golden():
-    """Replace the golden reports and record the stack that made them."""
-    for old in GOLDEN.glob("*.json"):
-        old.unlink()
-    paths = run(GOLDEN)
-    MANIFEST.write_text(json.dumps({"stack": stack()}, indent=2, sort_keys=True) + "\n")
+def write_golden(golden=GOLDEN, manifest=MANIFEST, out=sys.stdout, **run_args):
+    """Print the compare table from the golden reports to freshly run ones,
+    then replace the golden reports with them and record the stack that made
+    them; run_args go to run."""
+    golden = Path(golden)
+    golden.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = run(tmp, **run_args)
+        compare(golden, tmp, out=out)
+        for old in golden.glob("*.json"):
+            old.unlink()
+        paths = [Path(shutil.move(path, golden / path.name)) for path in fresh]
+    Path(manifest).write_text(json.dumps({"stack": stack()}, indent=2, sort_keys=True) + "\n")
     return paths
 
 
