@@ -18,7 +18,6 @@ from .ensembles import Ensemble, average_entropy, average_state
 from .linalg import (
     TRACE_TOL,
     _check_traces,
-    _eigvalsh,
     _value,
     check_density,
     hermitian_part,
@@ -30,18 +29,16 @@ from .linalg import (
 # operator norm, hence the trace error it adds to any state
 KRAUS_TP_TOL = TRACE_TOL
 FOCK_CAP = 512
+# ln n! for n = 0..FOCK_CAP, the one table coherent_state and poisson_entropy read
+_LOG_FACTORIAL = np.array([math.lgamma(n + 1.0) for n in range(FOCK_CAP + 1)])
+_LOG_FACTORIAL.setflags(write=False)
 # series terms poisson_entropy evaluates at once: each temporary is 128 KiB
 # of float64, which stays in cache (2**17-cell blocks ran slower)
 _POISSON_BLOCK_CELLS = 2**14
-
-
-@functools.cache
-def _special():
-    # scipy.special loads on first use, not on import: coherent_state and
-    # poisson_entropy need gammaln, experiments.gaussian_grid_measure ndtr
-    import scipy.special
-
-    return scipy.special
+# eigenvalues of mix_with_state's omega at or below this give no Kraus operators
+MIX_EIG_CUT = 1e-14
+# coherent_state's truncated vector must reach norm 1 - COHERENT_NORM_BUDGET
+COHERENT_NORM_BUDGET = 1e-10
 
 
 def _sandwich(ops, rho):
@@ -147,7 +144,7 @@ def holevo_chi(chan, mu):
 def _holevo_chi(out_mu, out_avg):
     # holevo_chi from the output ensemble Phi(mu) and the output Phi(avg mu)
     # the caller built: S(Phi(avg)) - average_entropy(Phi(mu)), clamped at 0
-    chi = shannon_entropy(_eigvalsh(out_avg)) - average_entropy(out_mu)
+    chi = shannon_entropy(np.linalg.eigvalsh(out_avg)) - average_entropy(out_mu)
     return max(chi, 0.0)
 
 
@@ -192,7 +189,7 @@ def mix_with_state(dim, eps, omega):
     if eps > 0.0:
         w, v = np.linalg.eigh(omega)
         for lam, col in zip(w, v.T):
-            if lam > 1e-14:
+            if lam > MIX_EIG_CUT:
                 for j in range(dim):
                     k = np.zeros((dim, dim), dtype=complex)
                     k[:, j] = math.sqrt(eps * lam) * col
@@ -205,9 +202,12 @@ def mix_with_state(dim, eps, omega):
 # ---------------------------------------------------------------------------
 
 def coherent_state(zeta, n_max):
-    """Truncated coherent vector; requires |zeta|^2 <= n_max/4 so the raw tail
-    stays below the 1e-10 budget, then renormalizes to exact unit norm."""
+    """Truncated coherent vector on levels 0..n_max (at most FOCK_CAP);
+    requires |zeta|^2 <= n_max/4 so the raw tail stays below
+    COHERENT_NORM_BUDGET, then renormalizes to exact unit norm."""
     zeta = complex(zeta)
+    if n_max > FOCK_CAP:
+        raise TruncationError(f"n_max = {n_max} exceeds FOCK_CAP = {FOCK_CAP}")
     nbar = abs(zeta) ** 2
     if nbar > n_max / 4.0:
         raise TruncationError(
@@ -218,12 +218,12 @@ def coherent_state(zeta, n_max):
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    log_mag = -0.5 * nbar + 0.5 * (n * math.log(nbar) - _special().gammaln(n + 1.0))
+    log_mag = -0.5 * nbar + 0.5 * (n * math.log(nbar) - _LOG_FACTORIAL[:n.size])
     phase = np.exp(1j * n * np.angle(zeta))
     amps = np.exp(log_mag) * phase
     nrm = np.linalg.norm(amps)
-    if nrm < 1.0 - 1e-10:
-        raise TruncationError(f"truncated norm {nrm} below 1 - 1e-10")
+    if nrm < 1.0 - COHERENT_NORM_BUDGET:
+        raise TruncationError(f"truncated norm {nrm} below 1 - {COHERENT_NORM_BUDGET}")
     return amps / nrm
 
 
@@ -259,11 +259,12 @@ def poisson_entropy(lam):
     12 sqrt(lam) + 40, and a top past FOCK_CAP (lam above about 274) raises
     TruncationError.
 
-    An array is evaluated in blocks: the lam are sorted by top, one ln n!
-    table is built at the largest top, and each block of sorted rows (at most
-    _POISSON_BLOCK_CELLS terms) gets its terms from one 2-D exp at the block's
-    widest top. The terms are elementwise, so a row's extra columns change
-    none of its own, and each row sums only its own top + 1 terms.
+    The ln n! terms are read from the module table _LOG_FACTORIAL, built
+    once at import. An array is evaluated in blocks: the lam are sorted by
+    top, and each block of sorted rows (at most _POISSON_BLOCK_CELLS terms)
+    gets its terms from one 2-D exp at the block's widest top. The terms are
+    elementwise, so a row's extra columns change none of its own, and each
+    row sums only its own top + 1 terms.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0.0):  # also rejects NaN
@@ -282,17 +283,16 @@ def poisson_entropy(lam):
     order = np.argsort(tops)
     pos, tops = pos[order], tops[order]
     lam_s = flat[pos]
-    log_lam = np.array([math.log(x) for x in lam_s.tolist()])
+    log_lam = np.log(lam_s)
     n = np.arange(tops[-1] + 1)
-    log_fact = _special().gammaln(n + 1.0)
     rows = _POISSON_BLOCK_CELLS // n.size
     series = np.empty(pos.size)
     for a in range(0, pos.size, rows):
         block = slice(a, min(a + rows, pos.size))
         width = tops[block.stop - 1] + 1  # the block's widest top
-        log_pmf = (-lam_s[block, None] + n[:width] * log_lam[block, None]
-                   - log_fact[:width])
-        terms = np.exp(log_pmf) * log_fact[:width]
+        log_fact = _LOG_FACTORIAL[:width]
+        log_pmf = -lam_s[block, None] + n[:width] * log_lam[block, None] - log_fact
+        terms = np.exp(log_pmf) * log_fact
         series[block] = np.sum(terms, axis=1, where=n[:width] <= tops[block, None])
     out[pos] = lam_s * (1.0 - log_lam) + series
     return _value(out.reshape(lam.shape))

@@ -18,7 +18,6 @@ import numpy as np
 from . import bounds as B
 from .channels import (
     _holevo_chi,
-    _special,
     coherent_state,
     displacement_operator,
     erasure_channel,
@@ -650,13 +649,13 @@ def _dephased_coherent_aoe(n_mean, panels):
 
 def gaussian_grid_measure(n_mean, delta, half_cells):
     """Delta-discretization of the Gaussian measure: cell masses from 1-D
-    normal CDF products (variance N/2 per coordinate), cell-center atoms."""
+    normal CDF products (variance N/2 per coordinate), cell-center atoms;
+    the CDF is Phi(x) = erfc(-x / sqrt 2) / 2."""
     sigma = math.sqrt(n_mean / 2.0)
     ks = np.arange(-half_cells, half_cells)
-    edges_lo = delta * ks
-    edges_hi = delta * (ks + 1)
-    ndtr = _special().ndtr
-    mass_1d = ndtr(edges_hi / sigma) - ndtr(edges_lo / sigma)
+    edges = (delta * np.arange(-half_cells, half_cells + 1) / sigma).tolist()
+    cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in edges])
+    mass_1d = cdf[1:] - cdf[:-1]
     centers = delta * (ks + 0.5)
     cx, cy = np.meshgrid(centers, centers, indexing="ij")
     pts = np.column_stack([cx.ravel(), cy.ravel()])

@@ -3,7 +3,7 @@
 States are plain complex ndarrays; the validators below enforce the structural
 invariants (hermiticity within 1e-10, eigenvalues >= -1e-10, unit trace within
 1e-10) at API boundaries. On the exactly Hermitian stacks the package builds
-from validated inputs it calls the unchecked kernels (_eigvalsh, _trace_norm,
+from validated inputs it calls the unchecked kernels (_trace_norm,
 _positive_part) directly: hermitian_part leaves such a stack unchanged, so
 skipping the check moves no bit. All entropies are in nats.
 """
@@ -22,6 +22,8 @@ TRACE_TOL = 1e-10
 LOG_CLAMP = 1e-14
 # eigenvalues within this of zero get sign 0 in the d_ehs tangents
 SIGN_TOL = 1e-12
+# matrix_sqrt_psd zeroes eigenvalues below this times the largest
+SQRT_REL_CUT = 1e-14
 
 
 def hermitian_part(a):
@@ -47,16 +49,6 @@ def check_hermitian(a, name="operator"):
     return h
 
 
-def _eigvalsh(h):
-    """Ascending spectrum of a symmetrized Hermitian matrix or (..., d, d) stack;
-    a matrix with every off-diagonal entry exactly zero gives its sorted diagonal,
-    which is LAPACK's output bit for bit (identity reflectors, 1x1 blocks)."""
-    n = h.shape[-1]
-    if h.ndim == 2 and not h.reshape(-1)[:-1].reshape(n - 1, n + 1)[:, 1:].any():
-        return np.sort(h.diagonal().real)
-    return np.linalg.eigvalsh(h)
-
-
 def check_density(rho, dim=None):
     """Validate a density matrix or (..., d, d) stack of them (Hermitian, PSD,
     unit trace) and return it symmetrized."""
@@ -73,7 +65,7 @@ def _density_spectrum(rho, dim=None):
     # rejects; numpy would print a warning first
     with np.errstate(over="ignore", invalid="ignore"):
         _check_traces(rho)
-    w = _eigvalsh(rho)
+    w = np.linalg.eigvalsh(rho)
     low = w[..., 0].reshape(-1)
     bad = ~(low >= -PSD_TOL)  # also rejects NaN
     if bad.any():
@@ -109,7 +101,7 @@ def eigvals_desc(a):
     """Full real spectrum of a Hermitian matrix, non-increasing, multiplicities
     kept; a (..., d, d) stack gives one spectrum per matrix."""
     a = check_hermitian(a)
-    return _eigvalsh(a)[..., ::-1].copy()
+    return np.linalg.eigvalsh(a)[..., ::-1].copy()
 
 
 def trace_norm(a):
@@ -120,7 +112,7 @@ def trace_norm(a):
 
 def _trace_norm(a):
     # trace_norm of an exactly Hermitian matrix or stack, not checked again
-    return _value(np.sum(np.abs(_eigvalsh(a)), axis=-1))
+    return _value(np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1))
 
 
 def _eta(x):
@@ -171,14 +163,14 @@ def g_func(x):
 def matrix_sqrt_psd(a):
     """PSD square root via eigendecomposition.
 
-    Eigenvalues below 1e-14 * max are zeroed outright, not clipped: machine
-    noise at +1e-17 would otherwise inject 1e-8-scale spurious columns.
+    Eigenvalues below SQRT_REL_CUT * max are zeroed outright, not clipped:
+    machine noise at +1e-17 would otherwise inject 1e-8-scale spurious columns.
     """
     a = check_hermitian(a)
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
     if w.size:
-        w[w < 1e-14 * float(w[-1])] = 0.0
+        w[w < SQRT_REL_CUT * float(w[-1])] = 0.0
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -50,18 +50,12 @@ def random_unitary(dim, rng):
     return q * ph
 
 
-def random_isometry(dim_in, dim_out, rng):
-    """Haar isometry: first dim_in columns of a Haar unitary on dim_out."""
-    if dim_out < dim_in:
-        raise ValidationError("isometry needs dim_out >= dim_in")
-    return random_unitary(dim_out, rng)[:, :dim_in]
-
-
 def random_channel(dim_in, dim_out, env_dim, rng):
-    """Random channel from a Haar isometry into output (x) environment."""
+    """Random channel from a Haar isometry into output (x) environment: the
+    first dim_in columns of a Haar unitary on dim_out * env_dim."""
     if dim_out * env_dim < dim_in:
         raise ValidationError("need dim_out * env_dim >= dim_in for an isometry")
-    v = random_isometry(dim_in, dim_out * env_dim, rng)
+    v = random_unitary(dim_out * env_dim, rng)[:, :dim_in]
     kraus = v.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1)
     return KrausChannel._trusted(dim_in, dim_out, np.ascontiguousarray(kraus))
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 from qensembles import (
     KrausChannel,
@@ -23,6 +22,7 @@ from qensembles import (
 )
 from qensembles.channels import (
     FOCK_CAP,
+    _LOG_FACTORIAL,
     _POISSON_BLOCK_CELLS,
     displacement_operator,
     poisson_entropy,
@@ -285,6 +285,12 @@ class TestCoherent:
         vec = coherent_state(2.0, 30)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
+    def test_truncation_past_fock_cap_raises(self):
+        # the ln n! table ends at FOCK_CAP; a longer vector is a TruncationError
+        assert coherent_state(0.5, FOCK_CAP).shape == (FOCK_CAP + 1,)
+        with pytest.raises(TruncationError, match="FOCK_CAP"):
+            coherent_state(0.5, FOCK_CAP + 1)
+
     def test_poisson_entropy_matches_dephased_state(self):
         n_max, zeta = 50, 1.2
         out = np.diag(np.abs(coherent_state(zeta, n_max)) ** 2)
@@ -303,9 +309,10 @@ def one_series(lam):
         return 0.0
     top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
     n = np.arange(top + 1)
-    log_fact = gammaln(n + 1.0)
-    log_pmf = -lam + n * math.log(lam) - log_fact
-    return lam * (1.0 - math.log(lam)) + float(np.sum(np.exp(log_pmf) * log_fact))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+    log_lam = np.log(lam)
+    log_pmf = -lam + n * log_lam - log_fact
+    return lam * (1.0 - log_lam) + float(np.sum(np.exp(log_pmf) * log_fact))
 
 
 class TestClosedFormKernels:
@@ -377,6 +384,16 @@ class TestClosedFormKernels:
                      np.array([[1.0, 2.0], [274.0, 275.0]])):
             with pytest.raises(TruncationError):
                 poisson_entropy(lams)
+
+    def test_log_factorial_table_is_lgamma(self):
+        # scipy.special.gammaln is an independent oracle for the stdlib lgamma
+        from scipy.special import gammaln
+
+        assert _LOG_FACTORIAL.tolist() == [math.lgamma(k + 1.0) for k in range(FOCK_CAP + 1)]
+        ref = gammaln(np.arange(FOCK_CAP + 1) + 1.0)
+        assert np.all(np.abs(_LOG_FACTORIAL - ref) <= 1e-15 * np.abs(ref))
+        with pytest.raises(ValueError):
+            _LOG_FACTORIAL[3] = 0.0
 
     @pytest.mark.parametrize("lam", [-1e-9, [0.5, -2.0], [float("nan")]])
     def test_poisson_entropy_rejects_negative(self, lam):

@@ -199,6 +199,23 @@ def test_gaussian_grid_mass_is_normalized():
     assert pts.shape == (18 * 18, 2)
 
 
+@pytest.mark.parametrize("n_mean, delta, half_cells", [(1.0, 0.5, 9), (1.0, 0.25, 17),
+                                                       (3.0, 0.1, 74), (0.2, 1.5, 1)])
+def test_gaussian_grid_masses_match_ndtr(n_mean, delta, half_cells):
+    # scipy.special.ndtr is an independent oracle for the erfc-built CDF
+    from scipy.special import ndtr
+
+    sigma = math.sqrt(n_mean / 2.0)
+    ks = np.arange(-half_cells, half_cells)
+    mass_1d = ndtr(delta * (ks + 1) / sigma) - ndtr(delta * ks / sigma)
+    ref = np.outer(mass_1d, mass_1d).ravel()
+    pts, wts = gaussian_grid_measure(n_mean, delta, half_cells)
+    assert np.max(np.abs(wts - ref / np.sum(ref))) <= 1e-15
+    centers = delta * (ks + 0.5)
+    assert np.array_equal(pts[:, 0], np.repeat(centers, ks.size))
+    assert np.array_equal(pts[:, 1], np.tile(centers, ks.size))
+
+
 def test_config_validation():
     # each rejected value is named in the error
     for kw, named in [

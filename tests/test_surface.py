@@ -29,3 +29,20 @@ def test_every_export_is_reached_inside_the_package():
     exported = {name for name in qensembles.__all__
                 if not inspect.ismodule(getattr(qensembles, name))}
     assert sorted(exported - _referenced_identifiers()) == []
+
+
+def test_only_metrics_imports_scipy():
+    # scipy is there for the HiGHS binding alone; special functions come
+    # from the stdlib math module
+    importers = set()
+    for path in Path(qensembles.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"metrics.py"}
