@@ -138,14 +138,9 @@ def aoe(chan, mu):
 
 def holevo_chi(chan, mu):
     """Output Holevo information S(Phi(avg)) - AOE, clamped at 0 from below."""
-    return _holevo_chi(chan.apply_ensemble(mu), chan.apply(average_state(mu)))
-
-
-def _holevo_chi(out_mu, out_avg):
-    # holevo_chi from the output ensemble Phi(mu) and the output Phi(avg mu)
-    # the caller built: S(Phi(avg)) - average_entropy(Phi(mu)), clamped at 0
-    chi = shannon_entropy(np.linalg.eigvalsh(out_avg)) - average_entropy(out_mu)
-    return max(chi, 0.0)
+    out_mu = chan.apply_ensemble(mu)
+    out_avg = chan.apply(average_state(mu))
+    return max(shannon_entropy(np.linalg.eigvalsh(out_avg)) - average_entropy(out_mu), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ from .linalg import (
 # 256, ... levels whose top level holds less than this population
 THERMAL_TAIL_CUT = 1e-12
 _THERMAL_START_LEVELS = 64
+# the passive energies reject a spectrum with an eigenvalue below this and
+# clip the rest at 0; verify passes them the stacks of many trials at once
+PASSIVE_FLOOR = -1e-9
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ def passive_energy(rho):
 def _passive(lam):
     # passive energies of non-increasing spectra, one per row
     low = np.min(lam[..., -1])
-    if low < -1e-9:
+    if low < PASSIVE_FLOOR:
         raise ValidationError(f"operator has negative eigenvalue {low}")
     lam = np.clip(lam, 0.0, None)
     return _value(np.sum(np.arange(lam.shape[-1], dtype=float) * lam, axis=-1))
@@ -82,12 +85,21 @@ def avg_passive_energy(ensemble):
 
 def truncated_passive_energy(ensemble, eps):
     """Sum_k E^psv([p_k rho_k - eps I]_+), the epsilon-truncated passive energy."""
+    return float(np.sum(_truncated_passives(_truncation_cut(ensemble, eps))))
+
+
+def _truncation_cut(ensemble, eps):
+    # the exactly Hermitian stack p_k rho_k - eps I
     if eps <= 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
-    cut = ensemble.weights[:, None, None] * ensemble.states - eps * np.eye(ensemble.dim)
-    # cut is exactly Hermitian; the products of _positive_part are not, and
-    # passive_energy symmetrizes them
-    return float(np.sum(passive_energy(_positive_part(cut))))
+    return ensemble.weights[:, None, None] * ensemble.states - eps * np.eye(ensemble.dim)
+
+
+def _truncated_passives(cut):
+    # E^psv([A]_+) of each matrix A of an exactly Hermitian stack; the
+    # products of _positive_part are not exactly Hermitian, and passive_energy
+    # symmetrizes them
+    return passive_energy(_positive_part(cut))
 
 
 def _thermal_populations(energy, levels=None):

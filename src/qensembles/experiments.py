@@ -17,7 +17,6 @@ import numpy as np
 
 from . import bounds as B
 from .channels import (
-    _holevo_chi,
     coherent_state,
     displacement_operator,
     erasure_channel,
@@ -31,7 +30,10 @@ from .channels import (
 )
 from .energy import (
     _mean_energy,
+    _passive,
     _thermal_populations,
+    _truncated_passives,
+    _truncation_cut,
     avg_passive_energy,
     passive_energy,
     truncated_passive_energy,
@@ -49,6 +51,7 @@ from .ensembles import (
 )
 from .errors import ValidationError
 from .linalg import (
+    _trace_norm,
     binary_entropy,
     fidelity,
     g_func,
@@ -60,6 +63,7 @@ from .linalg import (
 )
 from .metrics import (  # d_ehs stays bound here for perfbench's tracer test
     PointMeasure,
+    _d0_terms,
     d0,
     d_ehs,
     d_ehs_many,
@@ -258,6 +262,45 @@ def _generator_at(state):
     return np.random.Generator(bit_generator)
 
 
+def _per_dim(kernel, stacks):
+    """[kernel(a) for a in stacks] of (k, d, d) stacks, from one kernel call
+    per d: the stacks of one d are concatenated in order and the result, a
+    leading row per matrix, is split back.
+
+    verify scb-rank, scb-energy and holevo evaluate their trials this way.
+    Every kernel acts on each matrix alone (an eigendecomposition, then
+    elementwise maps and sums along each matrix's own row), so a stack's
+    slice is its own call bit for bit.
+    """
+    groups = {}
+    for j, a in enumerate(stacks):
+        groups.setdefault(a.shape[-1], []).append(j)
+    out = [None] * len(stacks)
+    for members in groups.values():
+        values = kernel(np.concatenate([stacks[j] for j in members]))
+        start = 0
+        for j in members:
+            out[j] = values[start:start + len(stacks[j])]
+            start += len(stacks[j])
+    return out
+
+
+def _entropies(states):
+    # S(rho) of each state of a stack
+    return shannon_entropy(np.linalg.eigvalsh(states))
+
+
+def _entropies_and_passives(states):
+    # (S(rho), E^psv(rho)) of each state of a stack, from one decomposition
+    lam = np.linalg.eigvalsh(states)
+    return np.stack([shannon_entropy(lam), _passive(lam[:, ::-1])], axis=-1)
+
+
+def _mean(ens, values):
+    # sum_i p_i values_i, as average_entropy and avg_passive_energy sum
+    return float(np.sum(ens.weights * values))
+
+
 # ---------------------------------------------------------------------------
 # Proposition 2: rank-constrained AOE semicontinuity
 # ---------------------------------------------------------------------------
@@ -266,7 +309,8 @@ def verify_scb_rank(cfg):
     rec = _Recorder("scb-rank")
     draws, dehs = _channel_batch(cfg, max_dim=5)
     dk = d_kantorovich_many([(mu, nu) for *_, mu, nu in draws])
-    for (i, d, rng, phi, mu, nu), v_ehs, s_dk in zip(draws, dehs, dk):
+    trials, outputs, terms = [], [], []
+    for i, d, rng, phi, mu, nu in draws:
         mode = i % 3
         if mode == 0:
             phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
@@ -279,9 +323,17 @@ def verify_scb_rank(cfg):
             psi_full = erasure_channel(d, float(q)).compose(phi)
             half_norm = 0.5 * erasure_pair_diamond(p, q)
             rank = d + 1
+        trials.append((d, mode, half_norm, rank))
+        outputs += [phi_full.apply_ensemble(mu), psi_full.apply_ensemble(nu)]
+        terms.append(_d0_terms(mu, nu))
 
-        lhs = aoe(phi_full, mu) - aoe(psi_full, nu)
-        metrics = {"dehs": v_ehs, "d0": d0(mu, nu), "dk": s_dk.value}
+    outs = iter(outputs)
+    ent = iter(_per_dim(_entropies, [out.states for out in outputs]))
+    for (d, mode, half_norm, rank), v_ehs, s_dk, norms in zip(
+            trials, dehs, dk, _per_dim(_trace_norm, terms)):
+        # aoe(phi_full, mu) - aoe(psi_full, nu)
+        lhs = _mean(next(outs), next(ent)) - _mean(next(outs), next(ent))
+        metrics = {"dehs": v_ehs, "d0": 0.5 * float(np.sum(norms)), "dk": s_dk.value}
         for name, dist in metrics.items():
             eps = dist + half_norm
             rec.add(f"prop2/{name}", lhs, B.scb_rank(eps, rank) + TOLERANCE,
@@ -322,15 +374,30 @@ def _scb_rank_witnesses(rec):
 def verify_scb_energy(cfg):
     rec = _Recorder("scb-energy")
     draws, dehs = _channel_batch(cfg, max_dim=6)
-    for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
+    trials, out_mu, out_nu, terms = [], [], [], []
+    for i, d, rng, phi, mu, nu in draws:
         psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else _mixed_channel_pair(phi, rng)
-        out_mu = phi.apply_ensemble(mu)
-        e_b = avg_passive_energy(out_mu)
-        e_b2 = _mean_energy(phi.apply(average_state(mu)))
-        lhs = average_entropy(out_mu) - aoe(psi_chan, nu)
+        out_mu.append(phi.apply_ensemble(mu))
+        out_nu.append(psi_chan.apply_ensemble(nu))
+        trials.append((d, half_norm, _mean_energy(phi.apply(average_state(mu)))))
+        terms.append(_d0_terms(mu, nu))
 
-        eps_ehs = dist + half_norm
-        eps_d0 = d0(mu, nu) + half_norm
+    rows, cuts = [], []
+    for (d, half_norm, e_b2), dist, mu_out, nu_out, mu_values, nu_ent, norms in zip(
+            trials, dehs, out_mu, out_nu,
+            _per_dim(_entropies_and_passives, [out.states for out in out_mu]),
+            _per_dim(_entropies, [out.states for out in out_nu]),
+            _per_dim(_trace_norm, terms)):
+        mu_ent, mu_psv = mu_values.T
+        # average_entropy(out_mu) - aoe(psi_chan, nu), and d0(mu, nu) + half_norm
+        lhs = _mean(mu_out, mu_ent) - _mean(nu_out, nu_ent)
+        eps_d0 = 0.5 * float(np.sum(norms)) + half_norm
+        rows.append((d, lhs, _mean(mu_out, mu_psv), e_b2, dist + half_norm, eps_d0))
+        if eps_d0 > 0.0:
+            cuts.append(_truncation_cut(mu_out, eps_d0))
+    e_cuts = iter(_per_dim(_truncated_passives, cuts))
+
+    for d, lhs, e_b, e_b2, eps_ehs, eps_d0 in rows:
         if eps_ehs > 0.0:
             rec.add("prop3/dehs", lhs, B.scb_energy(eps_ehs, e_b) + TOLERANCE,
                     eps_ehs, dim=d, e_b=e_b)
@@ -340,7 +407,7 @@ def verify_scb_energy(cfg):
             rec.add("prop3/B2-dominates", B.scb_energy(eps_ehs, e_b),
                     B.scb_energy(eps_ehs, e_b2) + TOLERANCE, eps_ehs, dim=d)
         if eps_d0 > 0.0:
-            e_cut = truncated_passive_energy(out_mu, eps_d0)
+            e_cut = float(np.sum(next(e_cuts)))  # truncated_passive_energy
             refined = B.scb_energy(eps_d0, max(e_b - e_cut, 0.0))
             plain = B.scb_energy(eps_d0, e_b)
             rec.add("prop3/refined", lhs, refined + TOLERANCE, eps_d0,
@@ -393,19 +460,31 @@ def _scb_energy_witnesses(rec):
 def verify_holevo(cfg):
     rec = _Recorder("holevo")
     draws, dehs = _channel_batch(cfg, max_dim=5)
+    trials, out_mu, out_nu, entropy_stacks = [], [], [], []
     for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
         psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else _mixed_channel_pair(phi, rng)
         eps = min(dist + half_norm, 1.0)
         if eps <= 0.0:
             continue
-        out_nu = psi_chan.apply_ensemble(nu)
+        out_nu.append(psi_chan.apply_ensemble(nu))
         out_avg_mu = phi.apply(average_state(mu))
         out_avg_nu = psi_chan.apply(average_state(nu))
-        lhs = (_holevo_chi(phi.apply_ensemble(mu), out_avg_mu)
-               - _holevo_chi(out_nu, out_avg_nu))
+        out_mu.append(phi.apply_ensemble(mu))
+        trials.append((i, d, eps, _mean_energy(out_avg_mu), _mean_energy(out_avg_nu)))
+        entropy_stacks += [out_mu[-1].states, out_avg_mu[None], out_avg_nu[None]]
 
-        e_mu = _mean_energy(out_avg_mu)
-        e_nu_psv = avg_passive_energy(out_nu)
+    ent = iter(_per_dim(_entropies, entropy_stacks))
+    for (i, d, eps, e_mu, e_nu_avg), mu_out, nu_out, nu_values in zip(
+            trials, out_mu, out_nu,
+            _per_dim(_entropies_and_passives, [out.states for out in out_nu])):
+        nu_ent, nu_psv = nu_values.T
+        mu_ent, avg_mu_ent, avg_nu_ent = next(ent), next(ent), next(ent)
+        # holevo_chi(phi, mu) - holevo_chi(psi_chan, nu), each S(Phi(avg)) -
+        # AOE clamped at 0
+        lhs = (max(float(avg_mu_ent[0]) - _mean(mu_out, mu_ent), 0.0)
+               - max(float(avg_nu_ent[0]) - _mean(nu_out, nu_ent), 0.0))
+
+        e_nu_psv = _mean(nu_out, nu_psv)
         case_a = (B.RankConstraint(d), B.EnergyConstraint(e_mu))
         case_b = (B.RankConstraint(d), B.EnergyConstraint(e_nu_psv))
         combo = i % 4
@@ -416,7 +495,6 @@ def verify_holevo(cfg):
                 rhs + TOLERANCE, eps, dim=d)
 
         # Corollary 2 two-sided variants with symmetric constraints
-        e_nu_avg = _mean_energy(out_avg_nu)
         rec.add("cor2a/abs", abs(lhs), B.cb_holevo_rank(eps, d, d) + TOLERANCE,
                 eps, dim=d)
         rec.add("cor2b/abs", abs(lhs),

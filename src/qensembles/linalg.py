@@ -188,7 +188,7 @@ def fidelity(rho, sigma):
 def _positive_part(a):
     """[A]_+ = sum of positive-eigenvalue spectral components of an exactly
     Hermitian A, or of each matrix of a (..., d, d) stack; not checked, since
-    its one caller, truncated_passive_energy, builds A from a validated
+    its one caller, energy._truncated_passives, gets A built from a validated
     ensemble."""
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)

@@ -122,8 +122,13 @@ def _padded_members(mu, nu):
 
 def d0(mu, nu):
     """Ordered-ensemble metric: half the summed trace norms of p_i rho_i - q_i sigma_i."""
+    return 0.5 * float(np.sum(_trace_norm(_d0_terms(mu, nu))))
+
+
+def _d0_terms(mu, nu):
+    # the exactly Hermitian stack p_i rho_i - q_i sigma_i whose trace norms d0 sums
     p, r, q, s = _padded_members(mu, nu)
-    return 0.5 * float(np.sum(_trace_norm(p[:, None, None] * r - q[:, None, None] * s)))
+    return p[:, None, None] * r - q[:, None, None] * s
 
 
 def dk_upper(mu, nu):

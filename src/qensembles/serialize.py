@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -119,9 +121,58 @@ def _report_row(index, report):
     }
 
 
+# one report row as json.dumps(rows, sort_keys=True, indent=2) writes it
+_ROW_JSON = ('  {{\n    "epsilon": {},\n    "holds": {},\n    "lhs": {},\n'
+             '    "params": {},\n    "rhs": {},\n    "tag": {},\n    "trial": {}\n  }}')
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_json(x):
+    # json's float form: repr, with NaN and the infinities as json writes them
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _value_json(value):
+    # a params value, at the depth json.dumps(..., indent=2) puts it in a report
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    # a list or dict: json's own encoder, indented to the params level
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n      ")
+
+
+def _params_json(params):
+    if not params:
+        return "{}"
+    items = ",\n".join(f"      {encode_basestring_ascii(key)}: {_value_json(value)}"
+                        for key, value in params.items())
+    return f"{{\n{items}\n    }}"
+
+
 def reports_to_json(reports):
-    rows = [_report_row(index, rep) for index, rep in enumerate(reports)]
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    """The reports as json.dumps(rows, sort_keys=True, indent=2) + "\\n" writes
+    their rows, byte for byte, but each row from a template: any indent sends
+    json to its pure-Python encoder."""
+    rows = [
+        _ROW_JSON.format(
+            _float_json(row["epsilon"]), _JSON_CONSTANTS[row["holds"]],
+            "null" if row["lhs"] is None else _float_json(row["lhs"]),
+            _params_json(row["params"]), _float_json(row["rhs"]),
+            encode_basestring_ascii(row["tag"]), row["trial"])
+        for row in (_report_row(index, rep) for index, rep in enumerate(reports))
+    ]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def reports_to_csv(reports):

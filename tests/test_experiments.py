@@ -4,17 +4,32 @@ import numpy as np
 import pytest
 
 from qensembles import ValidationError
+from qensembles import bounds as B
 from qensembles import experiments
 from qensembles import serialize as ser
 from qensembles.cli import main
-from qensembles.channels import coherent_state, poisson_entropy
-from qensembles.energy import _thermal_populations
+from qensembles.channels import (
+    aoe,
+    coherent_state,
+    erasure_channel,
+    erasure_pair_diamond,
+    holevo_chi,
+    poisson_entropy,
+)
+from qensembles.energy import (
+    _thermal_populations,
+    avg_passive_energy,
+    mean_energy,
+    truncated_passive_energy,
+)
+from qensembles.ensembles import average_state
 from qensembles.linalg import g_func, outer, trace_norm, von_neumann_entropy
-from qensembles.metrics import d_ehs_many
+from qensembles.metrics import d0, d_ehs_many, d_kantorovich_many
 from qensembles.experiments import (
     DEHS_TOL,
     EXPERIMENTS,
     REPROS,
+    TOLERANCE,
     ExperimentConfig,
     _channel_trials,
     _displaced_gibbs_average,
@@ -412,3 +427,110 @@ def test_kept_batch_values_are_an_immutable_tuple_of_floats(fresh_batch):
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert experiments._channel_batch(cfg, max_dim=5)[1] is dehs
+
+
+# ---------------------------------------------------------------------------
+# The stacked trial evaluation of scb-rank, scb-energy and holevo against the
+# public per-trial functions
+# ---------------------------------------------------------------------------
+
+def oracle_scb_rank(cfg):
+    rec = experiments._Recorder("scb-rank")
+    draws, dehs = experiments._channel_batch(cfg, max_dim=5)
+    dk = d_kantorovich_many([(mu, nu) for *_, mu, nu in draws])
+    for (i, d, rng, phi, mu, nu), v_ehs, s_dk in zip(draws, dehs, dk):
+        mode = i % 3
+        if mode == 0:
+            phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
+        elif mode == 1:
+            psi_full, half_norm = experiments._mixed_channel_pair(phi, rng)
+            phi_full, rank = phi, d
+        else:
+            p, q = sorted(rng.uniform(0.0, 0.3, size=2))
+            phi_full = erasure_channel(d, float(p)).compose(phi)
+            psi_full = erasure_channel(d, float(q)).compose(phi)
+            half_norm = 0.5 * erasure_pair_diamond(p, q)
+            rank = d + 1
+        lhs = aoe(phi_full, mu) - aoe(psi_full, nu)
+        for name, dist in (("dehs", v_ehs), ("d0", d0(mu, nu)), ("dk", s_dk.value)):
+            eps = dist + half_norm
+            rec.add(f"prop2/{name}", lhs, B.scb_rank(eps, rank) + TOLERANCE,
+                    eps, dim=d, rank=rank, mode=mode)
+    experiments._scb_rank_witnesses(rec)
+    return rec.records
+
+
+def oracle_scb_energy(cfg):
+    rec = experiments._Recorder("scb-energy")
+    draws, dehs = experiments._channel_batch(cfg, max_dim=6)
+    for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
+        psi, half_norm = (phi, 0.0) if i % 2 == 0 else experiments._mixed_channel_pair(phi, rng)
+        e_b = avg_passive_energy(phi.apply_ensemble(mu))
+        e_b2 = mean_energy(phi.apply(average_state(mu)))
+        lhs = aoe(phi, mu) - aoe(psi, nu)
+        eps_ehs = dist + half_norm
+        eps_d0 = d0(mu, nu) + half_norm
+        if eps_ehs > 0.0:
+            rec.add("prop3/dehs", lhs, B.scb_energy(eps_ehs, e_b) + TOLERANCE,
+                    eps_ehs, dim=d, e_b=e_b)
+            rec.add("prop3/B2", lhs, B.scb_energy(eps_ehs, e_b2) + TOLERANCE,
+                    eps_ehs, dim=d, e_b=e_b2)
+            rec.add("prop3/B2-dominates", B.scb_energy(eps_ehs, e_b),
+                    B.scb_energy(eps_ehs, e_b2) + TOLERANCE, eps_ehs, dim=d)
+        if eps_d0 > 0.0:
+            e_cut = truncated_passive_energy(phi.apply_ensemble(mu), eps_d0)
+            refined = B.scb_energy(eps_d0, max(e_b - e_cut, 0.0))
+            rec.add("prop3/refined", lhs, refined + TOLERANCE, eps_d0, dim=d, e_cut=e_cut)
+            rec.add("prop3/refined-le-plain", refined,
+                    B.scb_energy(eps_d0, e_b) + TOLERANCE, eps_d0, dim=d)
+    experiments._scb_energy_witnesses(rec)
+    return rec.records
+
+
+def oracle_holevo(cfg):
+    rec = experiments._Recorder("holevo")
+    draws, dehs = experiments._channel_batch(cfg, max_dim=5)
+    for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
+        psi, half_norm = (phi, 0.0) if i % 2 == 0 else experiments._mixed_channel_pair(phi, rng)
+        eps = min(dist + half_norm, 1.0)
+        if eps <= 0.0:
+            continue
+        lhs = holevo_chi(phi, mu) - holevo_chi(psi, nu)
+        e_mu = mean_energy(phi.apply(average_state(mu)))
+        e_nu_psv = avg_passive_energy(psi.apply_ensemble(nu))
+        combo = i % 4
+        a_i = (B.RankConstraint(d), B.EnergyConstraint(e_mu))[combo // 2]
+        b_j = (B.RankConstraint(d), B.EnergyConstraint(e_nu_psv))[combo % 2]
+        rec.add(f"prop4/case{combo // 2 + 1}{combo % 2 + 1}", lhs,
+                B.scb_holevo(eps, a_i, b_j) + TOLERANCE, eps, dim=d)
+        e_nu_avg = mean_energy(psi.apply(average_state(nu)))
+        rec.add("cor2a/abs", abs(lhs), B.cb_holevo_rank(eps, d, d) + TOLERANCE, eps, dim=d)
+        rec.add("cor2b/abs", abs(lhs),
+                B.cb_holevo_energy(eps, e_mu, e_nu_avg) + TOLERANCE, eps, dim=d)
+    return rec.records
+
+
+ORACLES = {"scb-rank": oracle_scb_rank, "scb-energy": oracle_scb_energy,
+           "holevo": oracle_holevo}
+
+# configs the golden reports do not cover: uneven dimension groups and
+# scb-energy's dimension 6; one trial; and scb-rank's mode-2 erasure outputs
+# (trial 2, input dimension 2, output dimension 3) in one group with the
+# outputs of the input-dimension-3 trials
+ORACLE_CONFIGS = {
+    "uneven-groups": ExperimentConfig(seed=9120, trials=7, dims=(2, 6, 3)),
+    "one-trial": ExperimentConfig(seed=9121, trials=1, dims=(2, 3)),
+    "erasure-shares-a-group": ExperimentConfig(seed=9122, trials=6, dims=(2, 3)),
+}
+
+
+@pytest.mark.parametrize("config", sorted(ORACLE_CONFIGS))
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_trial_records_equal_the_per_trial_functions(name, config):
+    cfg = ORACLE_CONFIGS[config]
+    got = EXPERIMENTS[name](cfg).records
+    want = ORACLES[name](cfg)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.tag, a.lhs, a.rhs, a.epsilon, a.params) == (
+            b.tag, b.lhs, b.rhs, b.epsilon, b.params)

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qensembles import PointMeasure, ValidationError
 from qensembles.bounds import BoundReport
@@ -80,3 +82,54 @@ def test_ensemble_missing_key_is_named(data, key):
 def test_point_measure_missing_key_is_named(data, key):
     with pytest.raises(ValidationError, match=f"missing the key '{key}'"):
         ser.point_measure_from_json(data)
+
+
+# report fields: finite and non-finite floats, and numpy scalars of each
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+PARAM_VALUES = st.one_of(
+    st.booleans(), st.integers(-2**70, 2**70), FLOATS, st.text(), st.none(),
+    FLOATS.map(np.float64), st.integers(-2**40, 2**40).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text()), max_size=3),
+)
+REPORTS = st.lists(st.builds(
+    BoundReport,
+    tag=st.text(),  # any code point: non-ASCII tags are escaped
+    rhs=FLOATS,
+    epsilon=FLOATS,
+    lhs=st.one_of(st.none(), FLOATS),
+    params=st.dictionaries(st.text(), PARAM_VALUES, max_size=4),  # {} included
+), max_size=4)
+
+
+def json_module_rows(reports):
+    # the report rows as plain JSON values, written independently of serialize
+    return [{
+        "trial": index,
+        "tag": rep.tag,
+        "lhs": None if rep.lhs is None else float(rep.lhs),
+        "rhs": float(rep.rhs),
+        "epsilon": float(rep.epsilon),
+        "holds": rep.holds,
+        "params": {k: v.item() if isinstance(v, np.generic) else v
+                   for k, v in rep.params.items()},
+    } for index, rep in enumerate(reports)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(reports=REPORTS)
+def test_report_json_is_what_the_json_module_writes(reports):
+    want = json.dumps(json_module_rows(reports), sort_keys=True, indent=2) + "\n"
+    assert ser.reports_to_json(reports) == want
+
+
+def test_report_json_of_the_example_rows():
+    reports = _reports() + [
+        BoundReport(tag="café/ε", rhs=math.inf, epsilon=-math.inf,
+                    lhs=math.nan, params={}),
+    ]
+    text = ser.reports_to_json(reports)
+    assert text == json.dumps(json_module_rows(reports), sort_keys=True, indent=2) + "\n"
+    assert '"params": {},' in text and '"tag": "caf\\u00e9/\\u03b5",' in text
+    assert '"lhs": NaN,' in text and '"rhs": Infinity,' in text

@@ -10,7 +10,7 @@ purpose.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qensembles import (
     DimensionMismatch,
@@ -31,8 +31,10 @@ from qensembles import (
     truncated_passive_energy,
     von_neumann_entropy,
 )
+from qensembles.energy import _truncated_passives
 from qensembles.ensembles import mix_members_toward
-from qensembles.linalg import _positive_part, check_density, hermitian_part
+from qensembles.experiments import _entropies, _entropies_and_passives, _per_dim
+from qensembles.linalg import _positive_part, _trace_norm, check_density, hermitian_part
 from qensembles.randomgen import random_channel, random_state
 
 from oracles import near_fsum
@@ -165,6 +167,48 @@ class TestStackedKernels:
         assert np.array_equal(both.kraus, np.stack(
             [k @ l for k in outer_chan.kraus for l in chan.kraus]))
         assert np.array_equal(both.apply(mu.states), per_matrix(both.apply, mu.states))
+
+
+# the kernels verify evaluates per dimension, each with the exactly Hermitian
+# stacks it gets made from a stack of states: the states themselves, traceless
+# differences (the d0 terms) and truncation cuts
+PER_DIM_KERNELS = {
+    "eigvalsh": (np.linalg.eigvalsh, lambda a: a),
+    "entropies": (_entropies, lambda a: a),
+    "entropies-and-passives": (_entropies_and_passives, lambda a: a),
+    "trace-norms": (_trace_norm, lambda a: a - np.eye(a.shape[-1]) / a.shape[-1]),
+    "truncated-passives": (_truncated_passives, lambda a: 0.4 * a - 0.05 * np.eye(a.shape[-1])),
+}
+
+
+class TestPerDimension:
+    @pytest.mark.parametrize("kernel", sorted(PER_DIM_KERNELS))
+    @SETTINGS
+    @given(shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(2, 7)),
+                           min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shapes=[(4, 3)], seed=0)  # a single stack
+    @example(shapes=[(1, 2), (1, 3), (1, 2), (1, 6)], seed=1)  # 1-matrix stacks
+    def test_each_slice_is_the_kernel_on_its_own_stack(self, kernel, shapes, seed):
+        fn, make = PER_DIM_KERNELS[kernel]
+        rng = np.random.default_rng(seed)
+        stacks = [make(np.stack([random_state(d, int(rng.integers(1, d + 1)), rng)
+                                 for _ in range(k)])) for k, d in shapes]
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return fn(a)
+
+        got = _per_dim(counted, stacks)
+        # one call per dimension, over every matrix of that dimension
+        assert sorted(calls) == sorted(
+            (sum(k for k, e in shapes if e == d), d, d) for d in {d for _, d in shapes})
+        assert len(got) == len(stacks)
+        for part, stack in zip(got, stacks):
+            alone = fn(stack)
+            assert part.dtype == alone.dtype
+            assert np.array_equal(part, alone)
 
 
 class TestEnsembleValidation:
