@@ -20,8 +20,14 @@ from .linalg import binary_entropy, g_func
 HOLDS_SLACK = 1e-8
 CROSSOVER_BISECTIONS = 200
 # golden-section steps in chi_cb_prior_energy; each shrinks the bracket by
-# 0.618, so 80 take the grid bracket far below 1e-10 of its upper end
+# 0.618, so 80 take the grid bracket far below BRACKET_WIDTH of its upper end
 GOLDEN_STEPS = 80
+# the bisection and golden-section brackets close at BRACKET_WIDTH * max(1, upper end)
+BRACKET_WIDTH = 1e-10
+# round-off admitted past the upper end of eof_scb's eps and eof_upper_sep's delta
+RANGE_GUARD = 1e-15
+# slack of each of s_ineq_check's two inequalities
+S_INEQ_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ def _check_energy(energy):
 
 def _rank_term(delta, rank):
     """delta ln(r-1) + h2(delta), the rank term of Props. 2, 6 and 8, Remark 3
-    and Cor. 3; delta may pass 1 - 1/r by the callers' 1e-15 slack, and h2
+    and Cor. 3; delta may pass 1 - 1/r by the callers' RANGE_GUARD, and h2
     is read at min(delta, 1)."""
     return delta * math.log(rank - 1) + binary_entropy(min(delta, 1.0))
 
@@ -153,7 +159,7 @@ def chi_cb_prior_energy(eps, energy, grid=1000):
     free parameter t in (0, 1/(2 eps)] by a log-spaced grid plus golden-section
     refinement. Returns (value, minimizer). ConvergenceError, carrying the
     width, if GOLDEN_STEPS steps leave the bracket wider than
-    1e-10 * max(1, its upper end).
+    BRACKET_WIDTH * max(1, its upper end).
     """
     energy = _check_energy(energy)
     eps = float(eps)
@@ -193,7 +199,7 @@ def chi_cb_prior_energy(eps, energy, grid=1000):
             a, c, fc = c, d, fd
             d = a + phi_ratio * (b - a)
             fd = objective(d)
-    if b - a > 1e-10 * max(1.0, b):
+    if b - a > BRACKET_WIDTH * max(1.0, b):
         raise ConvergenceError(
             f"golden section for eps={eps} did not close in {GOLDEN_STEPS} steps",
             gap=b - a,
@@ -223,9 +229,9 @@ def crossover_eps(dim):
     dimension bound: 0 for d=2, the root of u(eps) = v(d) for 3 <= d <= 17,
     None for d >= 18 (u tops out at 16 < v(18)).
 
-    The root is bisected until its bracket is at most 1e-10 * max(1, hi)
-    wide; ConvergenceError, carrying the width, if CROSSOVER_BISECTIONS
-    steps do not get there.
+    The root is bisected until its bracket is at most BRACKET_WIDTH *
+    max(1, hi) wide; ConvergenceError, carrying the width, if
+    CROSSOVER_BISECTIONS steps do not get there.
     """
     if not dim >= 2:
         raise ValidationError(f"dim must be >= 2, got {dim}")
@@ -241,7 +247,7 @@ def crossover_eps(dim):
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-10 * max(1.0, hi):
+        if hi - lo <= BRACKET_WIDTH * max(1.0, hi):
             return 0.5 * (lo + hi)
     raise ConvergenceError(
         f"crossover bisection for d={dim} did not close in {CROSSOVER_BISECTIONS} steps",
@@ -279,7 +285,7 @@ def eof_scb(eps, rank):
     if not rank >= 2:
         raise ValidationError(f"rank must be >= 2, got {rank}")
     guard = 1.0 - math.sqrt(2.0 * rank - 1.0) / rank
-    if not 0.0 <= eps <= guard + 1e-15:
+    if not 0.0 <= eps <= guard + RANGE_GUARD:
         raise ValidationError(
             f"eps {eps} outside [0, {guard:.6f}] (delta must stay <= 1 - 1/r)"
         )
@@ -299,7 +305,7 @@ def eof_upper_sep(delta_f, rank):
     delta_f = float(delta_f)
     if not rank >= 2:
         raise ValidationError(f"rank must be >= 2, got {rank}")
-    if not 0.0 <= delta_f <= 1.0 - 1.0 / rank + 1e-15:
+    if not 0.0 <= delta_f <= 1.0 - 1.0 / rank + RANGE_GUARD:
         raise ValidationError(f"delta {delta_f} outside [0, 1 - 1/r] for r = {rank}")
     return _rank_term(delta_f, rank)
 
@@ -328,7 +334,7 @@ def s_ineq_check(eps, n_mean):
     left = eps * g_func(n_mean / eps) - eps * g_func(n_mean)
     mid = -eps * math.log(eps) + eps * (1.0 + eps / n_mean)
     right = 1.0 / math.e + 1.0 + 1.0 / n_mean
-    return left <= mid + 1e-9 and mid <= right + 1e-9
+    return left <= mid + S_INEQ_SLACK and mid <= right + S_INEQ_SLACK
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .ensembles import Ensemble, average_entropy, average_state
 from .linalg import (
     TRACE_TOL,
     _check_traces,
+    _per_shape,
     _value,
     check_density,
     hermitian_part,
@@ -41,10 +42,11 @@ MIX_EIG_CUT = 1e-14
 COHERENT_NORM_BUDGET = 1e-10
 
 
-def _sandwich(ops, rho):
-    # K rho K^dagger for every operator of an (r, a, b) stack, on a (b, b)
-    # matrix or a (..., b, b) stack: shape (..., r, a, a)
-    return ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+def _kraus_sum(ops, rho):
+    # sum_k K rho K^dagger, symmetrized, over an (r, a, b) operator stack on a
+    # matrix or (..., b, b) stack, or over a (k, r, a, b) stack, one set per matrix
+    return hermitian_part(np.sum(ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2),
+                                 axis=-3))
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"input shape {rho.shape} != ({self.dim_in}, {self.dim_in})"
             )
-        return hermitian_part(np.sum(_sandwich(self.kraus, rho), axis=-3))
+        return _kraus_sum(self.kraus, rho)
 
     def compose(self, inner):
         """self after inner: Kraus products K_i L_j."""
@@ -108,16 +110,25 @@ class KrausChannel:
                                      ops.reshape(-1, *ops.shape[2:]))
 
     def apply_ensemble(self, mu):
-        """The output ensemble Phi(mu): the same weights, each state mapped.
+        """The output ensemble Phi(mu): the same weights, each state mapped and
+        its trace checked (apply_many)."""
+        return Ensemble._trusted(self.dim_out, mu.weights, apply_many([(self, mu.states)])[0])
 
-        The outputs are Hermitian and PSD by construction, but an input's trace
-        error and the channel's add, so their traces are checked against
-        TRACE_TOL (ValidationError) before they are trusted."""
-        if mu.dim != self.dim_in:
-            raise DimensionMismatch(f"ensemble dim {mu.dim} != {self.dim_in}")
-        states = self.apply(mu.states)
-        _check_traces(states)
-        return Ensemble._trusted(self.dim_out, mu.weights, states)
+
+def apply_many(pairs):
+    """[chan.apply(states) for chan, states in pairs] of (k, dim_in, dim_in)
+    stacks, bit for bit, from one Kraus sum per Kraus shape. The outputs are
+    Hermitian and PSD by construction, but an input's trace error and the
+    channel's add, so every output's trace is checked against TRACE_TOL."""
+    stacks = []
+    for chan, states in pairs:
+        states = np.asarray(states, dtype=complex)
+        if states.shape[1:] != (chan.dim_in, chan.dim_in):
+            raise DimensionMismatch(
+                f"input shape {states.shape} != (k, {chan.dim_in}, {chan.dim_in})")
+        # copies, as concatenated broadcast views would sum in another order
+        stacks.append((np.repeat(chan.kraus[None], len(states), axis=0), states))
+    return _per_shape(lambda ops, rho: _check_traces(_kraus_sum(ops, rho)), stacks)
 
 
 def mix_channels(t, chan_a, chan_b):
@@ -138,8 +149,8 @@ def aoe(chan, mu):
 
 def holevo_chi(chan, mu):
     """Output Holevo information S(Phi(avg)) - AOE, clamped at 0 from below."""
-    out_mu = chan.apply_ensemble(mu)
-    out_avg = chan.apply(average_state(mu))
+    outs, (out_avg,) = apply_many([(chan, mu.states), (chan, average_state(mu)[None])])
+    out_mu = Ensemble._trusted(chan.dim_out, mu.weights, outs)
     return max(shannon_entropy(np.linalg.eigvalsh(out_avg)) - average_entropy(out_mu), 0.0)
 
 

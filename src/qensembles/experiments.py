@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bounds as B
 from .channels import (
+    apply_many,
     coherent_state,
     displacement_operator,
     erasure_channel,
@@ -51,6 +52,7 @@ from .ensembles import (
 )
 from .errors import ValidationError
 from .linalg import (
+    _per_shape,
     _trace_norm,
     binary_entropy,
     fidelity,
@@ -199,90 +201,54 @@ def _perturbed_ensemble(mu, rng):
     return perturb_weights(nu, direction, float(rng.uniform(0.0, 0.15)))
 
 
-def _mixed_channel_pair(chan, rng):
-    """(Psi, half-diamond upper bound): Psi = (1-t) chan + t random channel.
-
-    Half the diamond distance is at most t regardless of the mixed-in channel,
-    so t is a closed-form epsilon contribution safe to assert against.
-    """
-    t = float(rng.uniform(0.0, 0.25))
-    other = _random_channel(chan.dim_in, chan.dim_out,
-                            int(rng.integers(1, 3)), rng)
-    return mix_channels(t, chan, other), t
-
-
 def _channel_trials(cfg, max_dim):
-    """(i, d, rng, phi, mu, nu) per trial: a random channel phi on dimension
-    d, a random ensemble mu and its perturbation nu, drawn in that order from
-    the trial's generator rng, which then draws the trial's other choices.
-    verify scb-rank, scb-energy and holevo read these through _channel_batch."""
+    """(i, d, phi, mu, nu, mixed, erasure) per trial: a random channel phi on
+    dimension d, a random ensemble mu and its perturbation nu, drawn in that
+    order from the trial's generator; then, each from the state they leave,
+    mixed = (Psi, t) with Psi = (1-t) phi + t (random channel) if i is odd or
+    i % 3 == 1, and scb-rank's sorted erasure probabilities erasure = (p, q)
+    if i % 3 == 2, else None."""
     dims = _trial_dims(cfg, max_dim)
     for i in range(cfg.trials):
         rng = derive_rng(cfg.seed, i)
         d = dims[i % len(dims)]
         phi = _random_channel(d, d, int(rng.integers(1, 3)), rng)
         mu = random_ensemble(d, int(rng.integers(1, 4)), rng)
-        yield i, d, rng, phi, mu, _perturbed_ensemble(mu, rng)
+        nu = _perturbed_ensemble(mu, rng)
+        mixed = erasure = None
+        if i % 3 == 2:
+            state = rng.bit_generator.state
+            erasure = tuple(float(x) for x in sorted(rng.uniform(0.0, 0.3, size=2)))
+            rng.bit_generator.state = state  # mixed draws from that state too
+        if i % 2 == 1 or i % 3 == 1:
+            # half the diamond distance of Psi to phi is at most t, whatever
+            # channel is mixed in: a closed-form epsilon term
+            t = float(rng.uniform(0.0, 0.25))
+            mixed = mix_channels(t, phi, _random_channel(d, d, int(rng.integers(1, 3)), rng)), t
+        yield i, d, phi, mu, nu, mixed, erasure
 
 
 def _trial_dims(cfg, max_dim):
     return tuple(d for d in cfg.dims if d <= max_dim) or (2, 3)
 
 
-# (key, [(i, d, rng state, phi, mu, nu)], d_ehs values) of the last batch
+# (key, [(i, d, phi, mu, nu, mixed, erasure)], d_ehs values) of the last batch
 _batch_last = None
 
 
 def _channel_batch(cfg, max_dim):
-    """(draws, dehs): the config's _channel_trials as a list, and the tuple of
+    """(draws, dehs): the config's _channel_trials as a tuple, and the tuple of
     d_ehs_many values of its (mu, nu) pairs in trial order at DEHS_TOL.
-
     verify scb-rank, scb-energy and holevo draw the same trials at one config,
-    so the last batch is kept, keyed by the seed, the trial count, the
-    filtered dims and DEHS_TOL. The draws are a function of that key, so a
-    hit returns what a fresh call would. The kept channels and ensembles are
-    read-only; each call hands out fresh generators at the kept post-draw
-    states, so what one command draws never shifts another's draws.
-    """
+    so the last batch is kept, keyed by the seed, the trial count, the filtered
+    dims and DEHS_TOL, of which the draws are a function; it is read-only."""
     global _batch_last
     key = (cfg.seed, cfg.trials, _trial_dims(cfg, max_dim), DEHS_TOL)
     if _batch_last is None or _batch_last[0] != key:
-        kept = [(i, d, rng.bit_generator.state, phi, mu, nu)
-                for i, d, rng, phi, mu, nu in _channel_trials(cfg, max_dim)]
-        sols = d_ehs_many([(mu, nu) for *_, mu, nu in kept], tol=DEHS_TOL)
+        kept = tuple(_channel_trials(cfg, max_dim))
+        sols = d_ehs_many([(mu, nu) for _, _, _, mu, nu, *_ in kept], tol=DEHS_TOL)
         _batch_last = (key, kept, tuple(float(sol.value) for sol in sols))
-    _, kept, dehs = _batch_last
-    return [(i, d, _generator_at(state), phi, mu, nu)
-            for i, d, state, phi, mu, nu in kept], dehs
-
-
-def _generator_at(state):
-    bit_generator = np.random.PCG64()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
-def _per_dim(kernel, stacks):
-    """[kernel(a) for a in stacks] of (k, d, d) stacks, from one kernel call
-    per d: the stacks of one d are concatenated in order and the result, a
-    leading row per matrix, is split back.
-
-    verify scb-rank, scb-energy and holevo evaluate their trials this way.
-    Every kernel acts on each matrix alone (an eigendecomposition, then
-    elementwise maps and sums along each matrix's own row), so a stack's
-    slice is its own call bit for bit.
-    """
-    groups = {}
-    for j, a in enumerate(stacks):
-        groups.setdefault(a.shape[-1], []).append(j)
-    out = [None] * len(stacks)
-    for members in groups.values():
-        values = kernel(np.concatenate([stacks[j] for j in members]))
-        start = 0
-        for j in members:
-            out[j] = values[start:start + len(stacks[j])]
-            start += len(stacks[j])
-    return out
+    return _batch_last[1], _batch_last[2]
 
 
 def _entropies(states):
@@ -308,31 +274,30 @@ def _mean(ens, values):
 def verify_scb_rank(cfg):
     rec = _Recorder("scb-rank")
     draws, dehs = _channel_batch(cfg, max_dim=5)
-    dk = d_kantorovich_many([(mu, nu) for *_, mu, nu in draws])
-    trials, outputs, terms = [], [], []
-    for i, d, rng, phi, mu, nu in draws:
+    dk = d_kantorovich_many([(mu, nu) for _, _, _, mu, nu, *_ in draws])
+    trials, inputs = [], []
+    for i, d, phi, mu, nu, mixed, erasure in draws:
         mode = i % 3
         if mode == 0:
             phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
         elif mode == 1:
-            psi_full, half_norm = _mixed_channel_pair(phi, rng)
+            psi_full, half_norm = mixed
             phi_full, rank = phi, d
         else:
-            p, q = sorted(rng.uniform(0.0, 0.3, size=2))
-            phi_full = erasure_channel(d, float(p)).compose(phi)
-            psi_full = erasure_channel(d, float(q)).compose(phi)
+            p, q = erasure
+            phi_full = erasure_channel(d, p).compose(phi)
+            psi_full = erasure_channel(d, q).compose(phi)
             half_norm = 0.5 * erasure_pair_diamond(p, q)
             rank = d + 1
         trials.append((d, mode, half_norm, rank))
-        outputs += [phi_full.apply_ensemble(mu), psi_full.apply_ensemble(nu)]
-        terms.append(_d0_terms(mu, nu))
+        inputs += [(phi_full, mu.states), (psi_full, nu.states)]
 
-    outs = iter(outputs)
-    ent = iter(_per_dim(_entropies, [out.states for out in outputs]))
-    for (d, mode, half_norm, rank), v_ehs, s_dk, norms in zip(
-            trials, dehs, dk, _per_dim(_trace_norm, terms)):
+    ent = iter(_per_shape(_entropies, apply_many(inputs)))
+    terms = [_d0_terms(mu, nu) for _, _, _, mu, nu, *_ in draws]
+    for (d, mode, half_norm, rank), (_, _, _, mu, nu, *_), v_ehs, s_dk, norms in zip(
+            trials, draws, dehs, dk, _per_shape(_trace_norm, terms)):
         # aoe(phi_full, mu) - aoe(psi_full, nu)
-        lhs = _mean(next(outs), next(ent)) - _mean(next(outs), next(ent))
+        lhs = _mean(mu, next(ent)) - _mean(nu, next(ent))
         metrics = {"dehs": v_ehs, "d0": 0.5 * float(np.sum(norms)), "dk": s_dk.value}
         for name, dist in metrics.items():
             eps = dist + half_norm
@@ -343,28 +308,26 @@ def verify_scb_rank(cfg):
 
 
 def _scb_rank_witnesses(rec):
+    # C-1: (1-eps) sigma + eps omega against a basis state sigma, omega mixed
+    # off it; C-2: rho -> (1-eps) rho + eps omega against the identity on sigma
     for r_b in (2, 3, 5):
-        for eps in (0.1, 0.3, 1.0 - 1.0 / r_b):
-            # C-1: perturbed basis state against a basis state, identity channel
-            rho = np.zeros((r_b, r_b), dtype=complex)
-            rho[0, 0] = 1.0 - eps
-            for k in range(1, r_b):
-                rho[k, k] = eps / (r_b - 1)
-            sigma = np.zeros_like(rho)
-            sigma[0, 0] = 1.0
-            lhs = von_neumann_entropy(rho) - von_neumann_entropy(sigma)
-            dist = d0(singleton(rho), singleton(sigma))
-            rec.add_equality("prop2/C1", lhs, B.scb_rank(eps, r_b), eps, rank=r_b)
-            rec.add_equality("prop2/C1-metric", dist, eps, eps, rank=r_b)
-            # C-2: mixing channel against the identity on a basis-state input
-            omega = np.zeros_like(rho)
-            for k in range(1, r_b):
-                omega[k, k] = 1.0 / (r_b - 1)
-            phi = mix_with_state(r_b, eps, omega)
-            psi_chan = identity_channel(r_b)
-            mu = singleton(sigma)
-            lhs2 = aoe(phi, mu) - aoe(psi_chan, mu)
-            rec.add_equality("prop2/C2", lhs2, B.scb_rank(eps, r_b), eps, rank=r_b)
+        epsilons = (0.1, 0.3, 1.0 - 1.0 / r_b)
+        sigma = np.diag([1.0] + [0.0] * (r_b - 1)).astype(complex)
+        omega = np.diag([0.0] + [1.0 / (r_b - 1)] * (r_b - 1)).astype(complex)
+        rhos = np.array([np.diag([1.0 - eps] + [eps / (r_b - 1)] * (r_b - 1))
+                         for eps in epsilons], dtype=complex)
+        mu = singleton(sigma)
+        s_sigma = von_neumann_entropy(sigma)
+        aoe_id = aoe(identity_channel(r_b), mu)
+        outs = [mix_with_state(r_b, eps, omega).apply_ensemble(mu).states for eps in epsilons]
+        for eps, s_rho, norm, s_out in zip(
+                epsilons, von_neumann_entropy(rhos), _trace_norm(rhos - sigma),
+                _per_shape(_entropies, outs)):
+            rec.add_equality("prop2/C1", s_rho - s_sigma, B.scb_rank(eps, r_b), eps, rank=r_b)
+            # d0(singleton(rho), singleton(sigma))
+            rec.add_equality("prop2/C1-metric", 0.5 * float(norm), eps, eps, rank=r_b)
+            rec.add_equality("prop2/C2", _mean(mu, s_out) - aoe_id, B.scb_rank(eps, r_b),
+                             eps, rank=r_b)
 
 
 # ---------------------------------------------------------------------------
@@ -374,30 +337,29 @@ def _scb_rank_witnesses(rec):
 def verify_scb_energy(cfg):
     rec = _Recorder("scb-energy")
     draws, dehs = _channel_batch(cfg, max_dim=6)
-    trials, out_mu, out_nu, terms = [], [], [], []
-    for i, d, rng, phi, mu, nu in draws:
-        psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else _mixed_channel_pair(phi, rng)
-        out_mu.append(phi.apply_ensemble(mu))
-        out_nu.append(psi_chan.apply_ensemble(nu))
-        trials.append((d, half_norm, _mean_energy(phi.apply(average_state(mu)))))
-        terms.append(_d0_terms(mu, nu))
+    half_norms, inputs = [], []
+    for i, d, phi, mu, nu, mixed, _ in draws:
+        psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
+        half_norms.append(half_norm)
+        inputs += [(phi, mu.states), (psi_chan, nu.states), (phi, average_state(mu)[None])]
+    outs = apply_many(inputs)
+    out_mu, out_nu, out_avg = outs[0::3], outs[1::3], outs[2::3]
+    d0s = [0.5 * float(np.sum(norms)) for norms in _per_shape(
+        _trace_norm, [_d0_terms(mu, nu) for _, _, _, mu, nu, *_ in draws])]
+    # truncated_passive_energy(Phi(mu), eps) at each eps = d0 + half_norm > 0
+    e_cuts = iter(_per_shape(_truncated_passives, [
+        _truncation_cut(Ensemble._trusted(d, mu.weights, out), v_d0 + half_norm)
+        for (_, d, _, mu, *_), out, v_d0, half_norm in zip(draws, out_mu, d0s, half_norms)
+        if v_d0 + half_norm > 0.0]))
 
-    rows, cuts = [], []
-    for (d, half_norm, e_b2), dist, mu_out, nu_out, mu_values, nu_ent, norms in zip(
-            trials, dehs, out_mu, out_nu,
-            _per_dim(_entropies_and_passives, [out.states for out in out_mu]),
-            _per_dim(_entropies, [out.states for out in out_nu]),
-            _per_dim(_trace_norm, terms)):
+    for (_, d, _, mu, nu, *_), v_ehs, v_d0, half_norm, mu_values, nu_ent, avg in zip(
+            draws, dehs, d0s, half_norms, _per_shape(_entropies_and_passives, out_mu),
+            _per_shape(_entropies, out_nu), out_avg):
         mu_ent, mu_psv = mu_values.T
-        # average_entropy(out_mu) - aoe(psi_chan, nu), and d0(mu, nu) + half_norm
-        lhs = _mean(mu_out, mu_ent) - _mean(nu_out, nu_ent)
-        eps_d0 = 0.5 * float(np.sum(norms)) + half_norm
-        rows.append((d, lhs, _mean(mu_out, mu_psv), e_b2, dist + half_norm, eps_d0))
-        if eps_d0 > 0.0:
-            cuts.append(_truncation_cut(mu_out, eps_d0))
-    e_cuts = iter(_per_dim(_truncated_passives, cuts))
-
-    for d, lhs, e_b, e_b2, eps_ehs, eps_d0 in rows:
+        # aoe(phi, mu) - aoe(psi_chan, nu)
+        lhs = _mean(mu, mu_ent) - _mean(nu, nu_ent)
+        e_b, e_b2 = _mean(mu, mu_psv), _mean_energy(avg[0])
+        eps_ehs, eps_d0 = v_ehs + half_norm, v_d0 + half_norm
         if eps_ehs > 0.0:
             rec.add("prop3/dehs", lhs, B.scb_energy(eps_ehs, e_b) + TOLERANCE,
                     eps_ehs, dim=d, e_b=e_b)
@@ -460,31 +422,28 @@ def _scb_energy_witnesses(rec):
 def verify_holevo(cfg):
     rec = _Recorder("holevo")
     draws, dehs = _channel_batch(cfg, max_dim=5)
-    trials, out_mu, out_nu, entropy_stacks = [], [], [], []
-    for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
-        psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else _mixed_channel_pair(phi, rng)
+    trials, inputs = [], []
+    for (i, d, phi, mu, nu, mixed, _), dist in zip(draws, dehs):
+        psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
         eps = min(dist + half_norm, 1.0)
         if eps <= 0.0:
             continue
-        out_nu.append(psi_chan.apply_ensemble(nu))
-        out_avg_mu = phi.apply(average_state(mu))
-        out_avg_nu = psi_chan.apply(average_state(nu))
-        out_mu.append(phi.apply_ensemble(mu))
-        trials.append((i, d, eps, _mean_energy(out_avg_mu), _mean_energy(out_avg_nu)))
-        entropy_stacks += [out_mu[-1].states, out_avg_mu[None], out_avg_nu[None]]
-
-    ent = iter(_per_dim(_entropies, entropy_stacks))
-    for (i, d, eps, e_mu, e_nu_avg), mu_out, nu_out, nu_values in zip(
-            trials, out_mu, out_nu,
-            _per_dim(_entropies_and_passives, [out.states for out in out_nu])):
+        trials.append((i, d, eps, mu, nu))
+        inputs += [(phi, mu.states), (psi_chan, nu.states),
+                   (phi, average_state(mu)[None]), (psi_chan, average_state(nu)[None])]
+    # Phi(mu), Psi(nu), Phi(avg mu) and Psi(avg nu) of each trial
+    outs = apply_many(inputs)
+    ent = iter(_per_shape(_entropies, [out for k, out in enumerate(outs) if k % 4 != 1]))
+    for (i, d, eps, mu, nu), nu_values, out_avg_mu, out_avg_nu in zip(
+            trials, _per_shape(_entropies_and_passives, outs[1::4]), outs[2::4], outs[3::4]):
         nu_ent, nu_psv = nu_values.T
         mu_ent, avg_mu_ent, avg_nu_ent = next(ent), next(ent), next(ent)
         # holevo_chi(phi, mu) - holevo_chi(psi_chan, nu), each S(Phi(avg)) -
         # AOE clamped at 0
-        lhs = (max(float(avg_mu_ent[0]) - _mean(mu_out, mu_ent), 0.0)
-               - max(float(avg_nu_ent[0]) - _mean(nu_out, nu_ent), 0.0))
-
-        e_nu_psv = _mean(nu_out, nu_psv)
+        lhs = (max(float(avg_mu_ent[0]) - _mean(mu, mu_ent), 0.0)
+               - max(float(avg_nu_ent[0]) - _mean(nu, nu_ent), 0.0))
+        e_mu, e_nu_avg = _mean_energy(out_avg_mu[0]), _mean_energy(out_avg_nu[0])
+        e_nu_psv = _mean(nu, nu_psv)
         case_a = (B.RankConstraint(d), B.EnergyConstraint(e_mu))
         case_b = (B.RankConstraint(d), B.EnergyConstraint(e_nu_psv))
         combo = i % 4

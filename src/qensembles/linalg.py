@@ -74,8 +74,8 @@ def _density_spectrum(rho, dim=None):
 
 
 def _check_traces(rho):
-    """Raise ValidationError unless a matrix, or every matrix of a stack, has
-    trace within TRACE_TOL of 1; the error names the first that does not."""
+    """rho, if it, or every matrix of a stack, has trace within TRACE_TOL of
+    1; else ValidationError naming the first matrix that does not."""
     # in Python: channel outputs are a few small matrices, where each numpy
     # call on the traces costs more than the loop; `not <=` also rejects NaN
     off = [t for t in rho.trace(0, -2, -1).real.ravel().tolist()
@@ -84,6 +84,7 @@ def _check_traces(rho):
         raise ValidationError(
             f"state trace {off[0]} deviates from 1 by {abs(off[0] - 1.0):.3e}, beyond {TRACE_TOL}"
         )
+    return rho
 
 
 def outer(psi):
@@ -113,6 +114,26 @@ def trace_norm(a):
 def _trace_norm(a):
     # trace_norm of an exactly Hermitian matrix or stack, not checked again
     return _value(np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1))
+
+
+def _per_shape(kernel, stacks):
+    """[kernel(*a) for a in stacks], one kernel call per shape: an item, a
+    C-ordered stack or a tuple of stacks of k rows, is concatenated in order
+    with those of its row shapes (passed as it is when alone) and split back.
+    Each kernel acts on every row alone, so a slice is its item's own call."""
+    items = [a if isinstance(a, tuple) else (a,) for a in stacks]
+    groups = {}
+    for j, arrays in enumerate(items):
+        groups.setdefault(tuple(a.shape[1:] for a in arrays), []).append(j)
+    out = [None] * len(items)
+    for members in groups.values():
+        parts = [items[j] for j in members]
+        values = kernel(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
+        start = 0
+        for j in members:
+            out[j] = values[start:start + len(items[j][0])]
+            start += len(items[j][0])
+    return out
 
 
 def _eta(x):

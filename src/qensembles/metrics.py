@@ -11,13 +11,17 @@ solved as transportation LPs.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, ValidationError
 from .ensembles import _check_weights
-from .linalg import SIGN_TOL, _trace_norm
+from .linalg import SIGN_TOL, _per_shape, _trace_norm
 
 # d_ehs seeds each pair with tangents at this many angles spread evenly over
 # [0, pi/2], the quadrant where every (P_ij, Q_ij) lies
@@ -55,11 +59,28 @@ LP_OPTIONS = {
 
 @functools.cache
 def _highs():
-    # scipy.optimize loads on the first LP, not on import: it is most of the
-    # import time of the package, and the closed-form bounds never need it
-    from scipy.optimize._highspy import _core
+    # scipy's HiGHS binding, loaded by file on the first LP: its package,
+    # scipy.optimize, would load scipy.linalg, scipy.sparse and more, unused
+    # here. Registered under its name, it is shared with scipy.optimize.
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, _highs_path())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module  # once loaded, so a failed load leaves no entry
+    return sys.modules[name]
 
-    return _core
+
+def _highs_path():
+    # the binding's file, found without importing any part of scipy
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy, whose HiGHS binding the LPs use, is not installed")
+    folder = Path(scipy.origin).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if (folder / f"_core{suffix}").is_file():
+            return folder / f"_core{suffix}"
+    raise ImportError(f"scipy's HiGHS binding {folder / '_core'}.*.so is missing")
 
 
 def __getattr__(name):
@@ -308,14 +329,16 @@ def d_kantorovich(mu, nu):
 
 def d_kantorovich_many(pairs):
     """d_kantorovich of every (mu, nu) in pairs, as one block-diagonal transport LP."""
-    problems = []
+    pairs = list(pairs)
+    diffs = []
     for mu, nu in pairs:
         if mu.dim != nu.dim:
             raise DimensionMismatch(f"ensemble dims {mu.dim} and {nu.dim} differ")
-        diffs = mu.states[:, None] - nu.states[None, :]
-        cost = 0.5 * _trace_norm(diffs)
-        problems.append((cost, mu.weights, nu.weights))
-    return _solve_transports(problems)
+        diffs.append((mu.states[:, None] - nu.states[None, :]).reshape(-1, mu.dim, mu.dim))
+    return _solve_transports([
+        (0.5 * norms.reshape(len(mu), len(nu)), mu.weights, nu.weights)
+        for norms, (mu, nu) in zip(_per_shape(_trace_norm, diffs), pairs)
+    ])
 
 
 def _ehs_tangents(cp, cq, rs, ss):

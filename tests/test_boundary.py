@@ -141,10 +141,10 @@ VALIDATORS = {"check_hermitian", "check_density", "_density_spectrum", "_check_w
 # every function of the package that calls a validator (calls inside the
 # validators themselves aside); an internal kernel added here needs a reason
 BOUNDARY = {
-    "channels.mix_with_state",
     # a trusted output: the input's and the channel's trace errors add, so
     # an output can leave TRACE_TOL although both inputs passed (O(n d))
-    "channels.KrausChannel.apply_ensemble",
+    "channels.apply_many",
+    "channels.mix_with_state",
     "energy.mean_energy",
     "ensembles.Ensemble.__post_init__",
     "ensembles.mix_members_toward",

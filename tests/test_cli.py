@@ -470,3 +470,22 @@ print(code, "scipy.optimize" in sys.modules)
     res = fresh_python(code)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split()[-2:] == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "scb-rank", "--trials", "3"],
+    ["repro", "coherent"],
+])
+def test_lp_commands_leave_out_scipy_optimize(tmp_path, argv):
+    # the LPs run in scipy's HiGHS binding, loaded by file: neither command
+    # loads scipy.optimize's package, nor any other scipy subpackage
+    code = f"""
+import sys
+from qensembles.cli import main
+code = main({[*argv, "--out", str(tmp_path / "report.json")]!r})
+print(code, [m for m in {SCIPY_LAZY!r} if m in sys.modules],
+      "scipy.optimize._highspy._core" in sys.modules)
+"""
+    res = fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-3:] == ["0", "[]", "True"]

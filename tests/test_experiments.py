@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -14,6 +15,9 @@ from qensembles.channels import (
     erasure_channel,
     erasure_pair_diamond,
     holevo_chi,
+    identity_channel,
+    mix_channels,
+    mix_with_state,
     poisson_entropy,
 )
 from qensembles.energy import (
@@ -22,16 +26,16 @@ from qensembles.energy import (
     mean_energy,
     truncated_passive_energy,
 )
-from qensembles.ensembles import average_state
+from qensembles.ensembles import average_state, singleton
 from qensembles.linalg import g_func, outer, trace_norm, von_neumann_entropy
 from qensembles.metrics import d0, d_ehs_many, d_kantorovich_many
+from qensembles.randomgen import derive_rng, random_channel, random_ensemble
 from qensembles.experiments import (
     DEHS_TOL,
     EXPERIMENTS,
     REPROS,
     TOLERANCE,
     ExperimentConfig,
-    _channel_trials,
     _displaced_gibbs_average,
     eof_witness_values,
     gaussian_grid_measure,
@@ -96,8 +100,6 @@ def test_seed_changes_reports():
 
 
 def test_generators_bit_identical_for_fixed_seed():
-    from qensembles.randomgen import derive_rng, random_ensemble
-
     mu1 = random_ensemble(3, 3, derive_rng(42, 5))
     mu2 = random_ensemble(3, 3, derive_rng(42, 5))
     assert np.array_equal(mu1.weights, mu2.weights)
@@ -298,21 +300,67 @@ def draw_spy(monkeypatch):
 
 
 def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def trial_draw(cfg, max_dim, i):
+    """(d, rng, phi, mu, nu) of trial i, drawn on its own from the trial's
+    generator, which is left at the state after mu and nu."""
+    rng = derive_rng(cfg.seed, i)
+    dims = experiments._trial_dims(cfg, max_dim)
+    d = dims[i % len(dims)]
+    phi = random_channel(d, d, int(rng.integers(1, 3)), rng)
+    mu = random_ensemble(d, int(rng.integers(1, 4)), rng)
+    return d, rng, phi, mu, experiments._perturbed_ensemble(mu, rng)
+
+
+def mixed_pair(phi, rng):
+    # (Psi, t): Psi = (1-t) phi + t (random channel), whose half diamond
+    # distance to phi is at most t
+    t = float(rng.uniform(0.0, 0.25))
+    return mix_channels(t, phi, random_channel(phi.dim_in, phi.dim_out,
+                                               int(rng.integers(1, 3)), rng)), t
+
+
+def erasure_probabilities(rng):
+    p, q = sorted(rng.uniform(0.0, 0.3, size=2))
+    return float(p), float(q)
+
+
+def fresh_draws(cfg, max_dim):
+    """Every trial drawn on its own, with its mixed-in pair and its erasure
+    (p, q) each drawn from a copy of the state after mu and nu."""
+    out = []
+    for i in range(cfg.trials):
+        d, rng, phi, mu, nu = trial_draw(cfg, max_dim, i)
+        mixed = (mixed_pair(phi, copy.deepcopy(rng))
+                 if i % 2 == 1 or i % 3 == 1 else None)
+        erasure = erasure_probabilities(copy.deepcopy(rng)) if i % 3 == 2 else None
+        out.append((i, d, phi, mu, nu, mixed, erasure))
+    return out
 
 
 def assert_same_draws(draws, fresh):
     # trial by trial: the same index, dimension, channel and pair bit for bit,
-    # and generators that go on to draw the same numbers
+    # and the same extras: the mixed-in channel's Kraus bits and its t, and
+    # the erasure probabilities p, q
     assert len(draws) == len(fresh)
-    for (i, d, rng, phi, mu, nu), (fi, fd, frng, fphi, fmu, fnu) in zip(draws, fresh):
+    for (i, d, phi, mu, nu, mixed, erasure), (fi, fd, fphi, fmu, fnu, fmixed, ferasure) in zip(
+            draws, fresh):
         assert (i, d) == (fi, fd)
         assert same_bits(phi.kraus, fphi.kraus)
         for ens, fens in ((mu, fmu), (nu, fnu)):
             assert ens.dim == fens.dim
             assert same_bits(ens.weights, fens.weights)
             assert same_bits(ens.states, fens.states)
-        assert same_bits(rng.random(8), frng.random(8))
+        assert (mixed is None, erasure is None) == (fmixed is None, ferasure is None)
+        if mixed is not None:
+            assert same_bits(mixed[0].kraus, fmixed[0].kraus)
+            assert type(mixed[1]) is float and same_bits(mixed[1], fmixed[1])
+        if erasure is not None:
+            assert all(type(x) is float for x in erasure)
+            assert same_bits(erasure, ferasure)
 
 
 def cold_report(path, argv):
@@ -364,25 +412,23 @@ def test_warm_misses_in_any_order_match_cold_reports(tmp_path, fresh_batch, dehs
 
 
 def test_kept_batch_hit_returns_a_fresh_draw_and_solve(fresh_batch, dehs_spy, draw_spy):
-    cfg = ExperimentConfig(seed=9108, trials=5, dims=(2, 3))
+    cfg = ExperimentConfig(seed=9108, trials=6, dims=(2, 3))
     first, dehs = experiments._channel_batch(cfg, max_dim=5)
     hit, hit_dehs = experiments._channel_batch(cfg, max_dim=5)
-    again, _ = experiments._channel_batch(cfg, max_dim=5)
-    assert len(dehs_spy) == 1 and len(draw_spy) == 5
+    assert len(dehs_spy) == 1 and len(draw_spy) == 6
     assert hit_dehs is dehs
 
-    fresh = list(_channel_trials(cfg, max_dim=5))
+    fresh = fresh_draws(cfg, max_dim=5)
     assert dehs == tuple(sol.value for sol in d_ehs_many(
-        [(mu, nu) for *_, mu, nu in fresh], tol=DEHS_TOL))
-    # the miss's and the hit's generators each continue as a fresh draw's
-    assert_same_draws(first, list(_channel_trials(cfg, max_dim=5)))
-    assert_same_draws(hit, fresh)
-    # the hits share the kept channels and ensembles, not the generators: the
-    # numbers hit drew above do not shift again's
-    for (_, _, rng, *kept), (_, _, rng2, *kept2) in zip(hit, again):
-        assert rng is not rng2
-        assert all(a is b for a, b in zip(kept, kept2))
-    assert_same_draws(again, list(_channel_trials(cfg, max_dim=5)))
+        [(mu, nu) for _, _, _, mu, nu, _, _ in fresh], tol=DEHS_TOL))
+    # trials 0-5 cover every mix of extras: none, the pair alone, the
+    # erasure alone, and both from one state (trial 5)
+    assert [(m is not None, e is not None) for *_, m, e in first] == [
+        (False, False), (True, False), (False, True),
+        (True, False), (True, False), (True, True)]
+    assert_same_draws(first, fresh)
+    # the hit hands out the kept trials themselves, which no command draws from
+    assert all(a is b for trial, again in zip(first, hit) for a, b in zip(trial, again))
 
 
 def test_kept_batch_misses_on_each_config_change(fresh_batch, dehs_spy, draw_spy):
@@ -404,7 +450,7 @@ def test_kept_batch_misses_on_each_config_change(fresh_batch, dehs_spy, draw_spy
         draws, dehs = experiments._channel_batch(cfg, max_dim=max_dim)
         assert len(dehs_spy) == solved + 1 and len(draw_spy) == drawn + cfg.trials
         assert len(dehs_spy[-1]) == len(draws) == len(dehs) == cfg.trials
-        assert_same_draws(draws, list(_channel_trials(cfg, max_dim=max_dim)))
+        assert_same_draws(draws, fresh_draws(cfg, max_dim=max_dim))
     # the last miss kept dims (2, 3, 6): a cap of 7 filters to the same tuple
     # and hits; one entry, so the base config at cap 5 is drawn and solved again
     solved = len(dehs_spy)
@@ -417,13 +463,14 @@ def test_kept_batch_misses_on_each_config_change(fresh_batch, dehs_spy, draw_spy
 def test_kept_batch_values_are_an_immutable_tuple_of_floats(fresh_batch):
     cfg = ExperimentConfig(seed=9111, trials=5, dims=(2, 3))
     draws, dehs = experiments._channel_batch(cfg, max_dim=5)
+    assert type(draws) is tuple and len(draws) == 5
     assert type(dehs) is tuple and len(dehs) == 5
     assert all(type(v) is float for v in dehs)
     with pytest.raises(TypeError):
         dehs[0] = 0.0
     # the shared channels and ensembles cannot be written either
-    _, _, _, phi, mu, nu = draws[0]
-    for array in (phi.kraus, mu.weights, mu.states, nu.weights, nu.states):
+    _, _, phi, mu, nu, (psi, _), _ = draws[1]
+    for array in (phi.kraus, mu.weights, mu.states, nu.weights, nu.states, psi.kraus):
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert experiments._channel_batch(cfg, max_dim=5)[1] is dehs
@@ -434,21 +481,30 @@ def test_kept_batch_values_are_an_immutable_tuple_of_floats(fresh_batch):
 # public per-trial functions
 # ---------------------------------------------------------------------------
 
+def oracle_dehs(cfg, max_dim):
+    # the d_ehs batch of the trials' (mu, nu) pairs, drawn here on their own
+    pairs = [trial_draw(cfg, max_dim, i)[3:] for i in range(cfg.trials)]
+    return [sol.value for sol in d_ehs_many(pairs, tol=DEHS_TOL)], pairs
+
+
 def oracle_scb_rank(cfg):
+    # each trial drawn on its own, with the pair or the erasure drawn from its
+    # generator after mu and nu, as the command once drew them
     rec = experiments._Recorder("scb-rank")
-    draws, dehs = experiments._channel_batch(cfg, max_dim=5)
-    dk = d_kantorovich_many([(mu, nu) for *_, mu, nu in draws])
-    for (i, d, rng, phi, mu, nu), v_ehs, s_dk in zip(draws, dehs, dk):
+    dehs, pairs = oracle_dehs(cfg, max_dim=5)
+    dk = d_kantorovich_many(pairs)
+    for i, v_ehs, s_dk in zip(range(cfg.trials), dehs, dk):
+        d, rng, phi, mu, nu = trial_draw(cfg, 5, i)
         mode = i % 3
         if mode == 0:
             phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
         elif mode == 1:
-            psi_full, half_norm = experiments._mixed_channel_pair(phi, rng)
+            psi_full, half_norm = mixed_pair(phi, rng)
             phi_full, rank = phi, d
         else:
-            p, q = sorted(rng.uniform(0.0, 0.3, size=2))
-            phi_full = erasure_channel(d, float(p)).compose(phi)
-            psi_full = erasure_channel(d, float(q)).compose(phi)
+            p, q = erasure_probabilities(rng)
+            phi_full = erasure_channel(d, p).compose(phi)
+            psi_full = erasure_channel(d, q).compose(phi)
             half_norm = 0.5 * erasure_pair_diamond(p, q)
             rank = d + 1
         lhs = aoe(phi_full, mu) - aoe(psi_full, nu)
@@ -456,15 +512,52 @@ def oracle_scb_rank(cfg):
             eps = dist + half_norm
             rec.add(f"prop2/{name}", lhs, B.scb_rank(eps, rank) + TOLERANCE,
                     eps, dim=d, rank=rank, mode=mode)
-    experiments._scb_rank_witnesses(rec)
+    oracle_scb_rank_witnesses(rec)
     return rec.records
+
+
+def oracle_scb_rank_witnesses(rec):
+    # one (r_b, eps) case at a time, each through the validated constructors
+    for r_b in (2, 3, 5):
+        for eps in (0.1, 0.3, 1.0 - 1.0 / r_b):
+            # C-1: perturbed basis state against a basis state, identity channel
+            rho = np.zeros((r_b, r_b), dtype=complex)
+            rho[0, 0] = 1.0 - eps
+            for k in range(1, r_b):
+                rho[k, k] = eps / (r_b - 1)
+            sigma = np.zeros_like(rho)
+            sigma[0, 0] = 1.0
+            lhs = von_neumann_entropy(rho) - von_neumann_entropy(sigma)
+            dist = d0(singleton(rho), singleton(sigma))
+            rec.add_equality("prop2/C1", lhs, B.scb_rank(eps, r_b), eps, rank=r_b)
+            rec.add_equality("prop2/C1-metric", dist, eps, eps, rank=r_b)
+            # C-2: mixing channel against the identity on a basis-state input
+            omega = np.zeros_like(rho)
+            for k in range(1, r_b):
+                omega[k, k] = 1.0 / (r_b - 1)
+            phi = mix_with_state(r_b, eps, omega)
+            psi_chan = identity_channel(r_b)
+            mu = singleton(sigma)
+            lhs2 = aoe(phi, mu) - aoe(psi_chan, mu)
+            rec.add_equality("prop2/C2", lhs2, B.scb_rank(eps, r_b), eps, rank=r_b)
+
+
+def test_rank_witnesses_equal_the_per_case_oracle():
+    got, want = experiments._Recorder("a"), experiments._Recorder("b")
+    experiments._scb_rank_witnesses(got)
+    oracle_scb_rank_witnesses(want)
+    assert len(got.records) == len(want.records) == 27
+    for a, b in zip(got.records, want.records):
+        assert (a.tag, a.lhs, a.rhs, a.epsilon, a.params) == (
+            b.tag, b.lhs, b.rhs, b.epsilon, b.params)
 
 
 def oracle_scb_energy(cfg):
     rec = experiments._Recorder("scb-energy")
-    draws, dehs = experiments._channel_batch(cfg, max_dim=6)
-    for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
-        psi, half_norm = (phi, 0.0) if i % 2 == 0 else experiments._mixed_channel_pair(phi, rng)
+    dehs, _ = oracle_dehs(cfg, max_dim=6)
+    for i, dist in zip(range(cfg.trials), dehs):
+        d, rng, phi, mu, nu = trial_draw(cfg, 6, i)
+        psi, half_norm = (phi, 0.0) if i % 2 == 0 else mixed_pair(phi, rng)
         e_b = avg_passive_energy(phi.apply_ensemble(mu))
         e_b2 = mean_energy(phi.apply(average_state(mu)))
         lhs = aoe(phi, mu) - aoe(psi, nu)
@@ -489,9 +582,10 @@ def oracle_scb_energy(cfg):
 
 def oracle_holevo(cfg):
     rec = experiments._Recorder("holevo")
-    draws, dehs = experiments._channel_batch(cfg, max_dim=5)
-    for (i, d, rng, phi, mu, nu), dist in zip(draws, dehs):
-        psi, half_norm = (phi, 0.0) if i % 2 == 0 else experiments._mixed_channel_pair(phi, rng)
+    dehs, _ = oracle_dehs(cfg, max_dim=5)
+    for i, dist in zip(range(cfg.trials), dehs):
+        d, rng, phi, mu, nu = trial_draw(cfg, 5, i)
+        psi, half_norm = (phi, 0.0) if i % 2 == 0 else mixed_pair(phi, rng)
         eps = min(dist + half_norm, 1.0)
         if eps <= 0.0:
             continue

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import inspect
 import math
 import re
@@ -157,6 +159,31 @@ class TestKantorovich:
             )
             assert np.allclose(sol.plan.sum(axis=1), mu.weights, rtol=0.0, atol=1e-9)
             assert np.allclose(sol.plan.sum(axis=0), nu.weights, rtol=0.0, atol=1e-9)
+
+    def test_many_costs_are_the_per_pair_costs_bit_for_bit(self, rng, monkeypatch):
+        # one trace-norm call per dimension makes each pair's cost bit for
+        # bit, so the block LP ends where the block LP of per-pair costs ends,
+        # in values and plans. A pair's own LP (d_kantorovich) need not: it can
+        # end at another optimal vertex or sum in another order, within 1e-15
+        # (42 of 842 random pairs do).
+        shapes = []
+        real = metrics._trace_norm
+        monkeypatch.setattr(metrics, "_trace_norm", lambda a: shapes.append(a.shape) or real(a))
+        for _ in range(20):
+            pairs = []
+            for _ in range(int(rng.integers(1, 8))):
+                d = int(rng.choice([2, 3, 5, 6]))
+                pairs.append((random_ensemble(d, int(rng.integers(1, 6)), rng),
+                              random_ensemble(d, int(rng.integers(1, 6)), rng)))
+            shapes.clear()
+            many = d_kantorovich_many(pairs)
+            assert sorted(s[1:] for s in shapes) == sorted({(mu.dim,) * 2 for mu, _ in pairs})
+            per_pair = metrics._solve_transports([
+                (0.5 * real(mu.states[:, None] - nu.states[None, :]), mu.weights, nu.weights)
+                for mu, nu in pairs])
+            for (mu, nu), sol, expected in zip(pairs, many, per_pair):
+                assert same_solution(sol, expected)
+                assert abs(sol.value - d_kantorovich(mu, nu).value) <= 1e-15
 
     def test_plan_marginals(self, rng):
         mu = random_ensemble(2, 3, rng)
@@ -573,6 +600,54 @@ class TestEhs:
                     f"scipy.optimize._highspy._core lacks {name} (no attribute {part!r})"
                 )
                 obj = getattr(obj, part)
+
+    def test_highs_loads_by_file_and_is_the_module_scipy_imports_later(self):
+        # no part of scipy is imported to reach the binding; a later import of
+        # scipy.optimize gets the same module object, and linprog still runs
+        res = fresh_python("""
+import sys
+from qensembles import metrics
+core = metrics._highs()
+print([m for m in sys.modules if m.split(".")[0] == "scipy" and "_highspy" not in m],
+      type(core._Highs()).__name__)
+import scipy.optimize
+import scipy.optimize._highspy._core as again
+print(again is core, scipy.optimize.linprog([1.0], A_eq=[[1.0]], b_eq=[1.0]).status)
+""")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["[]", "_Highs", "True", "0"]
+
+    def test_a_missing_highs_binding_names_its_path(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"/optimize/_highspy/_core\.\*\.so is missing"):
+            metrics._highs_path()
+
+    def test_a_missing_scipy_raises_import_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy, whose HiGHS binding"):
+            metrics._highs_path()
+
+    def test_a_failed_highs_load_leaves_no_module_and_raises_again(self):
+        # the binding's name is registered only once it has loaded, so a
+        # second call tries again, and a later load succeeds
+        res = fresh_python("""
+import importlib.machinery, sys
+from qensembles import metrics
+loader = importlib.machinery.ExtensionFileLoader
+real = loader.exec_module
+def fail(self, module):
+    raise ImportError("load failed")
+loader.exec_module = fail
+for _ in range(2):
+    try:
+        metrics._highs()
+    except ImportError as exc:
+        print(exc, "scipy.optimize._highspy._core" in sys.modules)
+loader.exec_module = real
+print(type(metrics._highs()._Highs()).__name__)
+""")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["load failed False"] * 2 + ["_Highs"]
 
     def test_tangents_match_checked_stack_bit_for_bit(self, rng, monkeypatch):
         # validated ensembles hold exactly Hermitian stacks, so every

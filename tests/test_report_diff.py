@@ -24,7 +24,8 @@ def test_compare_reports_a_perturbed_rhs(tmp_path):
     shutil.copytree(tmp_path / "a", tmp_path / "b")
     out = io.StringIO()
     assert tool.compare(tmp_path / "a", tmp_path / "b", out=out)
-    assert out.getvalue() == f"{path.name}: identical\n"
+    assert out.getvalue() == (f"{path.name}: identical\n"
+                              "1 reports: 1 identical, 0 differ, 0 in one tree only\n")
 
     rows = json.loads(path.read_text())
     row = next(r for r in rows if r["holds"])
@@ -34,7 +35,8 @@ def test_compare_reports_a_perturbed_rhs(tmp_path):
     assert not tool.compare(tmp_path / "a", tmp_path / "b", out=out)
     lines = out.getvalue().splitlines()
     assert lines[0] == f"{path.name}: differs"
-    assert lines[1:] == [f"  {row['tag']} rhs: max |delta| 0.25 (1 row)"]
+    assert lines[1:] == [f"  {row['tag']} rhs: max |delta| 0.25 (1 row)",
+                         "1 reports: 0 identical, 1 differ, 0 in one tree only"]
 
 
 def test_compare_reports_a_holds_flip(tmp_path):
@@ -68,6 +70,7 @@ def test_compare_reports_a_one_ulp_move(tmp_path):
     assert out.getvalue().splitlines() == [
         f"{path.name}: differs",
         f"  {row['tag']} lhs: max |delta| {delta:.3g} (1 row)",
+        "1 reports: 0 identical, 1 differ, 0 in one tree only",
     ]
 
 
@@ -88,6 +91,7 @@ def test_golden_prints_the_table_of_its_rewrite(tmp_path):
     assert out.getvalue().splitlines() == [
         f"{path.name}: differs",
         f"  {row['tag']} rhs: max |delta| 0.25 (1 row)",
+        "1 reports: 0 identical, 1 differ, 0 in one tree only",
     ]
     assert [p.name for p in golden.iterdir()] == [path.name]
     assert path.read_bytes() == fresh
@@ -112,3 +116,32 @@ def test_reports_match_the_golden_manifest(tmp_path):
 
 def stack_text(stack):
     return f"numpy {stack['numpy']}, scipy {stack['scipy']}, BLAS {stack['blas']}"
+
+
+def test_wide_run_writes_one_report_per_config(tmp_path, monkeypatch):
+    # the catalogue `run --wide` writes: 378 CLI reports and 240 in-process
+    # results, run here at one seed and small trial counts
+    tool = load_tool()
+    assert len(tool.WIDE_SEEDS) * len(tool.WIDE_TRIALS) * len(tool.WIDE_COMMANDS) == 378
+    assert len(tool.WIDE_DIMS_SEEDS) * len(tool.WIDE_DIMS) * len(tool.WIDE_COMMANDS) == 240
+    monkeypatch.setattr(tool, "WIDE_SEEDS", (7000,))
+    monkeypatch.setattr(tool, "WIDE_TRIALS", (3, 2))
+    monkeypatch.setattr(tool, "WIDE_DIMS", {(2, 6, 3): 2})
+    monkeypatch.setattr(tool, "WIDE_DIMS_SEEDS", (500,))
+    paths = tool.run_wide(tmp_path)
+    names = ("scb-rank", "scb-energy", "holevo")
+    assert sorted(p.name for p in paths) == sorted(
+        [f"verify-{n}-s7000-t{t}.json" for n in names for t in (3, 2)]
+        + [f"inprocess-{n}-s500-d2x6x3-t2.json" for n in names])
+
+    from qensembles.experiments import EXPERIMENTS, ExperimentConfig
+    from qensembles.serialize import reports_to_json
+
+    cfg = ExperimentConfig(seed=500, trials=2, dims=(2, 6, 3))
+    for name in names:
+        assert (tmp_path / f"inprocess-{name}-s500-d2x6x3-t2.json").read_text(
+            encoding="utf-8") == reports_to_json(EXPERIMENTS[name](cfg).records)
+    out = io.StringIO()
+    assert tool.compare(tmp_path, tmp_path, out=out)
+    assert out.getvalue().splitlines()[-1] == (
+        "9 reports: 9 identical, 0 differ, 0 in one tree only")

@@ -33,8 +33,15 @@ from qensembles import (
 )
 from qensembles.energy import _truncated_passives
 from qensembles.ensembles import mix_members_toward
-from qensembles.experiments import _entropies, _entropies_and_passives, _per_dim
-from qensembles.linalg import _positive_part, _trace_norm, check_density, hermitian_part
+from qensembles.channels import apply_many, erasure_channel
+from qensembles.experiments import _entropies, _entropies_and_passives
+from qensembles.linalg import (
+    _per_shape,
+    _positive_part,
+    _trace_norm,
+    check_density,
+    hermitian_part,
+)
 from qensembles.randomgen import random_channel, random_state
 
 from oracles import near_fsum
@@ -200,7 +207,7 @@ class TestPerDimension:
             calls.append(a.shape)
             return fn(a)
 
-        got = _per_dim(counted, stacks)
+        got = _per_shape(counted, stacks)
         # one call per dimension, over every matrix of that dimension
         assert sorted(calls) == sorted(
             (sum(k for k, e in shapes if e == d), d, d) for d in {d for _, d in shapes})
@@ -209,6 +216,72 @@ class TestPerDimension:
             alone = fn(stack)
             assert part.dtype == alone.dtype
             assert np.array_equal(part, alone)
+
+
+@st.composite
+def channel_batches(draw):
+    """(channel, stack) pairs: input dimensions 2-5, 1-4 Kraus operators, some
+    composed with an erasure (d -> d + 1), 1-4 members, and the members'
+    mean as a stack of one, as verify applies Phi(avg)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        d, env = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+        dim_out = draw(st.integers(-(-d // env), d + 1))
+        chan = random_channel(d, dim_out, env, rng)
+        if draw(st.booleans()):
+            chan = erasure_channel(dim_out, draw(st.floats(0.0, 1.0))).compose(chan)
+        states = np.stack([random_state(d, int(rng.integers(1, d + 1)), rng)
+                           for _ in range(draw(st.integers(1, 4)))])
+        pairs += [(chan, states), (chan, np.mean(states, axis=0)[None])]
+    return pairs
+
+
+class TestApplyMany:
+    @SETTINGS
+    @given(channel_batches())
+    @example(pairs=[(KrausChannel(2, 2, np.eye(2)[None]), np.eye(2)[None] / 2)])
+    def test_each_output_is_its_own_apply(self, pairs):
+        outs = apply_many(pairs)
+        assert len(outs) == len(pairs)
+        for (chan, states), out in zip(pairs, outs):
+            alone = chan.apply(states)
+            assert out.dtype == alone.dtype
+            assert np.array_equal(out, alone)
+            # a stack of one is the matrix's own apply, as holevo_chi reads Phi(avg)
+            if len(states) == 1:
+                assert np.array_equal(out[0], chan.apply(states[0]))
+
+    def test_one_operator_sum_per_kraus_shape(self, rng, monkeypatch):
+        from qensembles import channels
+
+        shapes = []
+        real = channels._kraus_sum
+        monkeypatch.setattr(channels, "_kraus_sum",
+                            lambda ops, rho: shapes.append(ops.shape) or real(ops, rho))
+        a, b = random_channel(2, 2, 2, rng), random_channel(3, 3, 2, rng)
+        mu, nu = random_state(2, 2, rng), random_state(3, 3, rng)
+        apply_many([(a, np.stack([mu, mu])), (b, nu[None]), (a, mu[None]),
+                    (random_channel(2, 2, 2, rng), mu[None])])
+        assert sorted(shapes) == [(1, 2, 3, 3), (4, 2, 2, 2)]
+
+    def test_an_output_beyond_the_trace_tolerance_fails_inside_a_batch(self, rng):
+        # a channel and a state that each pass, at 0.9e-10 from trace
+        # preservation and from unit trace, give an output of trace 1 + 1.8e-10
+        bad = KrausChannel(2, 2, (np.sqrt(1.0 + 0.9e-10) * np.eye(2),))
+        state = np.diag([0.5 + 0.9e-10, 0.5]).astype(complex)[None]
+        good = [(random_channel(2, 2, 2, rng), random_state(2, 2, rng)[None]) for _ in range(3)]
+        for at in range(len(good) + 1):
+            pairs = good[:at] + [(bad, state)] + good[at:]
+            with pytest.raises(ValidationError, match=r"state trace 1\.00000000018 deviates"):
+                apply_many(pairs)
+        assert len(apply_many(good)) == 3
+
+    def test_rejects_a_stack_of_another_dimension(self, rng):
+        with pytest.raises(DimensionMismatch):
+            apply_many([(random_channel(2, 2, 1, rng), random_state(3, 3, rng)[None])])
+        with pytest.raises(DimensionMismatch):
+            apply_many([(random_channel(2, 2, 1, rng), random_state(2, 2, rng))])
 
 
 class TestEnsembleValidation:

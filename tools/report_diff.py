@@ -1,6 +1,6 @@
 """Write the verify/repro reports of a checkout, and compare two sets of them.
 
-    python tools/report_diff.py run DIR
+    python tools/report_diff.py run [--wide] DIR
     python tools/report_diff.py compare A B
     python tools/report_diff.py golden
 
@@ -12,10 +12,22 @@ every command of one seed before the next seed.
 To get a second tree's reports, run the script from a copy placed in that
 tree.
 
+``run --wide`` writes, instead, the wide catalogue of the channel
+verifications (``verify scb-rank``, ``scb-energy`` and ``holevo``), whose
+trials are drawn and evaluated in batches: 378 reports through the CLI at
+seeds 7000-7002 and 9000-9059 with ``--trials`` 30 and 7, and 240 results
+of ``experiments`` run in process at seeds 500-519 with the uneven
+``ExperimentConfig.dims`` of WIDE_DIMS, which the CLI has no flag for. It
+takes about 12 s per tree, so it stays out of Tier-1; a change that claims
+byte-identical reports runs it on both trees and gives the ``compare``
+summary.
+
 ``compare`` prints one line per report: "identical" when the files are
 byte-identical, otherwise each field that moved (grouped by tag) with its
 max |delta| and the number of rows it moved in, and every ``holds`` flag
-that flipped. It exits 0 when every report is identical, 1 otherwise.
+that flipped; then a summary line that counts the identical reports, the
+differing ones and those in one tree only. It exits 0 when every report is
+identical, 1 otherwise.
 
 ``golden`` rewrites the golden reports: it writes ``run``'s 33 reports,
 prints the ``compare`` table from the golden reports in tests/golden/ to the
@@ -47,6 +59,12 @@ GOLDEN = ROOT / "tests" / "golden"
 MANIFEST = ROOT / "tests" / "golden_reports.json"
 SEEDS = (7000, 7001, 7002)
 TRIALS = 30
+# the wide catalogue of run --wide
+WIDE_COMMANDS = ("scb-rank", "scb-energy", "holevo")
+WIDE_SEEDS = SEEDS + tuple(range(9000, 9060))
+WIDE_TRIALS = (30, 7)
+WIDE_DIMS = {(2, 6, 3): 7, (4,): 1, (2, 3): 6, (6, 5, 2): 12}  # dims -> trials
+WIDE_DIMS_SEEDS = tuple(range(500, 520))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -58,8 +76,9 @@ def commands():
             + [("repro", name) for name in sorted(REPROS)])
 
 
-def run(out_dir, seeds=SEEDS, trials=TRIALS, only=None):
-    """Write one report per command and seed; return the paths written."""
+def run(out_dir, seeds=SEEDS, trials=TRIALS, only=None, suffix=""):
+    """Write one report per command and seed, named with suffix after the
+    seed; return the paths written."""
     from qensembles.cli import main
 
     out_dir = Path(out_dir)
@@ -70,7 +89,7 @@ def run(out_dir, seeds=SEEDS, trials=TRIALS, only=None):
     # d_ehs batch that the first drew and solved
     for seed in seeds:
         for kind, name in only or commands():
-            path = out_dir / f"{kind}-{name}-s{seed}.json"
+            path = out_dir / f"{kind}-{name}-s{seed}{suffix}.json"
             argv = [kind, name, "--seed", str(seed), "--trials", str(trials),
                     "--out", str(path)]
             # verify eof, repro crossover and repro eof-witness exit 1 by design
@@ -78,6 +97,28 @@ def run(out_dir, seeds=SEEDS, trials=TRIALS, only=None):
                     contextlib.redirect_stderr(io.StringIO()):
                 main(argv)
             written.append(path)
+    return written
+
+
+def run_wide(out_dir):
+    """Write the wide catalogue's reports; return the paths written."""
+    from qensembles.experiments import EXPERIMENTS, ExperimentConfig
+    from qensembles.serialize import reports_to_json
+
+    only = [("verify", name) for name in WIDE_COMMANDS]
+    written = []
+    for trials in WIDE_TRIALS:
+        written += run(out_dir, WIDE_SEEDS, trials, only, suffix=f"-t{trials}")
+    # seeds outside, commands inside, as in run
+    for seed in WIDE_DIMS_SEEDS:
+        for dims, trials in WIDE_DIMS.items():
+            cfg = ExperimentConfig(seed=seed, trials=trials, dims=dims)
+            for name in WIDE_COMMANDS:
+                path = Path(out_dir) / (f"inprocess-{name}-s{seed}-d"
+                                        f"{'x'.join(map(str, dims))}-t{trials}.json")
+                path.write_text(reports_to_json(EXPERIMENTS[name](cfg).records),
+                                encoding="utf-8")
+                written.append(path)
     return written
 
 
@@ -150,33 +191,39 @@ def report_changes(rows_a, rows_b):
 
 
 def compare(dir_a, dir_b, out=sys.stdout):
-    """Print what moved from dir_a to dir_b, report by report; True if nothing."""
+    """Print what moved from dir_a to dir_b, report by report, then one line
+    of counts; True if nothing moved."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     names = sorted({p.name for p in dir_a.glob("*.json")}
                    | {p.name for p in dir_b.glob("*.json")})
-    same = True
+    counts = dict.fromkeys(("identical", "differ", "in one tree only"), 0)
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
         if not path_a.exists() or not path_b.exists():
             print(f"{name}: only in {dir_a if path_a.exists() else dir_b}", file=out)
-            same = False
+            counts["in one tree only"] += 1
             continue
         bytes_a, bytes_b = path_a.read_bytes(), path_b.read_bytes()
         if bytes_a == bytes_b:
             print(f"{name}: identical", file=out)
+            counts["identical"] += 1
             continue
-        same = False
+        counts["differ"] += 1
         lines = report_changes(json.loads(bytes_a), json.loads(bytes_b))
         print(f"{name}: differs", file=out)
         for line in lines or ["same values, different bytes"]:
             print(f"  {line}", file=out)
-    return same
+    print(f"{len(names)} reports: " + ", ".join(f"{n} {k}" for k, n in counts.items()),
+          file=out)
+    return counts["identical"] == len(names)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="write this checkout's reports to DIR")
+    p_run.add_argument("--wide", action="store_true",
+                       help="write the wide catalogue of the channel verifications")
     p_run.add_argument("dir")
     p_cmp = sub.add_parser("compare", help="print what moved from A to B")
     p_cmp.add_argument("a")
@@ -190,7 +237,7 @@ def main(argv=None):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, str(SRC))
     if args.command == "run":
-        paths = run(args.dir)
+        paths = run_wide(args.dir) if args.wide else run(args.dir)
         print(f"wrote {len(paths)} reports to {args.dir}")
     else:
         paths = write_golden()
