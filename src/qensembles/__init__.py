@@ -32,6 +32,7 @@ from .metrics import (
     CouplingSolution,
     PointMeasure,
     d0,
+    d0_many,
     d_ehs,
     d_ehs_many,
     d_kantorovich,

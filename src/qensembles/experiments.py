@@ -65,8 +65,8 @@ from .linalg import (
 )
 from .metrics import (  # d_ehs stays bound here for perfbench's tracer test
     PointMeasure,
-    _d0_terms,
     d0,
+    d0_many,
     d_ehs,
     d_ehs_many,
     d_kantorovich,
@@ -76,12 +76,14 @@ from .metrics import (  # d_ehs stays bound here for perfbench's tracer test
 )
 from .randomgen import (
     derive_rng,
+    gram_states,
+    haar_unitaries,
+    isometry_channel,
     random_ensemble,
     random_pure,
     random_pure_ensemble,
     random_state,
 )
-from .randomgen import random_channel as _random_channel
 
 
 # slack added to the right-hand side of every asserted bound
@@ -194,37 +196,47 @@ class _Recorder:
         return ExperimentResult(self.name, self.records, tables)
 
 
-def _perturbed_ensemble(mu, rng):
-    targets = np.array([random_state(mu.dim, mu.dim, rng) for _ in mu.members])
-    nu = _mixed_toward(mu, targets, float(rng.uniform(0.0, 0.3)))
-    direction = rng.normal(size=len(nu))
-    return perturb_weights(nu, direction, float(rng.uniform(0.0, 0.15)))
-
-
 def _channel_trials(cfg, max_dim):
-    """(i, d, phi, mu, nu, mixed, erasure) per trial: a random channel phi on
-    dimension d, a random ensemble mu and its perturbation nu, drawn in that
-    order from the trial's generator; then, each from the state they leave,
-    mixed = (Psi, t) with Psi = (1-t) phi + t (random channel) if i is odd or
-    i % 3 == 1, and scb-rank's sorted erasure probabilities erasure = (p, q)
-    if i % 3 == 2, else None."""
+    """(i, d, phi, mu, nu, mixed, erasure) per trial: a random channel phi
+    on dimension d, a random ensemble mu, and nu, mu's members mixed toward
+    random states, its weights then shifted; then, each from the state they
+    leave, mixed = (Psi, t), Psi = (1-t) phi + t (random channel), if i is odd
+    or i % 3 == 1, and scb-rank's sorted erasure (p, q) if i % 3 == 2. The
+    draw phase makes the generator calls trial by trial, in that order; the
+    build phase makes one haar_unitaries call per unitary size and one
+    gram_states call per state shape over all trials, and wraps each trial."""
     dims = _trial_dims(cfg, max_dim)
+    drawn, channels, states = [], [], []
     for i in range(cfg.trials):
         rng = derive_rng(cfg.seed, i)
         d = dims[i % len(dims)]
-        phi = _random_channel(d, d, int(rng.integers(1, 3)), rng)
-        mu = random_ensemble(d, int(rng.integers(1, 4)), rng)
-        nu = _perturbed_ensemble(mu, rng)
-        mixed = erasure = None
+        env = int(rng.integers(1, 3))
+        channels.append(rng.standard_normal((1, 2, d * env, d * env)))
+        n = int(rng.integers(1, 4))
+        weights = rng.dirichlet(np.ones(n))
+        states.append(rng.standard_normal((2 * n, 2, d, d)))  # mu's members, then targets
+        perturb = (float(rng.uniform(0.0, 0.3)), rng.normal(size=n), float(rng.uniform(0.0, 0.15)))
+        t = erasure = None
         if i % 3 == 2:
             state = rng.bit_generator.state
             erasure = tuple(float(x) for x in sorted(rng.uniform(0.0, 0.3, size=2)))
             rng.bit_generator.state = state  # mixed draws from that state too
         if i % 2 == 1 or i % 3 == 1:
-            # half the diamond distance of Psi to phi is at most t, whatever
-            # channel is mixed in: a closed-form epsilon term
             t = float(rng.uniform(0.0, 0.25))
-            mixed = mix_channels(t, phi, _random_channel(d, d, int(rng.integers(1, 3)), rng)), t
+            env = int(rng.integers(1, 3))
+            channels.append(rng.standard_normal((1, 2, d * env, d * env)))
+        drawn.append((i, d, weights, perturb, t, erasure))
+    unitaries = iter(_per_shape(haar_unitaries, channels))
+    for (i, d, weights, (s, direction, w_t), t, erasure), rhos in zip(
+            drawn, _per_shape(gram_states, states)):
+        phi = isometry_channel(next(unitaries)[0], d, d)
+        # a copy: a view would keep the shape's whole stack, targets included
+        mu = Ensemble._trusted(d, weights, rhos[:len(weights)].copy())
+        nu = perturb_weights(_mixed_toward(mu, rhos[len(weights):], s), direction, w_t)
+        # half the diamond distance of Psi to phi is at most t, whatever
+        # channel is mixed in: a closed-form epsilon term
+        mixed = None if t is None else (
+            mix_channels(t, phi, isometry_channel(next(unitaries)[0], d, d)), t)
         yield i, d, phi, mu, nu, mixed, erasure
 
 
@@ -293,12 +305,12 @@ def verify_scb_rank(cfg):
         inputs += [(phi_full, mu.states), (psi_full, nu.states)]
 
     ent = iter(_per_shape(_entropies, apply_many(inputs)))
-    terms = [_d0_terms(mu, nu) for _, _, _, mu, nu, *_ in draws]
-    for (d, mode, half_norm, rank), (_, _, _, mu, nu, *_), v_ehs, s_dk, norms in zip(
-            trials, draws, dehs, dk, _per_shape(_trace_norm, terms)):
+    d0s = d0_many([(mu, nu) for _, _, _, mu, nu, *_ in draws])
+    for (d, mode, half_norm, rank), (_, _, _, mu, nu, *_), v_ehs, s_dk, v_d0 in zip(
+            trials, draws, dehs, dk, d0s):
         # aoe(phi_full, mu) - aoe(psi_full, nu)
         lhs = _mean(mu, next(ent)) - _mean(nu, next(ent))
-        metrics = {"dehs": v_ehs, "d0": 0.5 * float(np.sum(norms)), "dk": s_dk.value}
+        metrics = {"dehs": v_ehs, "d0": v_d0, "dk": s_dk.value}
         for name, dist in metrics.items():
             eps = dist + half_norm
             rec.add(f"prop2/{name}", lhs, B.scb_rank(eps, rank) + TOLERANCE,
@@ -344,8 +356,7 @@ def verify_scb_energy(cfg):
         inputs += [(phi, mu.states), (psi_chan, nu.states), (phi, average_state(mu)[None])]
     outs = apply_many(inputs)
     out_mu, out_nu, out_avg = outs[0::3], outs[1::3], outs[2::3]
-    d0s = [0.5 * float(np.sum(norms)) for norms in _per_shape(
-        _trace_norm, [_d0_terms(mu, nu) for _, _, _, mu, nu, *_ in draws])]
+    d0s = d0_many([(mu, nu) for _, _, _, mu, nu, *_ in draws])
     # truncated_passive_energy(Phi(mu), eps) at each eps = d0 + half_norm > 0
     e_cuts = iter(_per_shape(_truncated_passives, [
         _truncation_cut(Ensemble._trusted(d, mu.weights, out), v_d0 + half_norm)

@@ -143,13 +143,15 @@ def _padded_members(mu, nu):
 
 def d0(mu, nu):
     """Ordered-ensemble metric: half the summed trace norms of p_i rho_i - q_i sigma_i."""
-    return 0.5 * float(np.sum(_trace_norm(_d0_terms(mu, nu))))
+    return d0_many([(mu, nu)])[0]
 
 
-def _d0_terms(mu, nu):
-    # the exactly Hermitian stack p_i rho_i - q_i sigma_i whose trace norms d0 sums
-    p, r, q, s = _padded_members(mu, nu)
-    return p[:, None, None] * r - q[:, None, None] * s
+def d0_many(pairs):
+    """d0 of every (mu, nu) in pairs, with one trace-norm call per dimension
+    over the exactly Hermitian stacks p_i rho_i - q_i sigma_i."""
+    terms = [p[:, None, None] * r - q[:, None, None] * s
+             for p, r, q, s in (_padded_members(mu, nu) for mu, nu in pairs)]
+    return [0.5 * float(np.sum(norms)) for norms in _per_shape(_trace_norm, terms)]
 
 
 def dk_upper(mu, nu):

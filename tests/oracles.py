@@ -13,8 +13,9 @@ block, the Holevo quantity as an average of relative entropies, g(x) from its
 defining formula in 700-digit `mpmath`, the displaced-Gibbs average
 node by node with each displacement from `scipy.linalg.expm`, the
 oscillator's truncated Gibbs state by bisection on its Boltzmann factor in
-`mpmath`, and any floating-point sum against `math.fsum`, its correctly
-rounded value.
+`mpmath`, any floating-point sum against `math.fsum`, its correctly
+rounded value, and a channel trial of the verifications drawn one matrix at
+a time, each from its own generator calls.
 """
 
 import itertools
@@ -232,9 +233,72 @@ def paired_minus_prior(dim, eps):
 
 
 def _haar_unitary(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return phase_fixed_unitary(_ginibre(n, n, rng))
+
+
+def _ginibre(rows, cols, rng):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _hermitian(a):
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def gram_state(g):
+    """The density matrix g g^dagger / Tr(g g^dagger) of one complex matrix g."""
+    rho = g @ g.conj().T
+    return _hermitian(rho / np.trace(rho).real)
+
+
+def phase_fixed_unitary(g):
+    """The Haar unitary of one square complex Gaussian matrix g: its own QR,
+    with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(g)
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
+
+
+def _isometry_kraus(dim, rng):
+    # Kraus operators of a channel on dim from the first dim columns of a Haar
+    # unitary on dim * env, env in {1, 2}
+    env = int(rng.integers(1, 3))
+    u = phase_fixed_unitary(_ginibre(dim * env, dim * env, rng))
+    return np.ascontiguousarray(u[:, :dim].reshape(dim, env, dim).swapaxes(0, 1))
+
+
+def per_trial_draw(seed, index, dim, mixed, erasure):
+    """A channel trial of verify scb-rank|scb-energy|holevo drawn on its own,
+    one matrix at a time, from the generator of (seed, index): the channel
+    phi's Kraus operators, mu = (weights, states), and nu, mu's members mixed
+    toward as many random states by s ~ U(0, 0.3), then its weights shifted
+    along a normal direction by U(0, 0.15). Then, if asked, each from the
+    state mu and nu leave: the mixed-in pair (Psi's Kraus operators, t), Psi
+    = (1-t) phi + t (random channel), and the sorted erasure (p, q).
+    Returns (phi, mu, nu, mixed or None, erasure or None)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), index]))
+    phi = _isometry_kraus(dim, rng)
+    n = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(n))
+    states = np.array([gram_state(_ginibre(dim, dim, rng)) for _ in range(n)])
+    targets = np.array([gram_state(_ginibre(dim, dim, rng)) for _ in range(n)])
+    s = float(rng.uniform(0.0, 0.3))
+    nu_states = _hermitian((1.0 - s) * states + s * targets)
+    direction = rng.normal(size=n)
+    shift = float(rng.uniform(0.0, 0.15))
+    nu_weights = np.clip(weights + shift * (direction - np.mean(direction)), 0.0, None)
+    nu_weights = np.clip(nu_weights / np.sum(nu_weights), 0.0, None)
+    post = rng.bit_generator.state
+    pair = pq = None
+    if mixed:
+        t = float(rng.uniform(0.0, 0.25))
+        other = _isometry_kraus(dim, rng)
+        pair = np.concatenate([math.sqrt(1.0 - t) * phi, math.sqrt(t) * other]), t
+    if erasure:
+        rng.bit_generator.state = post
+        p, q = sorted(rng.uniform(0.0, 0.3, size=2))
+        pq = float(p), float(q)
+    return phi, (weights, states), (nu_weights, nu_states), pair, pq
 
 
 def tilted_witness(rank, delta):

@@ -32,7 +32,7 @@ from qensembles import serialize as ser
 from qensembles.ensembles import _check_weights, mix_members_toward, perturb_weights
 from qensembles.channels import coherent_state
 from qensembles.energy import mean_energy
-from qensembles.experiments import _coherent_ensemble, _perturbed_ensemble
+from qensembles.experiments import ExperimentConfig, _channel_trials, _coherent_ensemble
 from qensembles.linalg import check_density, hermitian_part, outer
 from qensembles.randomgen import (
     random_channel,
@@ -221,9 +221,16 @@ def test_trusted_producers_build_valid_objects(d, n, env, t, seed):
         _assert_valid_channel(chan)
     for ens in (mu, pure, phi.apply_ensemble(mu), psi.compose(phi).apply_ensemble(pure),
                 perturb_weights(mu, rng.normal(size=n), t),
-                mix_members_toward(mu, pure.states, t),
-                _perturbed_ensemble(pure, rng)):
+                mix_members_toward(mu, pure.states, t)):
         _assert_valid_ensemble(ens)
+    # the channel verifications' trials, built from per-shape stacks; trials
+    # 0-5 draw every mix of extras
+    for _, _, phi_t, mu_t, nu_t, mixed, _ in _channel_trials(
+            ExperimentConfig(seed=seed, trials=6, dims=(d,)), max_dim=5):
+        for chan in (phi_t,) if mixed is None else (phi_t, mixed[0]):
+            _assert_valid_channel(chan)
+        _assert_valid_ensemble(mu_t)
+        _assert_valid_ensemble(nu_t)
     # repro coherent's Lemma 9 ensembles, bit for bit what the validating
     # constructor stores
     weights, points = rng.dirichlet(np.ones(n)), rng.uniform(-1.5, 1.5, size=(n, 2))

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -10,13 +9,13 @@ from qensembles import experiments
 from qensembles import serialize as ser
 from qensembles.cli import main
 from qensembles.channels import (
+    KrausChannel,
     aoe,
     coherent_state,
     erasure_channel,
     erasure_pair_diamond,
     holevo_chi,
     identity_channel,
-    mix_channels,
     mix_with_state,
     poisson_entropy,
 )
@@ -26,10 +25,10 @@ from qensembles.energy import (
     mean_energy,
     truncated_passive_energy,
 )
-from qensembles.ensembles import average_state, singleton
+from qensembles.ensembles import Ensemble, average_state, singleton
 from qensembles.linalg import g_func, outer, trace_norm, von_neumann_entropy
 from qensembles.metrics import d0, d_ehs_many, d_kantorovich_many
-from qensembles.randomgen import derive_rng, random_channel, random_ensemble
+from qensembles.randomgen import derive_rng, random_ensemble
 from qensembles.experiments import (
     DEHS_TOL,
     EXPERIMENTS,
@@ -43,7 +42,7 @@ from qensembles.experiments import (
 )
 
 from conftest import fresh_python
-from oracles import displaced_average_bruteforce, near_fsum
+from oracles import displaced_average_bruteforce, near_fsum, per_trial_draw
 
 # Assertions that pin reported approximations contradicting the governing
 # equations asserted next to them (see README); red by design, excluded from
@@ -304,41 +303,25 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def trial_draw(cfg, max_dim, i):
-    """(d, rng, phi, mu, nu) of trial i, drawn on its own from the trial's
-    generator, which is left at the state after mu and nu."""
-    rng = derive_rng(cfg.seed, i)
+def fresh_trial(cfg, max_dim, i, mixed=True, erasure=True):
+    """(i, d, phi, mu, nu, mixed, erasure) of trial i, drawn on its own by the
+    numpy-only oracles.per_trial_draw and built by the validating
+    constructors; each extra asked for is drawn from the state after mu and
+    nu, else None."""
     dims = experiments._trial_dims(cfg, max_dim)
     d = dims[i % len(dims)]
-    phi = random_channel(d, d, int(rng.integers(1, 3)), rng)
-    mu = random_ensemble(d, int(rng.integers(1, 4)), rng)
-    return d, rng, phi, mu, experiments._perturbed_ensemble(mu, rng)
-
-
-def mixed_pair(phi, rng):
-    # (Psi, t): Psi = (1-t) phi + t (random channel), whose half diamond
-    # distance to phi is at most t
-    t = float(rng.uniform(0.0, 0.25))
-    return mix_channels(t, phi, random_channel(phi.dim_in, phi.dim_out,
-                                               int(rng.integers(1, 3)), rng)), t
-
-
-def erasure_probabilities(rng):
-    p, q = sorted(rng.uniform(0.0, 0.3, size=2))
-    return float(p), float(q)
+    phi, mu, nu, pair, pq = per_trial_draw(cfg.seed, i, d, mixed, erasure)
+    phi = KrausChannel(d, d, phi)
+    if pair is not None:
+        pair = KrausChannel(d, d, pair[0]), pair[1]
+    return i, d, phi, Ensemble(d, *mu), Ensemble(d, *nu), pair, pq
 
 
 def fresh_draws(cfg, max_dim):
-    """Every trial drawn on its own, with its mixed-in pair and its erasure
-    (p, q) each drawn from a copy of the state after mu and nu."""
-    out = []
-    for i in range(cfg.trials):
-        d, rng, phi, mu, nu = trial_draw(cfg, max_dim, i)
-        mixed = (mixed_pair(phi, copy.deepcopy(rng))
-                 if i % 2 == 1 or i % 3 == 1 else None)
-        erasure = erasure_probabilities(copy.deepcopy(rng)) if i % 3 == 2 else None
-        out.append((i, d, phi, mu, nu, mixed, erasure))
-    return out
+    """Every trial drawn on its own, with the extras the batch keeps: the
+    mixed-in pair if i is odd or i % 3 == 1, the erasure if i % 3 == 2."""
+    return [fresh_trial(cfg, max_dim, i, mixed=i % 2 == 1 or i % 3 == 1, erasure=i % 3 == 2)
+            for i in range(cfg.trials)]
 
 
 def assert_same_draws(draws, fresh):
@@ -483,26 +466,26 @@ def test_kept_batch_values_are_an_immutable_tuple_of_floats(fresh_batch):
 
 def oracle_dehs(cfg, max_dim):
     # the d_ehs batch of the trials' (mu, nu) pairs, drawn here on their own
-    pairs = [trial_draw(cfg, max_dim, i)[3:] for i in range(cfg.trials)]
+    pairs = [fresh_trial(cfg, max_dim, i)[3:5] for i in range(cfg.trials)]
     return [sol.value for sol in d_ehs_many(pairs, tol=DEHS_TOL)], pairs
 
 
 def oracle_scb_rank(cfg):
     # each trial drawn on its own, with the pair or the erasure drawn from its
-    # generator after mu and nu, as the command once drew them
+    # generator after mu and nu
     rec = experiments._Recorder("scb-rank")
     dehs, pairs = oracle_dehs(cfg, max_dim=5)
     dk = d_kantorovich_many(pairs)
     for i, v_ehs, s_dk in zip(range(cfg.trials), dehs, dk):
-        d, rng, phi, mu, nu = trial_draw(cfg, 5, i)
+        _, d, phi, mu, nu, mixed, erasure = fresh_trial(cfg, 5, i)
         mode = i % 3
         if mode == 0:
             phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
         elif mode == 1:
-            psi_full, half_norm = mixed_pair(phi, rng)
+            psi_full, half_norm = mixed
             phi_full, rank = phi, d
         else:
-            p, q = erasure_probabilities(rng)
+            p, q = erasure
             phi_full = erasure_channel(d, p).compose(phi)
             psi_full = erasure_channel(d, q).compose(phi)
             half_norm = 0.5 * erasure_pair_diamond(p, q)
@@ -556,8 +539,8 @@ def oracle_scb_energy(cfg):
     rec = experiments._Recorder("scb-energy")
     dehs, _ = oracle_dehs(cfg, max_dim=6)
     for i, dist in zip(range(cfg.trials), dehs):
-        d, rng, phi, mu, nu = trial_draw(cfg, 6, i)
-        psi, half_norm = (phi, 0.0) if i % 2 == 0 else mixed_pair(phi, rng)
+        _, d, phi, mu, nu, mixed, _ = fresh_trial(cfg, 6, i)
+        psi, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
         e_b = avg_passive_energy(phi.apply_ensemble(mu))
         e_b2 = mean_energy(phi.apply(average_state(mu)))
         lhs = aoe(phi, mu) - aoe(psi, nu)
@@ -584,8 +567,8 @@ def oracle_holevo(cfg):
     rec = experiments._Recorder("holevo")
     dehs, _ = oracle_dehs(cfg, max_dim=5)
     for i, dist in zip(range(cfg.trials), dehs):
-        d, rng, phi, mu, nu = trial_draw(cfg, 5, i)
-        psi, half_norm = (phi, 0.0) if i % 2 == 0 else mixed_pair(phi, rng)
+        _, d, phi, mu, nu, mixed, _ = fresh_trial(cfg, 5, i)
+        psi, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
         eps = min(dist + half_norm, 1.0)
         if eps <= 0.0:
             continue

@@ -17,6 +17,7 @@ from qensembles import (
     PointMeasure,
     average_state,
     d0,
+    d0_many,
     d_ehs,
     d_ehs_many,
     d_kantorovich,
@@ -103,6 +104,32 @@ class TestD0:
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             d0(random_ensemble(2, 2, rng), random_ensemble(3, 2, rng))
+
+    def test_many_is_the_per_pair_d0_bit_for_bit(self, rng, monkeypatch):
+        # mixed dimensions and unequal lengths: one trace-norm call per
+        # dimension, and each value is the pair's own d0, the half sum of the
+        # trace norms of its terms with the shorter side padded by zero-weight
+        # maximally mixed states
+        shapes = []
+        real = metrics._trace_norm
+        monkeypatch.setattr(metrics, "_trace_norm", lambda a: shapes.append(a.shape) or real(a))
+        for _ in range(20):
+            pairs = [(random_ensemble(d, int(rng.integers(1, 6)), rng),
+                      random_ensemble(d, int(rng.integers(1, 6)), rng))
+                     for d in rng.choice([2, 3, 5, 6], size=int(rng.integers(1, 8)))]
+            shapes.clear()
+            many = d0_many(pairs)
+            assert sorted(s[1:] for s in shapes) == sorted({(mu.dim,) * 2 for mu, _ in pairs})
+            assert len(many) == len(pairs)
+            for (mu, nu), value in zip(pairs, many):
+                n, filler = max(len(mu), len(nu)), np.eye(mu.dim) / mu.dim
+                terms = [p * r - q * s for (p, r), (q, s) in zip(
+                    mu.members + [(0.0, filler)] * (n - len(mu)),
+                    nu.members + [(0.0, filler)] * (n - len(nu)))]
+                assert type(value) is float
+                assert value == 0.5 * float(np.sum(trace_norm(np.stack(terms))))
+                assert value == d0(mu, nu)
+        assert d0_many([]) == []
 
 
 class TestKantorovich:

@@ -119,17 +119,17 @@ def stack_text(stack):
 
 
 def test_wide_run_writes_one_report_per_config(tmp_path, monkeypatch):
-    # the catalogue `run --wide` writes: 378 CLI reports and 240 in-process
+    # the catalogue `run --wide` writes: 630 CLI reports and 400 in-process
     # results, run here at one seed and small trial counts
     tool = load_tool()
-    assert len(tool.WIDE_SEEDS) * len(tool.WIDE_TRIALS) * len(tool.WIDE_COMMANDS) == 378
-    assert len(tool.WIDE_DIMS_SEEDS) * len(tool.WIDE_DIMS) * len(tool.WIDE_COMMANDS) == 240
+    assert len(tool.WIDE_SEEDS) * len(tool.WIDE_TRIALS) * len(tool.WIDE_COMMANDS) == 630
+    assert len(tool.WIDE_DIMS_SEEDS) * len(tool.WIDE_DIMS) * len(tool.WIDE_COMMANDS) == 400
     monkeypatch.setattr(tool, "WIDE_SEEDS", (7000,))
     monkeypatch.setattr(tool, "WIDE_TRIALS", (3, 2))
     monkeypatch.setattr(tool, "WIDE_DIMS", {(2, 6, 3): 2})
     monkeypatch.setattr(tool, "WIDE_DIMS_SEEDS", (500,))
     paths = tool.run_wide(tmp_path)
-    names = ("scb-rank", "scb-energy", "holevo")
+    names = ("scb-rank", "scb-energy", "holevo", "steering", "lemmas")
     assert sorted(p.name for p in paths) == sorted(
         [f"verify-{n}-s7000-t{t}.json" for n in names for t in (3, 2)]
         + [f"inprocess-{n}-s500-d2x6x3-t2.json" for n in names])
@@ -144,4 +144,4 @@ def test_wide_run_writes_one_report_per_config(tmp_path, monkeypatch):
     out = io.StringIO()
     assert tool.compare(tmp_path, tmp_path, out=out)
     assert out.getvalue().splitlines()[-1] == (
-        "9 reports: 9 identical, 0 differ, 0 in one tree only")
+        "15 reports: 15 identical, 0 differ, 0 in one tree only")

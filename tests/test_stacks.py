@@ -42,9 +42,15 @@ from qensembles.linalg import (
     check_density,
     hermitian_part,
 )
-from qensembles.randomgen import random_channel, random_state
+from qensembles.randomgen import (
+    gram_states,
+    haar_unitaries,
+    random_channel,
+    random_pure_ensemble,
+    random_state,
+)
 
-from oracles import near_fsum
+from oracles import gram_state, near_fsum, phase_fixed_unitary
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -216,6 +222,63 @@ class TestPerDimension:
             alone = fn(stack)
             assert part.dtype == alone.dtype
             assert np.array_equal(part, alone)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTrialKernels:
+    """The trial draws' stack kernels act on every matrix alone, bit for bit
+    the per-matrix calls, and a stack's normals drawn in one call are the
+    per-matrix draws in stream order."""
+
+    @SETTINGS
+    @given(size=st.integers(1, 12), k=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    @example(size=12, k=17, seed=0)
+    def test_haar_unitaries_are_the_per_matrix_unitaries(self, size, k, seed):
+        z = np.random.default_rng(seed).standard_normal((k, 2, size, size))
+        got = haar_unitaries(z)
+        for j in range(k):
+            assert same_bits(got[j], phase_fixed_unitary(z[j, 0] + 1j * z[j, 1]))
+            assert same_bits(got[j], haar_unitaries(z[j:j + 1])[0])
+
+    @SETTINGS
+    @given(size=st.integers(1, 12), rank=st.integers(1, 12), k=st.integers(1, 17),
+           seed=st.integers(0, 2**32 - 1))
+    @example(size=12, rank=12, k=17, seed=0)
+    @example(size=12, rank=1, k=17, seed=0)
+    def test_gram_states_are_the_per_matrix_states(self, size, rank, k, seed):
+        rank = min(rank, size)
+        z = np.random.default_rng(seed).standard_normal((k, 2, size, rank))
+        got = gram_states(z)
+        for j in range(k):
+            assert same_bits(got[j], gram_state(z[j, 0] + 1j * z[j, 1]))
+            assert same_bits(got[j], gram_states(z[j:j + 1])[0])
+
+    @SETTINGS
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12), k=st.integers(1, 17),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_normal_call_is_the_per_matrix_draws(self, rows, cols, k, seed):
+        one, per = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = one.standard_normal((k, 2, rows, cols))
+        for j in range(k):
+            assert same_bits(stack[j, 0], per.standard_normal((rows, cols)))
+            assert same_bits(stack[j, 1], per.standard_normal((rows, cols)))
+        # both generators end in one state, so whatever follows is drawn alike
+        assert one.bit_generator.state == per.bit_generator.state
+
+    @SETTINGS
+    @given(dim=st.integers(1, 12), members=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    def test_pure_ensembles_are_the_per_vector_projectors(self, dim, members, seed):
+        rng, per = np.random.default_rng(seed), np.random.default_rng(seed)
+        mu = random_pure_ensemble(dim, members, rng)
+        assert same_bits(mu.weights, per.dirichlet(np.ones(members)))
+        for state in mu.states:
+            v = per.standard_normal((dim, 1)) + 1j * per.standard_normal((dim, 1))
+            v = v.reshape(-1) / np.linalg.norm(v)
+            assert same_bits(state, hermitian_part(np.outer(v, v.conj())))
+        assert rng.bit_generator.state == per.bit_generator.state
 
 
 @st.composite

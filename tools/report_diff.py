@@ -12,13 +12,14 @@ every command of one seed before the next seed.
 To get a second tree's reports, run the script from a copy placed in that
 tree.
 
-``run --wide`` writes, instead, the wide catalogue of the channel
-verifications (``verify scb-rank``, ``scb-energy`` and ``holevo``), whose
-trials are drawn and evaluated in batches: 378 reports through the CLI at
-seeds 7000-7002 and 9000-9059 with ``--trials`` 30 and 7, and 240 results
+``run --wide`` writes, instead, the wide catalogue of the verifications
+that draw random channels and ensembles (``verify scb-rank``,
+``scb-energy`` and ``holevo``, whose trials are drawn and evaluated in
+batches, and ``steering`` and ``lemmas``): 630 reports through the CLI at
+seeds 7000-7002 and 9000-9059 with ``--trials`` 30 and 7, and 400 results
 of ``experiments`` run in process at seeds 500-519 with the uneven
 ``ExperimentConfig.dims`` of WIDE_DIMS, which the CLI has no flag for. It
-takes about 12 s per tree, so it stays out of Tier-1; a change that claims
+takes about 13 s per tree, so it stays out of Tier-1; a change that claims
 byte-identical reports runs it on both trees and gives the ``compare``
 summary.
 
@@ -60,7 +61,7 @@ MANIFEST = ROOT / "tests" / "golden_reports.json"
 SEEDS = (7000, 7001, 7002)
 TRIALS = 30
 # the wide catalogue of run --wide
-WIDE_COMMANDS = ("scb-rank", "scb-energy", "holevo")
+WIDE_COMMANDS = ("scb-rank", "scb-energy", "holevo", "steering", "lemmas")
 WIDE_SEEDS = SEEDS + tuple(range(9000, 9060))
 WIDE_TRIALS = (30, 7)
 WIDE_DIMS = {(2, 6, 3): 7, (4,): 1, (2, 3): 6, (6, 5, 2): 12}  # dims -> trials
