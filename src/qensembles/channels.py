@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, TruncationError, ValidationError
-from .ensembles import Ensemble, average_entropy, average_state
+from .ensembles import Ensemble, average_entropies, average_entropy, average_singleton
 from .linalg import (
     TRACE_TOL,
     _check_traces,
@@ -22,7 +22,6 @@ from .linalg import (
     _value,
     check_density,
     hermitian_part,
-    shannon_entropy,
 )
 
 # no looser than the state boundary, since a channel's outputs are not
@@ -86,8 +85,7 @@ class KrausChannel:
         is trace preserving by construction, stored without another check."""
         chan = object.__new__(cls)
         kraus.setflags(write=False)
-        for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus", kraus)):
-            object.__setattr__(chan, name, value)
+        vars(chan).update(dim_in=dim_in, dim_out=dim_out, kraus=kraus)
         return chan
 
     def apply(self, rho):
@@ -110,9 +108,8 @@ class KrausChannel:
                                      ops.reshape(-1, *ops.shape[2:]))
 
     def apply_ensemble(self, mu):
-        """The output ensemble Phi(mu): the same weights, each state mapped and
-        its trace checked (apply_many)."""
-        return Ensemble._trusted(self.dim_out, mu.weights, apply_many([(self, mu.states)])[0])
+        """The output ensemble Phi(mu), each trace checked (apply_ensembles)."""
+        return apply_ensembles([(self, mu)])[0]
 
 
 def apply_many(pairs):
@@ -129,6 +126,12 @@ def apply_many(pairs):
         # copies, as concatenated broadcast views would sum in another order
         stacks.append((np.repeat(chan.kraus[None], len(states), axis=0), states))
     return _per_shape(lambda ops, rho: _check_traces(_kraus_sum(ops, rho)), stacks)
+
+
+def apply_ensembles(pairs):
+    """[chan.apply_ensemble(mu) for chan, mu in pairs], from one apply_many call."""
+    outs = apply_many([(chan, mu.states) for chan, mu in pairs])
+    return [Ensemble._trusted(c.dim_out, mu.weights, out) for (c, mu), out in zip(pairs, outs)]
 
 
 def mix_channels(t, chan_a, chan_b):
@@ -149,9 +152,9 @@ def aoe(chan, mu):
 
 def holevo_chi(chan, mu):
     """Output Holevo information S(Phi(avg)) - AOE, clamped at 0 from below."""
-    outs, (out_avg,) = apply_many([(chan, mu.states), (chan, average_state(mu)[None])])
-    out_mu = Ensemble._trusted(chan.dim_out, mu.weights, outs)
-    return max(shannon_entropy(np.linalg.eigvalsh(out_avg)) - average_entropy(out_mu), 0.0)
+    out_aoe, out_avg = average_entropies(
+        apply_ensembles([(chan, mu), (chan, average_singleton(mu))]))
+    return max(out_avg - out_aoe, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ import numpy as np
 
 from .channels import FOCK_CAP
 from .errors import EnergyRangeError, TruncationError, ValidationError
+from .ensembles import _kept_spectra, _weighted, _weighted_means
 from .linalg import (
+    _per_shape,
     _positive_part,
     _value,
     check_hermitian,
@@ -51,13 +53,19 @@ class HamiltonianSpec:
 
 def mean_energy(rho):
     """Tr H rho for a state on the first dim(rho) levels."""
-    return _mean_energy(check_hermitian(rho))
+    return float(_mean_energies(check_hermitian(rho)))
 
 
-def _mean_energy(rho):
-    # mean_energy of an exactly Hermitian matrix, not checked again
-    levels = np.arange(rho.shape[0], dtype=float)
-    return float(np.real(np.sum(levels * np.diag(rho))))
+def _mean_energies(rho):
+    # Tr H rho of an exactly Hermitian matrix, or of each of a stack, not checked again
+    levels = np.arange(rho.shape[-1], dtype=float)
+    return np.real(np.sum(levels * np.diagonal(rho, axis1=-2, axis2=-1), axis=-1))
+
+
+def avg_mean_energies(ensembles):
+    """Sum_i p_i Tr H rho_i of each ensemble, one call per dimension, unchecked;
+    of a channel's output of average_singleton(mu), Tr H Phi(avg)."""
+    return _weighted_means(_mean_energies, ensembles, [mu.states for mu in ensembles])
 
 
 def passive_energy(rho):
@@ -78,31 +86,35 @@ def _passive(lam):
     return _value(np.sum(np.arange(lam.shape[-1], dtype=float) * lam, axis=-1))
 
 
+def avg_passive_energies(ensembles):
+    """[avg_passive_energy(mu) for mu in ensembles], bit for bit, with one call per
+    dimension on the kept spectra (those not yet kept: one eigvalsh call per dimension)."""
+    return _weighted_means(lambda lam: _passive(lam[:, ::-1]), ensembles, _kept_spectra(ensembles))
+
+
 def avg_passive_energy(ensemble):
     """Weighted average of member passive energies."""
-    return float(np.sum(ensemble.weights * _passive(ensemble.spectra[:, ::-1])))
+    return avg_passive_energies([ensemble])[0]
+
+
+def truncated_passive_energies(pairs):
+    """[truncated_passive_energy(mu, eps) for mu, eps in pairs], bit for bit,
+    with one positive-part call per dimension."""
+    if any(eps <= 0.0 for _, eps in pairs):
+        raise ValidationError(f"eps must be positive, got {min(eps for _, eps in pairs)}")
+    # p_k rho_k - eps I is exactly Hermitian; the products of _positive_part
+    # are not, and passive_energy symmetrizes them
+    cuts = [_weighted(mu) - eps * np.eye(mu.dim) for mu, eps in pairs]
+    return [float(e.sum()) for e in
+            _per_shape(lambda cut: passive_energy(_positive_part(cut)), cuts)]
 
 
 def truncated_passive_energy(ensemble, eps):
     """Sum_k E^psv([p_k rho_k - eps I]_+), the epsilon-truncated passive energy."""
-    return float(np.sum(_truncated_passives(_truncation_cut(ensemble, eps))))
+    return truncated_passive_energies([(ensemble, eps)])[0]
 
 
-def _truncation_cut(ensemble, eps):
-    # the exactly Hermitian stack p_k rho_k - eps I
-    if eps <= 0.0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    return ensemble.weights[:, None, None] * ensemble.states - eps * np.eye(ensemble.dim)
-
-
-def _truncated_passives(cut):
-    # E^psv([A]_+) of each matrix A of an exactly Hermitian stack; the
-    # products of _positive_part are not exactly Hermitian, and passive_energy
-    # symmetrizes them
-    return passive_energy(_positive_part(cut))
-
-
-def _thermal_populations(energy, levels=None):
+def thermal_populations(energy, levels=None):
     """Level populations of the oscillator's thermal state at mean energy E:
     x^k with x = E / (1 + E), normalised over levels k = 0..levels-1.
 

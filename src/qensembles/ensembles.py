@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from . import linalg
-from .linalg import _density_spectrum, check_density, outer, shannon_entropy
+from .linalg import _density_spectrum, _per_shape, check_density, outer, shannon_entropy
 
 WEIGHT_TOL = 1e-10
 SUPPORT_CUT = 1e-12
@@ -53,7 +53,7 @@ class Ensemble:
     validated once and stored symmetrized. spectra holds the ascending
     eigenvalues of every state, a read-only (n, dim) array: the ones
     validation decomposed, or, for a trusted construction, computed on first
-    use; either way np.linalg.eigvalsh(states) bit for bit.
+    use or by a batch form; either way np.linalg.eigvalsh(states) bit for bit.
     """
 
     dim: int
@@ -77,9 +77,7 @@ class Ensemble:
         w.setflags(write=False)
         states.setflags(write=False)
         spectra.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "spectra", spectra)
+        vars(self).update(weights=w, states=states, spectra=spectra)
 
     @classmethod
     def _trusted(cls, dim, weights, states):
@@ -89,15 +87,12 @@ class Ensemble:
         mu = object.__new__(cls)
         weights.setflags(write=False)
         states.setflags(write=False)
-        for name, value in (("dim", dim), ("weights", weights), ("states", states)):
-            object.__setattr__(mu, name, value)
+        vars(mu).update(dim=dim, weights=weights, states=states)
         return mu
 
     @functools.cached_property
     def spectra(self):
-        spectra = np.linalg.eigvalsh(self.states)
-        spectra.setflags(write=False)
-        return spectra
+        return _kept_spectra([self])[0]
 
     @classmethod
     def from_members(cls, members):
@@ -121,6 +116,21 @@ def singleton(rho):
     return Ensemble.from_members([(1.0, rho)])
 
 
+def _kept_spectra(ensembles):
+    """The ensembles' spectra; those not yet kept come from one eigvalsh call
+    per dimension and are kept, read-only."""
+    todo = [mu for mu in ensembles if "spectra" not in vars(mu)]
+    for mu, spectra in zip(todo, _per_shape(np.linalg.eigvalsh, [mu.states for mu in todo])):
+        spectra.setflags(write=False)
+        vars(mu)["spectra"] = spectra
+    return [vars(mu)["spectra"] for mu in ensembles]
+
+
+def _weighted_means(kernel, ensembles, stacks):
+    # sum_i p_i kernel(stack)_i of each ensemble, one kernel call per shape
+    return [float((mu.weights * v).sum()) for mu, v in zip(ensembles, _per_shape(kernel, stacks))]
+
+
 def _weighted(mu):
     # the stack p_i rho_i
     return mu.weights[:, None, None] * mu.states
@@ -131,9 +141,20 @@ def average_state(mu):
     return linalg.hermitian_part(np.sum(_weighted(mu), axis=0))
 
 
+def average_singleton(mu):
+    """average_state(mu) as a trusted singleton, which a channel maps to Phi(avg)."""
+    return Ensemble._trusted(mu.dim, np.ones(1), average_state(mu)[None])
+
+
+def average_entropies(ensembles):
+    """[average_entropy(mu) for mu in ensembles], bit for bit: one eigvalsh call
+    per dimension for the spectra not yet kept, one entropy call per dimension."""
+    return _weighted_means(shannon_entropy, ensembles, _kept_spectra(ensembles))
+
+
 def average_entropy(mu):
     """Sum_i p_i S(rho_i)."""
-    return float(np.sum(mu.weights * shannon_entropy(mu.spectra)))
+    return average_entropies([mu])[0]
 
 
 def _support_inv_sqrt(rho):

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import bounds as B
 from .channels import (
-    apply_many,
+    aoe,
+    apply_ensembles,
     coherent_state,
     displacement_operator,
     erasure_channel,
@@ -26,23 +27,23 @@ from .channels import (
     identity_channel,
     mix_channels,
     mix_with_state,
-    aoe,
     poisson_entropy,
 )
 from .energy import (
-    _mean_energy,
-    _passive,
-    _thermal_populations,
-    _truncated_passives,
-    _truncation_cut,
+    avg_mean_energies,
+    avg_passive_energies,
     avg_passive_energy,
     passive_energy,
+    thermal_populations,
+    truncated_passive_energies,
     truncated_passive_energy,
 )
 from .ensembles import (
     Ensemble,
     _mixed_toward,
+    average_entropies,
     average_entropy,
+    average_singleton,
     average_state,
     mix_members_toward,
     perturb_weights,
@@ -53,7 +54,6 @@ from .ensembles import (
 from .errors import ValidationError
 from .linalg import (
     _per_shape,
-    _trace_norm,
     binary_entropy,
     fidelity,
     g_func,
@@ -263,22 +263,6 @@ def _channel_batch(cfg, max_dim):
     return _batch_last[1], _batch_last[2]
 
 
-def _entropies(states):
-    # S(rho) of each state of a stack
-    return shannon_entropy(np.linalg.eigvalsh(states))
-
-
-def _entropies_and_passives(states):
-    # (S(rho), E^psv(rho)) of each state of a stack, from one decomposition
-    lam = np.linalg.eigvalsh(states)
-    return np.stack([shannon_entropy(lam), _passive(lam[:, ::-1])], axis=-1)
-
-
-def _mean(ens, values):
-    # sum_i p_i values_i, as average_entropy and avg_passive_energy sum
-    return float(np.sum(ens.weights * values))
-
-
 # ---------------------------------------------------------------------------
 # Proposition 2: rank-constrained AOE semicontinuity
 # ---------------------------------------------------------------------------
@@ -286,7 +270,7 @@ def _mean(ens, values):
 def verify_scb_rank(cfg):
     rec = _Recorder("scb-rank")
     draws, dehs = _channel_batch(cfg, max_dim=5)
-    dk = d_kantorovich_many([(mu, nu) for _, _, _, mu, nu, *_ in draws])
+    pairs = [(mu, nu) for _, _, _, mu, nu, *_ in draws]
     trials, inputs = [], []
     for i, d, phi, mu, nu, mixed, erasure in draws:
         mode = i % 3
@@ -302,14 +286,11 @@ def verify_scb_rank(cfg):
             half_norm = 0.5 * erasure_pair_diamond(p, q)
             rank = d + 1
         trials.append((d, mode, half_norm, rank))
-        inputs += [(phi_full, mu.states), (psi_full, nu.states)]
-
-    ent = iter(_per_shape(_entropies, apply_many(inputs)))
-    d0s = d0_many([(mu, nu) for _, _, _, mu, nu, *_ in draws])
-    for (d, mode, half_norm, rank), (_, _, _, mu, nu, *_), v_ehs, s_dk, v_d0 in zip(
-            trials, draws, dehs, dk, d0s):
-        # aoe(phi_full, mu) - aoe(psi_full, nu)
-        lhs = _mean(mu, next(ent)) - _mean(nu, next(ent))
+        inputs += [(phi_full, mu), (psi_full, nu)]
+    aoes = average_entropies(apply_ensembles(inputs))
+    for (d, mode, half_norm, rank), v_ehs, v_d0, s_dk, aoe_mu, aoe_nu in zip(
+            trials, dehs, d0_many(pairs), d_kantorovich_many(pairs), aoes[0::2], aoes[1::2]):
+        lhs = aoe_mu - aoe_nu
         metrics = {"dehs": v_ehs, "d0": v_d0, "dk": s_dk.value}
         for name, dist in metrics.items():
             eps = dist + half_norm
@@ -331,14 +312,14 @@ def _scb_rank_witnesses(rec):
         mu = singleton(sigma)
         s_sigma = von_neumann_entropy(sigma)
         aoe_id = aoe(identity_channel(r_b), mu)
-        outs = [mix_with_state(r_b, eps, omega).apply_ensemble(mu).states for eps in epsilons]
-        for eps, s_rho, norm, s_out in zip(
-                epsilons, von_neumann_entropy(rhos), _trace_norm(rhos - sigma),
-                _per_shape(_entropies, outs)):
+        aoes = average_entropies(apply_ensembles(
+            [(mix_with_state(r_b, eps, omega), mu) for eps in epsilons]))
+        for eps, s_rho, norm, aoe_eps in zip(
+                epsilons, von_neumann_entropy(rhos), trace_norm(rhos - sigma), aoes):
             rec.add_equality("prop2/C1", s_rho - s_sigma, B.scb_rank(eps, r_b), eps, rank=r_b)
             # d0(singleton(rho), singleton(sigma))
             rec.add_equality("prop2/C1-metric", 0.5 * float(norm), eps, eps, rank=r_b)
-            rec.add_equality("prop2/C2", _mean(mu, s_out) - aoe_id, B.scb_rank(eps, r_b),
+            rec.add_equality("prop2/C2", aoe_eps - aoe_id, B.scb_rank(eps, r_b),
                              eps, rank=r_b)
 
 
@@ -353,23 +334,17 @@ def verify_scb_energy(cfg):
     for i, d, phi, mu, nu, mixed, _ in draws:
         psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
         half_norms.append(half_norm)
-        inputs += [(phi, mu.states), (psi_chan, nu.states), (phi, average_state(mu)[None])]
-    outs = apply_many(inputs)
-    out_mu, out_nu, out_avg = outs[0::3], outs[1::3], outs[2::3]
+        inputs += [(phi, mu), (psi_chan, nu), (phi, average_singleton(mu))]
+    outs = apply_ensembles(inputs)
+    aoes = average_entropies(outs[0::3] + outs[1::3])
     d0s = d0_many([(mu, nu) for _, _, _, mu, nu, *_ in draws])
-    # truncated_passive_energy(Phi(mu), eps) at each eps = d0 + half_norm > 0
-    e_cuts = iter(_per_shape(_truncated_passives, [
-        _truncation_cut(Ensemble._trusted(d, mu.weights, out), v_d0 + half_norm)
-        for (_, d, _, mu, *_), out, v_d0, half_norm in zip(draws, out_mu, d0s, half_norms)
+    e_cuts = iter(truncated_passive_energies([
+        (out, v_d0 + half_norm) for out, v_d0, half_norm in zip(outs[0::3], d0s, half_norms)
         if v_d0 + half_norm > 0.0]))
-
-    for (_, d, _, mu, nu, *_), v_ehs, v_d0, half_norm, mu_values, nu_ent, avg in zip(
-            draws, dehs, d0s, half_norms, _per_shape(_entropies_and_passives, out_mu),
-            _per_shape(_entropies, out_nu), out_avg):
-        mu_ent, mu_psv = mu_values.T
-        # aoe(phi, mu) - aoe(psi_chan, nu)
-        lhs = _mean(mu, mu_ent) - _mean(nu, nu_ent)
-        e_b, e_b2 = _mean(mu, mu_psv), _mean_energy(avg[0])
+    for (_, d, *_), v_ehs, v_d0, half_norm, aoe_mu, aoe_nu, e_b, e_b2 in zip(
+            draws, dehs, d0s, half_norms, aoes, aoes[len(draws):],
+            avg_passive_energies(outs[0::3]), avg_mean_energies(outs[2::3])):
+        lhs = aoe_mu - aoe_nu
         eps_ehs, eps_d0 = v_ehs + half_norm, v_d0 + half_norm
         if eps_ehs > 0.0:
             rec.add("prop3/dehs", lhs, B.scb_energy(eps_ehs, e_b) + TOLERANCE,
@@ -380,7 +355,7 @@ def verify_scb_energy(cfg):
             rec.add("prop3/B2-dominates", B.scb_energy(eps_ehs, e_b),
                     B.scb_energy(eps_ehs, e_b2) + TOLERANCE, eps_ehs, dim=d)
         if eps_d0 > 0.0:
-            e_cut = float(np.sum(next(e_cuts)))  # truncated_passive_energy
+            e_cut = next(e_cuts)
             refined = B.scb_energy(eps_d0, max(e_b - e_cut, 0.0))
             plain = B.scb_energy(eps_d0, e_b)
             rec.add("prop3/refined", lhs, refined + TOLERANCE, eps_d0,
@@ -391,17 +366,11 @@ def verify_scb_energy(cfg):
     return rec.result()
 
 
-def _gibbs_witness_populations(energy_over_eps, eps):
-    # level populations of the witness eps gamma + (1 - eps)|0><0|, a state
-    # diagonal in the number basis
-    pops = eps * _thermal_populations(energy_over_eps)
-    pops[0] += 1.0 - eps
-    return pops
-
-
 def _scb_energy_witnesses(rec):
     for eps, energy in ((0.1, 1.0), (0.25, 0.5), (0.5, 2.0)):
-        pops = _gibbs_witness_populations(energy / eps, eps)
+        # populations of the witness eps gamma + (1 - eps)|0><0|, diagonal in Fock space
+        pops = eps * thermal_populations(energy / eps)
+        pops[0] += 1.0 - eps
         lhs = shannon_entropy(np.sort(pops))
         floor = eps * g_func(energy / eps)
         cap = B.scb_energy(eps, energy)
@@ -439,22 +408,17 @@ def verify_holevo(cfg):
         eps = min(dist + half_norm, 1.0)
         if eps <= 0.0:
             continue
-        trials.append((i, d, eps, mu, nu))
-        inputs += [(phi, mu.states), (psi_chan, nu.states),
-                   (phi, average_state(mu)[None]), (psi_chan, average_state(nu)[None])]
-    # Phi(mu), Psi(nu), Phi(avg mu) and Psi(avg nu) of each trial
-    outs = apply_many(inputs)
-    ent = iter(_per_shape(_entropies, [out for k, out in enumerate(outs) if k % 4 != 1]))
-    for (i, d, eps, mu, nu), nu_values, out_avg_mu, out_avg_nu in zip(
-            trials, _per_shape(_entropies_and_passives, outs[1::4]), outs[2::4], outs[3::4]):
-        nu_ent, nu_psv = nu_values.T
-        mu_ent, avg_mu_ent, avg_nu_ent = next(ent), next(ent), next(ent)
-        # holevo_chi(phi, mu) - holevo_chi(psi_chan, nu), each S(Phi(avg)) -
-        # AOE clamped at 0
-        lhs = (max(float(avg_mu_ent[0]) - _mean(mu, mu_ent), 0.0)
-               - max(float(avg_nu_ent[0]) - _mean(nu, nu_ent), 0.0))
-        e_mu, e_nu_avg = _mean_energy(out_avg_mu[0]), _mean_energy(out_avg_nu[0])
-        e_nu_psv = _mean(nu, nu_psv)
+        trials.append((i, d, eps))
+        inputs += [(phi, mu), (psi_chan, nu),
+                   (phi, average_singleton(mu)), (psi_chan, average_singleton(nu))]
+    outs = apply_ensembles(inputs)  # Phi(mu), Psi(nu), Phi(avg mu), Psi(avg nu) per trial
+    ent = iter(average_entropies(outs))
+    energies = avg_mean_energies(outs[2::4] + outs[3::4])
+    for (i, d, eps), e_nu_psv, e_mu, e_nu_avg in zip(
+            trials, avg_passive_energies(outs[1::4]), energies, energies[len(trials):]):
+        # holevo_chi(phi, mu) - holevo_chi(psi_chan, nu)
+        aoe_mu, aoe_nu, s_avg_mu, s_avg_nu = next(ent), next(ent), next(ent), next(ent)
+        lhs = max(s_avg_mu - aoe_mu, 0.0) - max(s_avg_nu - aoe_nu, 0.0)
         case_a = (B.RankConstraint(d), B.EnergyConstraint(e_mu))
         case_b = (B.RankConstraint(d), B.EnergyConstraint(e_nu_psv))
         combo = i % 4
@@ -838,7 +802,7 @@ def repro_gibbs_displaced(cfg):
     average approaches the Gibbs state at N + N_0 (error reported, not asserted)."""
     rec = _Recorder("gibbs-displaced")
     n0, n_mean, n_max = 0.5, 0.4, 48
-    g = _thermal_populations(n0, levels=n_max + 1)
+    g = thermal_populations(n0, levels=n_max + 1)
 
     for mag in (0.5, 1.0, 1.5, 2.0):
         rho = _displaced(g, mag, n_max)
@@ -849,7 +813,7 @@ def repro_gibbs_displaced(cfg):
     # polar quadrature of the average state against gamma(N + N_0)
     avg, total_w = _displaced_gibbs_average(
         g, n_max, radial=20, angular=16, r_hi=math.sqrt(n_mean) * 4.0, n_mean=n_mean)
-    target = np.diag(_thermal_populations(n_mean + n0, levels=n_max + 1))
+    target = np.diag(thermal_populations(n_mean + n0, levels=n_max + 1))
     err = trace_norm(avg - target)
     rec.add("ape/average-state", None, err, n_mean, captured_weight=total_w,
             note="truncation error reported, not asserted")

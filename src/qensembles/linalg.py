@@ -121,18 +121,18 @@ def _per_shape(kernel, stacks):
     C-ordered stack or a tuple of stacks of k rows, is concatenated in order
     with those of its row shapes (passed as it is when alone) and split back.
     Each kernel acts on every row alone, so a slice is its item's own call."""
-    items = [a if isinstance(a, tuple) else (a,) for a in stacks]
     groups = {}
-    for j, arrays in enumerate(items):
-        groups.setdefault(tuple(a.shape[1:] for a in arrays), []).append(j)
-    out = [None] * len(items)
+    for j, a in enumerate(stacks):
+        key = tuple([b.shape[1:] for b in a]) if isinstance(a, tuple) else a.shape[1:]
+        groups.setdefault(key, []).append(j)
+    out = [None] * len(stacks)
     for members in groups.values():
-        parts = [items[j] for j in members]
+        parts = [stacks[j] if isinstance(stacks[j], tuple) else (stacks[j],) for j in members]
         values = kernel(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
-        start = 0
-        for j in members:
-            out[j] = values[start:start + len(items[j][0])]
-            start += len(items[j][0])
+        stop = 0
+        for j, part in zip(members, parts):
+            start, stop = stop, stop + len(part[0])
+            out[j] = values[start:stop]
     return out
 
 
@@ -209,8 +209,8 @@ def fidelity(rho, sigma):
 def _positive_part(a):
     """[A]_+ = sum of positive-eigenvalue spectral components of an exactly
     Hermitian A, or of each matrix of a (..., d, d) stack; not checked, since
-    its one caller, energy._truncated_passives, gets A built from a validated
-    ensemble."""
+    its one caller, energy.truncated_passive_energies, gets A built from a
+    validated ensemble."""
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -42,7 +42,7 @@ from qensembles import (
     v_func,
 )
 from qensembles.bounds import EnergyConstraint, RankConstraint, aoe_upper, eof_scb_fid
-from qensembles.energy import _thermal_populations
+from qensembles.energy import thermal_populations
 from qensembles.ensembles import average_state, singleton
 from qensembles.experiments import (
     EXPERIMENTS,
@@ -175,7 +175,7 @@ def test_criterion_07_oscillator_closed_form():
     with criterion(7, "oscillator closed form", 5.0):
         # the tail-chosen truncation: a fixed 200 levels would miss g(10) by 1.1e-7
         for energy in np.linspace(0.01, 10.0, 41):
-            entropy = shannon_entropy(_thermal_populations(energy))
+            entropy = shannon_entropy(thermal_populations(energy))
             assert abs(entropy - g_func(energy)) <= 1e-8
 
 

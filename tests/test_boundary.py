@@ -29,8 +29,13 @@ from qensembles import (
     von_neumann_entropy,
 )
 from qensembles import serialize as ser
-from qensembles.ensembles import _check_weights, mix_members_toward, perturb_weights
-from qensembles.channels import coherent_state
+from qensembles.ensembles import (
+    _check_weights,
+    average_singleton,
+    mix_members_toward,
+    perturb_weights,
+)
+from qensembles.channels import apply_ensembles, coherent_state
 from qensembles.energy import mean_energy
 from qensembles.experiments import ExperimentConfig, _channel_trials, _coherent_ensemble
 from qensembles.linalg import check_density, hermitian_part, outer
@@ -221,7 +226,10 @@ def test_trusted_producers_build_valid_objects(d, n, env, t, seed):
         _assert_valid_channel(chan)
     for ens in (mu, pure, phi.apply_ensemble(mu), psi.compose(phi).apply_ensemble(pure),
                 perturb_weights(mu, rng.normal(size=n), t),
-                mix_members_toward(mu, pure.states, t)):
+                mix_members_toward(mu, pure.states, t),
+                average_singleton(mu), average_singleton(pure),
+                *apply_ensembles([(psi, mu), (phi, pure), (psi, average_singleton(mu)),
+                                  (phi, average_singleton(pure))])):
         _assert_valid_ensemble(ens)
     # the channel verifications' trials, built from per-shape stacks; trials
     # 0-5 draw every mix of extras

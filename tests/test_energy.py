@@ -19,8 +19,8 @@ from qensembles.channels import FOCK_CAP, displacement_operator
 from qensembles.energy import (
     THERMAL_TAIL_CUT,
     HamiltonianSpec,
-    _thermal_populations,
     mean_energy,
+    thermal_populations,
 )
 from qensembles.ensembles import Ensemble, singleton
 from qensembles.linalg import hermitian_part, shannon_entropy
@@ -31,7 +31,7 @@ from oracles import thermal_populations_oracle
 
 
 def thermal_entropy(energy):
-    return shannon_entropy(_thermal_populations(energy))
+    return shannon_entropy(thermal_populations(energy))
 
 
 def test_hamiltonian_spec_validation():
@@ -68,7 +68,7 @@ class TestPassiveRearrangement:
         assert passive_energy(rho) == pytest.approx(mean_energy(rho), abs=1e-15)
 
     def test_gibbs_conjugate_restores(self, rng):
-        gibbs = np.diag(_thermal_populations(1.0, levels=5))
+        gibbs = np.diag(thermal_populations(1.0, levels=5))
         u = random_unitary(5, rng)
         rotated = u @ gibbs @ u.conj().T
         assert np.allclose(rearranged(rotated), gibbs, atol=1e-10)
@@ -119,7 +119,7 @@ class TestAvgPassiveEnergy:
     def test_displaced_gibbs_family(self):
         # every displaced thermal state keeps the thermal passive energy
         n_max, n0 = 56, 0.5
-        gibbs = np.diag(_thermal_populations(n0, levels=n_max + 1))
+        gibbs = np.diag(thermal_populations(n0, levels=n_max + 1))
         members = []
         for mag in (0.5, 1.0, 1.5, 2.0):
             d_op = displacement_operator(mag, n_max)
@@ -136,15 +136,15 @@ class TestSolveGibbs:
     def test_fixed_truncation_is_the_normalised_geometric(self):
         for energy, levels in ((0.5, 2), (0.5, 49), (0.9, 49), (3.0, 7)):
             pops = (energy / (1.0 + energy)) ** np.arange(levels, dtype=float)
-            assert np.array_equal(_thermal_populations(energy, levels=levels),
+            assert np.array_equal(thermal_populations(energy, levels=levels),
                                   pops / np.sum(pops))
-        assert np.array_equal(_thermal_populations(0.5, levels=2), [0.75, 0.25])
+        assert np.array_equal(thermal_populations(0.5, levels=2), [0.75, 0.25])
 
     def test_oscillator_matches_closed_form(self):
         # against the Gibbs state of the same truncation with mean exactly E,
         # bisected in mpmath: the mean, the entropy g(E) and the tail
         for energy in (1e-6, 0.5, 1.0, 2.0, 4.0, 7.5, 9.5, 10.0):
-            pops = _thermal_populations(energy)
+            pops = thermal_populations(energy)
             oracle, oracle_entropy = thermal_populations_oracle(energy, pops.size)
             assert np.max(np.abs(pops - oracle)) <= 1e-10
             assert abs(oracle_entropy - g_func(energy)) <= 1e-10
@@ -158,20 +158,20 @@ class TestSolveGibbs:
 
     def test_range_error_carries_interval(self):
         with pytest.raises(EnergyRangeError) as err:
-            _thermal_populations(-0.5)
+            thermal_populations(-0.5)
         assert str(err.value) == "mean energy -0.5 outside achievable interval [0.0, inf)"
         for energy in (float("nan"), math.inf, -math.inf):
             with pytest.raises(EnergyRangeError):
-                _thermal_populations(energy)
+                thermal_populations(energy)
         # energy 0 is the ground state
-        assert np.array_equal(_thermal_populations(0.0, levels=3), [1.0, 0.0, 0.0])
+        assert np.array_equal(thermal_populations(0.0, levels=3), [1.0, 0.0, 0.0])
 
     def test_closed_form_matches_the_bisection_oracle(self):
         # fixed truncations far from the tail cut, where the normalised
         # geometric is the truncated Gibbs state of a lower mean: the oracle
         # at that mean gives the same populations
         for energy, levels in ((0.5, 2), (1.0, 5), (0.5, 49), (3.0, 7)):
-            pops = _thermal_populations(energy, levels=levels)
+            pops = thermal_populations(energy, levels=levels)
             mean = float(np.arange(levels) @ pops)
             oracle, oracle_entropy = thermal_populations_oracle(mean, levels)
             assert np.max(np.abs(pops - oracle)) <= 1e-15
@@ -184,25 +184,25 @@ class TestSolveGibbs:
         # betas it once found for them
         for energy, beta in ((10.0, 0.09531017980279965), (2.0, 0.40546510810302105),
                              (4.0, 0.2231435513176957)):
-            pops = _thermal_populations(energy)
+            pops = thermal_populations(energy)
             ratio = math.log(pops[0] / pops[1])
             assert ratio == pytest.approx(math.log1p(1.0 / energy), rel=1e-14)
             assert ratio == pytest.approx(beta, abs=1e-11)
 
     def test_extension_doubles_until_the_tail_is_negligible(self):
         for energy, levels in ((10.0, 512), (4.0, 128), (2.0, 128), (0.5, 64)):
-            pops = _thermal_populations(energy)
+            pops = thermal_populations(energy)
             assert pops.size == levels and pops[-1] < THERMAL_TAIL_CUT
             if levels > 64:
                 # half the levels would not do
-                assert _thermal_populations(energy, levels=levels // 2)[-1] >= THERMAL_TAIL_CUT
-        assert _thermal_populations(10.0)[-1] == pytest.approx(6.4e-23, rel=0.01)
+                assert thermal_populations(energy, levels=levels // 2)[-1] >= THERMAL_TAIL_CUT
+        assert thermal_populations(10.0)[-1] == pytest.approx(6.4e-23, rel=0.01)
 
     def test_extension_stops_at_the_fock_cap(self):
-        assert _thermal_populations(20.0).size == FOCK_CAP == 512
+        assert thermal_populations(20.0).size == FOCK_CAP == 512
         for energy in (21.0, 900.0, 1e300):
             with pytest.raises(TruncationError, match="needs more than 512 levels"):
-                _thermal_populations(energy)
+                thermal_populations(energy)
 
     def test_maximal_entropy_among_sampled_states(self, rng):
         # no distribution on 4 levels with mean E beats the Gibbs entropy of
@@ -240,7 +240,7 @@ class TestFH:
         assert g_func(0.0) == 0.0
         assert thermal_entropy(0.0) == 0.0
         with pytest.raises(EnergyRangeError):
-            _thermal_populations(-1e-300)
+            thermal_populations(-1e-300)
 
     def test_truncation_tracks_closed_form(self):
         # the tail-chosen truncation against g(E) across the working range

@@ -20,9 +20,9 @@ from qensembles.channels import (
     poisson_entropy,
 )
 from qensembles.energy import (
-    _thermal_populations,
     avg_passive_energy,
     mean_energy,
+    thermal_populations,
     truncated_passive_energy,
 )
 from qensembles.ensembles import Ensemble, average_state, singleton
@@ -121,7 +121,7 @@ def test_example7_gap_inside_cap():
     # (1 - eps)|z><z| + eps gamma(N), integrated radially against the Gaussian
     # weight by Gauss-Legendre; it stays inside the energy-case cap
     n_mean, n_max = 1.0, 60
-    gibbs = np.diag(_thermal_populations(n_mean, levels=n_max + 1))
+    gibbs = np.diag(thermal_populations(n_mean, levels=n_max + 1))
     s_hi = n_max / 4.0
     xs, ws = np.polynomial.legendre.leggauss(64)
     for eps in (0.1, 0.25):
@@ -142,7 +142,7 @@ def test_energy_witnesses_match_the_dense_states():
     records = EXPERIMENTS["scb-energy"](small_cfg(trials=1)).records
     fields = {(r.tag, r.epsilon): r.lhs for r in records}
     for eps, energy in ((0.1, 1.0), (0.25, 0.5), (0.5, 2.0)):
-        gibbs = np.diag(_thermal_populations(energy / eps)).astype(complex)
+        gibbs = np.diag(thermal_populations(energy / eps)).astype(complex)
         tau0 = np.zeros_like(gibbs)
         tau0[0, 0] = 1.0
         rho = eps * gibbs + (1.0 - eps) * tau0
@@ -160,7 +160,7 @@ def test_displaced_gibbs_average_matches_every_node(angular):
     # node of D(zeta) gamma(N_0) D(zeta)^dag, each D from expm; the captured
     # weight lies within a few eps of the exact sum of the node weights
     n0, n_mean, n_max = 0.5, 0.4, 48
-    g = _thermal_populations(n0, levels=n_max + 1)
+    g = thermal_populations(n0, levels=n_max + 1)
     args = (g, n_max, 20, angular, 4.0 * math.sqrt(n_mean), n_mean)
     avg, total_w = _displaced_gibbs_average(*args)
     ref, node_weights = displaced_average_bruteforce(*args)

@@ -31,21 +31,28 @@ from qensembles import (
     truncated_passive_energy,
     von_neumann_entropy,
 )
-from qensembles.energy import _truncated_passives
-from qensembles.ensembles import mix_members_toward
-from qensembles.channels import apply_many, erasure_channel
-from qensembles.experiments import _entropies, _entropies_and_passives
+from qensembles.energy import (
+    _passive,
+    avg_mean_energies,
+    avg_passive_energies,
+    mean_energy,
+    truncated_passive_energies,
+)
+from qensembles.ensembles import average_entropies, average_singleton, mix_members_toward
+from qensembles.channels import apply_ensembles, apply_many, erasure_channel
 from qensembles.linalg import (
     _per_shape,
     _positive_part,
     _trace_norm,
     check_density,
     hermitian_part,
+    shannon_entropy,
 )
 from qensembles.randomgen import (
     gram_states,
     haar_unitaries,
     random_channel,
+    random_ensemble,
     random_pure_ensemble,
     random_state,
 )
@@ -182,15 +189,25 @@ class TestStackedKernels:
         assert np.array_equal(both.apply(mu.states), per_matrix(both.apply, mu.states))
 
 
-# the kernels verify evaluates per dimension, each with the exactly Hermitian
-# stacks it gets made from a stack of states: the states themselves, traceless
-# differences (the d0 terms) and truncation cuts
+def _entropies_and_passives(states):
+    # what average_entropies and avg_passive_energies compute per dimension
+    # from the spectra they keep
+    lam = np.linalg.eigvalsh(states)
+    return np.stack([shannon_entropy(lam), _passive(lam[:, ::-1])], axis=-1)
+
+
+# the computations the batch forms make per dimension, each with the exactly
+# Hermitian stacks it gets made from a stack of states: the states themselves
+# (the kept spectra and what is read from them), traceless differences (the d0
+# terms) and truncation cuts; TestBatchForms holds the batch forms themselves
+# to their per-item functions
 PER_DIM_KERNELS = {
     "eigvalsh": (np.linalg.eigvalsh, lambda a: a),
-    "entropies": (_entropies, lambda a: a),
+    "entropies": (lambda a: shannon_entropy(np.linalg.eigvalsh(a)), lambda a: a),
     "entropies-and-passives": (_entropies_and_passives, lambda a: a),
     "trace-norms": (_trace_norm, lambda a: a - np.eye(a.shape[-1]) / a.shape[-1]),
-    "truncated-passives": (_truncated_passives, lambda a: 0.4 * a - 0.05 * np.eye(a.shape[-1])),
+    "truncated-passives": (lambda cut: passive_energy(_positive_part(cut)),
+                           lambda a: 0.4 * a - 0.05 * np.eye(a.shape[-1])),
 }
 
 
@@ -222,6 +239,106 @@ class TestPerDimension:
             alone = fn(stack)
             assert part.dtype == alone.dtype
             assert np.array_equal(part, alone)
+
+
+@st.composite
+def ensemble_batches(draw):
+    """A seed and the (dim, members, rank, validated, eps) of 1-6 ensembles:
+    dimensions 2-9 and 1-9 members (np.sum adds 8 or more terms pairwise),
+    trusted ones whose spectra are not yet kept and validated ones whose
+    spectra are, and one truncation eps each."""
+    specs = draw(st.lists(st.tuples(
+        st.integers(2, 9), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+        st.floats(1e-3, 0.5)), min_size=1, max_size=6))
+    return draw(st.integers(0, 2**32 - 1)), specs
+
+
+def build_batch(seed, specs):
+    # the same ensembles on every call, none sharing a spectra array
+    rng = np.random.default_rng(seed)
+    batch = []
+    for d, n, rank, validated, _ in specs:
+        mu = random_ensemble(d, n, rng, rank=min(rank, d))
+        batch.append(Ensemble(d, mu.weights, mu.states) if validated else mu)
+    return batch
+
+
+class TestBatchForms:
+    """Each batch form is its per-item function bit for bit, and the per-item
+    functions are the one-ensemble formulas they replaced."""
+
+    @SETTINGS
+    @given(ensemble_batches())
+    @example(case=(0, [(3, 2, 3, False, 0.1), (5, 1, 2, False, 0.2), (3, 9, 1, True, 0.3),
+                       (5, 8, 5, False, 0.05)]))  # two shared dimensions, both kinds
+    def test_each_batch_form_is_its_per_item_function(self, case):
+        seed, specs = case
+        eps = [spec[-1] for spec in specs]
+        batch = build_batch(seed, specs)
+        got = {"entropies": average_entropies(batch),
+               "passives": avg_passive_energies(batch),
+               "truncated": truncated_passive_energies(list(zip(batch, eps))),
+               "energies": avg_mean_energies(batch)}
+        fresh = build_batch(seed, specs)
+        want = {"entropies": [average_entropy(mu) for mu in fresh],
+                "passives": [avg_passive_energy(mu) for mu in fresh],
+                "truncated": [truncated_passive_energy(mu, e) for mu, e in zip(fresh, eps)],
+                "energies": [float(np.sum(mu.weights * [mean_energy(r) for r in mu.states]))
+                             for mu in fresh]}
+        assert got == want
+        for mu, e, s, p, t in zip(fresh, eps, want["entropies"], want["passives"],
+                                  want["truncated"]):
+            lam = np.linalg.eigvalsh(mu.states)
+            assert s == float(np.sum(mu.weights * shannon_entropy(lam)))
+            assert p == float(np.sum(mu.weights * passive_energy(mu.states)))
+            cut = mu.weights[:, None, None] * mu.states - e * np.eye(mu.dim)
+            assert t == float(np.sum(passive_energy(_positive_part(cut))))
+
+    @SETTINGS
+    @given(ensemble_batches())
+    def test_kept_spectra_are_eigvalsh_read_only(self, case):
+        batch = build_batch(*case)
+        average_entropies(batch)
+        for mu in batch:
+            assert np.array_equal(mu.spectra, np.linalg.eigvalsh(mu.states))
+            assert not mu.spectra.flags.writeable
+
+    @SETTINGS
+    @given(ensemble_batches())
+    def test_one_eigvalsh_call_per_dimension(self, case):
+        seed, specs = case
+        batch = build_batch(seed, specs)
+        real, calls = np.linalg.eigvalsh, []
+        try:
+            np.linalg.eigvalsh = lambda a: calls.append(a.shape) or real(a)
+            average_entropies(batch)
+            avg_passive_energies(batch)  # reads the spectra now kept
+        finally:
+            np.linalg.eigvalsh = real
+        todo = [(d, n) for d, n, _, validated, _ in specs if not validated]
+        assert sorted(calls) == sorted(
+            (sum(n for e, n in todo if e == d), d, d) for d in {d for d, _ in todo})
+
+    def test_a_nonpositive_eps_in_a_batch_raises(self, rng):
+        batch = [random_ensemble(d, 2, rng) for d in (2, 3, 2)]
+        for at in range(len(batch)):
+            for bad in (0.0, -0.1):
+                eps = [0.1] * len(batch)
+                eps[at] = bad
+                with pytest.raises(ValidationError, match="eps must be positive"):
+                    truncated_passive_energies(list(zip(batch, eps)))
+
+    @SETTINGS
+    @given(ensemble_and_channel())
+    def test_output_ensembles_and_the_average_singleton(self, case):
+        mu, chan = case
+        out, out_avg = apply_ensembles([(chan, mu), (chan, average_singleton(mu))])
+        assert np.array_equal(out.weights, mu.weights)
+        assert np.array_equal(out.states, chan.apply_ensemble(mu).states)
+        assert out_avg.weights.tolist() == [1.0]
+        assert np.array_equal(out_avg.states[0], chan.apply(average_state(mu)))
+        # Tr H Phi(avg), not checked again, is the validating mean_energy
+        assert avg_mean_energies([out_avg]) == [mean_energy(chan.apply(average_state(mu)))]
 
 
 def same_bits(a, b):

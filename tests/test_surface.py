@@ -46,3 +46,23 @@ def test_only_metrics_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
     assert importers == {"metrics.py"}
+
+
+# the private names experiments may import from a sibling module, each with
+# its reason
+EXPERIMENTS_PRIVATE_IMPORTS = {
+    # groups the trial draws by shape, one QR and one Gram product per shape
+    ("linalg", "_per_shape"),
+    # mixes the drawn members toward drawn targets that are valid already
+    ("ensembles", "_mixed_toward"),
+}
+
+
+def test_experiments_imports_no_private_sibling_name():
+    path = Path(qensembles.__file__).parent / "experiments.py"
+    private = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            private |= {(node.module, alias.name) for alias in node.names
+                        if alias.name.startswith("_")}
+    assert private == EXPERIMENTS_PRIVATE_IMPORTS
