@@ -150,11 +150,17 @@ def aoe(chan, mu):
     return average_entropy(chan.apply_ensemble(mu))
 
 
+def holevo_chis(outputs):
+    """[max(S(out_avg) - AOE, 0) for out, out_avg in outputs] of output
+    ensembles Phi(mu) and their Phi(avg) singletons, from one
+    average_entropies call."""
+    ents = average_entropies([ens for pair in outputs for ens in pair])
+    return [max(s_avg - s_out, 0.0) for s_out, s_avg in zip(ents[0::2], ents[1::2])]
+
+
 def holevo_chi(chan, mu):
     """Output Holevo information S(Phi(avg)) - AOE, clamped at 0 from below."""
-    out_aoe, out_avg = average_entropies(
-        apply_ensembles([(chan, mu), (chan, average_singleton(mu))]))
-    return max(out_avg - out_aoe, 0.0)
+    return holevo_chis([apply_ensembles([(chan, mu), (chan, average_singleton(mu))])])[0]
 
 
 # ---------------------------------------------------------------------------

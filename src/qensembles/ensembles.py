@@ -14,6 +14,7 @@ mixtures of validated states) build through Ensemble._trusted instead.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,12 +235,19 @@ def _mixed_toward(mu, targets, t):
 
 
 def perturb_weights(mu, direction, t):
-    """Shift weights along a zero-sum direction, clipped to stay a distribution."""
+    """Shift weights along a zero-sum direction, clipped to stay a distribution.
+
+    The direction is mean-centred, so the clipped weights sum to about 1 or
+    more, unless direction or t is NaN or infinite, or t is so large that
+    the shift overflows or clips every weight: their sum must be positive
+    and finite, else ValidationError."""
     d = np.asarray(direction, dtype=float)
     d = d - np.mean(d)
     w = np.clip(mu.weights + t * d, 0.0, None)
-    w = w / np.sum(w)
-    return Ensemble._trusted(mu.dim, _check_weights(w, "ensemble weights"), mu.states)
+    total = float(np.sum(w))
+    if not 0.0 < total < math.inf:  # also rejects NaN
+        raise ValidationError(f"shifted weights sum to {total}, not a positive finite number")
+    return Ensemble._trusted(mu.dim, w / total, mu.states)
 
 
 def pure_ensemble(vectors):

@@ -24,6 +24,7 @@ from .channels import (
     erasure_channel,
     erasure_pair_diamond,
     holevo_chi,
+    holevo_chis,
     identity_channel,
     mix_channels,
     mix_with_state,
@@ -244,23 +245,68 @@ def _trial_dims(cfg, max_dim):
     return tuple(d for d in cfg.dims if d <= max_dim) or (2, 3)
 
 
-# (key, [(i, d, phi, mu, nu, mixed, erasure)], d_ehs values) of the last batch
+class _Batch:
+    """One config's kept batch: draws, the tuple of its _channel_trials, and
+    dehs, the tuple of d_ehs_many values of its (mu, nu) pairs in trial order
+    at DEHS_TOL. Then what verify scb-rank, scb-energy and holevo share beyond
+    them, each computed on first use: the outputs of (channel, ensemble)
+    pairs of the batch's own objects, the Phi(avg) singletons of its
+    ensembles, and d0s. These are keyed by id, and the batch holds every
+    object whose id is a key, so no id is reused while the batch is kept."""
+
+    def __init__(self, draws, dehs):
+        self.draws, self.dehs = draws, dehs
+        self._outputs = {}  # (id(chan), id(mu)) -> chan(mu)
+        self._averages = {}  # id(mu) -> (mu, average_singleton(mu))
+
+    @functools.cached_property
+    def _owned(self):
+        # ids of the batch's channels and ensembles; average adds its singletons
+        return {id(x) for _, _, phi, mu, nu, mixed, _ in self.draws
+                for x in (phi, mu, nu) + (() if mixed is None else mixed[:1])}
+
+    @functools.cached_property
+    def d0s(self):
+        """The d0_many values of the (mu, nu) pairs in trial order."""
+        return tuple(d0_many([(mu, nu) for _, _, _, mu, nu, *_ in self.draws]))
+
+    def average(self, mu):
+        """average_singleton(mu), built once per ensemble."""
+        if id(mu) not in self._averages:
+            avg = average_singleton(mu)
+            self._averages[id(mu)] = mu, avg
+            self._owned.add(id(avg))
+        return self._averages[id(mu)][1]
+
+    def outputs(self, pairs):
+        """apply_ensembles(pairs), from one call for the pairs not yet kept;
+        the outputs of pairs of the batch's own channels and ensembles are
+        kept, read-only, with the spectra the batch forms keep on them."""
+        keys = [(id(chan), id(mu)) for chan, mu in pairs]
+        todo = {key: pair for key, pair in zip(keys, pairs) if key not in self._outputs}
+        fresh = dict(zip(todo, apply_ensembles(list(todo.values()))))
+        self._outputs.update((key, out) for key, out in fresh.items()
+                             if self._owned.issuperset(key))
+        return [fresh[key] if key in fresh else self._outputs[key] for key in keys]
+
+
+# (key, _Batch) of the last config
 _batch_last = None
 
 
 def _channel_batch(cfg, max_dim):
-    """(draws, dehs): the config's _channel_trials as a tuple, and the tuple of
-    d_ehs_many values of its (mu, nu) pairs in trial order at DEHS_TOL.
-    verify scb-rank, scb-energy and holevo draw the same trials at one config,
-    so the last batch is kept, keyed by the seed, the trial count, the filtered
-    dims and DEHS_TOL, of which the draws are a function; it is read-only."""
+    """The config's _Batch. verify scb-rank, scb-energy and holevo draw the
+    same trials at one config, so the last batch is kept, keyed by the seed,
+    the trial count, the filtered dims and DEHS_TOL, of which the draws are a
+    function; a miss drops it with all it holds. All it hands out is read-only."""
     global _batch_last
     key = (cfg.seed, cfg.trials, _trial_dims(cfg, max_dim), DEHS_TOL)
     if _batch_last is None or _batch_last[0] != key:
-        kept = tuple(_channel_trials(cfg, max_dim))
-        sols = d_ehs_many([(mu, nu) for _, _, _, mu, nu, *_ in kept], tol=DEHS_TOL)
-        _batch_last = (key, kept, tuple(float(sol.value) for sol in sols))
-    return _batch_last[1], _batch_last[2]
+        _batch_last = None  # drop the old batch before drawing the new one
+        draws = tuple(_channel_trials(cfg, max_dim))
+        sols = d_ehs_many([(mu, nu) for _, _, _, mu, nu, *_ in draws], tol=DEHS_TOL)
+        _batch_last = (key, _Batch(draws, tuple(float(sol.value) for sol in sols)))
+    return _batch_last[1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +315,9 @@ def _channel_batch(cfg, max_dim):
 
 def verify_scb_rank(cfg):
     rec = _Recorder("scb-rank")
-    draws, dehs = _channel_batch(cfg, max_dim=5)
-    pairs = [(mu, nu) for _, _, _, mu, nu, *_ in draws]
+    batch = _channel_batch(cfg, max_dim=5)
     trials, inputs = [], []
-    for i, d, phi, mu, nu, mixed, erasure in draws:
+    for i, d, phi, mu, nu, mixed, erasure in batch.draws:
         mode = i % 3
         if mode == 0:
             phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
@@ -287,9 +332,10 @@ def verify_scb_rank(cfg):
             rank = d + 1
         trials.append((d, mode, half_norm, rank))
         inputs += [(phi_full, mu), (psi_full, nu)]
-    aoes = average_entropies(apply_ensembles(inputs))
+    aoes = average_entropies(batch.outputs(inputs))
+    dks = d_kantorovich_many([(mu, nu) for _, _, _, mu, nu, *_ in batch.draws])
     for (d, mode, half_norm, rank), v_ehs, v_d0, s_dk, aoe_mu, aoe_nu in zip(
-            trials, dehs, d0_many(pairs), d_kantorovich_many(pairs), aoes[0::2], aoes[1::2]):
+            trials, batch.dehs, batch.d0s, dks, aoes[0::2], aoes[1::2]):
         lhs = aoe_mu - aoe_nu
         metrics = {"dehs": v_ehs, "d0": v_d0, "dk": s_dk.value}
         for name, dist in metrics.items():
@@ -329,15 +375,15 @@ def _scb_rank_witnesses(rec):
 
 def verify_scb_energy(cfg):
     rec = _Recorder("scb-energy")
-    draws, dehs = _channel_batch(cfg, max_dim=6)
+    batch = _channel_batch(cfg, max_dim=6)
+    draws, dehs, d0s = batch.draws, batch.dehs, batch.d0s
     half_norms, inputs = [], []
     for i, d, phi, mu, nu, mixed, _ in draws:
         psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
         half_norms.append(half_norm)
-        inputs += [(phi, mu), (psi_chan, nu), (phi, average_singleton(mu))]
-    outs = apply_ensembles(inputs)
+        inputs += [(phi, mu), (psi_chan, nu), (phi, batch.average(mu))]
+    outs = batch.outputs(inputs)
     aoes = average_entropies(outs[0::3] + outs[1::3])
-    d0s = d0_many([(mu, nu) for _, _, _, mu, nu, *_ in draws])
     e_cuts = iter(truncated_passive_energies([
         (out, v_d0 + half_norm) for out, v_d0, half_norm in zip(outs[0::3], d0s, half_norms)
         if v_d0 + half_norm > 0.0]))
@@ -401,24 +447,24 @@ def _scb_energy_witnesses(rec):
 
 def verify_holevo(cfg):
     rec = _Recorder("holevo")
-    draws, dehs = _channel_batch(cfg, max_dim=5)
+    batch = _channel_batch(cfg, max_dim=5)
     trials, inputs = [], []
-    for (i, d, phi, mu, nu, mixed, _), dist in zip(draws, dehs):
+    for (i, d, phi, mu, nu, mixed, _), dist in zip(batch.draws, batch.dehs):
         psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
         eps = min(dist + half_norm, 1.0)
         if eps <= 0.0:
             continue
         trials.append((i, d, eps))
         inputs += [(phi, mu), (psi_chan, nu),
-                   (phi, average_singleton(mu)), (psi_chan, average_singleton(nu))]
-    outs = apply_ensembles(inputs)  # Phi(mu), Psi(nu), Phi(avg mu), Psi(avg nu) per trial
-    ent = iter(average_entropies(outs))
+                   (phi, batch.average(mu)), (psi_chan, batch.average(nu))]
+    outs = batch.outputs(inputs)  # Phi(mu), Psi(nu), Phi(avg mu), Psi(avg nu) per trial
+    chis = holevo_chis([*zip(outs[0::4], outs[2::4]), *zip(outs[1::4], outs[3::4])])
     energies = avg_mean_energies(outs[2::4] + outs[3::4])
-    for (i, d, eps), e_nu_psv, e_mu, e_nu_avg in zip(
-            trials, avg_passive_energies(outs[1::4]), energies, energies[len(trials):]):
+    for (i, d, eps), chi_mu, chi_nu, e_nu_psv, e_mu, e_nu_avg in zip(
+            trials, chis, chis[len(trials):], avg_passive_energies(outs[1::4]),
+            energies, energies[len(trials):]):
         # holevo_chi(phi, mu) - holevo_chi(psi_chan, nu)
-        aoe_mu, aoe_nu, s_avg_mu, s_avg_nu = next(ent), next(ent), next(ent), next(ent)
-        lhs = max(s_avg_mu - aoe_mu, 0.0) - max(s_avg_nu - aoe_nu, 0.0)
+        lhs = chi_mu - chi_nu
         case_a = (B.RankConstraint(d), B.EnergyConstraint(e_mu))
         case_b = (B.RankConstraint(d), B.EnergyConstraint(e_nu_psv))
         combo = i % 4

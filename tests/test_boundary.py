@@ -153,7 +153,6 @@ BOUNDARY = {
     "energy.mean_energy",
     "ensembles.Ensemble.__post_init__",
     "ensembles.mix_members_toward",
-    "ensembles.perturb_weights",
     "ensembles.steer_to_average",
     "linalg.eigvals_desc",
     "linalg.fidelity",

@@ -24,11 +24,13 @@ from qensembles.channels import (
     FOCK_CAP,
     _LOG_FACTORIAL,
     _POISSON_BLOCK_CELLS,
+    apply_ensembles,
     displacement_operator,
+    holevo_chis,
     poisson_entropy,
 )
 from qensembles.energy import mean_energy
-from qensembles.ensembles import Ensemble, pure_ensemble, singleton
+from qensembles.ensembles import Ensemble, average_singleton, pure_ensemble, singleton
 from qensembles.errors import TruncationError
 from qensembles.randomgen import (
     random_channel,
@@ -121,6 +123,19 @@ class TestAoeChi:
         # the Gibbs entropy of the same 3 levels at the average passive energy
         cap = thermal_populations_oracle(avg_passive_energy(out), 3)[1]
         assert aoe(chan, mu) <= cap + 1e-8
+
+    def test_chi_batch_over_outputs_is_the_per_pair_chi(self, rng):
+        # output pairs of three dimensions and two output sizes, one batch
+        pairs = [(random_channel(d, d_out, 2, rng), random_ensemble(d, n, rng))
+                 for d, d_out, n in ((2, 2, 3), (3, 4, 1), (2, 3, 2), (3, 3, 4))]
+        pairs.append((identity_channel(3), pure_ensemble([basis_ket(3, k) for k in range(3)])))
+        outputs = [apply_ensembles([(chan, mu), (chan, average_singleton(mu))])
+                   for chan, mu in pairs]
+        chis = holevo_chis(outputs)
+        assert chis == [holevo_chi(chan, mu) for chan, mu in pairs]
+        assert all(type(chi) is float and chi >= 0.0 for chi in chis)
+        assert chis[-1] == pytest.approx(math.log(3))
+        assert holevo_chis([]) == []
 
 
 class TestTraceNormMonotonicity:

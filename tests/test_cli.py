@@ -453,6 +453,21 @@ print(after_package, after_cli)
     assert res.stdout.split() == ["[]", "[]"]
 
 
+def test_cli_import_loads_numpy_and_the_package_alone():
+    # what `import qensembles.cli` adds beyond the standard library; setup
+    # time is this import, so a new top-level dependency shows here first
+    code = """
+import sys
+before = set(sys.modules)
+import qensembles.cli
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(added - set(sys.stdlib_module_names)))
+"""
+    res = fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "['numpy', 'qensembles']"
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "prop2", "--param", "eps=0.1", "--param", "rank=4"],
     ["verify", "lemmas", "--trials", "3"],

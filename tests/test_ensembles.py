@@ -14,7 +14,7 @@ from qensembles import (
     trace_norm,
     von_neumann_entropy,
 )
-from qensembles.ensembles import pure_ensemble, singleton
+from qensembles.ensembles import _check_weights, perturb_weights, pure_ensemble, singleton
 from qensembles.randomgen import (
     random_ensemble,
     random_pure,
@@ -169,3 +169,37 @@ def test_pure_ensemble_builder(rng):
     assert np.allclose(mu.weights, np.ones(3) / 3)
     for _, s in mu.members:
         assert np.trace(s @ s).real == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPerturbWeights:
+    def test_weights_are_the_clipped_normalized_shift(self, rng):
+        # bit for bit the shift the function replaced, which re-validated
+        # its normalized weights
+        for n in (1, 2, 5):
+            mu = random_ensemble(2, n, rng)
+            for t in (0.0, 0.1, 3.0, -2.0):
+                direction = rng.normal(size=n)
+                d = direction - np.mean(direction)
+                w = np.clip(mu.weights + t * d, 0.0, None)
+                want = _check_weights(w / np.sum(w), "weights")
+                nu = perturb_weights(mu, direction, t)
+                assert nu.weights.tobytes() == want.tobytes()
+                assert nu.states is mu.states and not nu.weights.flags.writeable
+
+    @pytest.mark.parametrize("direction, t", [
+        ([0.2, np.nan, 0.1], 0.1),
+        ([0.2, np.inf, 0.1], 0.1),
+        ([0.2, -np.inf, 0.1], 0.1),
+        ([0.2, -0.3, 0.1], np.nan),
+        ([0.2, -0.3, 0.1], np.inf),
+        ([0.2, -0.3, 0.1], -np.inf),
+        ([0.2, 0.2, 0.2], np.inf),
+        # finite, yet the shift overflows, or clips every weight: the
+        # centred direction of equal entries is a tiny negative constant
+        ([1e10, -1e10, 0.0], 1e300),
+        ([0.1, 0.1, 0.1], 1e300),
+    ])
+    def test_non_finite_or_overflowing_shift_raises(self, direction, t):
+        mu = Ensemble.from_members([(1 / 3, ketbra(basis_ket(2, k % 2))) for k in range(3)])
+        with np.errstate(all="ignore"), pytest.raises(ValidationError):
+            perturb_weights(mu, direction, t)

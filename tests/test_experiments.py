@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from qensembles import ValidationError
 from qensembles import bounds as B
+from qensembles import channels
 from qensembles import experiments
 from qensembles import serialize as ser
 from qensembles.cli import main
@@ -396,8 +399,10 @@ def test_warm_misses_in_any_order_match_cold_reports(tmp_path, fresh_batch, dehs
 
 def test_kept_batch_hit_returns_a_fresh_draw_and_solve(fresh_batch, dehs_spy, draw_spy):
     cfg = ExperimentConfig(seed=9108, trials=6, dims=(2, 3))
-    first, dehs = experiments._channel_batch(cfg, max_dim=5)
-    hit, hit_dehs = experiments._channel_batch(cfg, max_dim=5)
+    batch = experiments._channel_batch(cfg, max_dim=5)
+    first, dehs = batch.draws, batch.dehs
+    again = experiments._channel_batch(cfg, max_dim=5)
+    hit, hit_dehs = again.draws, again.dehs
     assert len(dehs_spy) == 1 and len(draw_spy) == 6
     assert hit_dehs is dehs
 
@@ -430,7 +435,8 @@ def test_kept_batch_misses_on_each_config_change(fresh_batch, dehs_spy, draw_spy
         # each change against the kept base config is a miss
         experiments._channel_batch(base, max_dim=5)
         solved, drawn = len(dehs_spy), len(draw_spy)
-        draws, dehs = experiments._channel_batch(cfg, max_dim=max_dim)
+        batch = experiments._channel_batch(cfg, max_dim=max_dim)
+        draws, dehs = batch.draws, batch.dehs
         assert len(dehs_spy) == solved + 1 and len(draw_spy) == drawn + cfg.trials
         assert len(dehs_spy[-1]) == len(draws) == len(dehs) == cfg.trials
         assert_same_draws(draws, fresh_draws(cfg, max_dim=max_dim))
@@ -445,7 +451,8 @@ def test_kept_batch_misses_on_each_config_change(fresh_batch, dehs_spy, draw_spy
 
 def test_kept_batch_values_are_an_immutable_tuple_of_floats(fresh_batch):
     cfg = ExperimentConfig(seed=9111, trials=5, dims=(2, 3))
-    draws, dehs = experiments._channel_batch(cfg, max_dim=5)
+    batch = experiments._channel_batch(cfg, max_dim=5)
+    draws, dehs = batch.draws, batch.dehs
     assert type(draws) is tuple and len(draws) == 5
     assert type(dehs) is tuple and len(dehs) == 5
     assert all(type(v) is float for v in dehs)
@@ -456,7 +463,111 @@ def test_kept_batch_values_are_an_immutable_tuple_of_floats(fresh_batch):
     for array in (phi.kraus, mu.weights, mu.states, nu.weights, nu.states, psi.kraus):
         with pytest.raises(ValueError):
             array[0] = 0.0
-    assert experiments._channel_batch(cfg, max_dim=5)[1] is dehs
+    assert experiments._channel_batch(cfg, max_dim=5).dehs is dehs
+
+
+# ---------------------------------------------------------------------------
+# What the kept batch shares beyond the draws: outputs, Phi(avg) singletons
+# and d0 values, each computed on first use
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def apply_spy(monkeypatch):
+    """The (channel, states) pair lists channels.apply_many is called with,
+    one per call; the lists keep their objects alive, so ids stay unique."""
+    calls = []
+    real = channels.apply_many
+
+    def spy(pairs):
+        calls.append(list(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(channels, "apply_many", spy)
+    return calls
+
+
+def run_channel_commands(tmp_path, seed, trials, names=("scb-rank", "scb-energy", "holevo")):
+    for name in names:
+        main(["verify", name, "--seed", str(seed), "--trials", str(trials),
+              "--out", str(tmp_path / f"{name}-{seed}.json")])
+
+
+def test_warm_holevo_maps_only_its_psi_avg_nu_inputs(tmp_path, fresh_batch, apply_spy):
+    run_channel_commands(tmp_path, 9112, 12, names=("scb-rank", "scb-energy"))
+    mapped = len(apply_spy)
+    run_channel_commands(tmp_path, 9112, 12, names=("holevo",))
+    assert len(apply_spy) == mapped + 1
+    # Psi(avg nu) of every trial, Psi = phi at even i and the mixed channel at
+    # odd i; Phi(mu), Psi(nu) and Phi(avg mu) are kept from scb-energy
+    draws = experiments._channel_batch(ExperimentConfig(seed=9112, trials=12), max_dim=5).draws
+    got = apply_spy[-1]
+    assert len(got) == len(draws) == 12
+    for (chan, states), (i, d, phi, _, nu, mixed, _) in zip(got, draws):
+        assert chan is (phi if i % 2 == 0 else mixed[0])
+        assert states.shape == (1, d, d) and same_bits(states[0], average_state(nu))
+
+
+def test_three_commands_map_each_pair_and_build_each_shared_value_once(
+        tmp_path, fresh_batch, apply_spy, monkeypatch):
+    calls = {"average_singleton": [], "d0_many": []}
+    for name in calls:
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, real=real, name=name: calls[name].append(a) or real(*a))
+    run_channel_commands(tmp_path, 9113, 12)
+    mapped = [(id(chan), id(states)) for pairs in apply_spy for chan, states in pairs]
+    assert len(mapped) == len(set(mapped))
+    # 24 by scb-rank, 24 new of scb-energy's 36, 12 new of holevo's 48, and
+    # scb-rank's 12 witness pairs
+    assert len(mapped) == 72
+    assert len(calls["average_singleton"]) == 24  # avg mu and avg nu of every trial
+    assert len(calls["d0_many"]) == 1
+
+
+@pytest.mark.parametrize("name, sizes", [
+    # the trial pairs, then the witnesses: Phi = id, then three eps per rank
+    ("scb-rank", [24, 1, 3, 1, 3, 1, 3]),
+    ("scb-energy", [36]),
+    ("holevo", [48]),
+])
+def test_a_lone_cold_command_maps_every_pair_in_one_call(
+        tmp_path, fresh_batch, apply_spy, name, sizes):
+    run_channel_commands(tmp_path, 9114, 12, names=(name,))
+    assert [len(pairs) for pairs in apply_spy] == sizes
+
+
+def test_a_config_change_drops_the_old_batch_with_all_it_kept(tmp_path, fresh_batch):
+    run_channel_commands(tmp_path, 9115, 9)
+    batch = experiments._channel_batch(ExperimentConfig(seed=9115, trials=9), max_dim=5)
+    kept = [batch, *batch._outputs.values(), *(avg for _, avg in batch._averages.values()),
+            *(x for trial in batch.draws for x in trial[2:5])]
+    refs = [weakref.ref(x) for x in kept]
+    # the four pairs holevo maps per trial, and scb-rank's (phi, nu) at i % 6 == 3
+    # and (Psi, nu) at i % 6 == 4; its erasure pairs are not the batch's own
+    assert len(batch._outputs) == 9 * 4 + 2
+    del batch, kept
+    run_channel_commands(tmp_path, 9116, 9)
+    gc.collect()
+    # nothing of the old batch is alive, so nothing of it can be handed out
+    assert all(ref() is None for ref in refs)
+
+
+def test_kept_outputs_are_read_only_and_keyed_by_objects_the_batch_holds(
+        tmp_path, fresh_batch):
+    run_channel_commands(tmp_path, 9117, 9)
+    batch = experiments._channel_batch(ExperimentConfig(seed=9117, trials=9), max_dim=5)
+    held = {id(x) for trial in batch.draws for x in trial[2:5]}
+    held |= {id(trial[5][0]) for trial in batch.draws if trial[5] is not None}
+    held |= {id(avg) for _, avg in batch._averages.values()}
+    assert all(set(key) <= held for key in batch._outputs)
+    assert all(id(mu) in held for mu, _ in batch._averages.values())
+    for out in batch._outputs.values():
+        # the spectra were kept by the batch forms the commands called
+        assert "spectra" in vars(out)
+        for array in (out.weights, out.states, out.spectra):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    assert type(batch.d0s) is tuple
 
 
 # ---------------------------------------------------------------------------
