@@ -131,8 +131,11 @@ def _emit(result, args, out_path):
     else:
         payload = ser.reports_to_json(result.records)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            return _usage_error(f"cannot write the report to {out_path}: {exc}")
     summary = {
         "experiment": result.name,
         "records": len(result.records),

@@ -124,11 +124,15 @@ def thermal_populations(energy, levels=None):
     population is below THERMAL_TAIL_CUT, and an E that needs more than
     FOCK_CAP levels (above about 20) raises TruncationError. The untruncated
     state has mean E and entropy g(E). E must be finite and nonnegative, else
-    EnergyRangeError.
+    EnergyRangeError; a given `levels` must be an integer >= 1, else
+    ValidationError.
     """
     energy = float(energy)
     if not 0.0 <= energy < math.inf:  # also rejects NaN
         raise EnergyRangeError(energy)
+    if levels is not None and (isinstance(levels, bool)
+                               or not isinstance(levels, (int, np.integer)) or levels < 1):
+        raise ValidationError(f"levels must be an integer >= 1, got {levels!r}")
     x = energy / (1.0 + energy)
     size = _THERMAL_START_LEVELS if levels is None else levels
     while True:

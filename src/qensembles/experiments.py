@@ -249,45 +249,38 @@ class _Batch:
     """One config's kept batch: draws, the tuple of its _channel_trials, and
     dehs, the tuple of d_ehs_many values of its (mu, nu) pairs in trial order
     at DEHS_TOL. Then what verify scb-rank, scb-energy and holevo share beyond
-    them, each computed on first use: the outputs of (channel, ensemble)
-    pairs of the batch's own objects, the Phi(avg) singletons of its
-    ensembles, and d0s. These are keyed by id, and the batch holds every
-    object whose id is a key, so no id is reused while the batch is kept."""
+    them, each computed on first use: d0s, and the outputs of trial i's
+    channels on its ensembles, keyed by (i, channel, ensemble). The channel is
+    "phi", "mixed" (the mixed-in Psi) or "erasure p" / "erasure q" (that
+    erasure channel after phi); the ensemble is "mu", "nu", "avg mu" or
+    "avg nu" (its average_singleton)."""
 
     def __init__(self, draws, dehs):
         self.draws, self.dehs = draws, dehs
-        self._outputs = {}  # (id(chan), id(mu)) -> chan(mu)
-        self._averages = {}  # id(mu) -> (mu, average_singleton(mu))
-
-    @functools.cached_property
-    def _owned(self):
-        # ids of the batch's channels and ensembles; average adds its singletons
-        return {id(x) for _, _, phi, mu, nu, mixed, _ in self.draws
-                for x in (phi, mu, nu) + (() if mixed is None else mixed[:1])}
+        self._outputs = {}  # (i, channel, ensemble) -> output
 
     @functools.cached_property
     def d0s(self):
         """The d0_many values of the (mu, nu) pairs in trial order."""
         return tuple(d0_many([(mu, nu) for _, _, _, mu, nu, *_ in self.draws]))
 
-    def average(self, mu):
-        """average_singleton(mu), built once per ensemble."""
-        if id(mu) not in self._averages:
-            avg = average_singleton(mu)
-            self._averages[id(mu)] = mu, avg
-            self._owned.add(id(avg))
-        return self._averages[id(mu)][1]
+    def _pair(self, i, chan, ens):
+        _, d, phi, mu, nu, mixed, erasure = self.draws[i]
+        if chan == "mixed":
+            phi = mixed[0]
+        elif chan != "phi":  # "erasure p" or "erasure q"
+            p, q = erasure
+            phi = erasure_channel(d, p if chan == "erasure p" else q).compose(phi)
+        mu = mu if ens.endswith("mu") else nu
+        return phi, average_singleton(mu) if ens.startswith("avg") else mu
 
-    def outputs(self, pairs):
-        """apply_ensembles(pairs), from one call for the pairs not yet kept;
-        the outputs of pairs of the batch's own channels and ensembles are
-        kept, read-only, with the spectra the batch forms keep on them."""
-        keys = [(id(chan), id(mu)) for chan, mu in pairs]
-        todo = {key: pair for key, pair in zip(keys, pairs) if key not in self._outputs}
-        fresh = dict(zip(todo, apply_ensembles(list(todo.values()))))
-        self._outputs.update((key, out) for key, out in fresh.items()
-                             if self._owned.issuperset(key))
-        return [fresh[key] if key in fresh else self._outputs[key] for key in keys]
+    def outputs(self, keys):
+        """The outputs of the (i, channel, ensemble) keys. Those not yet kept
+        are mapped in one apply_ensembles call; all are kept, read-only, with
+        the spectra the batch forms keep on them."""
+        todo = [key for key in dict.fromkeys(keys) if key not in self._outputs]
+        self._outputs.update(zip(todo, apply_ensembles([self._pair(*key) for key in todo])))
+        return [self._outputs[key] for key in keys]
 
 
 # (key, _Batch) of the last config
@@ -316,23 +309,19 @@ def _channel_batch(cfg, max_dim):
 def verify_scb_rank(cfg):
     rec = _Recorder("scb-rank")
     batch = _channel_batch(cfg, max_dim=5)
-    trials, inputs = [], []
-    for i, d, phi, mu, nu, mixed, erasure in batch.draws:
+    trials, keys = [], []
+    for i, d, _, _, _, mixed, erasure in batch.draws:
         mode = i % 3
         if mode == 0:
-            phi_full, psi_full, half_norm, rank = phi, phi, 0.0, d
+            chans, half_norm, rank = ("phi", "phi"), 0.0, d
         elif mode == 1:
-            psi_full, half_norm = mixed
-            phi_full, rank = phi, d
+            chans, half_norm, rank = ("phi", "mixed"), mixed[1], d
         else:
-            p, q = erasure
-            phi_full = erasure_channel(d, p).compose(phi)
-            psi_full = erasure_channel(d, q).compose(phi)
-            half_norm = 0.5 * erasure_pair_diamond(p, q)
-            rank = d + 1
+            chans, rank = ("erasure p", "erasure q"), d + 1
+            half_norm = 0.5 * erasure_pair_diamond(*erasure)
         trials.append((d, mode, half_norm, rank))
-        inputs += [(phi_full, mu), (psi_full, nu)]
-    aoes = average_entropies(batch.outputs(inputs))
+        keys += [(i, chans[0], "mu"), (i, chans[1], "nu")]
+    aoes = average_entropies(batch.outputs(keys))
     dks = d_kantorovich_many([(mu, nu) for _, _, _, mu, nu, *_ in batch.draws])
     for (d, mode, half_norm, rank), v_ehs, v_d0, s_dk, aoe_mu, aoe_nu in zip(
             trials, batch.dehs, batch.d0s, dks, aoes[0::2], aoes[1::2]):
@@ -377,12 +366,12 @@ def verify_scb_energy(cfg):
     rec = _Recorder("scb-energy")
     batch = _channel_batch(cfg, max_dim=6)
     draws, dehs, d0s = batch.draws, batch.dehs, batch.d0s
-    half_norms, inputs = [], []
-    for i, d, phi, mu, nu, mixed, _ in draws:
-        psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
+    half_norms, keys = [], []
+    for i, _, _, _, _, mixed, _ in draws:
+        psi, half_norm = ("phi", 0.0) if i % 2 == 0 else ("mixed", mixed[1])
         half_norms.append(half_norm)
-        inputs += [(phi, mu), (psi_chan, nu), (phi, batch.average(mu))]
-    outs = batch.outputs(inputs)
+        keys += [(i, "phi", "mu"), (i, psi, "nu"), (i, "phi", "avg mu")]
+    outs = batch.outputs(keys)
     aoes = average_entropies(outs[0::3] + outs[1::3])
     e_cuts = iter(truncated_passive_energies([
         (out, v_d0 + half_norm) for out, v_d0, half_norm in zip(outs[0::3], d0s, half_norms)
@@ -448,16 +437,15 @@ def _scb_energy_witnesses(rec):
 def verify_holevo(cfg):
     rec = _Recorder("holevo")
     batch = _channel_batch(cfg, max_dim=5)
-    trials, inputs = [], []
-    for (i, d, phi, mu, nu, mixed, _), dist in zip(batch.draws, batch.dehs):
-        psi_chan, half_norm = (phi, 0.0) if i % 2 == 0 else mixed
+    trials, keys = [], []
+    for (i, d, _, _, _, mixed, _), dist in zip(batch.draws, batch.dehs):
+        psi, half_norm = ("phi", 0.0) if i % 2 == 0 else ("mixed", mixed[1])
         eps = min(dist + half_norm, 1.0)
         if eps <= 0.0:
             continue
         trials.append((i, d, eps))
-        inputs += [(phi, mu), (psi_chan, nu),
-                   (phi, batch.average(mu)), (psi_chan, batch.average(nu))]
-    outs = batch.outputs(inputs)  # Phi(mu), Psi(nu), Phi(avg mu), Psi(avg nu) per trial
+        keys += [(i, "phi", "mu"), (i, psi, "nu"), (i, "phi", "avg mu"), (i, psi, "avg nu")]
+    outs = batch.outputs(keys)  # Phi(mu), Psi(nu), Phi(avg mu), Psi(avg nu) per trial
     chis = holevo_chis([*zip(outs[0::4], outs[2::4]), *zip(outs[1::4], outs[3::4])])
     energies = avg_mean_energies(outs[2::4] + outs[3::4])
     for (i, d, eps), chi_mu, chi_nu, e_nu_psv, e_mu, e_nu_avg in zip(

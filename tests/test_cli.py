@@ -212,6 +212,25 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command", [["verify", "lemmas"], ["repro", "erasure"]])
+def test_unwritable_report_path_exits_2(tmp_path, capsys, command, via_config):
+    out = tmp_path / "missing" / "report.json"
+    argv = [*command, "--trials", "2"]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_path": str(out)}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    # one error line that names the path, and no summary line
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write the report to {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name, replace_a, message", [
     # a member whose matrix is not a density matrix
     ("d0", lambda d: {"dim": 2, "members": [{"weight": 1.0, "matrix": [[[1, 0], [0, 0]],

@@ -140,6 +140,13 @@ class TestSolveGibbs:
                                   pops / np.sum(pops))
         assert np.array_equal(thermal_populations(0.5, levels=2), [0.75, 0.25])
 
+    def test_levels_must_be_an_integer_of_at_least_one(self):
+        for levels in (0, -3, 2.5, 3.0, True, False, "3", np.float64(2.0)):
+            with pytest.raises(ValidationError, match="levels must be an integer >= 1"):
+                thermal_populations(0.5, levels=levels)
+        assert np.array_equal(thermal_populations(0.5, levels=1), [1.0])
+        assert np.array_equal(thermal_populations(0.5, levels=np.int64(2)), [0.75, 0.25])
+
     def test_oscillator_matches_closed_form(self):
         # against the Gibbs state of the same truncation with mean exactly E,
         # bisected in mpmath: the mean, the entropy g(E) and the tail

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -539,12 +540,12 @@ def test_a_lone_cold_command_maps_every_pair_in_one_call(
 def test_a_config_change_drops_the_old_batch_with_all_it_kept(tmp_path, fresh_batch):
     run_channel_commands(tmp_path, 9115, 9)
     batch = experiments._channel_batch(ExperimentConfig(seed=9115, trials=9), max_dim=5)
-    kept = [batch, *batch._outputs.values(), *(avg for _, avg in batch._averages.values()),
-            *(x for trial in batch.draws for x in trial[2:5])]
+    kept = [batch, *batch._outputs.values(), *(x for trial in batch.draws for x in trial[2:5]),
+            *(trial[5][0] for trial in batch.draws if trial[5] is not None)]
     refs = [weakref.ref(x) for x in kept]
-    # the four pairs holevo maps per trial, and scb-rank's (phi, nu) at i % 6 == 3
-    # and (Psi, nu) at i % 6 == 4; its erasure pairs are not the batch's own
-    assert len(batch._outputs) == 9 * 4 + 2
+    # the four pairs holevo maps per trial, scb-rank's (phi, nu) at i % 6 == 3
+    # and (Psi, nu) at i % 6 == 4, and its two erasure pairs at i % 3 == 2
+    assert len(batch._outputs) == 9 * 4 + 2 + 3 * 2
     del batch, kept
     run_channel_commands(tmp_path, 9116, 9)
     gc.collect()
@@ -552,22 +553,57 @@ def test_a_config_change_drops_the_old_batch_with_all_it_kept(tmp_path, fresh_ba
     assert all(ref() is None for ref in refs)
 
 
-def test_kept_outputs_are_read_only_and_keyed_by_objects_the_batch_holds(
-        tmp_path, fresh_batch):
+def test_kept_outputs_are_read_only_and_keyed_by_trial_and_names(tmp_path, fresh_batch):
     run_channel_commands(tmp_path, 9117, 9)
     batch = experiments._channel_batch(ExperimentConfig(seed=9117, trials=9), max_dim=5)
-    held = {id(x) for trial in batch.draws for x in trial[2:5]}
-    held |= {id(trial[5][0]) for trial in batch.draws if trial[5] is not None}
-    held |= {id(avg) for _, avg in batch._averages.values()}
-    assert all(set(key) <= held for key in batch._outputs)
-    assert all(id(mu) in held for mu, _ in batch._averages.values())
-    for out in batch._outputs.values():
+    assert {chan for _, chan, _ in batch._outputs} == {"phi", "mixed", "erasure p", "erasure q"}
+    assert {ens for *_, ens in batch._outputs} == {"mu", "nu", "avg mu", "avg nu"}
+    for (i, chan, ens), out in batch._outputs.items():
+        _, d, phi, mu, nu, mixed, erasure = batch.draws[i]
+        # the key names trial i's own channel and ensemble: the output is
+        # that channel's map of that ensemble
+        if chan == "mixed":
+            phi = mixed[0]
+        elif chan != "phi":
+            p = dict(zip(("erasure p", "erasure q"), erasure))[chan]
+            phi = erasure_channel(d, p).compose(phi)
+        src = mu if ens.endswith("mu") else nu
+        if ens.startswith("avg"):
+            src = singleton(average_state(src))
+        want = phi.apply_ensemble(src)
+        assert same_bits(out.weights, want.weights) and same_bits(out.states, want.states)
         # the spectra were kept by the batch forms the commands called
         assert "spectra" in vars(out)
         for array in (out.weights, out.states, out.spectra):
             with pytest.raises(ValueError):
                 array[0] = 0.0
     assert type(batch.d0s) is tuple
+
+
+def test_a_second_scb_rank_maps_only_its_witness_pairs(tmp_path, fresh_batch, apply_spy):
+    run_channel_commands(tmp_path, 9118, 12, names=("scb-rank",))
+    cold = len(apply_spy)
+    run_channel_commands(tmp_path, 9118, 12, names=("scb-rank",))
+    # no trial pair, erasure-composed ones included; then the witnesses
+    assert [len(pairs) for pairs in apply_spy[cold:]] == [0, 1, 3, 1, 3, 1, 3]
+
+
+def test_every_order_of_the_three_commands_matches_cold_reports(tmp_path, monkeypatch):
+    names = ("scb-rank", "scb-energy", "holevo")
+    out = tmp_path / "report.json"
+
+    def report(name):
+        main(["verify", name, "--seed", "9119", "--trials", "12", "--out", str(out)])
+        return out.read_bytes()
+
+    cold = {}
+    for name in names:
+        monkeypatch.setattr(experiments, "_batch_last", None)
+        cold[name] = report(name)
+    for order in itertools.permutations(names):
+        monkeypatch.setattr(experiments, "_batch_last", None)
+        for name in order:
+            assert report(name) == cold[name], (order, name)
 
 
 # ---------------------------------------------------------------------------
