@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import bounds as B
@@ -110,7 +111,10 @@ def _config_from_args(args):
         data["seed"] = args.seed
     if args.trials is not None:
         data["trials"] = args.trials
-    return ExperimentConfig(**data), args.out or out_path
+    out_path = args.out or out_path
+    if out_path and not os.access(os.path.dirname(os.path.abspath(out_path)), os.W_OK):
+        raise ValidationError(f"cannot write the report to {out_path}: no writable directory")
+    return ExperimentConfig(**data), out_path
 
 
 def _table_csv(rows):

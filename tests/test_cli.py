@@ -13,6 +13,7 @@ from qensembles import Ensemble, PointMeasure
 from qensembles import serialize as ser
 from qensembles.cli import build_parser, main
 from qensembles.ensembles import singleton
+from qensembles.experiments import EXPERIMENTS, REPROS
 
 from conftest import basis_ket, fresh_python, ketbra
 
@@ -228,6 +229,38 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys, command, via_config):
     # one error line that names the path, and no summary line
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write the report to {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command", [["verify", "lemmas"], ["repro", "erasure"]])
+def test_unwritable_report_path_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                     command, via_config):
+    # a report path in a missing directory exits 2 without running anything
+    runs = EXPERIMENTS if command[0] == "verify" else REPROS
+    calls = []
+    monkeypatch.setitem(runs, command[1], lambda cfg: calls.append(cfg))
+    out = tmp_path / "missing" / "report.json"
+    argv = [*command, "--trials", "2"]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_path": str(out)}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"error: cannot write the report to {out}: no writable directory\n")
+
+
+def test_report_path_that_fails_only_at_write_exits_2_after_the_run(tmp_path, capsys):
+    # a directory passes the early check (its parent is writable) and fails
+    # at open: the late OSError path still gives one error line and exit 2
+    assert main(["verify", "lemmas", "--trials", "2", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write the report to {tmp_path}: ")
     assert captured.err.count("\n") == 1
 
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import weakref
 
@@ -586,6 +587,26 @@ def test_a_second_scb_rank_maps_only_its_witness_pairs(tmp_path, fresh_batch, ap
     run_channel_commands(tmp_path, 9118, 12, names=("scb-rank",))
     # no trial pair, erasure-composed ones included; then the witnesses
     assert [len(pairs) for pairs in apply_spy[cold:]] == [0, 1, 3, 1, 3, 1, 3]
+
+
+def test_witness_rows_are_written_alike_at_every_config(tmp_path):
+    # no witness row depends on the seed, the trial count or the dims
+    rows = {}
+    for seed, trials in ((9120, 3), (9121, 5)):
+        for name in ("scb-rank", "scb-energy"):
+            out = tmp_path / f"{name}-{seed}.json"
+            main(["verify", name, "--seed", str(seed), "--trials", str(trials),
+                  "--out", str(out)])
+            # the witness rows close each report
+            report = json.loads(out.read_text())
+            witnesses = [row for row in report if "/C" in row["tag"]]
+            assert witnesses == report[-len(witnesses):]
+            for row in witnesses:
+                del row["trial"]
+            rows.setdefault(name, []).append(json.dumps(witnesses))
+    assert all(a == b for a, b in rows.values())
+    assert len(json.loads(rows["scb-rank"][0])) == 27
+    assert len(json.loads(rows["scb-energy"][0])) == 18
 
 
 def test_every_order_of_the_three_commands_matches_cold_reports(tmp_path, monkeypatch):

@@ -546,6 +546,33 @@ class TestEhs:
                         expected.append((k, p + f * (mine[mine > p].min() - p)))
         assert list(zip(owners.tolist(), angles.tolist())) == expected
 
+    # coefficients that repeat, that differ only in the 12th decimal
+    # (distinct keys) or below it (one key), and -0.0 beside 0.0 (one key)
+    UNSEEN_VALUES = (0.0, -0.0, 0.123456789012, 0.123456789013, 0.5, 0.5 + 1e-14, -1.0)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(calls=st.lists(st.lists(st.tuples(
+        st.integers(0, 3),
+        *[st.one_of(st.sampled_from(UNSEEN_VALUES), st.floats(-2.0, 2.0))] * 2),
+        max_size=12), min_size=1, max_size=5))
+    def test_unseen_keeps_first_occurrences_across_calls(self, calls):
+        # calls sharing one seen set, against a first-occurrence loop over a
+        # plain list of the key tuples (pair, a, b to 12 decimals, half to even)
+        seen, taken = set(), []
+        for batch in calls:
+            pair = np.array([c[0] for c in batch], dtype=int)
+            a = np.array([c[1] for c in batch], dtype=float)
+            b = np.array([c[2] for c in batch], dtype=float)
+            want = []
+            for k, (p, x, y) in enumerate(batch):
+                key = (p, round(x * 1e12), round(y * 1e12))
+                if key not in taken:
+                    taken.append(key)
+                    want.append(k)
+            fresh = metrics._unseen(seen, pair, a, b)
+            assert fresh.dtype == np.int_ and fresh.tolist() == want
+        assert len(seen) == len(taken)
+
     def test_degenerate_inputs_match_kelley_reference(self, monkeypatch):
         # each case on its own (a lone one-pair call) and all in one batch,
         # with every LP kept in a HiGHS model: linprog is never reached, by
