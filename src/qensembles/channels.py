@@ -200,16 +200,16 @@ def mix_with_state(dim, eps, omega):
     omega = check_density(omega, dim=dim)
     ops = []
     if eps < 1.0:
-        ops.append(math.sqrt(1.0 - eps) * np.eye(dim, dtype=complex))
+        ops.append(math.sqrt(1.0 - eps) * np.eye(dim, dtype=complex)[None])
     if eps > 0.0:
         w, v = np.linalg.eigh(omega)
-        for lam, col in zip(w, v.T):
-            if lam > MIX_EIG_CUT:
-                for j in range(dim):
-                    k = np.zeros((dim, dim), dtype=complex)
-                    k[:, j] = math.sqrt(eps * lam) * col
-                    ops.append(k)
-    return KrausChannel(dim, dim, tuple(ops))
+        keep = w > MIX_EIG_CUT
+        cols = np.sqrt(eps * w[keep])[:, None] * v.T[keep]
+        # operator (l, j), eigenvalue-major: sqrt(eps lam_l) col_l in column j
+        stack = np.zeros((cols.shape[0], dim, dim, dim), dtype=complex)
+        stack[:, np.arange(dim), :, np.arange(dim)] = cols
+        ops.append(stack.reshape(-1, dim, dim))
+    return KrausChannel(dim, dim, np.concatenate(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +275,11 @@ def poisson_entropy(lam):
     TruncationError.
 
     The ln n! terms are read from the module table _LOG_FACTORIAL, built
-    once at import. An array is evaluated in blocks: the lam are sorted by
-    top, and each block of sorted rows (at most _POISSON_BLOCK_CELLS terms)
-    gets its terms from one 2-D exp at the block's widest top. The terms are
-    elementwise, so a row's extra columns change none of its own, and each
-    row sums only its own top + 1 terms.
+    once at import. An array is evaluated once per distinct lam, in blocks:
+    the distinct lam are sorted, hence by top, and each block of sorted rows
+    (at most _POISSON_BLOCK_CELLS terms) gets its terms from one 2-D exp at
+    the block's widest top. The terms are elementwise, so a row's extra
+    columns change none of its own; each row sums only its top + 1 terms.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0.0):  # also rejects NaN
@@ -287,7 +287,8 @@ def poisson_entropy(lam):
     flat = lam.reshape(-1)
     out = np.zeros(flat.size)
     pos = np.flatnonzero(flat > 0.0)
-    tops = flat[pos] + 12.0 * np.sqrt(flat[pos]) + 40.0
+    lam_s, inverse = np.unique(flat[pos], return_inverse=True)
+    tops = lam_s + 12.0 * np.sqrt(lam_s) + 40.0
     if not np.all(tops < FOCK_CAP + 1):  # also rejects inf
         raise TruncationError(
             f"Poisson parameter {np.max(flat)} needs a series past n = {FOCK_CAP}"
@@ -295,19 +296,16 @@ def poisson_entropy(lam):
     if pos.size == 0:
         return _value(out.reshape(lam.shape))
     tops = tops.astype(int)
-    order = np.argsort(tops)
-    pos, tops = pos[order], tops[order]
-    lam_s = flat[pos]
     log_lam = np.log(lam_s)
     n = np.arange(tops[-1] + 1)
     rows = _POISSON_BLOCK_CELLS // n.size
-    series = np.empty(pos.size)
-    for a in range(0, pos.size, rows):
-        block = slice(a, min(a + rows, pos.size))
+    series = np.empty(lam_s.size)
+    for a in range(0, lam_s.size, rows):
+        block = slice(a, min(a + rows, lam_s.size))
         width = tops[block.stop - 1] + 1  # the block's widest top
         log_fact = _LOG_FACTORIAL[:width]
         log_pmf = -lam_s[block, None] + n[:width] * log_lam[block, None] - log_fact
         terms = np.exp(log_pmf) * log_fact
         series[block] = np.sum(terms, axis=1, where=n[:width] <= tops[block, None])
-    out[pos] = lam_s * (1.0 - log_lam) + series
+    out[pos] = (lam_s * (1.0 - log_lam) + series)[inverse]
     return _value(out.reshape(lam.shape))

@@ -167,11 +167,15 @@ def _marginal_rows(n, m):
     cells run over the blocks in turn) lies in the block's i-th row and in its
     (n_b + j)-th row. Returns the block, the i-row and the j-row of each cell.
     """
-    cells = n * m
-    block = np.repeat(np.arange(n.size), cells)
     start = np.cumsum(n + m) - (n + m)
-    k = np.arange(int(cells.sum())) - (np.cumsum(cells) - cells)[block]
-    return block, start[block] + k // m[block], start[block] + n[block] + k % m[block]
+    row_block = np.repeat(np.arange(n.size), n)
+    row_m = m[row_block]
+    # global i-row r is LP row r + the m_b of the earlier blocks; cell k's
+    # j-row is k + its block's start + n_b - the first cell of its i-row
+    i_row = np.arange(row_block.size) + (np.cumsum(m) - m)[row_block]
+    j_off = (start + n)[row_block] - (np.cumsum(row_m) - row_m)
+    cells = np.arange(int(row_m.sum()))
+    return np.repeat(row_block, row_m), np.repeat(i_row, row_m), cells + np.repeat(j_off, row_m)
 
 
 class _HighsModel:
@@ -574,11 +578,14 @@ def _ehs_lockstep(pairs, tol, max_rounds):
 def _ground_distance(p1, p2):
     if p1.points.shape[1] != p2.points.shape[1]:
         raise DimensionMismatch("point measures live in different ambient spaces")
-    # a distance beyond the float range comes out inf, which kr_distance
-    # caps at 2 and kr_modified rejects
+    # squared differences summed one coordinate at a time, in order; a distance
+    # beyond the float range comes out inf, which kr_distance caps at 2 and
+    # kr_modified rejects
     with np.errstate(over="ignore"):
-        diff = p1.points[:, None, :] - p2.points[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        sq = np.zeros((len(p1.points), len(p2.points)))
+        for a, b in zip(p1.points.T, p2.points.T):
+            sq += np.square(a[:, None] - b)
+        return np.sqrt(sq, out=sq)
 
 
 def kr_distance(p1: PointMeasure, p2: PointMeasure):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from qensembles import (
@@ -22,6 +23,7 @@ from qensembles import (
 )
 from qensembles.channels import (
     FOCK_CAP,
+    MIX_EIG_CUT,
     _LOG_FACTORIAL,
     _POISSON_BLOCK_CELLS,
     apply_ensembles,
@@ -32,6 +34,8 @@ from qensembles.channels import (
 from qensembles.energy import mean_energy
 from qensembles.ensembles import Ensemble, average_singleton, pure_ensemble, singleton
 from qensembles.errors import TruncationError
+from qensembles.experiments import gaussian_grid_measure
+from qensembles.linalg import check_density
 from qensembles.randomgen import (
     random_channel,
     random_ensemble,
@@ -239,6 +243,35 @@ class TestCatalog:
         assert np.allclose(out[:2, :2], rho, atol=1e-12)
         assert abs(out[2, 2]) < 1e-15
 
+    def test_mix_with_state_stack_equals_the_loop_built_operators(self):
+        # oracle: one np.zeros operator per kept eigenpair, then per column j,
+        # with sqrt(eps lam) col in column j
+        def loop_built(dim, eps, omega):
+            ops = []
+            if eps < 1.0:
+                ops.append(math.sqrt(1.0 - eps) * np.eye(dim, dtype=complex))
+            if eps > 0.0:
+                w, v = np.linalg.eigh(check_density(omega, dim=dim))
+                for lam, col in zip(w, v.T):
+                    if lam > MIX_EIG_CUT:
+                        for j in range(dim):
+                            k = np.zeros((dim, dim), dtype=complex)
+                            k[:, j] = math.sqrt(eps * lam) * col
+                            ops.append(k)
+            return np.array(ops)
+
+        rng = np.random.default_rng(33)
+        for dim in range(1, 6):
+            for rank in range(1, dim + 1):
+                for eps in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3).tolist()):
+                    omega = random_state(dim, rank, rng)
+                    kraus = mix_with_state(dim, eps, omega).kraus
+                    expected = loop_built(dim, eps, omega)
+                    assert kraus.shape == expected.shape
+                    assert kraus.tobytes() == expected.tobytes()
+        with pytest.raises(ValidationError):
+            mix_with_state(2, 0.5, np.diag([0.5, 0.6]))  # omega is still checked
+
     def test_mix_channels_validates(self, rng):
         a = random_channel(2, 2, 2, rng)
         b = random_channel(2, 2, 1, rng)
@@ -369,17 +402,19 @@ class TestClosedFormKernels:
         assert poisson_entropy(np.array([])).shape == (0,)
 
     def test_poisson_entropy_blocks_keep_the_scalar_bits(self):
-        # more rows than one block holds at width 513 (lam up to 274), with
-        # runs of rows sharing a top across block edges
+        # more distinct lam than one block holds at width 513 (lam up to 274),
+        # with runs of distinct lam sharing a top across block edges
         rng = np.random.default_rng(19)
         lams = np.concatenate([
-            np.repeat([3.0, 60.0, 200.0, 274.0], 45),
+            *(lam - 1e-9 * np.arange(45) for lam in (3.0, 60.0, 200.0, 274.0)),
             rng.uniform(0.0, 274.0, 400), rng.uniform(270.0, 274.0, 80), [0.0, 1e-300],
         ])
         rng.shuffle(lams)
         positive = lams[lams > 0.0]
+        assert np.unique(positive).size == positive.size
         tops = np.sort((positive + 12.0 * np.sqrt(positive) + 40.0).astype(int))
         assert tops[-1] + 1 == FOCK_CAP + 1
+        assert np.count_nonzero(tops == tops[-1]) >= 45
         rows = _POISSON_BLOCK_CELLS // (FOCK_CAP + 1)
         edges = np.arange(rows, tops.size, rows)
         assert edges.size >= 10
@@ -387,6 +422,26 @@ class TestClosedFormKernels:
         batched = poisson_entropy(lams)
         for lam, value in zip(lams.tolist(), batched.tolist()):
             assert value == poisson_entropy(lam) == one_series(lam)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 274.0), min_size=1, max_size=30),
+           st.lists(st.integers(0, 29), max_size=90), st.randoms(use_true_random=False))
+    def test_poisson_entropy_of_repeated_lam_equals_scalar_calls(self, base, picks, rnd):
+        # an array evaluates each distinct lam once and gathers the values
+        # back to every place that lam fills
+        lams = base + [base[i % len(base)] for i in picks]
+        rnd.shuffle(lams)
+        batched = poisson_entropy(np.array(lams))
+        assert batched.tolist() == [poisson_entropy(lam) for lam in lams]
+
+    @pytest.mark.parametrize("delta, half_cells", [(0.5, 9), (0.25, 17)])
+    def test_poisson_entropy_of_symmetric_grid_radii_equals_scalar_calls(
+            self, delta, half_cells):
+        # the squared radii of `repro coherent`'s grids repeat up to 8 times
+        pts, _ = gaussian_grid_measure(1.0, delta, half_cells)
+        s_vals = np.sum(pts**2, axis=1)
+        assert np.unique(s_vals).size < s_vals.size / 8 + 8
+        assert poisson_entropy(s_vals).tolist() == [poisson_entropy(s) for s in s_vals]
 
     def test_poisson_entropy_raises_past_fock_cap(self):
         assert int(274.0 + 12.0 * math.sqrt(274.0) + 40.0) == FOCK_CAP

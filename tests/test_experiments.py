@@ -32,7 +32,7 @@ from qensembles.energy import (
 )
 from qensembles.ensembles import Ensemble, average_state, singleton
 from qensembles.linalg import g_func, outer, trace_norm, von_neumann_entropy
-from qensembles.metrics import d0, d_ehs_many, d_kantorovich_many
+from qensembles.metrics import d0, d_ehs_many, d_kantorovich, d_kantorovich_many
 from qensembles.randomgen import derive_rng, random_ensemble
 from qensembles.experiments import (
     DEHS_TOL,
@@ -186,6 +186,33 @@ def test_dephased_coherent_aoe_equals_the_node_loop(panels):
             s = mid + half * x
             terms.append(half * w * poisson_entropy(s) * math.exp(-s / n_mean) / n_mean)
     assert near_fsum(experiments._dephased_coherent_aoe(n_mean, panels), terms)
+
+
+def test_coherent_run_solves_the_lemma9_pairs_as_one_lp(monkeypatch):
+    # one model for the KR grids, one for the three D_K and one per kr_modified;
+    # each lemma9/transfer lhs is its pair's own d_kantorovich, bit for bit
+    from qensembles import metrics
+
+    built = []
+    init = metrics._HighsModel.__init__
+
+    def counting_init(self, b_eq):
+        built.append(b_eq.size)
+        init(self, b_eq)
+
+    monkeypatch.setattr(metrics._HighsModel, "__init__", counting_init)
+    for seed in range(7000, 7010):
+        built.clear()
+        records = REPROS["coherent"](ExperimentConfig(seed=seed, trials=30)).records
+        assert len(built) == 5 and built[1] == 18  # the three 3 x 3 blocks' marginals
+        rng = derive_rng(seed, 7)
+        for k in range(3):
+            pts1, pts2 = rng.uniform(-1.5, 1.5, size=(3, 2)), rng.uniform(-1.5, 1.5, size=(3, 2))
+            w1, w2 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+            mu = experiments._coherent_ensemble(w1, pts1, 40)
+            nu = experiments._coherent_ensemble(w2, pts2, 40)
+            (rec,) = [r for r in records if r.tag == "lemma9/transfer" and r.params["case"] == k]
+            assert rec.lhs == d_kantorovich(mu, nu).value
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.25])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qensembles import (
     ConvergenceError,
@@ -301,6 +302,21 @@ class TestSolveTransport:
         # pricing ran, and adding each row's and column's most negative cell
         # keeps it to a few rounds (8 here; 14 when the least negative is added)
         assert 1 < max(rounds) <= 11
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                          min_size=1, max_size=60))
+    def test_marginal_rows_equal_the_division_formula(self, sizes):
+        # oracle: cell k of block b, counted from the block's first cell, lies
+        # in rows start_b + k // m_b and start_b + n_b + k % m_b
+        n, m = (np.array(v, dtype=np.int64) for v in zip(*sizes))
+        cells = n * m
+        block = np.repeat(np.arange(n.size), cells)
+        start = np.cumsum(n + m) - (n + m)
+        k = np.arange(int(cells.sum())) - (np.cumsum(cells) - cells)[block]
+        expected = (block, start[block] + k // m[block], start[block] + n[block] + k % m[block])
+        for got, want in zip(metrics._marginal_rows(n, m), expected, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_unequal_masses_raise_with_the_model_status(self):
         # an all-cells block and a priced one: the first LP is infeasible
@@ -879,6 +895,21 @@ class TestKRDistances:
         assert (a.weights.size, b.weights.size) == (88, 348)
         oracle = kr_dual_lp(a.points, a.weights, b.points, b.weights)
         assert kr_distance(a, b) == pytest.approx(oracle, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 7), n1=st.integers(1, 9), n2=st.integers(1, 9))
+    def test_ground_distance_equals_the_3d_reduction(self, data, dim, n1, n2):
+        # oracle: the (n1, n2, m) difference array summed along its short
+        # last axis, which numpy adds in order for m < 8; points of any
+        # magnitude, so squares underflow, are subnormal or overflow to inf
+        coords = st.floats(allow_nan=False, allow_infinity=False)
+        pts = [data.draw(arrays(np.float64, (k, dim), elements=coords)) for k in (n1, n2)]
+        a, b = (PointMeasure(points=p, weights=np.full(len(p), 1.0 / len(p))) for p in pts)
+        with np.errstate(over="ignore"):
+            diff = a.points[:, None, :] - b.points[None, :, :]
+            expected = np.sqrt(np.sum(diff * diff, axis=2))
+            got = metrics._ground_distance(a, b)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_coherent_grid_lp_is_solved_once(self):
         # the start cells already hold the optimal support of the KR LP of

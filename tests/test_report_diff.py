@@ -119,10 +119,11 @@ def stack_text(stack):
 
 
 def test_wide_run_writes_one_report_per_config(tmp_path, monkeypatch):
-    # the catalogue `run --wide` writes: 630 CLI reports and 400 in-process
-    # results, run here at one seed and small trial counts
+    # the catalogue `run --wide` writes: 630 verify and 63 repro CLI reports
+    # and 400 in-process results, run here at one seed and small trial counts
     tool = load_tool()
     assert len(tool.WIDE_SEEDS) * len(tool.WIDE_TRIALS) * len(tool.WIDE_COMMANDS) == 630
+    assert len(tool.WIDE_SEEDS) * len(tool.WIDE_REPROS) == 63
     assert len(tool.WIDE_DIMS_SEEDS) * len(tool.WIDE_DIMS) * len(tool.WIDE_COMMANDS) == 400
     monkeypatch.setattr(tool, "WIDE_SEEDS", (7000,))
     monkeypatch.setattr(tool, "WIDE_TRIALS", (3, 2))
@@ -132,6 +133,7 @@ def test_wide_run_writes_one_report_per_config(tmp_path, monkeypatch):
     names = ("scb-rank", "scb-energy", "holevo", "steering", "lemmas")
     assert sorted(p.name for p in paths) == sorted(
         [f"verify-{n}-s7000-t{t}.json" for n in names for t in (3, 2)]
+        + ["repro-coherent-s7000.json"]
         + [f"inprocess-{n}-s500-d2x6x3-t2.json" for n in names])
 
     from qensembles.experiments import EXPERIMENTS, ExperimentConfig
@@ -144,4 +146,4 @@ def test_wide_run_writes_one_report_per_config(tmp_path, monkeypatch):
     out = io.StringIO()
     assert tool.compare(tmp_path, tmp_path, out=out)
     assert out.getvalue().splitlines()[-1] == (
-        "15 reports: 15 identical, 0 differ, 0 in one tree only")
+        "16 reports: 16 identical, 0 differ, 0 in one tree only")

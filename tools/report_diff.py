@@ -16,12 +16,13 @@ tree.
 that draw random channels and ensembles (``verify scb-rank``,
 ``scb-energy`` and ``holevo``, whose trials are drawn and evaluated in
 batches, and ``steering`` and ``lemmas``): 630 reports through the CLI at
-seeds 7000-7002 and 9000-9059 with ``--trials`` 30 and 7, and 400 results
-of ``experiments`` run in process at seeds 500-519 with the uneven
-``ExperimentConfig.dims`` of WIDE_DIMS, which the CLI has no flag for. It
-takes about 13 s per tree, so it stays out of Tier-1; a change that claims
-byte-identical reports runs it on both trees and gives the ``compare``
-summary.
+seeds 7000-7002 and 9000-9059 with ``--trials`` 30 and 7; 63 reports of
+``repro coherent`` (the Poisson-entropy, KR-grid and transport kernels) at
+the same seeds; and 400 results of ``experiments`` run in process at seeds
+500-519 with the uneven ``ExperimentConfig.dims`` of WIDE_DIMS, which the
+CLI has no flag for. It takes about 15 s per tree, so it stays out of
+Tier-1; a change that claims byte-identical reports runs it on both trees
+and gives the ``compare`` summary.
 
 ``compare`` prints one line per report: "identical" when the files are
 byte-identical, otherwise each field that moved (grouped by tag) with its
@@ -64,6 +65,7 @@ TRIALS = 30
 WIDE_COMMANDS = ("scb-rank", "scb-energy", "holevo", "steering", "lemmas")
 WIDE_SEEDS = SEEDS + tuple(range(9000, 9060))
 WIDE_TRIALS = (30, 7)
+WIDE_REPROS = ("coherent",)
 WIDE_DIMS = {(2, 6, 3): 7, (4,): 1, (2, 3): 6, (6, 5, 2): 12}  # dims -> trials
 WIDE_DIMS_SEEDS = tuple(range(500, 520))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -110,6 +112,7 @@ def run_wide(out_dir):
     written = []
     for trials in WIDE_TRIALS:
         written += run(out_dir, WIDE_SEEDS, trials, only, suffix=f"-t{trials}")
+    written += run(out_dir, WIDE_SEEDS, only=[("repro", name) for name in WIDE_REPROS])
     # seeds outside, commands inside, as in run
     for seed in WIDE_DIMS_SEEDS:
         for dims, trials in WIDE_DIMS.items():
