@@ -240,8 +240,8 @@ def _channel_trials(cfg, max_dim):
         yield i, d, phi, mu, nu, mixed, erasure
 
 
-def _trial_dims(cfg, max_dim):
-    return tuple(d for d in cfg.dims if d <= max_dim) or (2, 3)
+def _trial_dims(cfg, max_dim, fallback=(2, 3)):
+    return tuple(d for d in cfg.dims if d <= max_dim) or fallback
 
 
 class _Batch:
@@ -476,7 +476,7 @@ def verify_holevo(cfg):
 
 def verify_steering(cfg):
     rec = _Recorder("steering")
-    dims = [d for d in cfg.dims if d <= 3] or [2, 3]
+    dims = _trial_dims(cfg, 3)
     for i in range(cfg.trials):
         rng = derive_rng(cfg.seed, i)
         d = dims[i % len(dims)]
@@ -507,7 +507,7 @@ def verify_steering(cfg):
 
 def verify_lemmas(cfg):
     rec = _Recorder("lemmas")
-    dims = [d for d in cfg.dims if d <= 6] or [4, 6]
+    dims = _trial_dims(cfg, 6, fallback=(4, 6))
     for i in range(cfg.trials):
         rng = derive_rng(cfg.seed, i)
         d = max(dims[i % len(dims)], 3)
@@ -708,8 +708,7 @@ def gaussian_grid_measure(n_mean, delta, half_cells):
     return pts, wts / np.sum(wts)
 
 
-def _discretized_aoe(n_mean, delta, half_cells):
-    pts, wts = gaussian_grid_measure(n_mean, delta, half_cells)
+def _discretized_aoe(pts, wts):
     s_vals = np.sum(pts**2, axis=1)
     return float(np.sum(wts * poisson_entropy(s_vals)))
 
@@ -741,10 +740,12 @@ def repro_coherent_discretization(cfg):
             check="self-convergence")
     aoe_cont = refined
 
-    gaps = {}
+    gaps, grids = {}, {}
     for delta in deltas:
         half_cells = int(math.ceil(6.0 * math.sqrt(n_mean / 2.0) / delta))
-        aoe_disc = _discretized_aoe(n_mean, delta, half_cells)
+        pts, wts = gaussian_grid_measure(n_mean, delta, half_cells)
+        grids[delta] = half_cells, pts, wts
+        aoe_disc = _discretized_aoe(pts, wts)
         loss_cap, gain_cap = B.discretization_bounds(delta, n_mean)
         rec.add("coherent/loss", aoe_cont - aoe_disc, loss_cap + TOLERANCE,
                 delta, n_mean=n_mean)
@@ -762,8 +763,7 @@ def repro_coherent_discretization(cfg):
 
     # KR distance between successive discretizations, on subsampled supports
     delta = max(deltas)
-    half = int(math.ceil(6.0 * math.sqrt(n_mean / 2.0) / delta))
-    pts_a, wts_a = gaussian_grid_measure(n_mean, delta, half)
+    half, pts_a, wts_a = grids[delta]
     pts_b, wts_b = gaussian_grid_measure(n_mean, delta / 2.0, 2 * half)
     radius = math.sqrt(n_mean * math.log(1000.0))
     pm_a, rem_a = _subsampled_measure(pts_a, wts_a, radius)

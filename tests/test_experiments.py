@@ -221,7 +221,7 @@ def test_discretized_aoe_equals_the_atom_loop(delta):
     half_cells = int(math.ceil(6.0 * math.sqrt(n_mean / 2.0) / delta))
     pts, wts = gaussian_grid_measure(n_mean, delta, half_cells)
     terms = [w * poisson_entropy(x * x + y * y) for (x, y), w in zip(pts, wts)]
-    assert near_fsum(experiments._discretized_aoe(n_mean, delta, half_cells), terms)
+    assert near_fsum(experiments._discretized_aoe(pts, wts), terms)
 
 
 @pytest.mark.parametrize("order", [20, 32])
