@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bounds as B
 from .channels import (
+    _displacement_eigh,
     aoe,
     apply_ensembles,
     coherent_state,
@@ -58,7 +59,6 @@ from .linalg import (
     binary_entropy,
     fidelity,
     g_func,
-    hermitian_part,
     outer,
     shannon_entropy,
     trace_norm,
@@ -66,6 +66,7 @@ from .linalg import (
 )
 from .metrics import (  # d_ehs stays bound here for perfbench's tracer test
     PointMeasure,
+    _solve_transports,
     d0,
     d0_many,
     d_ehs,
@@ -535,9 +536,7 @@ def verify_lemmas(cfg):
             vecs_b = [random_pure(d - half, rng) for _ in range(2)]
             pad_a = [np.concatenate([v, np.zeros(d - half)]) for v in vecs_a]
             pad_b = [np.concatenate([np.zeros(half), v]) for v in vecs_b]
-            mu2 = pure_ensemble(pad_a)
-            nu2 = pure_ensemble(pad_b)
-            eps2 = d0(mu2, nu2)
+            eps2 = d0(pure_ensemble(pad_a), pure_ensemble(pad_b))
             rec.add("lemma3/branch", 0.0, B.scb_rank(eps2, 2) + TOLERANCE,
                     eps2, dim=d, branch=eps2 > 0.5)
         if i % 7 == 0:
@@ -601,11 +600,7 @@ def verify_eof(cfg):
     for rank in (3, 4):
         lam = np.full(rank, 0.1 / (rank - 1))
         lam[0] = 0.9
-        schmidt = np.sqrt(lam)
-        theta = np.zeros((rank, rank), dtype=complex)
-        for k in range(rank):
-            theta[k, k] = schmidt[k]
-        rho = outer(theta.reshape(-1))
+        rho = outer(np.diag(np.sqrt(lam)).astype(complex).reshape(-1))  # Schmidt form
         sigma0 = np.zeros_like(rho)
         sigma0[0, 0] = 1.0
         delta_f = math.sqrt(max(1.0 - fidelity(rho, sigma0), 0.0))
@@ -720,12 +715,17 @@ def _subsampled_measure(pts, wts, radius):
     return PointMeasure(points=pts[keep], weights=w), removed
 
 
-def _coherent_ensemble(weights, points, n_max):
-    # the coherent projectors |x + iy><x + iy| at a probability vector of
-    # weights, valid by construction; np.outer of a complex vector need not
-    # be exactly Hermitian, which the trusted constructor requires
-    states = np.stack([outer(coherent_state(complex(x, y), n_max)) for x, y in points])
-    return Ensemble._trusted(n_max + 1, weights, hermitian_part(states))
+def _coherent_trace_distances(points_a, points_b, n_max):
+    """Half trace distances of the truncated coherent states at points (..., n, 2)
+    and (..., m, 2), shape (..., n, m): sqrt(1 - |<a|b>|^2) = ||a - b'|| ||a + b'|| / 2
+    for unit a, b and b' = b e^(-i arg <a|b>), a product free of cancellation, 0.0
+    at a == b (<a|b> real there); within 1e-12 of eigvalsh's half trace norms."""
+    a, b = (np.array([coherent_state(complex(x, y), n_max) for x, y in p.reshape(-1, 2)])
+            .reshape(p.shape[:-1] + (n_max + 1,)) for p in (points_a, points_b))
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    ov = np.sum(a.real * b.real + a.imag * b.imag + 1j * (a.real * b.imag - a.imag * b.real), -1)
+    b = b * (ov.conj() / np.abs(ov))[..., None]
+    return 0.5 * np.linalg.norm(a - b, axis=-1) * np.linalg.norm(a + b, axis=-1)
 
 
 def repro_coherent_discretization(cfg):
@@ -735,10 +735,9 @@ def repro_coherent_discretization(cfg):
     rows = []
 
     base = _dephased_coherent_aoe(n_mean, panels=32)
-    refined = _dephased_coherent_aoe(n_mean, panels=64)
-    rec.add("coherent/quadrature", abs(base - refined), QUADRATURE_CAP, 0.0,
+    aoe_cont = _dephased_coherent_aoe(n_mean, panels=64)
+    rec.add("coherent/quadrature", abs(base - aoe_cont), QUADRATURE_CAP, 0.0,
             check="self-convergence")
-    aoe_cont = refined
 
     gaps, grids = {}, {}
     for delta in deltas:
@@ -775,17 +774,14 @@ def repro_coherent_discretization(cfg):
 
     # Lipschitz transfer: coherent map has constant 2, so D_K <= D*_KR
     rng = derive_rng(cfg.seed, 7)
-    n_max = 40
-    cases = [(rng.uniform(-1.5, 1.5, size=(3, 2)), rng.uniform(-1.5, 1.5, size=(3, 2)),
-              rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))) for _ in range(3)]
+    pts1, pts2, w1, w2 = map(np.array, zip(*[
+        (rng.uniform(-1.5, 1.5, size=(3, 2)), rng.uniform(-1.5, 1.5, size=(3, 2)),
+         rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))) for _ in range(3)]))
     # the three D_K as one three-block transport LP
-    dks = d_kantorovich_many([
-        (_coherent_ensemble(w1, pts1, n_max), _coherent_ensemble(w2, pts2, n_max))
-        for pts1, pts2, w1, w2 in cases
-    ])
-    for k, ((pts1, pts2, w1, w2), dk) in enumerate(zip(cases, dks)):
-        kr = kr_modified(PointMeasure(points=pts1, weights=w1),
-                         PointMeasure(points=pts2, weights=w2))
+    costs = _coherent_trace_distances(pts1, pts2, n_max=40)
+    for k, dk in enumerate(_solve_transports(list(zip(costs, w1, w2)))):
+        kr = kr_modified(PointMeasure(points=pts1[k], weights=w1[k]),
+                         PointMeasure(points=pts2[k], weights=w2[k]))
         rec.add("lemma9/transfer", dk.value, kr + TOLERANCE, 0.0, case=k)
     return rec.result(tables={"coherent": rows})
 
@@ -815,18 +811,21 @@ def _displaced_gibbs_average(g, n_max, radial, angular, r_hi, n_mean):
     D(r e^(i phi)) = e^(i phi N) D(r) e^(-i phi N) and diag(g) commutes with
     e^(i phi N), so the mean over the angles 2 pi k / angular is the phi = 0
     state with every entry (m, n) zeroed where angular does not divide m - n.
+    With D(r) = V e^(-i r Lambda) V^dag (displacement_operator), the radial
+    sum of w_r D(r) diag(g) D(r)^dag is V [(V^dag diag(g) V) o (U diag(w) U^dag)]
+    V^dag, o entrywise, U_kr = e^(-i r_r lambda_k): within 2e-16 of the node sum.
     """
     xs, ws = _gauss_legendre(radial)
-    avg = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    total_w = 0.0
-    for x, w in zip(xs, ws):
-        r = 0.5 * r_hi * (x + 1.0)
-        wr = 0.5 * r_hi * w * (2.0 * r / n_mean) * math.exp(-r * r / n_mean)
-        avg += wr * _displaced(g, r, n_max)
-        total_w += wr
+    radii = 0.5 * r_hi * (xs + 1.0)
+    # captured_weight: each node weight by math.exp, summed in node order (cumsum)
+    weights = np.array([0.5 * r_hi * w * (2.0 * r / n_mean) * math.exp(-r * r / n_mean)
+                        for r, w in zip(radii, ws)])
+    lam, vec = _displacement_eigh(n_max)
+    u = np.exp(-1j * np.outer(lam, radii))
+    avg = vec @ ((vec.conj().T * g) @ vec * ((u * weights) @ u.conj().T)) @ vec.conj().T
     level = np.arange(n_max + 1)
     avg[(level[:, None] - level) % angular != 0] = 0.0
-    return avg / np.trace(avg).real, total_w
+    return avg / np.trace(avg).real, np.cumsum(weights)[-1]
 
 
 def repro_gibbs_displaced(cfg):

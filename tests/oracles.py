@@ -7,15 +7,16 @@ over every cell, the coupling distance via a dense fixed angular grid of dual
 cuts and via plain Kelley cutting planes, the Holevo-bound crossover via the two bound formulas written
 out with `math` only, the EoF witness via an explicit Schmidt-coefficient matrix and its singular values,
 the Kantorovich-Rubinshtein distance via its bounded-Lipschitz dual LP, the
-Poisson entropy via its defining series with `math.lgamma`, the average entropy
-of an ensemble as the conditional entropy S(A|C) of its q-c state built block by
-block, the Holevo quantity as an average of relative entropies, g(x) from its
-defining formula in 700-digit `mpmath`, the displaced-Gibbs average
-node by node with each displacement from `scipy.linalg.expm`, the
-oscillator's truncated Gibbs state by bisection on its Boltzmann factor in
-`mpmath`, any floating-point sum against `math.fsum`, its correctly
-rounded value, and a channel trial of the verifications drawn one matrix at
-a time, each from its own generator calls.
+Poisson entropy via its defining series with `math.lgamma`, the Kantorovich
+distance of two coherent-state ensembles via their full Fock-space states,
+the average entropy of an ensemble as the conditional entropy S(A|C) of its
+q-c state built block by block, the Holevo quantity as an average of
+relative entropies, g(x) from its defining formula in 700-digit `mpmath`,
+the displaced-Gibbs average node by node with each displacement from
+`scipy.linalg.expm`, the oscillator's truncated Gibbs state by bisection on
+its Boltzmann factor in `mpmath`, any floating-point sum against
+`math.fsum`, its correctly rounded value, and a channel trial of the
+verifications drawn one matrix at a time, each from its own generator calls.
 """
 
 import itertools
@@ -26,6 +27,10 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
+
+from qensembles import Ensemble
+from qensembles.channels import coherent_state
+from qensembles.linalg import outer
 
 EPS = np.finfo(float).eps
 
@@ -99,6 +104,22 @@ def transport_full_lp(cost, p, q):
                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(res.fun)
+
+
+def coherent_dk_full(points_a, weights_a, points_b, weights_b, n_max=40):
+    """Kantorovich distance between the ensembles of truncated coherent states
+    |x + iy> at two weighted point sets, and its cost matrix: each ensemble
+    built as full (n_max + 1)-level states by the validating
+    Ensemble.from_members, each cost half the sum of |eigvalsh| of a
+    difference of two states, the transport LP solved over every cell."""
+    mu, nu = (
+        Ensemble.from_members([(w, outer(coherent_state(complex(x, y), n_max)))
+                               for w, (x, y) in zip(weights, points)])
+        for points, weights in ((points_a, weights_a), (points_b, weights_b))
+    )
+    cost = np.array([[0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)))
+                      for sigma in nu.states] for rho in mu.states])
+    return transport_full_lp(cost, mu.weights, nu.weights), cost
 
 
 def _angular_cuts(rho, sigma, thetas, tol=1e-12):
@@ -456,12 +477,12 @@ def displaced_average_bruteforce(g, n_max, radial, angular, r_hi, n_mean):
     """Unit-trace Gaussian average of D(zeta) diag(g) D(zeta)^dag over the full
     radial x angular polar grid on |zeta| <= r_hi, node by node, each D(zeta)
     the matrix exponential of zeta a^dag - conj(zeta) a; and the list of the
-    weights the grid's nodes capture."""
+    weights each radius's nodes capture together, in node order."""
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
     gibbs = np.diag(np.asarray(g, dtype=complex))
     xs, ws = np.polynomial.legendre.leggauss(radial)
     avg = np.zeros_like(gibbs)
-    node_weights = []
+    radial_weights = []
     for x, w in zip(xs, ws):
         r = 0.5 * r_hi * (x + 1.0)
         wr = 0.5 * r_hi * w * (2.0 * r / n_mean) * math.exp(-r * r / n_mean)
@@ -469,8 +490,8 @@ def displaced_average_bruteforce(g, n_max, radial, angular, r_hi, n_mean):
             zeta = r * np.exp(2j * np.pi * k / angular)
             d_op = expm(zeta * a.T - np.conj(zeta) * a)
             avg += (wr / angular) * (d_op @ gibbs @ d_op.conj().T)
-            node_weights.append(wr / angular)
-    return avg / np.trace(avg).real, node_weights
+        radial_weights.append(wr)
+    return avg / np.trace(avg).real, radial_weights
 
 
 def thermal_populations_oracle(energy, levels, dps=40, steps=150):

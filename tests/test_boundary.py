@@ -35,10 +35,10 @@ from qensembles.ensembles import (
     mix_members_toward,
     perturb_weights,
 )
-from qensembles.channels import apply_ensembles, coherent_state
+from qensembles.channels import apply_ensembles
 from qensembles.energy import mean_energy
-from qensembles.experiments import ExperimentConfig, _channel_trials, _coherent_ensemble
-from qensembles.linalg import check_density, hermitian_part, outer
+from qensembles.experiments import ExperimentConfig, _channel_trials
+from qensembles.linalg import check_density, hermitian_part
 from qensembles.randomgen import (
     random_channel,
     random_ensemble,
@@ -238,13 +238,3 @@ def test_trusted_producers_build_valid_objects(d, n, env, t, seed):
             _assert_valid_channel(chan)
         _assert_valid_ensemble(mu_t)
         _assert_valid_ensemble(nu_t)
-    # repro coherent's Lemma 9 ensembles, bit for bit what the validating
-    # constructor stores
-    weights, points = rng.dirichlet(np.ones(n)), rng.uniform(-1.5, 1.5, size=(n, 2))
-    coherent = _coherent_ensemble(weights.copy(), points, 40)
-    _assert_valid_ensemble(coherent)
-    validated = Ensemble.from_members(
-        [(w, outer(coherent_state(complex(x, y), 40))) for w, (x, y) in zip(weights, points)])
-    assert coherent.dim == validated.dim == 41
-    assert np.array_equal(coherent.weights, validated.weights)
-    assert np.array_equal(coherent.states, validated.states)

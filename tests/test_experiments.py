@@ -32,7 +32,7 @@ from qensembles.energy import (
 )
 from qensembles.ensembles import Ensemble, average_state, singleton
 from qensembles.linalg import g_func, outer, trace_norm, von_neumann_entropy
-from qensembles.metrics import d0, d_ehs_many, d_kantorovich, d_kantorovich_many
+from qensembles.metrics import d0, d_ehs_many, d_kantorovich_many
 from qensembles.randomgen import derive_rng, random_ensemble
 from qensembles.experiments import (
     DEHS_TOL,
@@ -47,7 +47,7 @@ from qensembles.experiments import (
 )
 
 from conftest import fresh_python
-from oracles import displaced_average_bruteforce, near_fsum, per_trial_draw
+from oracles import coherent_dk_full, displaced_average_bruteforce, near_fsum, per_trial_draw
 
 # Assertions that pin reported approximations contradicting the governing
 # equations asserted next to them (see README); red by design, excluded from
@@ -159,18 +159,19 @@ def test_energy_witnesses_match_the_dense_states():
         assert fields["prop3/C2-halfdist", eps] == 0.5 * trace_norm(rho - tau0)
 
 
-@pytest.mark.parametrize("angular", [8, 16])
-def test_displaced_gibbs_average_matches_every_node(angular):
-    # one band-masked sandwich per radius gives the polar sum over every
-    # node of D(zeta) gamma(N_0) D(zeta)^dag, each D from expm; the captured
-    # weight lies within a few eps of the exact sum of the node weights
+@pytest.mark.parametrize("angular, radial", [(8, 20), (16, 20), (8, 1), (16, 1)],
+                         ids=["8", "16", "8-one-radius", "16-one-radius"])
+def test_displaced_gibbs_average_matches_every_node(angular, radial):
+    # the closed-form radial sum against every node's D(zeta) gamma(N_0)
+    # D(zeta)^dag, each D from expm (one radial node: U diag(w) U^dag of rank
+    # one); the captured weight is the per-radius weights' sum in node order
     n0, n_mean, n_max = 0.5, 0.4, 48
     g = thermal_populations(n0, levels=n_max + 1)
-    args = (g, n_max, 20, angular, 4.0 * math.sqrt(n_mean), n_mean)
+    args = (g, n_max, radial, angular, 4.0 * math.sqrt(n_mean), n_mean)
     avg, total_w = _displaced_gibbs_average(*args)
-    ref, node_weights = displaced_average_bruteforce(*args)
+    ref, radial_weights = displaced_average_bruteforce(*args)
     assert np.max(np.abs(avg - ref)) <= 1e-13
-    assert near_fsum(total_w, node_weights)
+    assert total_w == list(itertools.accumulate(radial_weights))[-1]
 
 
 @pytest.mark.parametrize("panels", [32, 64])
@@ -190,7 +191,8 @@ def test_dephased_coherent_aoe_equals_the_node_loop(panels):
 
 def test_coherent_run_solves_the_lemma9_pairs_as_one_lp(monkeypatch):
     # one model for the KR grids, one for the three D_K and one per kr_modified;
-    # each lemma9/transfer lhs is its pair's own d_kantorovich, bit for bit
+    # each lemma9/transfer lhs is, bit for bit, its block of the three-block
+    # LP on the closed-form costs, and within 1e-12 of D_K on the full states
     from qensembles import metrics
 
     built = []
@@ -206,13 +208,43 @@ def test_coherent_run_solves_the_lemma9_pairs_as_one_lp(monkeypatch):
         records = REPROS["coherent"](ExperimentConfig(seed=seed, trials=30)).records
         assert len(built) == 5 and built[1] == 18  # the three 3 x 3 blocks' marginals
         rng = derive_rng(seed, 7)
-        for k in range(3):
-            pts1, pts2 = rng.uniform(-1.5, 1.5, size=(3, 2)), rng.uniform(-1.5, 1.5, size=(3, 2))
-            w1, w2 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
-            mu = experiments._coherent_ensemble(w1, pts1, 40)
-            nu = experiments._coherent_ensemble(w2, pts2, 40)
-            (rec,) = [r for r in records if r.tag == "lemma9/transfer" and r.params["case"] == k]
-            assert rec.lhs == d_kantorovich(mu, nu).value
+        cases = [(rng.uniform(-1.5, 1.5, size=(3, 2)), rng.uniform(-1.5, 1.5, size=(3, 2)),
+                  rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))) for _ in range(3)]
+        lhs = [r.lhs for r in records if r.tag == "lemma9/transfer"]
+        assert [r.params["case"] for r in records if r.tag == "lemma9/transfer"] == [0, 1, 2]
+        sols = metrics._solve_transports([
+            (experiments._coherent_trace_distances(pts1, pts2, 40), w1, w2)
+            for pts1, pts2, w1, w2 in cases
+        ])
+        assert lhs == [sol.value for sol in sols]
+        for value, (pts1, pts2, w1, w2) in zip(lhs, cases):
+            assert abs(value - coherent_dk_full(pts1, w1, pts2, w2)[0]) <= 1e-12
+
+
+def test_coherent_trace_distances_match_the_full_states():
+    rng = derive_rng(3, 0)
+    for _ in range(20):
+        pts1, pts2 = rng.uniform(-1.5, 1.5, size=(3, 2)), rng.uniform(-1.5, 1.5, size=(4, 2))
+        cost = experiments._coherent_trace_distances(pts1, pts2, 40)
+        _, ref = coherent_dk_full(pts1, np.ones(3) / 3, pts2, np.ones(4) / 4)
+        assert cost.shape == (3, 4) and np.max(np.abs(cost - ref)) <= 1e-12
+        # against the untruncated overlap |<alpha|beta>|^2 = e^(-|alpha - beta|^2)
+        sq = np.sum((pts1[:, None] - pts2[None]) ** 2, axis=-1)
+        assert np.max(np.abs(cost - np.sqrt(-np.expm1(-sq)))) <= 1e-9
+
+
+def test_coherent_trace_distance_of_coincident_points_is_exactly_zero():
+    # 1 - |<a|a>|^2 rounds to either side of 0; the product form gives 0.0
+    pts = derive_rng(5, 0).uniform(-1.5, 1.5, size=(200, 2))
+    cost = experiments._coherent_trace_distances(pts[:, None], pts[:, None], 40)
+    assert cost.shape == (200, 1, 1) and np.all(cost == 0.0)
+
+
+@pytest.mark.parametrize("a, b", [((3.0, 0.0), (-3.0, 0.0)), ((0.0, 3.1), (0.0, -3.1)),
+                                  ((-2.2, -2.2), (2.2, 2.2))])
+def test_coherent_trace_distance_of_far_points_is_one(a, b):
+    cost = experiments._coherent_trace_distances(np.array([a]), np.array([b]), 40)
+    assert abs(cost[0, 0] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.25])

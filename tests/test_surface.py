@@ -55,6 +55,11 @@ EXPERIMENTS_PRIVATE_IMPORTS = {
     ("linalg", "_per_shape"),
     # mixes the drawn members toward drawn targets that are valid already
     ("ensembles", "_mixed_toward"),
+    # solves repro coherent's Lemma 9 D_K from closed-form pure-state costs
+    ("metrics", "_solve_transports"),
+    # the eigendecomposition behind displacement_operator, which turns the
+    # displaced-Gibbs radial sum into one entrywise product
+    ("channels", "_displacement_eigh"),
 }
 
 
